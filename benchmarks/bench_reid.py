@@ -10,7 +10,7 @@ sliding-window deletes expiring stale versions — against two tiers:
   round-robin placement): the floor for serving overhead;
 * **serve** — the same loop through one pipelined
   :class:`repro.serve.JsonlClient` against a live writable async server
-  (``repro serve --async --writable``): in-process ``serve_async`` by
+  (``repro serve --writable``): in-process ``serve_async`` by
   default, or ``--server HOST:PORT`` to drive an external one (the CI
   job starts the CLI server and points this flag at it).
 

@@ -10,9 +10,9 @@ two serving-tier claims:
   dispatcher's batching window fuses neighbours into shared
   ``execute_many`` calls, so measured throughput must be at least 1.5x
   the same server with ``coalesce_reads=False`` (each request then
-  executes alone, exactly like the threaded tier). The amortization is
-  the same one ``BENCH_persistence.json`` measures for client-side
-  batching (~2x); coalescing recovers it for clients that cannot batch.
+  executes alone). The amortization is the same one
+  ``BENCH_persistence.json`` measures for client-side batching (~2x);
+  coalescing recovers it for clients that cannot batch.
 * **Shedding** — a saturation sweep over client counts finds the knee
   (the smallest count within 90% of peak throughput); a second server
   with a deliberately small admission queue is then offered ~2x the

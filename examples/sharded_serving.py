@@ -1,4 +1,4 @@
-"""Sharded serving, end to end: shard-build -> fan-out session -> HTTP.
+"""Sharded serving, end to end: shard-build -> fan-out session -> server.
 
 Walks the full ``repro.cluster`` lifecycle on a synthetic dataset:
 
@@ -9,8 +9,8 @@ Walks the full ``repro.cluster`` lifecycle on a synthetic dataset:
    that the fanned-out answers carry *globally* renormalised posteriors
    — identical to a sequential scan of the whole database, even though
    no single shard ever saw all of it;
-3. serve the session over HTTP (what ``repro serve`` does) and query it
-   with the stdlib client.
+3. serve the session (what ``repro serve`` does) and query it over
+   HTTP with the stdlib client.
 
 Run:  PYTHONPATH=src python examples/sharded_serving.py
 """
@@ -24,10 +24,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.cluster import ServeClient, build_shards, serve  # noqa: E402
+from repro.cluster import ServeClient, build_shards  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.data.workload import identification_workload  # noqa: E402
 from repro.engine import MLIQ, TIQ, connect  # noqa: E402
+from repro.serve import serve_async  # noqa: E402
 
 
 def main() -> int:
@@ -59,7 +60,7 @@ def main() -> int:
                 assert a.key == b.key and agreement < 1e-9
 
             # -- 3. HTTP serving ---------------------------------------------
-            with serve(sharded, port=0) as server:
+            with serve_async(sharded, port=0) as server:
                 client = ServeClient(server.url)
                 health = client.healthz()
                 print(

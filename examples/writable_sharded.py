@@ -28,10 +28,11 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
-from repro.cluster import ServeClient, build_shards, load_manifest, serve  # noqa: E402
+from repro.cluster import ServeClient, build_shards, load_manifest  # noqa: E402
 from repro.core.pfv import PFV  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.engine import MLIQ, Insert, connect  # noqa: E402
+from repro.serve import serve_async  # noqa: E402
 
 
 def main() -> int:
@@ -106,7 +107,7 @@ def main() -> int:
         read_replica = lambda: connect(  # noqa: E731
             manifest.source_path, backend="sharded"
         )
-        with serve(
+        with serve_async(
             primary, port=0, session_factory=read_replica, pool_size=2
         ) as server:
             client = ServeClient(server.url)

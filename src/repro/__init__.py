@@ -79,7 +79,7 @@ from repro.gausstree import GaussTree, bulk_load
 # box (the subsystem itself is stdlib-only on top of the engine).
 import repro.cluster  # noqa: E402,F401  (registration side effect)
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "PFV",

@@ -43,7 +43,7 @@ round-robin), saves one Gauss-tree index per shard and writes the
 ``.shards.json`` manifest (``--replicas K`` clones each shard for read
 routing and failover); ``query --backend sharded`` fans batches out
 to the shards and merges globally renormalised posteriors; ``serve``
-exposes any index (or manifest) as a concurrent JSON HTTP endpoint;
+exposes any index (or manifest) over pipelined JSONL and HTTP;
 ``reshard MANIFEST --shards N`` rebuilds the deployment at a new shard
 count and cuts over atomically while queries keep flowing.
 ``query --input workload.jsonl`` (or ``--input -`` for stdin) replays a
@@ -54,6 +54,7 @@ generating a re-observation workload.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 
@@ -360,8 +361,8 @@ def _serve_registry(args):
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
-    from repro.cluster import QueryServer
     from repro.engine import connect
+    from repro.serve import AdmissionConfig, AsyncQueryServer, CoalesceConfig
 
     backend = args.backend
     if backend == "auto":
@@ -391,41 +392,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         if args.sessions > 1
         else None
     )
-    if args.use_async:
-        _serve_async_foreground(args, session, factory)
-        return
-    server = QueryServer(
-        session,
-        args.host,
-        args.port,
-        verbose=args.verbose,
-        session_factory=factory,
-        pool_size=args.sessions,
-        registry=_serve_registry(args),
-        slow_query_log=args.slow_query_log,
-        slow_query_ms=args.slow_query_ms,
-    ).start()
-    host, port = server.address
-    print(
-        f"serving http://{host}:{port} with {args.sessions} session(s) "
-        f"(POST /query{', POST /insert' if args.writable else ''}, "
-        "GET /healthz, GET /stats, GET /metrics) — Ctrl-C to stop",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shutdown()
-        session.close()
-
-
-def _serve_async_foreground(args, session, factory) -> None:
-    """The `repro serve --async` path: asyncio front end with admission
-    control and request coalescing (docs/serving.md)."""
-    from repro.serve import AdmissionConfig, AsyncQueryServer, CoalesceConfig
-
     server = AsyncQueryServer(
         session,
         args.host,
@@ -443,7 +409,6 @@ def _serve_async_foreground(args, session, factory) -> None:
             coalesce_writes=not args.no_coalesce,
         ),
         drain_timeout=args.drain_timeout,
-        verbose=args.verbose,
         registry=_serve_registry(args),
         slow_query_log=args.slow_query_log,
         slow_query_ms=args.slow_query_ms,
@@ -461,6 +426,10 @@ def _serve_async_foreground(args, session, factory) -> None:
         f"{args.max_queue}) — Ctrl-C to stop",
         flush=True,
     )
+    # A shell without job control starts background jobs with SIGINT
+    # ignored, and Python then never raises KeyboardInterrupt; re-arm
+    # it so `kill -INT` drains the server however it was launched.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         while True:
             time.sleep(3600)
@@ -979,8 +948,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve an index (or shard manifest) as a concurrent JSON "
-        "HTTP endpoint",
+        help="serve an index (or shard manifest) over pipelined JSONL "
+        "and HTTP on one port, with admission control and request "
+        "coalescing (docs/serving.md)",
     )
     p.add_argument(
         "index",
@@ -1015,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sessions",
         type=int,
         default=1,
-        help="session-pool size: concurrent POST /query handlers "
-        "execute on this many sessions over the same index "
+        help="session-pool size: coalesced read batches execute "
+        "concurrently on this many sessions over the same index "
         "(default 1; replica sessions are refreshed after every "
         "accepted insert, so reads through any slot are "
         "read-your-writes consistent)",
@@ -1027,59 +997,47 @@ def build_parser() -> argparse.ArgumentParser:
         help="open the primary session writable and accept "
         "POST /insert (writes serialize on the primary session)",
     )
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log every HTTP request to stderr",
-    )
-    p.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve through the asyncio tier: pipelined JSONL + HTTP "
-        "on one event loop, bounded admission queues (429 + "
-        "Retry-After under overload) and request coalescing into "
-        "the engine's batch entry points (docs/serving.md)",
-    )
+    # Accepted and ignored: the asyncio tier is the only server, and
+    # launch scripts written for 1.x still pass --async.
+    p.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     p.add_argument(
         "--max-batch",
         type=int,
         default=16,
-        help="async only: most engine operations fused into one "
-        "coalesced batch (default 16)",
+        help="most engine operations fused into one coalesced batch "
+        "(default 16)",
     )
     p.add_argument(
         "--max-delay-ms",
         type=float,
         default=2.0,
-        help="async only: how long a free session waits for stragglers "
-        "before executing an underfull batch (default 2 ms)",
+        help="how long a free session waits for stragglers before "
+        "executing an underfull batch (default 2 ms)",
     )
     p.add_argument(
         "--max-queue",
         type=int,
         default=512,
-        help="async only: global admission-queue bound; requests over "
-        "it answer 429 (default 512)",
+        help="global admission-queue bound; requests over it answer "
+        "429 (default 512)",
     )
     p.add_argument(
         "--max-queue-per-client",
         type=int,
         default=64,
-        help="async only: per-connection admission bound (default 64)",
+        help="per-connection admission bound (default 64)",
     )
     p.add_argument(
         "--no-coalesce",
         action="store_true",
-        help="async only: disable request coalescing (each request "
-        "executes alone, as the threaded server would)",
+        help="disable request coalescing (each request executes alone)",
     )
     p.add_argument(
         "--drain-timeout",
         type=float,
         default=10.0,
-        help="async only: seconds shutdown waits for admitted requests "
-        "to finish (default 10)",
+        help="seconds shutdown waits for admitted requests to finish "
+        "(default 10)",
     )
     p.add_argument(
         "--slow-query-ms",

@@ -5,7 +5,9 @@ split into N disjoint shards, each behind its own inner backend, fanned
 out to by a :class:`~repro.cluster.backend.ShardedBackend` that merges
 per-shard answers into *globally correct* posteriors (the Bayes
 denominator spans every shard; see :mod:`repro.cluster.backend` for the
-math), served concurrently over HTTP by :mod:`repro.cluster.server`.
+math). The network front end that serves any session is
+:mod:`repro.serve`; this package keeps its wire format and the stdlib
+HTTP client.
 
 The lifecycle:
 
@@ -21,11 +23,11 @@ The lifecycle:
    the **write router** — inserts/deletes route to the owning shard by
    the placement policy, batches group-commit per shard, and the
    manifest's counts + placement epoch refresh on every commit;
-3. :func:`serve` (CLI: ``repro serve``) exposes any session — sharded
-   or not — as a JSON HTTP endpoint over a :class:`SessionPool`
-   (``--sessions N`` executes concurrent queries on N pooled sessions;
+3. :func:`repro.serve.serve_async` (CLI: ``repro serve``) exposes any
+   session — sharded or not — over pipelined JSONL and HTTP
+   (``--sessions N`` executes concurrent batches on N pooled sessions;
    ``--writable`` accepts ``POST /insert`` serialized on the primary),
-   with :class:`ServeClient` as the matching stdlib client and
+   with :class:`ServeClient` as the matching stdlib HTTP client and
    :mod:`~repro.cluster.wire` as the shared workload format
    (``repro query --input queries.jsonl`` speaks it too).
 
@@ -38,10 +40,6 @@ worker killed mid-batch costs a retry, not the batch. :func:`reshard`
 and cuts over atomically via the manifest while queries keep flowing;
 :func:`reshard_gc` (CLI: ``repro reshard-gc``) later deletes the
 superseded generation's files once flock probes show no live readers.
-
-The high-concurrency front end lives in :mod:`repro.serve` (CLI:
-``repro serve --async``): an asyncio event loop with admission control
-and request coalescing in front of the same session pool.
 
 Importing this package registers the ``"sharded"`` backend with the
 engine registry (``repro`` imports it eagerly, so ``connect(...,
@@ -62,7 +60,6 @@ from repro.cluster.partition import (
 )
 from repro.cluster.pool import POOL_KINDS, ProcessPool, SerialPool, make_pool
 from repro.cluster.reshard import reshard, reshard_gc
-from repro.cluster.server import QueryServer, SessionPool, serve
 from repro.cluster.wire import (
     WireError,
     dump_jsonl,
@@ -90,9 +87,6 @@ __all__ = [
     "make_pool",
     "reshard",
     "reshard_gc",
-    "QueryServer",
-    "SessionPool",
-    "serve",
     "ServeClient",
     "RemoteAnswer",
     "RemoteError",

@@ -141,6 +141,10 @@ except ImportError:  # non-POSIX: locking degrades to best-effort no-op
 #: WAL replay). Tests shrink this to fail fast.
 _LOCK_RETRY_SECONDS = 5.0
 
+#: How many times a read-only open re-reads a header that a concurrent
+#: checkpoint superseded before giving up.
+_GENERATION_RETRIES = 20
+
 
 class _IndexLock:
     """Advisory single-writer lock on ``<index>.lock``.
@@ -1249,23 +1253,37 @@ def _open_tree_locked(
     from repro.gausstree.tree import GaussTree
 
     recover_index(path, file_factory=file_factory, _lock=lock)
-    meta = read_header(path)
-    if writable and meta["version"] < 2:
-        raise ValueError(
-            f"{os.fspath(path)!r} is a format v1 index, which opens "
-            "read-only; open it and save() to rewrite it in a current "
-            "format first"
+    # A read-only open holds no lock, so a live writer's checkpoint may
+    # publish a new file generation (atomic rename) between the header
+    # read and the store's open. Pages and key table must come from the
+    # generation the header describes: retry until the path named the
+    # same file before the header read and after the open.
+    for _ in range(_GENERATION_RETRIES):
+        generation = os.stat(path).st_ino
+        meta = read_header(path)
+        if writable and meta["version"] < 2:
+            raise ValueError(
+                f"{os.fspath(path)!r} is a format v1 index, which opens "
+                "read-only; open it and save() to rewrite it in a current "
+                "format first"
+            )
+        store = FilePageStore(
+            path,
+            meta["page_size"],
+            allocated_pages=meta["page_count"],
+            free_pages=meta["free_pages"],
+            writable=writable,
+            buffer=buffer,
+            cost_model=cost_model,
+            file_factory=file_factory,
         )
-    store = FilePageStore(
-        path,
-        meta["page_size"],
-        allocated_pages=meta["page_count"],
-        free_pages=meta["free_pages"],
-        writable=writable,
-        buffer=buffer,
-        cost_model=cost_model,
-        file_factory=file_factory,
-    )
+        if writable or os.stat(path).st_ino == generation:
+            break
+        store.close()
+    else:
+        raise RuntimeError(
+            f"{os.fspath(path)!r} was checkpointed during every open attempt"
+        )
     table = json.loads(
         store.read_tail(
             meta["key_table_offset"], meta["key_table_bytes"]

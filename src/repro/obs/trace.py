@@ -157,17 +157,18 @@ class Trace:
         """Open a timed span for the duration of the ``with`` block.
 
         The span's status is set to ``"error"`` when the block raises.
+        Its duration is measured from its recorded ``start`` (one clock
+        read opens the span), so a span always covers its children.
         """
         node = self.add(name, **attrs)
         self._stack.append(node)
-        started = time.perf_counter()
         try:
             yield node
         except BaseException:
             node.status = "error"
             raise
         finally:
-            node.dur = time.perf_counter() - started
+            node.dur = self.now() - node.start
             if self._stack and self._stack[-1] is node:
                 self._stack.pop()
 

@@ -1,15 +1,16 @@
-"""The asyncio serving tier: admission control + request coalescing.
+"""The serving tier: admission control + request coalescing.
 
-This package is the high-concurrency front end for an index: one event
-loop multiplexing every connection, bounded admission queues answering
-429 + ``Retry-After`` under overload (instead of the thread-per-client
-collapse of the stdlib HTTP server), and a coalescing dispatcher that
-fuses concurrent singleton requests into the engine's batch entry
-points (``execute_many`` for reads, one group-commit ``insert_many``
-per write batch). It speaks a pipelined JSONL protocol plus an
-HTTP/1.1 shim on the same port, so the existing
-:class:`~repro.cluster.client.ServeClient` works unchanged. Start it
-with ``repro serve --async`` or embed it::
+This package is the one network front end for an index (``repro
+serve``): one asyncio event loop multiplexing every connection, bounded
+admission queues answering 429 + ``Retry-After`` under overload
+(instead of the thread-per-client collapse of a threaded HTTP server),
+and a coalescing dispatcher that fuses concurrent singleton requests
+into the engine's batch entry points (``execute_many`` for reads, one
+group-commit ``insert_many`` per write batch). It speaks a pipelined
+JSONL protocol and the HTTP/1.1 contract of ``docs/wire-protocol.md``
+on the same port, so the stdlib
+:class:`~repro.cluster.client.ServeClient` and :class:`JsonlClient`
+both talk to it. Start it with ``repro serve`` or embed it::
 
     from repro import connect
     from repro.serve import serve_async

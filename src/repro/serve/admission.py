@@ -1,8 +1,8 @@
 """Admission control: bounded, fair request queues for the async tier.
 
 The serving problem this solves: a million clients must not translate
-into a million threads (the old ``ThreadingHTTPServer`` failure mode)
-or an unbounded backlog that grows until the process dies. Instead,
+into a million threads (the thread-per-connection failure mode) or an
+unbounded backlog that grows until the process dies. Instead,
 every request passes one :class:`AdmissionQueue` with two explicit
 bounds — a global one and a per-client one — and a request that would
 exceed either is *rejected immediately* with HTTP 429 plus a

@@ -1,4 +1,4 @@
-"""Coalescing knobs for the async serving tier.
+"""Coalescing knobs for the serving tier.
 
 Why a window at all: the engine's batch entry points amortize traversal
 work across queries (``execute_many`` groups same-kind reads; one
@@ -22,7 +22,7 @@ __all__ = ["CoalesceConfig"]
 
 @dataclasses.dataclass(frozen=True)
 class CoalesceConfig:
-    """Batching window for the async dispatcher.
+    """Batching window for the serving dispatcher.
 
     Parameters
     ----------
@@ -36,8 +36,8 @@ class CoalesceConfig:
         the wait (batches still form from whatever is already queued).
     coalesce_reads / coalesce_writes:
         Disable fusing per direction; requests then execute one per
-        batch, exactly as the threaded server would. The benchmark's
-        baseline server runs with ``coalesce_reads=False``.
+        batch. The benchmark's baseline server runs with
+        ``coalesce_reads=False``.
     """
 
     max_batch: int = 16

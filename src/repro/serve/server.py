@@ -1,4 +1,4 @@
-"""The asyncio serving tier: pipelined JSONL + HTTP shim over a pool.
+"""The serving tier: pipelined JSONL + HTTP/1.1 over a session pool.
 
 One event loop owns every connection; query execution runs on a small
 ``ThreadPoolExecutor`` with exactly one worker per pool session, so the
@@ -13,11 +13,10 @@ the first line:
   per line — ``{"op": "query", "id": 7, "queries": [spec, ...]}`` — with
   responses echoing ``id`` and possibly arriving out of order, so a
   client may keep many requests in flight on one keep-alive connection.
-* **HTTP/1.1 shim** (anything else): the exact endpoint contract of the
-  threaded :class:`~repro.cluster.server.QueryServer` (``POST /query``,
-  ``POST /insert``, ``POST /delete``, ``GET /healthz``, ``GET
-  /stats``), so the stdlib
-  :class:`~repro.cluster.client.ServeClient` works unchanged. Requests
+* **HTTP/1.1** (anything else): the endpoint contract of
+  ``docs/wire-protocol.md`` (``POST /query``, ``POST /insert``, ``POST
+  /delete``, ``GET /healthz``, ``GET /stats``, ``GET /metrics``), spoken
+  by the stdlib :class:`~repro.cluster.client.ServeClient`. Requests
   on one HTTP connection are answered in order (responses to *different*
   connections interleave freely).
 
@@ -49,7 +48,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Awaitable, Callable, Sequence
 
-from repro.cluster.server import MAX_BODY_BYTES, ServingStats
 from repro.cluster.wire import (
     WireError,
     pfv_from_json,
@@ -83,6 +81,10 @@ __all__ = ["AsyncQueryServer", "serve_async"]
 #: asyncio stream reader's buffer limit.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
+#: Refuse HTTP request bodies above this size (64 MiB) — a malformed
+#: client should get a 413, not an allocation storm.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -93,6 +95,69 @@ _HTTP_REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class ServingStats:
+    """Cumulative counters behind ``GET /stats``. The event loop records;
+    the lock keeps a snapshot taken from another thread consistent."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.started_at = time.time()
+        self.batches = 0
+        self.queries = 0
+        self.by_kind: dict[str, int] = {}
+        self.errors = 0
+        self.inserts = 0
+        self.insert_batches = 0
+        self.deletes = 0
+        self.delete_batches = 0
+        self.pages_accessed = 0
+        self.objects_refined = 0
+        self.execute_seconds = 0.0
+
+    def record(self, specs, stats, elapsed: float) -> None:
+        with self._lock:
+            self.batches += 1
+            self.queries += len(specs)
+            for spec in specs:
+                self.by_kind[spec.kind] = self.by_kind.get(spec.kind, 0) + 1
+            self.pages_accessed += stats.pages_accessed
+            self.objects_refined += stats.objects_refined
+            self.execute_seconds += elapsed
+
+    def record_inserts(self, count: int, elapsed: float) -> None:
+        with self._lock:
+            self.insert_batches += 1
+            self.inserts += count
+            self.execute_seconds += elapsed
+
+    def record_deletes(self, count: int, elapsed: float) -> None:
+        with self._lock:
+            self.delete_batches += 1
+            self.deletes += count
+            self.execute_seconds += elapsed
+
+    def record_error(self) -> None:
+        with self._lock:
+            self.errors += 1
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            return {
+                "uptime_seconds": round(time.time() - self.started_at, 3),
+                "batches": self.batches,
+                "queries": self.queries,
+                "queries_by_kind": dict(self.by_kind),
+                "errors": self.errors,
+                "inserts": self.inserts,
+                "insert_batches": self.insert_batches,
+                "deletes": self.deletes,
+                "delete_batches": self.delete_batches,
+                "pages_accessed": self.pages_accessed,
+                "objects_refined": self.objects_refined,
+                "execute_seconds": round(self.execute_seconds, 4),
+            }
 
 
 class _Pending:
@@ -130,13 +195,14 @@ class _Pending:
 class AsyncQueryServer:
     """The asyncio serving endpoint (see the module docstring).
 
-    Parameters mirror :class:`~repro.cluster.server.QueryServer`
-    (``session`` is pool slot 0 and takes every write; ``session_factory``
-    opens the ``pool_size - 1`` read replicas at start), plus the
-    serving-tier knobs: ``admission`` bounds the request queues and
-    ``coalesce`` sets the batching window (``repro serve --async``
+    ``session`` is pool slot 0 and takes every write; ``session_factory``
+    opens the ``pool_size - 1`` read replicas at start (required when
+    ``pool_size > 1``). ``port=0`` binds an ephemeral port, readable
+    from :attr:`address` once serving. ``admission`` bounds the request
+    queues and ``coalesce`` sets the batching window (``repro serve``
     surfaces both). ``drain_timeout`` caps how long :meth:`shutdown`
-    waits for admitted requests to finish.
+    waits for admitted requests to finish. A server serves once: after
+    :meth:`shutdown` it cannot be restarted.
 
     Observability (``docs/observability.md``): ``registry`` is the
     server's private :class:`~repro.obs.metrics.MetricsRegistry`
@@ -160,7 +226,6 @@ class AsyncQueryServer:
         admission: AdmissionConfig | None = None,
         coalesce: CoalesceConfig | None = None,
         drain_timeout: float = 10.0,
-        verbose: bool = False,
         registry: MetricsRegistry | None = None,
         slow_query_log: SlowQueryLog | str | None = None,
         slow_query_ms: float = 250.0,
@@ -180,7 +245,6 @@ class AsyncQueryServer:
         self.admission_config = admission or AdmissionConfig()
         self.coalesce = coalesce or CoalesceConfig()
         self.drain_timeout = drain_timeout
-        self.verbose = verbose
         self.stats = ServingStats()
         self.registry = registry if registry is not None else MetricsRegistry()
         if isinstance(slow_query_log, SlowQueryLog):
@@ -263,15 +327,16 @@ class AsyncQueryServer:
         return f"http://{host}:{port}"
 
     def serve_forever(self) -> None:
-        """Run the event loop in the calling thread until shutdown
-        (the ``repro serve --async`` foreground mode)."""
+        """Run the event loop in the calling thread until shutdown."""
+        self._refuse_restart()
         asyncio.run(self._main())
 
     def serve_in_background(self) -> "AsyncQueryServer":
         """Run the event loop in a daemon thread; returns once the
-        listening socket is bound (tests, benchmarks, embedding)."""
+        listening socket is bound (``repro serve``, tests, embedding)."""
         if self._thread is not None:
             raise RuntimeError("server is already started")
+        self._refuse_restart()
         self._thread = threading.Thread(
             target=self._thread_main, name="repro-serve-async", daemon=True
         )
@@ -297,6 +362,16 @@ class AsyncQueryServer:
         if self._thread is not None:
             self._thread.join(timeout=self.drain_timeout + 10)
             self._thread = None
+
+    def _refuse_restart(self) -> None:
+        # The drain closed the replica sessions and the stop flag stays
+        # set, so a second run would bind, drain at once and serve
+        # nothing; fail loudly instead.
+        if self._stop_requested.is_set():
+            raise RuntimeError(
+                "server was shut down and cannot restart; create a new "
+                "AsyncQueryServer"
+            )
 
     def __enter__(self) -> "AsyncQueryServer":
         if self._thread is None:
@@ -1065,6 +1140,15 @@ class AsyncQueryServer:
                     {"error": f"request body is not JSON: {exc}"},
                 )
                 return False
+            if not isinstance(payload, dict):
+                await self._write_http(
+                    writer,
+                    lock,
+                    400,
+                    {"error": "request body must be a JSON object, got "
+                     f"{type(payload).__name__}"},
+                )
+                return headers.get("connection", "").lower() != "close"
         else:
             payload = {}
         # X-Repro-Trace asks for a traced request (the header's value
@@ -1163,9 +1247,10 @@ class AsyncQueryServer:
                 await reply(
                     400,
                     {
-                        "error": "write specs are not served by query; "
-                        "send the vectors through insert or delete "
-                        "(writes serialize on the primary session)"
+                        "error": "write specs are not served by /query; "
+                        "send the vectors to /insert or /delete (JSONL "
+                        "ops insert/delete; writes serialize on the "
+                        "primary session)"
                     },
                 )
                 return
@@ -1183,11 +1268,13 @@ class AsyncQueryServer:
                 )
                 return
             try:
-                raw = payload.get("vectors")
-                if not isinstance(raw, list):
+                if "vectors" not in payload:
                     raise WireError(
                         f'{op} body must be {{"vectors": [pfv, ...]}}'
                     )
+                raw = payload["vectors"]
+                if not isinstance(raw, list):
+                    raise WireError('"vectors" must be a list of pfv objects')
                 vectors = [pfv_from_json(v) for v in raw]
             except WireError as exc:
                 await reply(400, {"error": str(exc)})
@@ -1250,14 +1337,14 @@ def serve_async(
     admission: AdmissionConfig | None = None,
     coalesce: CoalesceConfig | None = None,
     drain_timeout: float = 10.0,
-    verbose: bool = False,
     registry: MetricsRegistry | None = None,
     slow_query_log: SlowQueryLog | str | None = None,
     slow_query_ms: float = 250.0,
 ) -> AsyncQueryServer:
-    """Start the asyncio serving tier in a background thread; returns
-    the running :class:`AsyncQueryServer` (use as a context manager to
-    drain and stop). The async twin of :func:`repro.cluster.serve`."""
+    """Start serving ``session`` in a background thread; returns the
+    running :class:`AsyncQueryServer` (use as a context manager to
+    drain and stop). ``session_factory`` + ``pool_size`` open extra
+    read-replica sessions so coalesced batches execute in parallel."""
     return AsyncQueryServer(
         session,
         host,
@@ -1267,7 +1354,6 @@ def serve_async(
         admission=admission,
         coalesce=coalesce,
         drain_timeout=drain_timeout,
-        verbose=verbose,
         registry=registry,
         slow_query_log=slow_query_log,
         slow_query_ms=slow_query_ms,

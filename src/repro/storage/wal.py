@@ -212,6 +212,11 @@ class WriteAheadLog:
         caller's full scan then finds nothing committed); a genuinely
         committed prefix is always detected because garbage can only
         follow valid records.
+
+        Read-only opens call it without the index lock, so a live
+        writer's checkpoint may truncate the log mid-walk. The writer
+        publishes the checkpointed main file before it truncates, so a
+        log that shrank under the probe holds nothing left to replay.
         """
         try:
             with open(path, "rb") as f:
@@ -222,7 +227,10 @@ class WriteAheadLog:
                 offset = len(WAL_MAGIC)
                 while offset + _REC_HEAD.size <= total:
                     f.seek(offset)
-                    length, rtype = _REC_HEAD.unpack(f.read(_REC_HEAD.size))
+                    head = f.read(_REC_HEAD.size)
+                    if len(head) < _REC_HEAD.size:
+                        return False  # truncated by a checkpoint
+                    length, rtype = _REC_HEAD.unpack(head)
                     end = offset + _REC_HEAD.size + length + _CRC.size
                     if length > _MAX_PAYLOAD or end > total:
                         return False

@@ -829,6 +829,47 @@ class TestSaveFlushesWal:
         finally:
             fresh.close()
 
+    def test_read_only_open_rereads_a_header_a_checkpoint_superseded(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: a read-only open takes no lock, so a live writer
+        may checkpoint between the reader's header read and its page
+        store open. The reader must not pair one generation's header
+        with the next generation's file; it re-reads the header."""
+        from repro.gausstree import persist
+
+        path = str(tmp_path / "gen.gauss")
+        rng = np.random.default_rng(25)
+        base = make_vectors(rng, 20, 2, "b")
+        build_saved(path, base, 2)
+        writer = GaussTree.open(path, writable=True)
+        extra = make_vectors(rng, 10, 2, "x")
+        headers = []
+        real_read_header = persist.read_header
+
+        def read_header_then_checkpoint(p):
+            meta = real_read_header(p)
+            if not headers:  # the writer publishes a new generation now
+                writer.insert_many(extra)
+                writer.flush()
+            headers.append(meta)
+            return meta
+
+        monkeypatch.setattr(persist, "read_header", read_header_then_checkpoint)
+        try:
+            reader = GaussTree.open(path)
+            try:
+                assert [h["n_objects"] for h in headers] == [20, 30]
+                assert len(reader) == 30
+                reader.check_invariants()
+                post = GaussTree(dims=2, degree=3)
+                post.extend(base + extra)
+                assert_same_answers(post, reader, 2, seed=26)
+            finally:
+                reader.close()
+        finally:
+            writer.close()
+
     def test_read_only_open_writes_no_sidecar_files(self, tmp_path):
         """Regression: opening a clean index read-only must not create
         lock (or any other) files — PR-1 read-only opens worked from

@@ -2,13 +2,15 @@
 
 Real servers on ephemeral ports, as in the serving test files. The
 pinned properties are the tentpole's acceptance bar: ``GET /metrics``
-speaks Prometheus text on both serving tiers and exposes the series
+speaks Prometheus text over HTTP and JSONL and exposes the series
 catalogue (admission, coalescing, pool, cluster fan-out, buffer, WAL);
 a traced request answers with a span tree covering client → admission →
 coalesce → shard; tracing N pipelined requests yields N distinct trees
 without changing a single posterior bit; a killed worker increments
 ``repro_cluster_failover_total`` exactly once; and the slow-query log
 captures spec + span tree + plan for requests over the threshold.
+Every span tree a test receives must also pass
+:func:`~tests.obs.span_invariants.assert_span_invariants`.
 """
 
 import json
@@ -17,7 +19,7 @@ import urllib.request
 
 import pytest
 
-from repro.cluster import ClusterError, SerialPool, ServeClient, serve
+from repro.cluster import ClusterError, SerialPool, ServeClient
 from repro.core.pfv import PFV
 from repro.engine import MLIQ, TIQ, connect
 from repro.obs import NullRegistry
@@ -25,6 +27,7 @@ from repro.obs.metrics import CONTENT_TYPE, counter as global_counter
 from repro.serve import CoalesceConfig, JsonlClient, serve_async
 
 from tests.conftest import make_random_db, make_random_query
+from tests.obs.span_invariants import assert_span_invariants
 
 
 def _family_names(text: str) -> set[str]:
@@ -147,11 +150,12 @@ class TestMetricsExposition:
         session.close()
 
     def test_sync_server_metrics_and_cluster_series(self):
-        """The threaded tier serves /metrics too; over a sharded
-        session the global registry carries the fan-out series."""
+        """The stdlib ServeClient reads /metrics over HTTP too; over a
+        sharded session the global registry carries the fan-out
+        series."""
         db = make_random_db(n=40, seed=73)
         session = connect(db, backend="sharded", shards=2)
-        with serve(session, port=0) as server:
+        with serve_async(session, port=0) as server:
             client = ServeClient(server.url)
             q = make_random_query(seed=74)
             client.query([MLIQ(q, 3)])
@@ -244,6 +248,7 @@ class TestTracePropagation:
         for n in nodes:
             assert n["start"] >= 0.0 and n["dur"] >= 0.0
             assert n["start"] + n["dur"] <= root["dur"] + 5e-6
+        assert_span_invariants(trace)
 
     def test_n_pipelined_traces_are_distinct_and_results_unchanged(self):
         """Property: N concurrent traced queries through a 2-shard
@@ -278,6 +283,7 @@ class TestTracePropagation:
         ids = [t["trace"]["id"] for t in traced]
         assert len(set(ids)) == len(queries)
         for t in traced:
+            assert_span_invariants(t["trace"])
             (root,) = t["trace"]["spans"]
 
             def shards_of(node, acc):
@@ -294,8 +300,8 @@ class TestTracePropagation:
     def test_http_header_traces_on_both_tiers(self):
         db = make_random_db(n=30, seed=94)
         session = connect(db)
-        # Threaded tier: X-Repro-Trace via ServeClient.
-        with serve(session, port=0) as server:
+        # A supplied ID rides the X-Repro-Trace header of ServeClient.
+        with serve_async(session, port=0) as server:
             answer = ServeClient(server.url).query(
                 [MLIQ(make_random_query(seed=95), 2)], trace="beefbeefbeefbeef"
             )
@@ -305,8 +311,9 @@ class TestTracePropagation:
         assert answer.trace["id"] == "beefbeefbeefbeef"
         assert answer.trace["spans"][0]["name"] == "request"
         assert answer.trace["spans"][0]["dur"] > 0.0
+        assert_span_invariants(answer.trace)
         assert untraced.trace is None
-        # Async HTTP shim honours the same header.
+        # trace=True sends a client-minted ID in the same header.
         with serve_async(session, port=0) as async_server:
             answer = ServeClient(async_server.url).query(
                 [MLIQ(make_random_query(seed=96), 2)], trace=True
@@ -315,6 +322,7 @@ class TestTracePropagation:
         assert answer.trace is not None
         assert len(answer.trace["id"]) == 16
         assert answer.trace["spans"][0]["name"] == "request"
+        assert_span_invariants(answer.trace)
 
     def test_traced_insert_covers_the_group_commit(self, tmp_path):
         from repro.gausstree.bulkload import bulk_load
@@ -341,6 +349,7 @@ class TestTracePropagation:
             for c in node.get("children", ()):
                 yield from names(c)
 
+        assert_span_invariants(resp["trace"])
         (root,) = resp["trace"]["spans"]
         all_names = {n for n in names(root)}
         assert "serve.insert" in all_names
@@ -415,6 +424,7 @@ class TestSlowQueryLog:
         assert entry["source"] == "serve-async"
         assert entry["queries"][0]["kind"] == "mliq"
         assert entry["trace"]["spans"][0]["name"] == "request"
+        assert_span_invariants(entry["trace"])
         assert "mliq" in entry["plan"]  # the explain() text rode along
         assert entry["stats"]["pages_accessed"] >= 0
         assert "buffer_hit_ratio" in entry["stats"]
@@ -423,7 +433,7 @@ class TestSlowQueryLog:
         db = make_random_db(n=40, seed=103)
         session = connect(db)
         log_path = tmp_path / "slow-sync.jsonl"
-        with serve(
+        with serve_async(
             session,
             port=0,
             slow_query_log=str(log_path),
@@ -434,6 +444,6 @@ class TestSlowQueryLog:
             )
         session.close()
         entry = json.loads(log_path.read_text().splitlines()[0])
-        assert entry["source"] == "serve"
+        assert entry["source"] == "serve-async"
         assert entry["queries"][0]["kind"] == "tiq"
         assert entry["plan"]

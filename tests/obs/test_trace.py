@@ -1,7 +1,9 @@
 """Trace trees, contextvar propagation, and the slow-query log."""
 
+import itertools
 import json
 import threading
+from types import SimpleNamespace
 
 from repro.obs import (
     SlowQueryLog,
@@ -12,7 +14,10 @@ from repro.obs import (
     span,
     tracing,
 )
+from repro.obs import trace as obs_trace
 from repro.obs.trace import mint_trace_id
+
+from tests.obs.span_invariants import assert_span_invariants
 
 
 class TestTrace:
@@ -45,6 +50,7 @@ class TestTrace:
         except RuntimeError:
             pass
         assert t.to_dict()["spans"][0]["status"] == "error"
+        assert_span_invariants(t)
 
     def test_to_dict_omits_unset_annotations(self):
         t = Trace()
@@ -79,6 +85,33 @@ class TestTrace:
             assert current_trace() is t
         assert current_trace() is None
         assert [s.name for s in t.spans] == ["step"]
+        assert_span_invariants(t)
+
+    def test_stall_after_a_span_opens_keeps_children_inside(
+        self, monkeypatch
+    ):
+        """Regression: a delay right after a span opens (another thread
+        taking the GIL, say) must lengthen the span. Reading the clock a
+        second time to time it moved the span's end earlier by the
+        delay, so its children overhung it."""
+        reads = itertools.count(1)
+
+        def clock():
+            # 1 ms per read, plus a 4 ms stall between reads 1 and 2.
+            n = next(reads)
+            return n * 1e-3 + (4e-3 if n >= 2 else 0.0)
+
+        monkeypatch.setattr(
+            obs_trace, "time", SimpleNamespace(perf_counter=clock)
+        )
+        t = Trace(epoch=0.0)
+        with t.span("parent"):
+            with t.span("child"):
+                pass
+        (parent,) = t.spans
+        (child,) = parent.children
+        assert parent.start + parent.dur >= child.start + child.dur
+        assert_span_invariants(t)
 
     def test_context_is_per_thread(self):
         t = Trace()

@@ -1,10 +1,10 @@
-"""The ``repro serve`` HTTP endpoint and its stdlib client.
+"""The HTTP contract of ``repro serve`` and its stdlib client.
 
-A real ThreadingHTTPServer on an ephemeral port per test module: the
-wire answers must match a direct ``Session.execute_many`` bit for bit,
-malformed requests must come back as structured JSON errors (never a
-hung connection or a dead handler thread), and concurrent clients must
-all be answered.
+A real AsyncQueryServer on an ephemeral port per test module, spoken to
+over HTTP/1.1 only: the wire answers must match a direct
+``Session.execute_many`` bit for bit, malformed requests must come back
+as structured JSON errors (never a hung or dropped connection), and
+concurrent clients must all be answered.
 """
 
 import json
@@ -13,8 +13,9 @@ import urllib.request
 
 import pytest
 
-from repro.cluster import QueryServer, RemoteError, ServeClient, serve
+from repro.cluster import RemoteError, ServeClient
 from repro.engine import MLIQ, TIQ, RankQuery, connect
+from repro.serve import AsyncQueryServer, CoalesceConfig, serve_async
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -23,7 +24,7 @@ from tests.conftest import make_random_db, make_random_query
 def served():
     db = make_random_db(n=40, seed=50)
     session = connect(db, backend="sharded", shards=2)
-    with serve(session, port=0) as server:
+    with serve_async(session, port=0) as server:
         yield server, session, db
     session.close()
 
@@ -115,6 +116,12 @@ def test_stats_accumulate(served, client):
             400,
             "missing field",
         ),
+        # Valid JSON that is not an object.
+        ("/query", b"[1, 2]", 400, "JSON object"),
+        ("/query", b'"x"', 400, "JSON object"),
+        ("/query", b"3", 400, "JSON object"),
+        ("/query", b"null", 400, "JSON object"),
+        ("/insert", b"[1]", 400, "JSON object"),
     ],
 )
 def test_bad_requests_answer_structured_errors(
@@ -140,7 +147,7 @@ def test_execution_error_is_500_not_a_dead_connection(served, client):
     with pytest.raises(RemoteError) as excinfo:
         client.query(bad)
     assert excinfo.value.status == 500
-    # The handler thread survived: the server still answers.
+    # The server survived the failed batch: it still answers.
     assert client.healthz()["status"] == "ok"
 
 
@@ -212,13 +219,13 @@ def test_concurrent_clients_are_all_answered(served, client):
 def test_double_start_and_address_before_start_raise():
     db = make_random_db(n=5, seed=56)
     with connect(db, backend="tree") as session:
-        server = QueryServer(session, port=0)
+        server = AsyncQueryServer(session, port=0)
         with pytest.raises(RuntimeError, match="not started"):
             server.address
-        server.start()
+        server.serve_in_background()
         try:
             with pytest.raises(RuntimeError, match="already started"):
-                server.start()
+                server.serve_in_background()
         finally:
             server.shutdown()
 
@@ -247,8 +254,12 @@ def test_pooled_sessions_serve_concurrent_queries(served):
     factory = lambda: connect(db, backend="sharded", shards=2)  # noqa: E731
     q = make_random_query(seed=57)
     primary = connect(db, backend="sharded", shards=2)
-    with serve(
-        primary, port=0, session_factory=factory, pool_size=3
+    with serve_async(
+        primary,
+        port=0,
+        session_factory=factory,
+        pool_size=3,
+        coalesce=CoalesceConfig(max_batch=1),
     ) as server:
         client = ServeClient(server.url, timeout=30)
         expected = client.query(MLIQ(q, 4)).keys()[0]
@@ -281,9 +292,9 @@ def test_pool_size_above_one_requires_a_factory():
     db = make_random_db(n=5, seed=58)
     with connect(db, backend="tree") as session:
         with pytest.raises(ValueError, match="session_factory"):
-            QueryServer(session, port=0, pool_size=2)
+            AsyncQueryServer(session, port=0, pool_size=2)
         with pytest.raises(ValueError, match="pool_size"):
-            QueryServer(session, port=0, pool_size=0)
+            AsyncQueryServer(session, port=0, pool_size=0)
 
 
 def test_insert_endpoint_round_trip_and_stats():
@@ -292,7 +303,7 @@ def test_insert_endpoint_round_trip_and_stats():
     db = make_random_db(n=20, seed=59)
     session = connect(db, backend="sharded", shards=2, inner="tree",
                       writable=True)
-    with serve(session, port=0) as server:
+    with serve_async(session, port=0) as server:
         client = ServeClient(server.url, timeout=30)
         fresh = [
             PFV([0.4, 0.4, 0.4 + 0.01 * i], [0.1, 0.1, 0.1], key=("srv", i))
@@ -348,7 +359,7 @@ def test_query_endpoint_refuses_write_specs(served):
 def test_insert_endpoint_validates_bodies():
     db = make_random_db(n=5, seed=70)
     session = connect(db, backend="tree")
-    with serve(session, port=0) as server:
+    with serve_async(session, port=0) as server:
         for body, fragment in (
             (b'{"nope": []}', "vectors"),
             (b'{"vectors": {}}', "must be a list"),
@@ -399,7 +410,7 @@ def test_insert_is_read_your_writes_through_replica_sessions(tmp_path):
     manifest = build_shards(db, 2, str(tmp_path / "ryw"), replicas=1)
     primary = connect(manifest.source_path, backend="sharded", writable=True)
     factory = lambda: connect(manifest.source_path, backend="sharded")  # noqa: E731
-    with serve(
+    with serve_async(
         primary, port=0, session_factory=factory, pool_size=3
     ) as server:
         client = ServeClient(server.url, timeout=30)
@@ -438,12 +449,13 @@ def test_insert_is_read_your_writes_through_replica_sessions(tmp_path):
     primary.close()
 
 
-def test_restarted_server_reopens_fresh_replicas():
-    """shutdown() closes the replica sessions; a restarted server must
-    not hand queries to those closed sessions (regression)."""
+def test_shut_down_server_refuses_to_restart():
+    """A server serves once: after shutdown() (which closes its replica
+    sessions), serve_in_background() raises instead of returning the
+    stale address of a socket nothing listens on (regression)."""
     db = make_random_db(n=10, seed=71)
     primary = connect(db, backend="tree")
-    server = QueryServer(
+    server = AsyncQueryServer(
         primary,
         port=0,
         session_factory=lambda: connect(db, backend="tree"),
@@ -452,14 +464,14 @@ def test_restarted_server_reopens_fresh_replicas():
     try:
         server.serve_in_background()
         client = ServeClient(server.url, timeout=30)
-        client.query(MLIQ(make_random_query(seed=72), 2))
+        answer = client.query(MLIQ(make_random_query(seed=72), 2))
+        assert len(answer.results[0]) == 2
         server.shutdown()
-        server.serve_in_background()
-        client = ServeClient(server.url, timeout=30)
-        for _ in range(6):  # enough batches to hit every pool slot
-            answer = client.query(MLIQ(make_random_query(seed=72), 2))
-            assert len(answer.results[0]) == 2
-        assert client.stats()["session_pool"]["size"] == 2
+        with pytest.raises(RuntimeError, match="cannot restart"):
+            server.serve_in_background()
+        with pytest.raises(RuntimeError, match="cannot restart"):
+            with server:
+                pass
     finally:
         server.shutdown()
         primary.close()

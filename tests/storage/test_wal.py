@@ -147,6 +147,48 @@ class TestCorruption:
         path.write_bytes(WAL_MAGIC + b"\xff\xff\xff\xff" + b"\x01" + b"junk")
         assert WriteAheadLog.scan(str(path)) == []
 
+    def test_probe_survives_a_checkpoint_truncating_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: read-only opens probe the WAL without the index
+        lock, so a live writer may reset it after the probe sized the
+        file. The shrunken log means nothing to replay, not a crash."""
+        import repro.storage.wal as wal_module
+
+        wal = wal_at(tmp_path)
+        wal.append_page(1, b"x" * 64)
+        wal.commit()
+
+        class ResetAfterSizing:
+            """The log file as the probe sees it: the writer's
+            checkpoint lands right after the probe reads its size."""
+
+            def __init__(self, f):
+                self._f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+            def tell(self):
+                size = self._f.tell()
+                wal.reset()
+                return size
+
+            def __getattr__(self, name):
+                return getattr(self._f, name)
+
+        monkeypatch.setattr(
+            wal_module,
+            "open",
+            lambda path, mode="r": ResetAfterSizing(open(path, mode)),
+            raising=False,
+        )
+        assert WriteAheadLog.has_committed(wal.path) is False
+        wal.close()
+
 
 class TestFaultyFile:
     def test_budget_tears_a_write_and_sticks(self, tmp_path):

@@ -165,9 +165,6 @@ EXPECTED_CLUSTER_EXPORTS = {
     "make_pool",
     "reshard",
     "reshard_gc",
-    "QueryServer",
-    "SessionPool",
-    "serve",
     "ServeClient",
     "RemoteAnswer",
     "RemoteError",
@@ -193,13 +190,6 @@ EXPECTED_CLUSTER_SIGNATURES = {
     "policy: 'str' = 'hash') -> 'list[PFVDatabase]'",
     "shard_of": "(v: 'PFV', position: 'int', n_shards: 'int', "
     "policy: 'str') -> 'int'",
-    "serve": "(session: 'Session', host: 'str' = '127.0.0.1', "
-    "port: 'int' = 8631, *, verbose: 'bool' = False, "
-    "session_factory: 'Callable[[], Session] | None' = None, "
-    "pool_size: 'int' = 1, "
-    "registry: 'MetricsRegistry | None' = None, "
-    "slow_query_log: 'SlowQueryLog | str | None' = None, "
-    "slow_query_ms: 'float' = 250.0) -> 'QueryServer'",
     "make_pool": "(kind: 'str', opener: 'Callable[[int], Any]', "
     "runner: 'Callable[[Any, Any], Any]', *, n_shards: 'int', "
     "workers: 'int | None' = None, attempts: 'int' = 1, "
@@ -325,8 +315,27 @@ def test_serve_export_names_are_pinned():
         assert hasattr(serve, name), f"__all__ names missing export {name}"
 
 
+def test_serve_async_signature_is_pinned():
+    # The one serving entry point (2.0 removed the threaded
+    # repro.cluster.serve); `repro serve` builds the same server.
+    import repro.serve as serve
+
+    assert sig(serve.serve_async) == (
+        "(session: 'Session', host: 'str' = '127.0.0.1', "
+        "port: 'int' = 8631, *, "
+        "session_factory: 'Callable[[], Session] | None' = None, "
+        "pool_size: 'int' = 1, "
+        "admission: 'AdmissionConfig | None' = None, "
+        "coalesce: 'CoalesceConfig | None' = None, "
+        "drain_timeout: 'float' = 10.0, "
+        "registry: 'MetricsRegistry | None' = None, "
+        "slow_query_log: 'SlowQueryLog | str | None' = None, "
+        "slow_query_ms: 'float' = 250.0) -> 'AsyncQueryServer'"
+    )
+
+
 def test_serve_config_defaults_are_pinned():
-    # The CLI flags (`repro serve --async`) document these defaults;
+    # The CLI flags (`repro serve`) document these defaults;
     # changing them must be a deliberate, test-visible act.
     from repro.serve import AdmissionConfig, CoalesceConfig
 
