@@ -11,20 +11,24 @@ Model (Sections 3-4):
     sequential-scan reference algorithms.
 
 Index (Section 5):
-    :class:`repro.gausstree.GaussTree` with ``insert`` / ``delete`` /
-    ``mliq`` / ``tiq``, the batch APIs ``mliq_many`` / ``tiq_many``,
+    :class:`repro.gausstree.GaussTree` with ``insert`` / ``delete``,
     disk persistence via ``save`` / ``open`` (single-file index, lazy
-    page-decoded nodes) and :func:`repro.gausstree.bulk_load`.
+    page-decoded nodes) and :func:`repro.gausstree.bulk_load`; queries
+    go through a session (``session_for(tree)`` or ``connect``), and
+    the traversal functions :func:`repro.gausstree.gausstree_mliq` /
+    :func:`repro.gausstree.gausstree_tiq` (plus their ``*_many`` batch
+    forms) are what the tree backends call.
 
-Unified query engine (the recommended surface):
+Unified query engine (the query surface):
     :func:`repro.connect` — open a :class:`repro.Session` over a
     database, a list of pfv, or a saved index file, through any
     registered backend (``tree``, ``disk``, ``seqscan``, ``xtree``);
     execute the composable specs :class:`repro.MLIQ`,
     :class:`repro.TIQ`, :class:`repro.RankQuery`,
     :class:`repro.ConsensusTopK` and :class:`repro.ExpectedRank`;
-    ``explain()`` describes the plan. See README "Query API" for the migration table
-    from the per-method entry points (now deprecation shims).
+    ``explain()`` describes the plan. It is the only query surface:
+    see README "Query API" for the migration table from the per-method
+    entry points removed in 2.1.0.
 
 Sharded serving (scale-out):
     :mod:`repro.cluster` — ``repro shard-build`` partitions a database
@@ -79,7 +83,7 @@ from repro.gausstree import GaussTree, bulk_load
 # box (the subsystem itself is stdlib-only on top of the engine).
 import repro.cluster  # noqa: E402,F401  (registration side effect)
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "PFV",

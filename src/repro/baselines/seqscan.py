@@ -8,10 +8,11 @@ the qualifying objects, exactly as the paper describes. Sequential runs
 are charged streaming IO by the disk model, which is what makes the scan
 harder to beat on *overall* time than on page counts.
 
-The public per-method entry points (``mliq``/``tiq``/``mliq_many``/
-``tiq_many``) are deprecation shims since the unified session API landed:
-connect with ``repro.connect(db, backend="seqscan")`` and execute the
-specs of :mod:`repro.engine.spec` instead. Edge cases follow the engine's
+Queries reach the scan through the engine: connect with
+``repro.connect(db, backend="seqscan")`` (or adopt a built index with
+``repro.engine.session_for``) and execute the specs of
+:mod:`repro.engine.spec`; the seqscan backend sends whole batches to the
+shared-pass entry points below. Edge cases follow the engine's
 normalised semantics: an empty database is a valid (zero-page) source
 whose every query answers with the empty match list.
 """
@@ -19,28 +20,18 @@ whose every query answers with the empty match list.
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.bayes import posteriors_from_log_densities
 from repro.core.database import PFVDatabase
-from repro.core.joint import log_joint_density_batch, log_joint_density_multi
+from repro.core.joint import log_joint_density_multi
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
 __all__ = ["SequentialScanIndex"]
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"SequentialScanIndex.{old} is deprecated; use "
-        f"repro.connect(db, backend='seqscan').{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class SequentialScanIndex:
@@ -75,75 +66,7 @@ class SequentialScanIndex:
         """Pages the flat file occupies."""
         return len(self._pages)
 
-    def _scan_once(self, q) -> np.ndarray:
-        """One sequential pass: touch every page, compute all densities."""
-        self.store.read_sequential_run(self._pages)
-        return log_joint_density_batch(
-            self.db.mu_matrix, self.db.sigma_matrix, q, self.db.sigma_rule
-        )
-
-    # -- deprecated public entry points --------------------------------------
-
-    def mliq(self, query: MLIQuery) -> tuple[list[Match], QueryStats]:
-        """Deprecated shim; see :meth:`_mliq_impl`."""
-        _deprecated("mliq", "execute(MLIQ(q, k))")
-        return self._mliq_impl(query)
-
-    def tiq(self, query: ThresholdQuery) -> tuple[list[Match], QueryStats]:
-        """Deprecated shim; see :meth:`_tiq_impl`."""
-        _deprecated("tiq", "execute(TIQ(q, tau))")
-        return self._tiq_impl(query)
-
-    def mliq_many(
-        self, queries: Iterable[MLIQuery]
-    ) -> tuple[list[list[Match]], QueryStats]:
-        """Deprecated shim; see :meth:`_mliq_many_impl`."""
-        _deprecated("mliq_many", "execute_many([MLIQ(q, k), ...])")
-        return self._mliq_many_impl(list(queries))
-
-    def tiq_many(
-        self, queries: Iterable[ThresholdQuery]
-    ) -> tuple[list[list[Match]], QueryStats]:
-        """Deprecated shim; see :meth:`_tiq_many_impl`."""
-        _deprecated("tiq_many", "execute_many([TIQ(q, tau), ...])")
-        return self._tiq_many_impl(list(queries))
-
     # -- implementations (the engine's seqscan backend calls these) ----------
-
-    def _mliq_impl(self, query: MLIQuery) -> tuple[list[Match], QueryStats]:
-        """Exact k-MLIQ in a single sequential pass."""
-        self.store.begin_query()
-        started = time.perf_counter()
-        if not self._pages:
-            return [], self._stats(0, started)
-        log_dens = self._scan_once(query.q)
-        post = posteriors_from_log_densities(log_dens)
-        order = np.lexsort((np.arange(log_dens.size), -log_dens))[: query.k]
-        matches = [
-            Match(self.db[int(i)], float(log_dens[int(i)]), float(post[int(i)]))
-            for i in order
-        ]
-        return matches, self._stats(len(self.db), started)
-
-    def _tiq_impl(self, query: ThresholdQuery) -> tuple[list[Match], QueryStats]:
-        """Exact TIQ in two sequential passes (Section 4's algorithm)."""
-        self.store.begin_query()
-        started = time.perf_counter()
-        if not self._pages:
-            return [], self._stats(0, started)
-        log_dens = self._scan_once(query.q)  # pass 1: total probability
-        post = posteriors_from_log_densities(log_dens)
-        self.store.read_sequential_run(self._pages)  # pass 2: report
-        order = np.lexsort((np.arange(log_dens.size), -log_dens))
-        matches = [
-            Match(self.db[int(i)], float(log_dens[int(i)]), float(post[int(i)]))
-            for i in order
-            if post[int(i)] >= query.p_theta
-        ]
-        # Densities are computed once (pass 1); pass 2 only re-reads pages.
-        return matches, self._stats(len(self.db), started)
-
-    # -- batch entry points --------------------------------------------------
 
     def _scan_once_multi(self, queries: Sequence) -> np.ndarray:
         """One sequential pass shared by a whole batch: every page is read

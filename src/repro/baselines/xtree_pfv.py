@@ -26,7 +26,6 @@ paper's Figure 7.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -40,15 +39,6 @@ from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.storage.pagestore import PageStore
 
 __all__ = ["XTreePFVIndex"]
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"XTreePFVIndex.{old} is deprecated; use "
-        f"repro.connect(db, backend='xtree').{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class XTreePFVIndex:
@@ -131,18 +121,6 @@ class XTreePFVIndex:
         sigma = self.db.sigma_matrix[rows]
         log_dens = log_joint_density_batch(mu, sigma, q, self.db.sigma_rule)
         return log_dens, posteriors_from_log_densities(log_dens)
-
-    def mliq(self, query: MLIQuery) -> tuple[list[Match], QueryStats]:
-        """Deprecated shim; connect with ``repro.connect(db,
-        backend="xtree")`` and execute ``MLIQ`` specs instead."""
-        _deprecated("mliq", "execute(MLIQ(q, k))")
-        return self._mliq_impl(query)
-
-    def tiq(self, query: ThresholdQuery) -> tuple[list[Match], QueryStats]:
-        """Deprecated shim; connect with ``repro.connect(db,
-        backend="xtree")`` and execute ``TIQ`` specs instead."""
-        _deprecated("tiq", "execute(TIQ(q, tau))")
-        return self._tiq_impl(query)
 
     def _mliq_impl(self, query: MLIQuery) -> tuple[list[Match], QueryStats]:
         """Approximate k-MLIQ: intersect, refine, rank.

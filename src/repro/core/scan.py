@@ -19,11 +19,8 @@ which adds paged-IO accounting on top.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core import gaussian
 from repro.core.bayes import log_densities, posteriors_from_log_densities
 from repro.core.database import PFVDatabase
 from repro.core.queries import Match, MLIQuery, ThresholdQuery
@@ -79,9 +76,3 @@ def scan_tiq(db: PFVDatabase, query: ThresholdQuery) -> list[Match]:
     order = order[selected[order]]
     return _matches_from(db, order, log_dens, post)
 
-
-def scan_log_total(db: PFVDatabase, q) -> float:
-    """Log Bayes denominator, as the first TIQ scan would compute it."""
-    if len(db) == 0:
-        return -math.inf
-    return gaussian.logsumexp(log_densities(db, q))

@@ -17,9 +17,11 @@ This package makes that a literal API:
 * new access methods join by implementing the capability-declaring
   :class:`Backend` protocol and calling :func:`register_backend`.
 
-The legacy per-method entry points (``GaussTree.mliq`` and friends)
-remain as thin deprecation shims; see README "Query API" for the
-migration table.
+Sessions are the only query surface: the 1.x per-method entry points
+(``GaussTree.mliq`` and friends) were removed in 2.1.0; see README
+"Query API" for the migration table. :func:`session_for` adopts an
+already-built GaussTree, SequentialScanIndex or XTreePFVIndex, or a
+ready :class:`BackendAdapter`.
 """
 
 from repro.engine.backends import (

@@ -5,8 +5,8 @@ disk-opened (read-only or writable) Gauss-tree, the paged sequential
 scan and the X-tree filter+refine baseline — registers here behind one
 capability-declaring :class:`Backend` surface. A
 :class:`~repro.engine.session.Session` talks only to this surface; the
-adapters translate to each method's internal entry points (never the
-deprecated public shims, so engine traffic emits no warnings).
+adapters translate to each method's internal entry points, which is the
+only way queries reach those methods.
 
 Capabilities are plain strings so third-party backends can extend the
 vocabulary:
@@ -396,9 +396,6 @@ class _EmptyTreeBackend(BackendAdapter):
         self._options = dict(options)
         self._promoted: GaussTreeBackend | None = None
 
-    def _delegate(self) -> GaussTreeBackend | None:
-        return self._promoted
-
     def run_mliq(self, specs):
         if self._promoted is not None:
             return self._promoted.run_mliq(specs)
@@ -564,56 +561,6 @@ class XTreeBackend(BackendAdapter):
 
 
 # ---------------------------------------------------------------------------
-# Legacy access-method wrapper (third-party / ad-hoc objects)
-# ---------------------------------------------------------------------------
-
-
-class LegacyMethodBackend(BackendAdapter):
-    """Wraps any object with ``mliq(query)`` / ``tiq(query)`` methods so
-    the evaluation runner can route arbitrary access methods through
-    ``Session.execute``. No ``"batch"`` capability: queries loop."""
-
-    def __init__(self, method, name: str | None = None) -> None:
-        self.method = method
-        self.name = name or type(method).__name__
-        store = getattr(method, "store", None)
-        if store is not None:
-            self.store = store
-        caps = {
-            cap for cap in ("mliq", "tiq") if callable(getattr(method, cap, None))
-        }
-        self.capabilities = frozenset(caps)
-
-    def _loop(self, call, queries):
-        results, total = [], QueryStats()
-        for query in queries:
-            matches, stats = call(query)
-            results.append(matches)
-            total.merge(stats)
-        return results, total
-
-    def _mliq_batch(self, queries):
-        return self._loop(self.method.mliq, queries)
-
-    def _tiq_batch(self, specs):
-        return self._loop(self.method.tiq, [s.lower() for s in specs])
-
-    def count(self) -> int:
-        db = getattr(self.method, "db", None)
-        if db is not None:
-            return len(db)
-        try:
-            return len(self.method)
-        except TypeError:
-            return 1  # unknown size: never short-circuit as empty
-
-    def estimate(self, kind: str, specs: Sequence) -> PlanEstimate:
-        return PlanEstimate(
-            0, 0.0, "opaque legacy access method: no cost model available"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -658,13 +605,16 @@ def create_backend(
 
 
 def backend_for_index(index, name: str | None = None, **options) -> Backend:
-    """Wrap an already-built index object (tree, scan, X-tree, or any
-    legacy access method) in its engine adapter — the bridge the
-    evaluation runner uses for pre-constructed competitors.
+    """Wrap an already-built index object in its engine adapter — the
+    bridge the evaluation runner uses for pre-constructed competitors.
 
-    ``options`` are forwarded to the adapter; only the Gauss-tree
-    adapter takes any (``mliq_tolerance``, ``tiq_tolerance``,
-    ``probability_tolerance``)."""
+    Accepts a :class:`~repro.gausstree.tree.GaussTree`, a
+    :class:`~repro.baselines.seqscan.SequentialScanIndex`, an
+    :class:`~repro.baselines.xtree_pfv.XTreePFVIndex` or a ready
+    :class:`BackendAdapter` (returned as-is); anything else raises
+    ``TypeError``. ``options`` are forwarded to the adapter; only the
+    Gauss-tree adapter takes any (``mliq_tolerance``,
+    ``tiq_tolerance``, ``probability_tolerance``)."""
     from repro.baselines.seqscan import SequentialScanIndex
     from repro.baselines.xtree_pfv import XTreePFVIndex
     from repro.gausstree.tree import GaussTree
@@ -696,7 +646,10 @@ def backend_for_index(index, name: str | None = None, **options) -> Backend:
         if name:
             backend.name = name
         return backend
-    return LegacyMethodBackend(index, name)
+    raise TypeError(
+        f"cannot adopt {type(index).__name__}: expected a GaussTree, "
+        "SequentialScanIndex, XTreePFVIndex or BackendAdapter"
+    )
 
 
 # -- source coercion ---------------------------------------------------------

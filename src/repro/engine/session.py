@@ -390,10 +390,10 @@ def connect(
 
 def session_for(index, name: str | None = None, **options) -> Session:
     """Adopt an already-built index object (GaussTree,
-    SequentialScanIndex, XTreePFVIndex, a registered Backend, or any
-    legacy object with ``mliq``/``tiq`` methods) as a session.
-    ``options`` reach the adapter (Gauss-tree: ``mliq_tolerance``,
-    ``tiq_tolerance``, ``probability_tolerance``)."""
+    SequentialScanIndex, XTreePFVIndex or a ready BackendAdapter) as a
+    session; any other object raises ``TypeError``. ``options`` reach
+    the adapter (Gauss-tree: ``mliq_tolerance``, ``tiq_tolerance``,
+    ``probability_tolerance``)."""
     if isinstance(index, Session):
         if options:
             raise TypeError("an existing Session accepts no adapter options")

@@ -145,7 +145,7 @@ def gausstree_mliq_many(
     """Answer many k-MLIQs in one buffer-warm pass over the tree.
 
     Returns ``(per-query match lists, aggregate stats)``. Results are
-    exactly what ``tree.mliq`` returns query by query; only the wall
+    exactly what ``gausstree_mliq`` returns query by query; only the wall
     time changes (shared page cache, shared vectorized refinement).
     """
     from repro.gausstree.mliq import gausstree_mliq
@@ -178,7 +178,7 @@ def gausstree_tiq_many(
     """Answer many TIQs in one buffer-warm pass over the tree.
 
     Returns ``(per-query match lists, aggregate stats)``; per-query
-    semantics are identical to ``tree.tiq``.
+    semantics are identical to ``gausstree_tiq``.
     """
     from repro.gausstree.tiq import gausstree_tiq
 

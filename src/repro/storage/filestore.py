@@ -284,10 +284,6 @@ class FilePageStore(PageStore):
         self._file.seek(offset)
         self._file.write(data)
 
-    def truncate_file(self, size: int) -> None:
-        self._assert_writable()
-        self._file.truncate(size)
-
     def sync(self) -> None:
         """fsync the main file (checkpoint ordering barrier)."""
         self._file.flush()

@@ -321,20 +321,6 @@ class WriteAheadLog:
         materialized — use :meth:`iter_committed` for large logs)."""
         return [records for records, _ in WriteAheadLog.iter_committed(path)]
 
-    @staticmethod
-    def scan_detail(
-        path: str | os.PathLike,
-    ) -> tuple[list[list[tuple[int, bytes]]], int]:
-        """Like :meth:`scan`, plus the byte offset just past the last
-        COMMIT — the truncation point for discarding an unsealed tail
-        before appending (recovery does this to seal its own records)."""
-        committed: list[list[tuple[int, bytes]]] = []
-        committed_end = len(WAL_MAGIC)
-        for records, end in WriteAheadLog.iter_committed(path):
-            committed.append(records)
-            committed_end = end
-        return committed, committed_end
-
 
 class WALGroup:
     """One batched transaction under construction (group commit).

@@ -22,7 +22,7 @@ class TestCorrectness:
     def test_mliq_equals_in_memory_scan(self, scan_index):
         db, idx = scan_index
         q = make_random_query(d=3, seed=2)
-        got, _ = idx.mliq(MLIQuery(q, 7))
+        (got,), _ = idx._mliq_many_impl([MLIQuery(q, 7)])
         want = scan_mliq(db, MLIQuery(q, 7))
         assert [m.key for m in got] == [m.key for m in want]
         for a, b in zip(got, want):
@@ -31,7 +31,7 @@ class TestCorrectness:
     def test_tiq_equals_in_memory_scan(self, scan_index):
         db, idx = scan_index
         q = make_random_query(d=3, seed=3)
-        got, _ = idx.tiq(ThresholdQuery(q, 0.05))
+        (got,), _ = idx._tiq_many_impl([ThresholdQuery(q, 0.05)])
         want = scan_tiq(db, ThresholdQuery(q, 0.05))
         assert [m.key for m in got] == [m.key for m in want]
 
@@ -41,9 +41,9 @@ class TestCorrectness:
         idx = SequentialScanIndex(PFVDatabase())
         assert idx.file_pages == 0
         q = make_random_query(d=3, seed=9)
-        matches, stats = idx._mliq_impl(MLIQuery(q, 3))
+        (matches,), stats = idx._mliq_many_impl([MLIQuery(q, 3)])
         assert matches == [] and stats.pages_accessed == 0
-        matches, _ = idx._tiq_impl(ThresholdQuery(q, 0.1))
+        (matches,), _ = idx._tiq_many_impl([ThresholdQuery(q, 0.1)])
         assert matches == []
         batches, _ = idx._mliq_many_impl([MLIQuery(q, 2)] * 3)
         assert batches == [[], [], []]
@@ -51,9 +51,9 @@ class TestCorrectness:
     def test_mliq_many_matches_singles(self, scan_index):
         db, idx = scan_index
         mliqs = [MLIQuery(make_random_query(d=3, seed=50 + i), 5) for i in range(12)]
-        batch, stats = idx.mliq_many(mliqs)
+        batch, stats = idx._mliq_many_impl(mliqs)
         for query, matches in zip(mliqs, batch):
-            single, _ = idx.mliq(query)
+            single = scan_mliq(db, query)
             assert [m.key for m in single] == [m.key for m in matches]
             for a, b in zip(single, matches):
                 assert a.probability == pytest.approx(b.probability, abs=1e-12)
@@ -63,9 +63,9 @@ class TestCorrectness:
 
     def test_empty_batches(self, scan_index):
         _, idx = scan_index
-        results, stats = idx.mliq_many([])
+        results, stats = idx._mliq_many_impl([])
         assert results == [] and stats.pages_accessed == 0
-        results, stats = idx.tiq_many([])
+        results, stats = idx._tiq_many_impl([])
         assert results == [] and stats.pages_accessed == 0
 
     def test_tiq_many_matches_singles(self, scan_index):
@@ -74,9 +74,9 @@ class TestCorrectness:
             ThresholdQuery(make_random_query(d=3, seed=80 + i), 0.1)
             for i in range(8)
         ]
-        batch, stats = idx.tiq_many(tiqs)
+        batch, stats = idx._tiq_many_impl(tiqs)
         for query, matches in zip(tiqs, batch):
-            single, _ = idx.tiq(query)
+            single = scan_tiq(db, query)
             assert [m.key for m in single] == [m.key for m in matches]
         # One density pass plus one report pass for the whole batch.
         assert stats.pages_accessed == 2 * idx.file_pages
@@ -86,14 +86,14 @@ class TestAccounting:
     def test_mliq_reads_file_once(self, scan_index):
         db, idx = scan_index
         q = make_random_query(d=3, seed=4)
-        _, stats = idx.mliq(MLIQuery(q, 1))
+        _, stats = idx._mliq_many_impl([MLIQuery(q, 1)])
         assert stats.pages_accessed == idx.file_pages
         assert stats.objects_refined == len(db)
 
     def test_tiq_reads_file_twice(self, scan_index):
         db, idx = scan_index
         q = make_random_query(d=3, seed=5)
-        _, stats = idx.tiq(ThresholdQuery(q, 0.5))
+        _, stats = idx._tiq_many_impl([ThresholdQuery(q, 0.5)])
         assert stats.pages_accessed == 2 * idx.file_pages
         # Densities are computed once; the second pass only re-reads.
         assert stats.objects_refined == len(db)
@@ -103,7 +103,7 @@ class TestAccounting:
         q = make_random_query(d=3, seed=6)
         idx.store.cold_start()
         idx.store.buffer.reset_stats()
-        _, stats = idx.mliq(MLIQuery(q, 1))
+        _, stats = idx._mliq_many_impl([MLIQuery(q, 1)])
         random_cost = idx.store.cost_model.random_read_seconds(
             stats.page_faults
         )
@@ -114,8 +114,8 @@ class TestAccounting:
         store = PageStore(buffer=BufferManager(10_000))
         idx = SequentialScanIndex(db, page_store=store)
         q = make_random_query(d=2, seed=8)
-        _, first = idx.mliq(MLIQuery(q, 1))
-        _, second = idx.mliq(MLIQuery(q, 1))
+        _, first = idx._mliq_many_impl([MLIQuery(q, 1)])
+        _, second = idx._mliq_many_impl([MLIQuery(q, 1)])
         assert first.io_seconds > 0.0
         assert second.io_seconds == 0.0
         assert second.pages_accessed == first.pages_accessed
@@ -123,7 +123,7 @@ class TestAccounting:
     def test_modeled_cpu_populated(self, scan_index):
         db, idx = scan_index
         q = make_random_query(d=3, seed=9)
-        _, stats = idx.mliq(MLIQuery(q, 1))
+        _, stats = idx._mliq_many_impl([MLIQuery(q, 1)])
         expected = idx.store.cost_model.modeled_cpu_seconds(
             len(db), idx.file_pages
         )

@@ -42,7 +42,7 @@ class TestMLIQ:
         # never rank candidates differently than the exact densities.
         db, idx = indexed_db
         q = make_random_query(d=3, seed=3)
-        got, stats = idx.mliq(MLIQuery(q, 5))
+        got, stats = idx._mliq_impl(MLIQuery(q, 5))
         scan_order = [m.key for m in scan_mliq(db, MLIQuery(q, len(db)))]
         positions = [scan_order.index(m.key) for m in got]
         assert positions == sorted(positions)
@@ -60,14 +60,14 @@ class TestMLIQ:
         for row in rng.choice(200, 30, replace=False):
             v = db[int(row)]
             q = PFV(rng.normal(v.mu, v.sigma), v.sigma)
-            got, _ = idx.mliq(MLIQuery(q, 1))
+            got, _ = idx._mliq_impl(MLIQuery(q, 1))
             hits += bool(got) and got[0].key == v.key
         assert hits >= 20
 
     def test_no_candidates_returns_empty(self, indexed_db):
         _, idx = indexed_db
         q = PFV([99.0, 99.0, 99.0], [0.001, 0.001, 0.001])
-        got, _ = idx.mliq(MLIQuery(q, 3))
+        got, _ = idx._mliq_impl(MLIQuery(q, 3))
         assert got == []
 
     def test_base_table_fetches_charged(self, indexed_db):
@@ -75,7 +75,7 @@ class TestMLIQ:
         # the directory traversal.
         db, idx = indexed_db
         q = make_random_query(d=3, seed=6)
-        got, stats = idx.mliq(MLIQuery(q, 3))
+        got, stats = idx._mliq_impl(MLIQuery(q, 3))
         directory_pages = sum(
             idx.tree.supernode_page_count(n) for n in idx.tree.nodes()
         )
@@ -91,7 +91,7 @@ class TestTIQ:
     def test_threshold_filtering_on_candidates(self, indexed_db):
         db, idx = indexed_db
         q = make_random_query(d=3, seed=7)
-        got, _ = idx.tiq(ThresholdQuery(q, 0.1))
+        got, _ = idx._tiq_impl(ThresholdQuery(q, 0.1))
         for m in got:
             assert m.probability >= 0.1
 
@@ -102,7 +102,8 @@ class TestTIQ:
         # candidates; globally they remain comparable sets.
         db, idx = indexed_db
         q = make_random_query(d=3, seed=8)
-        approx_keys = {m.key for m in idx.tiq(ThresholdQuery(q, 0.05))[0]}
+        approx, _ = idx._tiq_impl(ThresholdQuery(q, 0.05))
+        approx_keys = {m.key for m in approx}
         exact_keys = {m.key for m in scan_tiq(db, ThresholdQuery(q, 0.05))}
         # The filter can drop exact answers; inflation can add borderline
         # ones. Check agreement on the clear winners.

@@ -28,18 +28,6 @@ settings.register_profile("ci", max_examples=150, deadline=None)
 settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "dev"))
 
 
-def pytest_configure(config):
-    # The legacy mliq/tiq entry points are deliberately kept working (and
-    # deliberately still exercised by the pre-engine test files) through
-    # the 1.x deprecation window; silence exactly their warning so real
-    # deprecations stay visible. The dedicated shim tests use
-    # pytest.warns, which is unaffected by ignore filters.
-    config.addinivalue_line(
-        "filterwarnings",
-        r"ignore:.* is deprecated; use repro\.connect:DeprecationWarning",
-    )
-
-
 def make_random_db(
     n: int = 60,
     d: int = 3,

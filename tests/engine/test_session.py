@@ -3,8 +3,8 @@
 Behavioral contract of ``repro.engine``: every backend answers the same
 specs with the same ResultSet shape, the normalised edge-case semantics
 hold on all of them, rank queries lower to MLIQ + mass cut, plans
-describe execution without running it, and the legacy per-method entry
-points still work but warn.
+describe execution without running it, and ``session_for`` adopts only
+the built-in indexes and ready adapters.
 """
 
 import warnings
@@ -284,16 +284,27 @@ class TestSessionLifecycle:
         b = session_for(scan).execute(MLIQ(q, 5)).keys()
         assert a == b
 
-    def test_session_for_wraps_legacy_duck_typed_methods(self, db, q):
-        class Legacy:
-            def mliq(self, query):
-                return SequentialScanIndex(db)._mliq_impl(query)
+    def test_session_for_rejects_objects_it_cannot_adopt(self, q):
+        from repro.data.workload import IdentificationQuery
+        from repro.eval.runner import run_mliq_batch
 
-        s = session_for(Legacy(), name="custom")
-        assert s.backend_name == "custom"
-        assert len(s.execute(MLIQ(q, 4)).matches) == 4
-        with pytest.raises(CapabilityError):
-            s.execute(TIQ(q, 0.5))  # no tiq method declared
+        class DuckTyped:
+            def mliq(self, query):
+                return [], repro.QueryStats()
+
+        adoptable = (
+            "GaussTree",
+            "SequentialScanIndex",
+            "XTreePFVIndex",
+            "BackendAdapter",
+        )
+        for stranger in (object(), DuckTyped()):
+            with pytest.raises(TypeError) as excinfo:
+                session_for(stranger)
+            assert all(name in str(excinfo.value) for name in adoptable)
+        workload = [IdentificationQuery(q=q, true_key=0)]
+        with pytest.raises(TypeError):
+            run_mliq_batch(object(), workload)
 
     def test_register_backend(self, db, q):
         calls = []
@@ -317,24 +328,6 @@ class TestSessionLifecycle:
 
 
 class TestDeprecationShims:
-    def test_legacy_entry_points_warn_but_work(self, db, q):
-        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
-        scan = SequentialScanIndex(db)
-        spec = MLIQuery(q, 3)
-        for call in (
-            lambda: tree.mliq(spec),
-            lambda: tree.tiq(ThresholdQuery(q, 0.1)),
-            lambda: tree.mliq_many([spec]),
-            lambda: tree.tiq_many([ThresholdQuery(q, 0.1)]),
-            lambda: scan.mliq(spec),
-            lambda: scan.tiq(ThresholdQuery(q, 0.1)),
-            lambda: scan.mliq_many([spec]),
-            lambda: scan.tiq_many([ThresholdQuery(q, 0.1)]),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                result = call()
-            assert result is not None
-
     def test_engine_paths_emit_no_deprecation_warnings(self, db, q):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -10,6 +10,12 @@ from repro.core.joint import (
 )
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.pfv import PFV
+from repro.gausstree import (
+    gausstree_mliq,
+    gausstree_mliq_many,
+    gausstree_tiq,
+    gausstree_tiq_many,
+)
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import node_log_bounds_batch, node_log_bounds_multi
 
@@ -90,11 +96,11 @@ class TestMultiKernels:
 class TestGaussTreeBatch:
     def test_mliq_many_matches_singles(self, tree):
         mliqs = [MLIQuery(q, 4) for q in queries(3, 25, 1000)]
-        batch, stats = tree.mliq_many(mliqs)
+        batch, stats = gausstree_mliq_many(tree, mliqs)
         assert len(batch) == len(mliqs)
         total_pages = 0
         for query, matches in zip(mliqs, batch):
-            single, single_stats = tree.mliq(query)
+            single, single_stats = gausstree_mliq(tree, query)
             assert [m.key for m in single] == [m.key for m in matches]
             for a, b in zip(single, matches):
                 assert b.probability == pytest.approx(a.probability, abs=1e-12)
@@ -104,18 +110,18 @@ class TestGaussTreeBatch:
 
     def test_tiq_many_matches_singles(self, tree):
         tiqs = [ThresholdQuery(q, 0.15) for q in queries(3, 20, 1100)]
-        batch, _ = tree.tiq_many(tiqs)
+        batch, _ = gausstree_tiq_many(tree, tiqs)
         for query, matches in zip(tiqs, batch):
-            single, _ = tree.tiq(query)
+            single, _ = gausstree_tiq(tree, query)
             assert [m.key for m in single] == [m.key for m in matches]
             for a, b in zip(single, matches):
                 assert b.probability == pytest.approx(a.probability, abs=1e-12)
 
     def test_empty_batch(self, tree):
-        results, stats = tree.mliq_many([])
+        results, stats = gausstree_mliq_many(tree, [])
         assert results == []
         assert stats.pages_accessed == 0
 
     def test_dimension_mismatch_rejected(self, tree):
         with pytest.raises(ValueError):
-            tree.mliq_many([MLIQuery(make_random_query(d=2), 1)])
+            gausstree_mliq_many(tree, [MLIQuery(make_random_query(d=2), 1)])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery
+from repro.gausstree import gausstree_mliq
 from repro.gausstree.tree import GaussTree
 from repro.storage.layout import PageLayout
 
@@ -168,7 +169,7 @@ class TestDeletion:
         for v in vectors[::3]:
             tree.delete(v)
         q = PFV([0.5, 0.5], [0.2, 0.2])
-        matches, _ = tree.mliq(MLIQuery(q, 3))
+        matches, _ = gausstree_mliq(tree, MLIQuery(q, 3))
         assert len(matches) == 3
         remaining_keys = {v.key for v in tree}
         assert all(m.key in remaining_keys for m in matches)

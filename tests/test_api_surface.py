@@ -134,6 +134,25 @@ def test_top_level_reexports():
         assert name in repro.__all__
 
 
+def test_removed_1x_query_surface_is_absent():
+    # 2.1.0 deleted the per-method query shims and the duck-typed
+    # adapter; sessions are the only query surface.
+    from repro.baselines import SequentialScanIndex, XTreePFVIndex
+    from repro.engine import backends
+    from repro.eval import runner
+
+    removed = {
+        repro.GaussTree: ("mliq", "tiq", "mliq_many", "tiq_many"),
+        SequentialScanIndex: ("mliq", "tiq", "mliq_many", "tiq_many"),
+        XTreePFVIndex: ("mliq", "tiq"),
+    }
+    for cls, methods in removed.items():
+        for method in methods:
+            assert not hasattr(cls, method), f"{cls.__name__}.{method}"
+    assert not hasattr(backends, "LegacyMethodBackend")
+    assert not hasattr(runner, "AccessMethod")
+
+
 def test_builtin_backends_registered():
     assert set(engine.available_backends()) >= {
         "tree",

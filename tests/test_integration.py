@@ -17,6 +17,7 @@ from repro.core.scan import scan_mliq, scan_tiq
 from repro.data.histograms import color_histogram_dataset
 from repro.data.workload import identification_workload
 from repro.eval.figures import make_page_store
+from repro.gausstree import gausstree_mliq, gausstree_tiq
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
 
@@ -39,9 +40,11 @@ class TestAllMethodsAgree:
         for item in workload:
             query = MLIQuery(item.q, 3)
             reference = [m.key for m in scan_mliq(db, query)]
-            assert [m.key for m in paged.mliq(query)[0]] == reference
-            assert [m.key for m in inserted.mliq(query)[0]] == reference
-            assert [m.key for m in bulked.mliq(query)[0]] == reference
+            (scanned,), _ = paged._mliq_many_impl([query])
+            assert [m.key for m in scanned] == reference
+            for tree in (inserted, bulked):
+                got, _ = gausstree_mliq(tree, query)
+                assert [m.key for m in got] == reference
 
     def test_tiq_identical_across_exact_methods(self, stack):
         db, workload, inserted, bulked, paged, _ = stack
@@ -49,17 +52,22 @@ class TestAllMethodsAgree:
             for p_theta in (0.2, 0.8):
                 query = ThresholdQuery(item.q, p_theta)
                 reference = {m.key for m in scan_tiq(db, query)}
-                assert {m.key for m in paged.tiq(query)[0]} == reference
-                assert {m.key for m in inserted.tiq(query)[0]} == reference
-                assert {m.key for m in bulked.tiq(query)[0]} == reference
+                (scanned,), _ = paged._tiq_many_impl([query])
+                assert {m.key for m in scanned} == reference
+                for tree in (inserted, bulked):
+                    got, _ = gausstree_tiq(tree, query)
+                    assert {m.key for m in got} == reference
 
     def test_posteriors_consistent(self, stack):
         db, workload, inserted, bulked, paged, _ = stack
         item = workload[0]
         query = MLIQuery(item.q, 3)
         reference = scan_mliq(db, query)
-        for method in (paged, inserted, bulked):
-            got, _ = method.mliq(query)
+        (scanned,), _ = paged._mliq_many_impl([query])
+        answers = [scanned] + [
+            gausstree_mliq(tree, query)[0] for tree in (inserted, bulked)
+        ]
+        for got in answers:
             for a, b in zip(got, reference):
                 assert a.probability == pytest.approx(b.probability, abs=1e-6)
 
@@ -70,7 +78,7 @@ class TestAllMethodsAgree:
             for item in workload[:5]
         }
         for item in workload[:5]:
-            got, _ = xtree.mliq(MLIQuery(item.q, 5))
+            got, _ = xtree._mliq_impl(MLIQuery(item.q, 5))
             ranking = full_ranking[id(item)]
             positions = [ranking.index(m.key) for m in got]
             assert positions == sorted(positions)
@@ -79,8 +87,10 @@ class TestAllMethodsAgree:
         db, workload, _, bulked, paged, _ = stack
         tree_pages = scan_pages = 0
         for item in workload:
-            _, ts = bulked.mliq(MLIQuery(item.q, 1), tolerance=float("inf"))
-            _, ss = paged.mliq(MLIQuery(item.q, 1))
+            _, ts = gausstree_mliq(
+                bulked, MLIQuery(item.q, 1), tolerance=float("inf")
+            )
+            _, ss = paged._mliq_many_impl([MLIQuery(item.q, 1)])
             tree_pages += ts.pages_accessed
             scan_pages += ss.pages_accessed
         assert tree_pages < scan_pages / 2
@@ -89,7 +99,7 @@ class TestAllMethodsAgree:
         db, workload, _, bulked, _, _ = stack
         hits = 0
         for item in workload:
-            got, _ = bulked.mliq(MLIQuery(item.q, 1))
+            got, _ = gausstree_mliq(bulked, MLIQuery(item.q, 1))
             hits += got[0].key == item.true_key
         assert hits >= len(workload) - 1  # near-perfect identification
 
@@ -138,5 +148,5 @@ class TestSigmaRuleConsistency:
         tree = bulk_load(db.vectors, sigma_rule=SigmaRule.PAPER)
         for item in workload:
             reference = [m.key for m in scan_mliq(db, MLIQuery(item.q, 3))]
-            got, _ = tree.mliq(MLIQuery(item.q, 3))
+            got, _ = gausstree_mliq(tree, MLIQuery(item.q, 3))
             assert [m.key for m in got] == reference
