@@ -9,8 +9,8 @@ two serving-tier claims:
 * **Coalescing** — with >= 8 concurrent singleton-query clients, the
   dispatcher's batching window fuses neighbours into shared
   ``execute_many`` calls, so measured throughput must be at least 1.5x
-  the same server with ``coalesce_reads=False`` (each request then
-  executes alone). The amortization is the same one
+  the same server with ``max_batch=1`` (each request then executes
+  alone). The amortization is the same one
   ``BENCH_persistence.json`` measures for client-side batching (~2x);
   coalescing recovers it for clients that cannot batch.
 * **Shedding** — a saturation sweep over client counts finds the knee
@@ -185,12 +185,7 @@ def run(
         window = CoalesceConfig(
             max_batch=max_batch, max_delay_seconds=max_delay_ms / 1e3
         )
-        no_window = CoalesceConfig(
-            max_batch=max_batch,
-            max_delay_seconds=max_delay_ms / 1e3,
-            coalesce_reads=False,
-            coalesce_writes=False,
-        )
+        no_window = CoalesceConfig(max_batch=1)
 
         # Stage 1 — coalescing on vs off, same closed-loop client fleet.
         session = connect(index_path)

@@ -405,8 +405,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         coalesce=CoalesceConfig(
             max_batch=args.max_batch,
             max_delay_seconds=args.max_delay_ms / 1e3,
-            coalesce_reads=not args.no_coalesce,
-            coalesce_writes=not args.no_coalesce,
         ),
         drain_timeout=args.drain_timeout,
         registry=_serve_registry(args),
@@ -416,7 +414,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     host, port = server.address
     coalesce_note = (
         "coalescing off"
-        if args.no_coalesce
+        if args.max_batch == 1
         else f"coalescing <= {args.max_batch} per batch, "
         f"{args.max_delay_ms:g} ms window"
     )
@@ -1005,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="most engine operations fused into one coalesced batch "
-        "(default 16)",
+        "(default 16; 1 turns coalescing off)",
     )
     p.add_argument(
         "--max-delay-ms",
@@ -1026,11 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="per-connection admission bound (default 64)",
-    )
-    p.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable request coalescing (each request executes alone)",
     )
     p.add_argument(
         "--drain-timeout",

@@ -780,10 +780,6 @@ class ShardedBackend(BackendAdapter):
         elif before > 0 and self._counts[shard_id] == 0:
             self._active.remove(shard_id)
 
-    def insert(self, v: PFV) -> None:
-        """Insert one pfv on its owning shard (placement-routed)."""
-        self.insert_many([v])
-
     def insert_many(self, vectors) -> int:
         """Route a batch to its owning shards; each shard's slice is one
         group-commit transaction on disk-backed shards.

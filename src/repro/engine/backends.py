@@ -200,19 +200,10 @@ class BackendAdapter:
 
     # -- optional write surface ----------------------------------------------
 
-    def insert(self, v: PFV) -> None:
-        """Insert one pfv (writable backends override)."""
-        raise CapabilityError(f"backend {self.name!r} is not writable")
-
     def insert_many(self, vectors: Iterable[PFV]) -> int:
-        """Insert a batch; default loops :meth:`insert` (backends with a
-        native group-commit path override). Returns the number
-        inserted."""
-        count = 0
-        for v in vectors:
-            self.insert(v)
-            count += 1
-        return count
+        """Insert a batch, returning the number inserted (writable
+        backends override; the one write entry point for inserts)."""
+        raise CapabilityError(f"backend {self.name!r} is not writable")
 
     def delete(self, v: PFV) -> bool:
         """Delete one pfv, reporting whether it was found (writable
@@ -351,11 +342,6 @@ class GaussTreeBackend(BackendAdapter):
 
     # -- writes --------------------------------------------------------------
 
-    def insert(self, v: PFV) -> None:
-        """Insert one pfv (durable per operation on WAL-backed trees)."""
-        self._require("writable")
-        self.tree.insert(v)
-
     def insert_many(self, vectors: Iterable[PFV]) -> int:
         """Insert a batch as one group-commit WAL transaction (single
         fsync, page images deduplicated; all-or-nothing recovery)."""
@@ -384,7 +370,7 @@ class GaussTreeBackend(BackendAdapter):
 class _EmptyTreeBackend(BackendAdapter):
     """In-memory tree over an empty source whose dimensionality is still
     unknown: answers everything with the empty result and builds the
-    real tree on the first ``insert`` (which fixes ``d``). The source's
+    real tree on the first ``insert_many`` (which fixes ``d``). The source's
     sigma rule is carried over to the promoted tree."""
 
     def __init__(self, name: str, sigma_rule, options: dict) -> None:
@@ -413,18 +399,6 @@ class _EmptyTreeBackend(BackendAdapter):
         if self._promoted is not None:
             return self._promoted.estimate(kind, specs)
         return PlanEstimate(0, 0.0, "empty index: no pages touched")
-
-    def insert(self, v: PFV) -> None:
-        """First insert builds the real tree (fixing ``d``); later ones
-        delegate to it."""
-        if self._promoted is None:
-            self._promoted = _tree_backend_from_db(
-                PFVDatabase([v], sigma_rule=self._sigma_rule),
-                self.name,
-                self._options,
-            )
-        else:
-            self._promoted.insert(v)
 
     def insert_many(self, vectors: Iterable[PFV]) -> int:
         """Promote on the whole batch at once (bulk load), or delegate

@@ -249,10 +249,9 @@ class Session:
     # -- mutation (capability-gated) ----------------------------------------
 
     def insert(self, v: PFV) -> None:
-        """Insert one pfv (``"writable"`` capability required; durable
-        per operation on WAL-backed disk sessions)."""
-        self._check_open()
-        self._backend.insert(v)
+        """Insert one pfv: ``insert_many([v])``, so one WAL commit on
+        WAL-backed disk sessions (``"writable"`` capability required)."""
+        self.insert_many([v])
 
     def insert_many(self, vectors: Iterable[PFV]) -> int:
         """Insert a batch of pfv; returns how many were inserted.

@@ -204,18 +204,11 @@ class GaussTree:
     def insert(self, v: PFV) -> None:
         """Insert one pfv (Section 5.3 path selection + median split).
 
-        On a writable disk-opened tree the operation is committed to the
-        write-ahead log before returning (durable once ``insert``
-        returns, under the tree's fsync setting)."""
-        self._check_writable()
-        if self._writer is not None:
-            # Fail unsupported key types *before* mutating anything, so a
-            # bad key cannot wedge every later commit.
-            from repro.gausstree.persist import _encode_key
-
-            _encode_key(v.key)
-        self._insert_impl(v)
-        self._commit_mutation()
+        This is ``insert_many([v])``: on a writable disk-opened tree the
+        operation is one write-ahead-log commit before returning
+        (durable once ``insert`` returns, under the tree's fsync
+        setting)."""
+        self.insert_many([v])
 
     def _insert_impl(self, v: PFV) -> None:
         if v.dims != self.dims:
@@ -260,6 +253,8 @@ class GaussTree:
                     f"vector is {v.dims}-d, tree is {self.dims}-d"
                 )
         if self._writer is not None:
+            # Fail unsupported key types *before* mutating anything, so
+            # a bad key cannot wedge every later commit.
             from repro.gausstree.persist import _encode_key
 
             for v in batch:

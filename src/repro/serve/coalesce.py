@@ -10,7 +10,8 @@ amortization (throughput) at the cost of up to ``max_delay_seconds``
 added latency for the *first* request of a batch when the server is
 idle. Under load the delay is irrelevant — batches fill from the queue
 the moment a pool session frees up — which is exactly when
-amortization pays most.
+amortization pays most. ``max_batch=1`` is the one way to turn fusing
+off, for reads and writes alike.
 """
 
 from __future__ import annotations
@@ -27,23 +28,18 @@ class CoalesceConfig:
     Parameters
     ----------
     max_batch:
-        Most engine operations (query specs, insert vectors) fused into
-        one ``execute_many``/``insert_many`` call. A single oversized
-        request still executes alone.
+        Most engine operations (query specs, insert or delete vectors)
+        fused into one batch. A single oversized request still executes
+        alone. ``1`` turns fusing off: every request executes alone and
+        the window never opens (the benchmark's baseline server).
     max_delay_seconds:
         How long a dispatcher holding a free session waits for
         stragglers before executing an underfull batch. ``0`` disables
         the wait (batches still form from whatever is already queued).
-    coalesce_reads / coalesce_writes:
-        Disable fusing per direction; requests then execute one per
-        batch. The benchmark's baseline server runs with
-        ``coalesce_reads=False``.
     """
 
     max_batch: int = 16
     max_delay_seconds: float = 0.002
-    coalesce_reads: bool = True
-    coalesce_writes: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:

@@ -41,6 +41,7 @@ amortization pays most.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import threading
@@ -57,7 +58,6 @@ from repro.cluster.wire import (
     spec_from_json,
     spec_to_json,
 )
-from repro.engine.result import ResultSet
 from repro.engine.session import Session
 from repro.engine.spec import is_write_spec
 from repro.obs.metrics import (
@@ -96,10 +96,22 @@ _HTTP_REASONS = {
     503: "Service Unavailable",
 }
 
+#: The span each op's batch gets in a member's trace, between
+#: ``admission.wait`` and the engine's own spans.
+_EXECUTE_SPANS = {
+    "query": "serve.execute",
+    "insert": "serve.insert",
+    "delete": "serve.delete",
+}
+
 
 class ServingStats:
-    """Cumulative counters behind ``GET /stats``. The event loop records;
-    the lock keeps a snapshot taken from another thread consistent."""
+    """Every serving counter, in one store: ``GET /stats`` snapshots it
+    and the counter series of ``GET /metrics`` read it through
+    callbacks, so the two views cannot disagree and ``/stats`` keeps
+    counting under a :class:`~repro.obs.metrics.NullRegistry`. The
+    event loop records; the lock keeps a snapshot taken from another
+    thread consistent."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -107,42 +119,54 @@ class ServingStats:
         self.batches = 0
         self.queries = 0
         self.by_kind: dict[str, int] = {}
+        self.coalesced_reads = 0
         self.errors = 0
         self.inserts = 0
         self.insert_batches = 0
+        self.coalesced_inserts = 0
         self.deletes = 0
         self.delete_batches = 0
         self.pages_accessed = 0
         self.objects_refined = 0
         self.execute_seconds = 0.0
 
-    def record(self, specs, stats, elapsed: float) -> None:
+    def record(self, op: str, items: list, elapsed: float, outcome) -> None:
+        """Count one executed batch of ``items``: ``outcome`` is a
+        read's :class:`~repro.engine.result.ResultSet`, or a write's
+        per-member changed counts and the index size."""
+        fused = len(items) > 1
         with self._lock:
-            self.batches += 1
-            self.queries += len(specs)
-            for spec in specs:
-                self.by_kind[spec.kind] = self.by_kind.get(spec.kind, 0) + 1
-            self.pages_accessed += stats.pages_accessed
-            self.objects_refined += stats.objects_refined
             self.execute_seconds += elapsed
-
-    def record_inserts(self, count: int, elapsed: float) -> None:
-        with self._lock:
-            self.insert_batches += 1
-            self.inserts += count
-            self.execute_seconds += elapsed
-
-    def record_deletes(self, count: int, elapsed: float) -> None:
-        with self._lock:
-            self.delete_batches += 1
-            self.deletes += count
-            self.execute_seconds += elapsed
+            if op == "query":
+                self.batches += 1
+                for it in items:
+                    self.queries += len(it.specs)
+                    for spec in it.specs:
+                        self.by_kind[spec.kind] = (
+                            self.by_kind.get(spec.kind, 0) + 1
+                        )
+                self.pages_accessed += outcome.stats.pages_accessed
+                self.objects_refined += outcome.stats.objects_refined
+                if fused:
+                    self.coalesced_reads += len(items)
+                return
+            changed = sum(outcome[0])
+            if op == "insert":
+                self.insert_batches += 1
+                self.inserts += changed
+                if fused:
+                    self.coalesced_inserts += changed
+            else:
+                self.delete_batches += 1
+                self.deletes += changed
 
     def record_error(self) -> None:
         with self._lock:
             self.errors += 1
 
     def snapshot(self) -> dict:
+        """The ``/stats`` counters (the server adds the pool, admission
+        and coalescing-config views)."""
         with self._lock:
             return {
                 "uptime_seconds": round(time.time() - self.started_at, 3),
@@ -157,6 +181,13 @@ class ServingStats:
                 "pages_accessed": self.pages_accessed,
                 "objects_refined": self.objects_refined,
                 "execute_seconds": round(self.execute_seconds, 4),
+                "coalescing": {
+                    "read_batches": self.batches,
+                    "coalesced_reads": self.coalesced_reads,
+                    "write_batches": self.insert_batches
+                    + self.delete_batches,
+                    "coalesced_inserts": self.coalesced_inserts,
+                },
             }
 
 
@@ -258,28 +289,11 @@ class AsyncQueryServer:
         else:
             self.slow_log = None
             self._owns_slow_log = False
-        # Serving-tier counters live in the registry — one code path
-        # feeds /stats, /metrics and the bench, no duplicated
-        # bookkeeping. Directly-incremented series first; the
-        # callback-backed ones (admission, pool) register in _main()
-        # once their backing state exists.
+        # The histograms live only in the registry. Every counter series
+        # is a callback over state that counts itself (ServingStats,
+        # admission queue, session pool), registered in _main() once
+        # that state exists.
         m = self.registry
-        self._m_read_batches = m.counter(
-            "repro_serve_read_batches_total",
-            "execute_many batches dispatched for coalesced reads.",
-        )
-        self._m_coalesced_reads = m.counter(
-            "repro_serve_coalesced_reads_total",
-            "Read requests answered from a multi-request batch.",
-        )
-        self._m_write_batches = m.counter(
-            "repro_serve_write_batches_total",
-            "insert_many group-commit batches dispatched.",
-        )
-        self._m_coalesced_inserts = m.counter(
-            "repro_serve_coalesced_inserts_total",
-            "Vectors committed from multi-request insert batches.",
-        )
         self._m_batch_size = m.histogram(
             "repro_serve_batch_size",
             "Engine operations fused into one coalesced batch.",
@@ -326,17 +340,19 @@ class AsyncQueryServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def serve_forever(self) -> None:
-        """Run the event loop in the calling thread until shutdown."""
-        self._refuse_restart()
-        asyncio.run(self._main())
-
     def serve_in_background(self) -> "AsyncQueryServer":
         """Run the event loop in a daemon thread; returns once the
         listening socket is bound (``repro serve``, tests, embedding)."""
         if self._thread is not None:
             raise RuntimeError("server is already started")
-        self._refuse_restart()
+        if self._stop_requested.is_set():
+            # The drain closed the replica sessions and the stop flag
+            # stays set, so a second run would bind, drain at once and
+            # serve nothing; fail loudly instead.
+            raise RuntimeError(
+                "server was shut down and cannot restart; create a new "
+                "AsyncQueryServer"
+            )
         self._thread = threading.Thread(
             target=self._thread_main, name="repro-serve-async", daemon=True
         )
@@ -362,16 +378,6 @@ class AsyncQueryServer:
         if self._thread is not None:
             self._thread.join(timeout=self.drain_timeout + 10)
             self._thread = None
-
-    def _refuse_restart(self) -> None:
-        # The drain closed the replica sessions and the stop flag stays
-        # set, so a second run would bind, drain at once and serve
-        # nothing; fail loudly instead.
-        if self._stop_requested.is_set():
-            raise RuntimeError(
-                "server was shut down and cannot restart; create a new "
-                "AsyncQueryServer"
-            )
 
     def __enter__(self) -> "AsyncQueryServer":
         if self._thread is None:
@@ -490,26 +496,33 @@ class AsyncQueryServer:
             "Slot acquisitions that had to wait for a busy pool.",
             callback=lambda: self._pool_waits,
         )
-        m.counter(
-            "repro_serve_queries_total",
-            "Query specs executed (batch members counted singly).",
-            callback=lambda: self.stats.queries,
-        )
-        m.counter(
-            "repro_serve_inserts_total",
-            "Vectors inserted.",
-            callback=lambda: self.stats.inserts,
-        )
-        m.counter(
-            "repro_serve_deletes_total",
-            "Vectors deleted (found-and-removed, misses excluded).",
-            callback=lambda: self.stats.deletes,
-        )
-        m.counter(
-            "repro_serve_errors_total",
-            "Requests answered with a non-shed 4xx/5xx status.",
-            callback=lambda: self.stats.errors,
-        )
+        s = self.stats
+        for name, help_text, read in (
+            ("repro_serve_read_batches_total",
+             "execute_many batches dispatched for coalesced reads.",
+             lambda: s.batches),
+            ("repro_serve_coalesced_reads_total",
+             "Read requests answered from a multi-request batch.",
+             lambda: s.coalesced_reads),
+            ("repro_serve_write_batches_total",
+             "Insert and delete batches dispatched on the primary.",
+             lambda: s.insert_batches + s.delete_batches),
+            ("repro_serve_coalesced_inserts_total",
+             "Vectors committed from multi-request insert batches.",
+             lambda: s.coalesced_inserts),
+            ("repro_serve_queries_total",
+             "Query specs executed (batch members counted singly).",
+             lambda: s.queries),
+            ("repro_serve_inserts_total", "Vectors inserted.",
+             lambda: s.inserts),
+            ("repro_serve_deletes_total",
+             "Vectors deleted (found-and-removed, misses excluded).",
+             lambda: s.deletes),
+            ("repro_serve_errors_total",
+             "Requests answered with a non-shed 4xx/5xx status.",
+             lambda: s.errors),
+        ):
+            m.counter(name, help_text, callback=read)
 
     async def _drain(self, dispatcher: asyncio.Task) -> None:
         self._admission.begin_drain()
@@ -596,9 +609,8 @@ class AsyncQueryServer:
             items = self._collect(op)
             if (
                 items
-                and sum(it.weight for it in items) < self._batch_limit(op)
+                and sum(it.weight for it in items) < self.coalesce.max_batch
                 and self.coalesce.max_delay_seconds > 0
-                and self._coalescing(op)
                 and not self._admission.draining
             ):
                 # The batching window: hold the session briefly for
@@ -608,71 +620,48 @@ class AsyncQueryServer:
             if not items:
                 await self._release_slot(slot)
                 continue
-            if op == "insert":
-                task = asyncio.ensure_future(
-                    self._run_insert_batch(slot, items)
-                )
-            elif op == "delete":
-                task = asyncio.ensure_future(
-                    self._run_delete_batch(slot, items)
-                )
-            else:
-                task = asyncio.ensure_future(
-                    self._run_read_batch(slot, items)
-                )
+            task = asyncio.ensure_future(self._run_batch(slot, op, items))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
 
-    def _coalescing(self, op: str) -> bool:
-        return (
-            self.coalesce.coalesce_writes
-            if op in ("insert", "delete")
-            else self.coalesce.coalesce_reads
+    def _collect(self, op: str, already: Sequence[_Pending] = ()) -> list:
+        """Dequeue queued ``op`` requests, fairly, until the batch holds
+        ``max_batch`` engine operations (``max_batch=1``: one request,
+        so nothing fuses)."""
+        room = self.coalesce.max_batch - sum(it.weight for it in already)
+        return self._admission.take_run(
+            lambda it: it.op == op, room, weight=lambda it: it.weight
         )
-
-    def _batch_limit(self, op: str) -> int:
-        return self.coalesce.max_batch if self._coalescing(op) else 1
-
-    def _collect(self, op: str, already: list | None = None) -> list:
-        limit = self._batch_limit(op)
-        if already:
-            limit -= sum(it.weight for it in already)
-            if limit < 1:
-                return []
-        if self._coalescing(op):
-            return self._admission.take_run(
-                lambda it: it.op == op, limit, weight=lambda it: it.weight
-            )
-        # Coalescing disabled: one request per batch, served verbatim.
-        return self._admission.take_run(lambda it: it.op == op, 1)
 
     # -- batch execution -----------------------------------------------------
 
-    def _record_batch_metrics(self, items: list, dispatched: float) -> None:
-        """Observe batch width and each member's queue wait."""
-        self._m_batch_size.observe(sum(it.weight for it in items))
+    async def _run_batch(self, slot: int, op: str, items: list) -> None:
+        """Execute one coalesced batch on ``slot`` and answer every member.
+
+        Reads, inserts and deletes share this path; only the engine call
+        (:meth:`_engine_call`) and each member's response body
+        (:meth:`_member_bodies`) differ per op.
+        """
+        dispatched = time.perf_counter()
+        width = sum(it.weight for it in items)
+        self._m_batch_size.observe(width)
         for it in items:
             self._m_admission_wait.observe(dispatched - it.enqueued_at)
-
-    async def _run_read_batch(self, slot: int, items: list) -> None:
-        specs = [s for it in items for s in it.specs]
-        dispatched = time.perf_counter()
-        self._record_batch_metrics(items, dispatched)
-        # One batch trace serves every traced member: execute_many runs
+        # One batch trace serves every traced member: the engine runs
         # once for the whole batch, so its spans are genuinely shared —
         # each traced request gets them grafted under its own root,
         # shifted into request-relative time.
         traced = any(it.trace is not None for it in items)
         batch_trace = obs_trace.Trace(epoch=dispatched) if traced else None
-        slow = self.slow_log
+        slow = self.slow_log if op == "query" else None
 
-        def run_batch(session: Session):
+        def run(session: Session):
             # run_in_executor does not propagate contextvars, so the
             # trace activates here, on the executor thread, covering
-            # the whole synchronous engine path.
+            # the whole synchronous engine path (down to wal.commit).
             t0 = time.perf_counter()
             with obs_trace.tracing(batch_trace):
-                result = session.execute_many(specs)
+                outcome = self._engine_call(session, op, items)
             spent = time.perf_counter() - t0
             plan = None
             if slow is not None and spent >= slow.threshold_seconds:
@@ -680,16 +669,17 @@ class AsyncQueryServer:
                 # now, while this thread still holds the slot, so the
                 # slow-log entry can compare estimate vs observed.
                 try:
-                    plan = session.explain(specs).describe()
+                    plan = session.explain(
+                        [s for it in items for s in it.specs]
+                    ).describe()
                 except Exception:
                     plan = None
-            return result, spent, plan
+            return outcome, spent, plan
 
         try:
-            session = await self._reading_session(slot)
-            rs: ResultSet
-            rs, elapsed, plan = await self._loop.run_in_executor(
-                self._executor, run_batch, session
+            session = await self._slot_session(slot)
+            outcome, elapsed, plan = await self._loop.run_in_executor(
+                self._executor, run, session
             )
         except asyncio.CancelledError:
             await self._release_slot(slot)
@@ -698,51 +688,95 @@ class AsyncQueryServer:
             await self._release_slot(slot)
             message = f"{type(exc).__name__}: {exc}"
             for it in items:
-                await self._answer(it, 500, {"error": message})
+                await self._answer(
+                    it.respond, it.done, 500, {"error": message}
+                )
             return
+        if op != "query" and self.pool_size > 1 and any(outcome[0]):
+            # Replica slots refresh before their next read.
+            self._version += 1
+            self._slot_versions[0] = self._version
         await self._release_slot(slot)
-        self.stats.record(specs, rs.stats, elapsed)
+        self.stats.record(op, items, elapsed, outcome)
         self._m_execute.observe(elapsed)
-        self._m_read_batches.inc()
         self._m_demux.observe(len(items))
-        if len(items) > 1:
-            self._m_coalesced_reads.inc(len(items))
-        payload = result_to_json(rs)
-        payload.pop("trace", None)  # per-request trees replace it below
-        provenance = payload.get("provenance")
+        bodies = self._member_bodies(op, items, outcome)
+        for it, body in zip(items, bodies):
+            # Writes are acked only here, after the shared fsync.
+            body["execute_seconds"] = round(elapsed, 6)
+            body["coalesced"] = len(items)
+            trace_dict = self._finish_item_trace(
+                it, dispatched, elapsed, batch_trace, width,
+                _EXECUTE_SPANS[op],
+            )
+            if trace_dict is not None:
+                body["trace"] = trace_dict
+            if slow is not None:
+                slow.maybe_log(
+                    dispatched - it.enqueued_at + elapsed,
+                    queries=[spec_to_json(s) for s in it.specs],
+                    trace=trace_dict,
+                    plan=plan,
+                    stats=body["stats"],
+                    source="serve-async",
+                )
+            await self._answer(it.respond, it.done, 200, body)
+
+    def _engine_call(self, session: Session, op: str, items: list):
+        """One batch's engine work, on the executor thread. A read
+        returns its ResultSet; a write returns each member's count of
+        changed vectors and the index size after the write."""
+        if op == "query":
+            return session.execute_many([s for it in items for s in it.specs])
+        if op == "insert":
+            # One insert_many = one group-commit WAL transaction per
+            # touched index: every coalesced client shares its fsync.
+            session.insert_many([v for it in items for v in it.vectors])
+            counts = [len(it.vectors) for it in items]
+        else:
+            # A vector absent from the index is a clean miss (False
+            # from Session.delete, no WAL commit), so a batch never
+            # fails on stale client state; it reports a lower count.
+            counts = [
+                sum(1 for v in it.vectors if session.delete(v))
+                for it in items
+            ]
+        if self.pool_size > 1 and any(counts):
+            session.flush()
+        return counts, len(session)
+
+    @staticmethod
+    def _member_bodies(op: str, items: list, outcome) -> list[dict]:
+        """Each member's response body, before the fields every op
+        shares (``execute_seconds``, ``coalesced``, ``trace``)."""
+        if op == "insert":
+            counts, objects = outcome
+            return [{"inserted": n, "objects": objects} for n in counts]
+        if op == "delete":
+            counts, objects = outcome
+            return [
+                {"deleted": n, "requested": len(it.vectors),
+                 "objects": objects}
+                for it, n in zip(items, counts)
+            ]
+        payload = result_to_json(outcome)
+        bodies = []
         offset = 0
         for it in items:
             n = len(it.specs)
-            part = {
+            body = {
                 "backend": payload["backend"],
                 "n_queries": n,
                 "results": payload["results"][offset : offset + n],
                 # Stats are the *batch's* merged counters: work shared
                 # by every request coalesced into this execute_many.
                 "stats": payload["stats"],
-                "execute_seconds": round(elapsed, 6),
-                "coalesced": len(items),
             }
-            if provenance is not None:
-                part["provenance"] = provenance
+            if payload.get("provenance") is not None:
+                body["provenance"] = payload["provenance"]
+            bodies.append(body)
             offset += n
-            trace_dict = self._finish_item_trace(
-                it, dispatched, elapsed, batch_trace, len(specs),
-                "serve.execute",
-            )
-            if trace_dict is not None:
-                part["trace"] = trace_dict
-            if slow is not None:
-                wait = dispatched - it.enqueued_at
-                slow.maybe_log(
-                    wait + elapsed,
-                    queries=[spec_to_json(s) for s in it.specs],
-                    trace=trace_dict,
-                    plan=plan,
-                    stats=payload["stats"],
-                    source="serve-async",
-                )
-            await self._answer(it, 200, part)
+        return bodies
 
     def _finish_item_trace(
         self,
@@ -765,7 +799,7 @@ class AsyncQueryServer:
         wait = dispatched - it.enqueued_at
         # The engine spans are batch-epoch relative and include the
         # dispatch -> executor-thread scheduling gap, which `elapsed`
-        # (measured around execute_many alone) does not; widen the
+        # (measured around the engine call alone) does not; widen the
         # execute window so children never overhang their parent.
         span_end = elapsed
         if batch_trace is not None:
@@ -787,9 +821,10 @@ class AsyncQueryServer:
         it.trace.spans = [root]
         return it.trace.to_dict()
 
-    async def _reading_session(self, slot: int) -> Session:
+    async def _slot_session(self, slot: int) -> Session:
         """The slot's session, refreshed first if it predates the last
-        accepted write (read-your-writes through every slot)."""
+        accepted write (read-your-writes through every slot; slot 0, the
+        primary that takes every write, is never stale)."""
         if (
             slot != 0
             and self.session_factory is not None
@@ -812,132 +847,20 @@ class AsyncQueryServer:
                 pass
         return self._sessions[slot]
 
-    async def _run_insert_batch(self, slot: int, items: list) -> None:
-        vectors = [v for it in items for v in it.vectors]
-        dispatched = time.perf_counter()
-        self._record_batch_metrics(items, dispatched)
-        traced = any(it.trace is not None for it in items)
-        batch_trace = obs_trace.Trace(epoch=dispatched) if traced else None
-
-        def apply() -> int:
-            # One insert_many = one group-commit WAL transaction per
-            # touched index: every coalesced client shares its fsync.
-            # The trace activates on the executor thread (contextvars
-            # don't cross run_in_executor) so wal.commit spans attach.
-            with obs_trace.tracing(batch_trace):
-                count = self.session.insert_many(vectors)
-                if self.pool_size > 1:
-                    self.session.flush()
-            return count
-
-        try:
-            started = time.perf_counter()
-            await self._loop.run_in_executor(self._executor, apply)
-            objects = len(self.session)
-            elapsed = time.perf_counter() - started
-        except asyncio.CancelledError:
-            await self._release_slot(slot)
-            raise
-        except Exception as exc:
-            await self._release_slot(slot)
-            message = f"{type(exc).__name__}: {exc}"
-            for it in items:
-                await self._answer(it, 500, {"error": message})
-            return
-        if self.pool_size > 1:
-            self._version += 1
-            self._slot_versions[0] = self._version
-        await self._release_slot(slot)
-        self.stats.record_inserts(len(vectors), elapsed)
-        self._m_execute.observe(elapsed)
-        self._m_write_batches.inc()
-        self._m_demux.observe(len(items))
-        if len(items) > 1:
-            self._m_coalesced_inserts.inc(len(vectors))
-        for it in items:
-            # Acked only after the shared fsync returned.
-            part = {
-                "inserted": len(it.vectors),
-                "objects": objects,
-                "execute_seconds": round(elapsed, 6),
-                "coalesced": len(items),
-            }
-            trace_dict = self._finish_item_trace(
-                it, dispatched, elapsed, batch_trace, len(vectors),
-                "serve.insert",
-            )
-            if trace_dict is not None:
-                part["trace"] = trace_dict
-            await self._answer(it, 200, part)
-
-    async def _run_delete_batch(self, slot: int, items: list) -> None:
-        dispatched = time.perf_counter()
-        self._record_batch_metrics(items, dispatched)
-        traced = any(it.trace is not None for it in items)
-        batch_trace = obs_trace.Trace(epoch=dispatched) if traced else None
-
-        def apply() -> list[int]:
-            # Deletes serialize on the primary like inserts; a vector
-            # absent from the index is a clean miss (False from
-            # Session.delete, no WAL commit), so the batch never fails
-            # on stale client state — it just reports a lower count.
-            with obs_trace.tracing(batch_trace):
-                found = [
-                    sum(1 for v in it.vectors if self.session.delete(v))
-                    for it in items
-                ]
-                if self.pool_size > 1 and any(found):
-                    self.session.flush()
-            return found
-
-        try:
-            started = time.perf_counter()
-            found = await self._loop.run_in_executor(self._executor, apply)
-            objects = len(self.session)
-            elapsed = time.perf_counter() - started
-        except asyncio.CancelledError:
-            await self._release_slot(slot)
-            raise
-        except Exception as exc:
-            await self._release_slot(slot)
-            message = f"{type(exc).__name__}: {exc}"
-            for it in items:
-                await self._answer(it, 500, {"error": message})
-            return
-        if self.pool_size > 1 and any(found):
-            self._version += 1
-            self._slot_versions[0] = self._version
-        await self._release_slot(slot)
-        self.stats.record_deletes(sum(found), elapsed)
-        self._m_execute.observe(elapsed)
-        self._m_write_batches.inc()
-        self._m_demux.observe(len(items))
-        n_vectors = sum(len(it.vectors) for it in items)
-        for it, n_found in zip(items, found):
-            part = {
-                "deleted": n_found,
-                "requested": len(it.vectors),
-                "objects": objects,
-                "execute_seconds": round(elapsed, 6),
-                "coalesced": len(items),
-            }
-            trace_dict = self._finish_item_trace(
-                it, dispatched, elapsed, batch_trace, n_vectors,
-                "serve.delete",
-            )
-            if trace_dict is not None:
-                part["trace"] = trace_dict
-            await self._answer(it, 200, part)
-
-    async def _answer(self, it: _Pending, status: int, payload: dict) -> None:
+    async def _answer(
+        self, respond, done: asyncio.Future | None, status: int, payload: dict
+    ) -> None:
+        """Send one response (batch members and inline replies alike):
+        count a non-shed error, then release an HTTP connection waiting
+        on ``done``."""
         if status >= 400 and status not in (429, 503):
             self.stats.record_error()
         try:
-            await it.respond(status, payload)
+            await respond(status, payload)
         except (ConnectionError, RuntimeError, OSError):
             pass  # client went away; the work is done regardless
-        if it.done is not None and not it.done.done():
-            it.done.set_result(None)
+        if done is not None and not done.done():
+            done.set_result(None)
 
     # -- connection handling -------------------------------------------------
 
@@ -1038,34 +961,25 @@ class AsyncQueryServer:
     # -- HTTP/1.1 shim -------------------------------------------------------
 
     async def _write_http(
-        self, writer, lock, status: int, payload: dict
+        self, writer, lock, status: int, payload: dict | str
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """One HTTP response: a dict goes out as JSON, a str as the
+        Prometheus text exposition (``GET /metrics``)."""
+        content_type, retry_after = CONTENT_TYPE, None
+        if isinstance(payload, dict):
+            content_type = "application/json"
+            retry_after = payload.get("retry_after")
+            payload = json.dumps(payload)
+        body = payload.encode("utf-8")
         headers = [
             f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'Unknown')}",
-            "Content-Type: application/json",
+            f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             "Connection: keep-alive",
         ]
-        retry_after = payload.get("retry_after")
         if retry_after is not None:
             headers.append(f"Retry-After: {retry_after}")
         head = ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1")
-        async with lock:
-            writer.write(head + body)
-            await writer.drain()
-
-    async def _write_http_text(
-        self, writer, lock, text: str, content_type: str
-    ) -> None:
-        """A raw text 200 (the Prometheus exposition is not JSON)."""
-        body = text.encode("utf-8")
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: keep-alive\r\n\r\n"
-        ).encode("latin-1")
         async with lock:
             writer.write(head + body)
             await writer.drain()
@@ -1107,9 +1021,7 @@ class AsyncQueryServer:
         body = await reader.readexactly(length) if length > 0 else b""
 
         if (method, path) == ("GET", "/metrics"):
-            await self._write_http_text(
-                writer, lock, self.metrics_text(), CONTENT_TYPE
-            )
+            await self._write_http(writer, lock, 200, self.metrics_text())
             return headers.get("connection", "").lower() != "close"
 
         op = {
@@ -1157,18 +1069,14 @@ class AsyncQueryServer:
         if trace_header and "trace" not in payload:
             payload["trace"] = trace_header
 
-        done: asyncio.Future = self._loop.create_future()
-
-        async def respond(status: int, answer: dict) -> None:
-            await self._write_http(writer, lock, status, answer)
-            if not done.done():
-                done.set_result(None)
-
         # HTTP pipelining requires in-order responses: serve one request
         # at a time per connection (coalescing happens across
-        # connections, matching how ServeClient opens them).
+        # connections, matching how ServeClient opens them). The answer
+        # resolves `done`, whichever path sends it.
+        done: asyncio.Future = self._loop.create_future()
         await self._submit(
-            f"http-{id(writer)}", op, payload, respond, done=done
+            f"http-{id(writer)}", op, payload,
+            functools.partial(self._write_http, writer, lock), done=done,
         )
         await done
         return headers.get("connection", "").lower() != "close"
@@ -1187,13 +1095,7 @@ class AsyncQueryServer:
         """Answer ``healthz``/``stats`` inline; queue
         ``query``/``insert``/``delete`` through admission (responding
         4xx immediately when rejected or malformed)."""
-
-        async def reply(status: int, body: dict) -> None:
-            if status >= 400 and status not in (429, 503):
-                self.stats.record_error()
-            await respond(status, body)
-            if done is not None and not done.done():
-                done.set_result(None)
+        reply = functools.partial(self._answer, respond, done)
 
         if op == "healthz":
             await reply(
@@ -1310,20 +1212,14 @@ class AsyncQueryServer:
         payload["objects"] = len(self.session)
         payload["session_pool"] = self._pool_snapshot()
         payload["admission"] = self._admission.snapshot()
-        # Sourced from the registry — the same counters /metrics
-        # exposes, no duplicated bookkeeping (keys are a stable
-        # contract; see docs/serving.md).
-        payload["coalescing"] = {
-            "read_batches": int(self._m_read_batches.value),
-            "coalesced_reads": int(self._m_coalesced_reads.value),
-            "write_batches": int(self._m_write_batches.value),
-            "coalesced_inserts": int(self._m_coalesced_inserts.value),
-            "batch_size": self._m_batch_size.summary(),
-            "max_batch": self.coalesce.max_batch,
-            "max_delay_seconds": self.coalesce.max_delay_seconds,
-            "reads": self.coalesce.coalesce_reads,
-            "writes": self.coalesce.coalesce_writes,
-        }
+        # The counters come from ServingStats, the same store /metrics
+        # reads; the batch-size histogram lives only in the registry
+        # (keys are a stable contract; see docs/serving.md).
+        payload["coalescing"].update(
+            batch_size=self._m_batch_size.summary(),
+            max_batch=self.coalesce.max_batch,
+            max_delay_seconds=self.coalesce.max_delay_seconds,
+        )
         return payload
 
 

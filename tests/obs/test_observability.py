@@ -181,12 +181,15 @@ class TestMetricsExposition:
                 q = make_random_query(seed=76)
                 assert client.query([MLIQ(q, 2)])["status"] == 200
                 text = client.metrics()
+                stats = client.stats()
         session.close()
         # The private registry renders nothing; only global series (a
         # shared process fixture) may remain.
         assert not any(
             n.startswith("repro_serve_") for n in _family_names(text)
         )
+        # /stats counts in ServingStats, not in the silenced registry.
+        assert stats["coalescing"]["read_batches"] == stats["batches"] == 1
 
 
 class TestStatsFromRegistry:
@@ -209,6 +212,33 @@ class TestStatsFromRegistry:
         assert "buckets" in summary and "mean" in summary
         # Idle connections have no pending entries to report.
         assert stats["admission"]["per_client_pending"] == {}
+
+    def test_metrics_batch_counters_equal_stats(self, writable_index):
+        """/metrics reads its batch counters from ServingStats, so the
+        two views agree on reads and on writes of both kinds."""
+        session = connect(writable_index, writable=True)
+        with serve_async(session, port=0) as server:
+            host, port = server.address
+            v = PFV([0.4] * 3, [0.2] * 3, key=991)
+            with JsonlClient(host, port) as client:
+                client.query([MLIQ(make_random_query(seed=83), 2)])
+                assert client.insert([v])["status"] == 200
+                assert client.delete([v])["deleted"] == 1
+                text = client.metrics()
+                stats = client.stats()
+        session.close()
+        values = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if line.startswith("repro_serve_") and "{" not in line
+        )
+        assert int(values["repro_serve_read_batches_total"]) == (
+            stats["batches"]
+        ) == 1
+        assert int(values["repro_serve_write_batches_total"]) == (
+            stats["insert_batches"] + stats["delete_batches"]
+        ) == 2
+        assert stats["coalescing"]["write_batches"] == 2
 
 
 class TestTracePropagation:

@@ -10,6 +10,8 @@ deprecation policy) in the same commit.
 
 import inspect
 
+import pytest
+
 import repro
 import repro.cluster as cluster
 import repro.engine as engine
@@ -353,9 +355,27 @@ def test_serve_async_signature_is_pinned():
     )
 
 
+def test_removed_2_2_write_and_coalescing_surface_is_absent():
+    # 2.2.0: a backend's one insert entry point is insert_many, and
+    # max_batch=1 is the one way to turn coalescing off.
+    from repro.cli import build_parser
+    from repro.cluster.backend import ShardedBackend
+    from repro.engine.backends import GaussTreeBackend, _EmptyTreeBackend
+
+    for cls in (
+        engine.BackendAdapter, GaussTreeBackend, _EmptyTreeBackend,
+        ShardedBackend,
+    ):
+        assert "insert" not in vars(cls), cls
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "x.gauss", "--no-coalesce"])
+
+
 def test_serve_config_defaults_are_pinned():
     # The CLI flags (`repro serve`) document these defaults;
     # changing them must be a deliberate, test-visible act.
+    import dataclasses
+
     from repro.serve import AdmissionConfig, CoalesceConfig
 
     admission = AdmissionConfig()
@@ -365,7 +385,11 @@ def test_serve_config_defaults_are_pinned():
     coalesce = CoalesceConfig()
     assert coalesce.max_batch == 16
     assert coalesce.max_delay_seconds == 0.002
-    assert coalesce.coalesce_reads and coalesce.coalesce_writes
+    # max_batch=1 is the one way to turn fusing off.
+    assert {f.name for f in dataclasses.fields(CoalesceConfig)} == {
+        "max_batch",
+        "max_delay_seconds",
+    }
 
 
 def test_plan_exposes_coalesce_pricing_fields():
