@@ -33,10 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -140,6 +143,15 @@ def run(n: int, d: int, n_queries: int, k: int, seed: int) -> dict:
             "n_queries": n_queries,
             "k": k,
             "seed": seed,
+        },
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "note": (
+                "wall-clock ratios are host-bound; docs/benchmarks.md "
+                "reads the format_v3_vs_v2 bar against this core count"
+            ),
         },
         "index": {
             "build_seconds": round(build_s, 4),

@@ -730,7 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
         "insert",
         help="open an index writable and add WAL-durable random objects",
     )
-    p.add_argument("index", help="index file written by `build` (format v2)")
+    p.add_argument(
+        "index", help="format v2 or v3 index file (`build` writes v3)"
+    )
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(

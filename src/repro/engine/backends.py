@@ -64,8 +64,8 @@ class PlanEstimate:
     storage cost model (:mod:`repro.storage.costmodel`); the
     :class:`~repro.core.queries.QueryStats` of an actual execution are
     the ground truth. ``cpu_seconds`` prices the expected refinement work
-    — backends whose leaves are columnar use the cost model's vectorized
-    rate, so ``explain()`` reflects the format-v3 speedup.
+    — the Gauss-tree, whose leaves are all columnar, at the cost model's
+    vectorized rate, so ``explain()`` reflects the columnar kernel.
     """
 
     __slots__ = ("pages", "io_seconds", "note", "cpu_seconds")
@@ -324,20 +324,15 @@ class GaussTreeBackend(BackendAdapter):
         per_query = (height - 1) + leaf_reads
         pages = per_query * len(specs)
         cost = self.store.cost_model
-        # Refinement CPU: every visited leaf refines its whole page. A
-        # columnar tree (bulk-loaded, or a format-v3 file) is priced at
-        # the vectorized per-object rate — the stale per-object scalar
-        # estimate would overstate v3 CPU by cpu_per_refinement_seconds /
-        # cpu_per_vectorized_refinement_seconds (30x at the defaults).
+        # Refinement CPU: every visited leaf refines its whole page with
+        # the columnar kernel, priced at the vectorized per-object rate.
         objects = leaf_reads * max(1, math.ceil(n / leaves)) * len(specs)
-        vectorized = getattr(tree, "vectorized_leaves", False)
-        if vectorized:
-            note += "; columnar leaves: refinement priced at vectorized rate"
+        note += "; columnar leaves: refinement priced at vectorized rate"
         return PlanEstimate(
             pages,
             cost.random_read_seconds(pages),
             note,
-            cost.modeled_cpu_seconds(objects, pages, vectorized=vectorized),
+            cost.modeled_cpu_seconds(objects, pages, vectorized=True),
         )
 
     # -- writes --------------------------------------------------------------

@@ -46,9 +46,10 @@ class Plan:
     estimated_io_seconds:
         The estimate priced by the backend's disk cost model.
     estimated_cpu_seconds:
-        Modeled refinement CPU for the batch. Columnar (format-v3)
-        Gauss-trees are priced at the cost model's vectorized
-        per-object rate, so plans reflect the columnar speedup.
+        Modeled refinement CPU for the batch. Gauss-tree leaves are
+        all columnar, so their refinements are priced at the cost
+        model's vectorized per-object rate; seqscan and the X-tree
+        at the scalar rate.
     notes:
         Backend-provided caveats (accuracy, what drives the estimate).
     estimated_queue_seconds:

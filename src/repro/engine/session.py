@@ -361,8 +361,9 @@ def connect(
         materialises the stored objects first, so any index file can be
         served through any backend.
     writable:
-        For ``"disk"``: open the index WAL-durable (format v2). The
-        in-memory ``"tree"`` backend is always writable.
+        For ``"disk"``: open the index WAL-durable (format v2 or v3
+        files; v1 files are read-only). The in-memory ``"tree"`` backend
+        is always writable.
     options:
         Backend-specific keywords, e.g. ``page_store=``, ``layout=``,
         ``degree=``, ``mliq_tolerance=``/``tiq_tolerance=`` (tree),

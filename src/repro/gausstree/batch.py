@@ -16,14 +16,13 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
   calls), and later queries reaching the same node pay a dictionary
   lookup. Identification workloads cluster around the database objects,
   so batch members overwhelmingly revisit one another's nodes;
-* for **columnar** leaves (bulk-loaded trees, format-v3 files) the
-  refiner additionally precomputes, per page, every query's row maximum
-  and scaled denominator mass — so expanding a columnar leaf costs a
-  dictionary lookup and two float adds instead of four small-array numpy
-  reductions. The per-query shifts are registered up front and the mass
-  is recomputed exactly for the rare query that re-anchors its shift
-  mid-traversal, keeping the accumulated sums bit-identical to the
-  unbatched path.
+* for every leaf (all leaves are columnar) the refiner additionally
+  precomputes, per page, every query's row maximum and scaled
+  denominator mass — so a leaf expansion costs a dictionary lookup and
+  two float adds instead of four small-array numpy reductions. The
+  per-query shifts are registered up front and the mass is recomputed
+  exactly for the rare query that re-anchors its shift mid-traversal,
+  keeping the accumulated sums bit-identical to the unbatched path.
 
 Every query still owns its best-first traversal
 (:class:`~repro.gausstree.search.SearchState`), so answer sets, posterior
@@ -67,8 +66,8 @@ class BatchRefiner:
         self._leaf_cache: dict[int, np.ndarray] = {}
         self._bounds_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Per-query scale shifts (registered by each SearchState at init)
-        # plus, per columnar leaf page, the precomputed row maxima and
-        # scaled denominator masses for every query in the batch.
+        # plus, per leaf page, the precomputed row maxima and scaled
+        # denominator masses for every query in the batch.
         self._shifts: list[float] = [0.0] * len(queries)
         self._leaf_extras: dict[
             int, tuple[list[float], list[float], list[float]]
@@ -94,8 +93,8 @@ class BatchRefiner:
     def leaf_extras(
         self, leaf: LeafNode
     ) -> tuple[list[np.ndarray], list[float], list[float], list[float]]:
-        """Per-query expansion data for a columnar leaf, one list entry per
-        batch query: ``(log_density_rows, row_maxima, scaled_masses,
+        """Per-query expansion data for a leaf, one list entry per batch
+        query: ``(log_density_rows, row_maxima, scaled_masses,
         shifts_used)``.
 
         Computed for *all* queries in a handful of array operations the

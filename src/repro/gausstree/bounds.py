@@ -75,10 +75,9 @@ class ParameterRect:
     def of_arrays(cls, mu: np.ndarray, sigma: np.ndarray) -> "ParameterRect":
         """Tight MBR of columnar ``(n, d)`` mu/sigma stacks.
 
-        The column-array twin of :meth:`of_vectors`, used by columnar
-        leaves (bulk loading, the format-v3 page loader) so the rect
-        refresh never has to materialize pfv objects. Bit-identical to
-        ``of_vectors`` over the same rows.
+        The column-array twin of :meth:`of_vectors`, used by the leaf
+        rect refresh so it never has to materialize pfv objects.
+        Bit-identical to ``of_vectors`` over the same rows.
         """
         mu = np.asarray(mu, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)

@@ -25,10 +25,10 @@ and :func:`str_groups` adds the classic Sort-Tile-Recursive packer as a
 second, cheaper baseline (sort by one parameter axis, slice into slabs,
 recurse on the next axis).
 
-Bulk-loaded leaves are **columnar** (:meth:`LeafNode.set_columns`): the
-packer already holds the ``(n, d)`` mu/sigma stacks, so each leaf adopts
-its row slice directly and the vectorized query kernels get their fast
-path without ever materializing per-entry objects.
+Bulk-loaded leaves adopt their columns directly
+(:meth:`LeafNode.set_columns`): the packer already holds the ``(n, d)``
+mu/sigma stacks, so each leaf takes its row slice without ever
+materializing per-entry objects.
 
 The resulting tree satisfies every invariant of
 :meth:`repro.gausstree.tree.GaussTree.check_invariants`, which the test
@@ -281,10 +281,9 @@ def bulk_load(
     keyword arguments are forwarded to
     :class:`~repro.gausstree.tree.GaussTree`.
 
-    Leaves come out columnar: each adopts its ``(n, d)`` slice of the
-    input stacks, so queries on the fresh tree take the vectorized page
-    kernels and ``save(path)`` encodes format-v3 pages straight from the
-    columns.
+    Each leaf adopts its ``(n, d)`` slice of the input stacks as its
+    columns, so ``save(path)`` encodes format-v3 pages straight from
+    them.
     """
     vectors = list(vectors)
     if not vectors:
@@ -306,8 +305,7 @@ def bulk_load(
         **kwargs,
     )
     if len(vectors) <= tree.leaf_max:
-        for v in vectors:
-            tree.root.add(v)  # type: ignore[attr-defined]
+        tree.root.replace_entries(vectors)  # type: ignore[attr-defined]
         return tree
 
     mu = np.vstack([v.mu for v in vectors])
@@ -331,7 +329,6 @@ def bulk_load(
             offset += size
 
     tree.store.free(tree.root.page_id)  # discard the placeholder root leaf
-    tree.vectorized_leaves = True  # every packed leaf below is columnar
     nodes: list[Node] = []
     for group in groups:
         leaf = LeafNode(tree.store.allocate())

@@ -8,12 +8,13 @@ until the denominator interval (sum approximation over the unexplored
 subtrees) is tight enough to report the actual Bayes posteriors at the
 requested accuracy.
 
-Columnar leaves (bulk-loaded trees, format-v3 files) take a vectorized
-candidate-selection path: the entries beating the current k-th density
-are found with one numpy comparison over the whole page and pfv objects
-are only materialized for the final result set. The selected candidates
-— and hence matches, posteriors and stats — are identical to the
-sequential per-entry loop, which the parity property tests assert.
+Every leaf is columnar, so candidate selection is one loop over pages:
+the entries beating the current k-th density are found with one numpy
+comparison over the whole page, and candidates are kept as ``(leaf,
+row)`` references whose pfv is only fetched for the final result set.
+The selected candidates — and hence matches and posteriors — are those
+of the paper's per-entry loop, which the parity property tests assert
+against the sequential scan.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import time
 
 import numpy as np
 
-from repro.core.pfv import PFV
 from repro.core.queries import Match, MLIQuery, QueryStats
 from repro.gausstree.search import SearchState
 
@@ -61,16 +61,13 @@ def gausstree_mliq(
     ``(matches, stats)`` with matches ordered by descending posterior.
     Ranking is exact; posteriors are exact within ``tolerance``.
     """
-    store = tree.store
-    store.begin_query()
+    tree.store.begin_query()
     started = time.perf_counter()
     if state is None:
         state = SearchState(tree, query.q)
 
-    # Min-heap of the k best candidates. Items are either
-    # (log_density, tiebreak, vector) or — for columnar leaves, which
-    # defer pfv construction — (log_density, tiebreak, leaf, index);
-    # tiebreaks are unique, so heap comparisons never reach element 2.
+    # Min-heap of the k best candidates as (log_density, tiebreak, leaf,
+    # row); tiebreaks are unique, so heap comparisons never reach the leaf.
     candidates: list[tuple] = []
     tiebreak = itertools.count()
     # The densest candidate's scaled density, memoized across the drain
@@ -106,52 +103,33 @@ def gausstree_mliq(
         expanded = state.pop_and_expand()
         if expanded is None:
             continue
-        leaf, log_dens, best, columnar = expanded
-        if columnar:
-            if len(candidates) >= query.k and best <= candidates[0][0]:
-                # The page's densest entry cannot beat the current k-th
-                # (the replacement test below is strict), so no entry can
-                # change the heap: skip the scan entirely. The page still
-                # contributed its denominator mass inside pop_and_expand.
-                continue
-            lds = log_dens.tolist()
-            i = 0
-            while len(candidates) < query.k and i < len(lds):
-                heapq.heappush(candidates, (lds[i], next(tiebreak), leaf, i))
-                i += 1
-            if i < len(lds):
-                # One numpy comparison prefilters the page: only entries
-                # beating the k-th density when the page was reached can
-                # ever enter the heap (the k-th bound only grows and the
-                # test below is strict), and each survivor is re-checked
-                # against the live bound — so the heap evolves exactly
-                # as under the per-entry loop.
-                better = np.nonzero(log_dens[i:] > candidates[0][0])[0]
-                for j in better:
-                    ld = lds[i + j]
-                    if ld > candidates[0][0]:
-                        heapq.heapreplace(
-                            candidates, (ld, next(tiebreak), leaf, int(i + j))
-                        )
-        else:
-            for vector, ld in zip(leaf.entries, log_dens):
-                item = (float(ld), next(tiebreak), vector)
-                if len(candidates) < query.k:
-                    heapq.heappush(candidates, item)
-                elif item[0] > candidates[0][0]:
-                    heapq.heapreplace(candidates, item)
-        heap_rev += 1  # scanned leaves may have moved the candidate set
+        leaf, log_dens, best = expanded
+        if len(candidates) >= k and best <= candidates[0][0]:
+            # The page's densest entry cannot beat the current k-th (the
+            # replacement test below is strict), so no entry can change
+            # the heap: skip the scan entirely. The page still contributed
+            # its denominator mass inside pop_and_expand.
+            continue
+        lds = log_dens.tolist()
+        i = 0
+        while len(candidates) < k and i < len(lds):
+            heapq.heappush(candidates, (lds[i], next(tiebreak), leaf, i))
+            i += 1
+        if i < len(lds):
+            # One numpy comparison prefilters the page: only entries
+            # beating the k-th density when the page was reached can ever
+            # enter the heap (the k-th bound only grows and the test below
+            # is strict), and each survivor is re-checked against the live
+            # bound — so the heap evolves exactly as under a per-entry loop.
+            better = np.flatnonzero(log_dens[i:] > candidates[0][0]) + i
+            for j in better.tolist():
+                ld = lds[j]
+                if ld > candidates[0][0]:
+                    heapq.heapreplace(candidates, (ld, next(tiebreak), leaf, j))
+        heap_rev += 1  # the scanned page may have moved the candidate set
 
     matches = _assemble(state, candidates)
-    stats = _stats(state, store, started)
-    return matches, stats
-
-
-def _vector_of(item: tuple) -> PFV:
-    """The pfv of a heap item, materializing deferred columnar entries."""
-    if len(item) == 3:
-        return item[2]
-    return item[2].entry_at(item[3])
+    return matches, state.query_stats(started)
 
 
 def _assemble(
@@ -173,26 +151,8 @@ def _assemble(
             # Degenerate: every density underflowed — mirror the scan's
             # "maximally indifferent" uniform posterior (Property 3).
             probability = 1.0 / max(1, len(state.tree))
-        matches.append(Match(_vector_of(item), log_density, probability))
+        matches.append(
+            Match(item[2].entry_at(item[3]), log_density, probability)
+        )
     return matches
 
-
-def _stats(state: SearchState, store, started: float) -> QueryStats:
-    elapsed = time.perf_counter() - started
-    cost = store.cost_model
-    vectorized = state.objects_refined_vectorized
-    return QueryStats(
-        pages_accessed=store.log.pages_accessed,
-        page_faults=store.log.page_faults,
-        objects_refined=state.objects_refined,
-        nodes_expanded=state.nodes_expanded,
-        cpu_seconds=elapsed,
-        io_seconds=store.log.io_seconds,
-        # Columnar-leaf refinements are priced at the vectorized rate,
-        # the rest (interleaved or mutated pages) at the scalar rate.
-        modeled_cpu_seconds=cost.modeled_cpu_seconds(
-            state.objects_refined - vectorized, store.log.pages_accessed
-        )
-        + cost.modeled_cpu_seconds(vectorized, 0, vectorized=True),
-        buffer_evictions=store.log.evictions,
-    )

@@ -9,24 +9,24 @@ Two node kinds, both occupying one simulated disk page:
   pointer and — for the sum approximation of Section 5.2 — the child's
   subtree cardinality.
 
-Leaves are **columnar first**: a leaf can hold its payload as
-struct-of-arrays columns — read-only ``mu``/``sigma`` stacks of shape
-``(count, d)`` plus a key list — so exact refinement (Lemma 1 over every
-stored pfv) and candidate selection run as single numpy kernels over the
-whole page. The legacy object API (``entries``) stays available: the
-:class:`~repro.core.pfv.PFV` views are materialized lazily from the
-columns on first access. Leaves built one pfv at a time (repeated
-insertion) hold a plain object list instead and keep a lazily-built numpy
-cache of the stacks; any mutation of a columnar leaf de-columnarizes it
-(the object list becomes the source of truth) so the write path is
-identical for both representations.
+Every leaf is **columnar**: its payload is a pair of ``(count, d)``
+``mu``/``sigma`` stacks plus the key list, however the leaf was built —
+bulk loading, repeated insertion, or decoding a page of any format — so
+exact refinement (Lemma 1 over every stored pfv) and candidate selection
+run as single numpy kernels over the whole page. The mutators (``add``,
+``remove_at``, ``replace_entries``) swap in new arrays instead of writing
+into the old ones, so decoded columns stay read-only views of page bytes.
+The object API (``entries``, ``entry_at``) reads the rows: a row added
+from a caller's :class:`~repro.core.pfv.PFV` hands that object back, a
+decoded or bulk-loaded row builds a pfv on access.
 
 Nodes of a disk-opened tree (:mod:`repro.gausstree.persist`) start out as
 *stubs*: the page id, MBR and subtree cardinality are known (they live in
-the parent's page), but the payload — a leaf's entries, an inner node's
+the parent's page), but the payload — a leaf's columns, an inner node's
 child list — is materialized from page bytes only on first access through
-a loader callback. ``entries`` and ``children`` are therefore properties;
-in-memory trees simply never set a loader and pay one ``None`` check.
+a loader callback, which every payload accessor (``arrays``, ``entries``,
+``children``, ...) triggers; in-memory trees simply never set a loader
+and pay one ``None`` check.
 
 Stubs are not read-only: on a writable disk-opened tree every mutator
 (``add``, ``remove_at``, ``add_child``, ``remove_child``, the split-time
@@ -46,6 +46,10 @@ from repro.core.pfv import PFV
 from repro.gausstree.bounds import ParameterRect
 
 __all__ = ["Node", "LeafNode", "InnerNode"]
+
+# The columns of a leaf that has never held a row.
+_NO_ROWS = np.empty((0, 0))
+_NO_ROWS.flags.writeable = False
 
 
 class Node:
@@ -87,109 +91,68 @@ class Node:
 
 
 class LeafNode(Node):
-    """A data page holding pfv entries, columnar or as an object list."""
+    """A data page holding pfv as ``(count, d)`` mu/sigma columns + keys."""
 
-    __slots__ = (
-        "_entries",
-        "_mu_cache",
-        "_sigma_cache",
-        "_stub_count",
-        "_col_mu",
-        "_col_sigma",
-        "_col_keys",
-    )
+    __slots__ = ("_mu", "_sigma", "_keys", "_objects", "_stub_count")
 
     def __init__(self, page_id: int) -> None:
         super().__init__(page_id)
-        self._entries: list[PFV] = []
-        self._mu_cache: Optional[np.ndarray] = None
-        self._sigma_cache: Optional[np.ndarray] = None
+        self._mu = _NO_ROWS
+        self._sigma = _NO_ROWS
+        self._keys: list = []
+        # Per row: the caller's pfv the row was added from, handed back by
+        # entry_at; None for decoded and bulk-loaded rows.
+        self._objects: list[Optional[PFV]] = []
         self._stub_count = 0
-        # Columnar payload: (n, d) float64 stacks plus the key list.
-        # None on object-list leaves; mutations clear it (the object
-        # list then becomes the source of truth again).
-        self._col_mu: Optional[np.ndarray] = None
-        self._col_sigma: Optional[np.ndarray] = None
-        self._col_keys: Optional[list] = None
 
     @property
     def is_leaf(self) -> bool:
         return True
 
     @property
-    def is_columnar(self) -> bool:
-        """Whether the payload currently lives in column arrays.
-
-        Columnar leaves come from :meth:`set_columns` (bulk loading, the
-        format-v3 page loader); the vectorized query kernels take their
-        fast path on them. False for unmaterialized stubs — callers on
-        the query path call :meth:`arrays` first, which materializes.
-        """
-        return self._col_keys is not None
-
-    @property
     def count(self) -> int:
         if self._loader is not None:
             return self._stub_count  # known from the parent page
-        if self._col_keys is not None:
-            return len(self._col_keys)
-        return len(self._entries)
+        return len(self._keys)
 
     @property
     def entries(self) -> list[PFV]:
-        """The stored pfv as objects; materializes a disk stub on first
-        access and builds the object views of a columnar leaf lazily."""
+        """The stored pfv as objects in row order (see :meth:`entry_at`);
+        materializes a disk stub on first access."""
         if self._loader is not None:
             self._materialize()
-        if self._col_keys is not None and len(self._entries) != len(
-            self._col_keys
-        ):
-            mu, sigma = self._col_mu, self._col_sigma
-            self._entries = [
-                PFV(mu[i], sigma[i], key)
-                for i, key in enumerate(self._col_keys)
-            ]
-        return self._entries
+        return [self.entry_at(i) for i in range(len(self._keys))]
 
     def entry_at(self, index: int) -> PFV:
-        """One stored pfv by position — without materializing the whole
-        object list of a columnar leaf (the query kernels defer object
-        construction to the final result assembly)."""
+        """One stored pfv by position: the object the row was added from,
+        or — for a decoded or bulk-loaded row — a pfv built from the
+        columns (the query kernels defer this to result assembly)."""
         if self._loader is not None:
             self._materialize()
-        if self._col_keys is not None and len(self._entries) != len(
-            self._col_keys
-        ):
-            return PFV(
-                self._col_mu[index],
-                self._col_sigma[index],
-                self._col_keys[index],
-            )
-        return self._entries[index]
+        v = self._objects[index]
+        if v is None:
+            v = PFV(self._mu[index], self._sigma[index], self._keys[index])
+        return v
 
     def keys(self) -> list:
-        """The application keys in entry order (no object materialization
-        for columnar leaves — the save path encodes straight from this)."""
+        """The application keys in row order (the save path encodes
+        straight from this and :meth:`arrays`)."""
         if self._loader is not None:
             self._materialize()
-        if self._col_keys is not None and len(self._entries) != len(
-            self._col_keys
-        ):
-            return list(self._col_keys)
-        return [v.key for v in self._entries]
+        return list(self._keys)
 
     def set_loader(
         self, loader: Callable[["LeafNode"], None], count: int
     ) -> None:
-        """Turn this node into a stub: ``loader`` fills the entries later."""
+        """Turn this node into a stub: ``loader`` fills the columns later."""
         self._loader = loader  # type: ignore[assignment]
         self._stub_count = count
 
     def set_columns(
         self, mu: np.ndarray, sigma: np.ndarray, keys: list
     ) -> None:
-        """Adopt a columnar payload: ``(n, d)`` mu/sigma stacks plus the
-        ``n`` application keys; recomputes the MBR from the columns.
+        """Adopt ``(n, d)`` mu/sigma stacks plus the ``n`` application
+        keys as the payload; recomputes the MBR from the columns.
 
         The arrays are kept as-is (read-only views of page bytes are
         fine) — callers must not mutate them afterwards.
@@ -205,80 +168,71 @@ class LeafNode(Node):
             raise ValueError(
                 f"{mu.shape[0]} rows but {len(keys)} keys"
             )
-        self._loader = None
-        self._entries = []
-        self._col_mu = mu
-        self._col_sigma = sigma
-        self._col_keys = list(keys)
-        self.refresh_rect()
-        self._mu_cache = None
-        self._sigma_cache = None
+        self._adopt(mu, sigma, list(keys), [None] * len(keys))
 
-    def _decolumnarize(self) -> list[PFV]:
-        """Make the object list the source of truth before a mutation;
-        returns it (materializing a stub and/or the column views)."""
-        entries = self.entries
-        self._col_mu = None
-        self._col_sigma = None
-        self._col_keys = None
-        return entries
+    def replace_entries(self, entries: list[PFV]) -> None:
+        """Swap in rows built from ``entries`` (used by splits and the
+        interleaved-page loader); recomputes the MBR."""
+        if entries:
+            mu = np.vstack([v.mu for v in entries])
+            sigma = np.vstack([v.sigma for v in entries])
+        else:
+            mu = sigma = _NO_ROWS
+        self._adopt(mu, sigma, [v.key for v in entries], list(entries))
+
+    def _adopt(
+        self,
+        mu: np.ndarray,
+        sigma: np.ndarray,
+        keys: list,
+        objects: list[Optional[PFV]],
+    ) -> None:
+        self._loader = None
+        self._mu = mu
+        self._sigma = sigma
+        self._keys = keys
+        self._objects = objects
+        self.refresh_rect()
 
     def add(self, v: PFV) -> None:
-        """Append a pfv, growing the MBR in place."""
-        self._decolumnarize().append(v)
+        """Append a pfv as a new row, growing the MBR in place."""
+        mu, sigma = self.arrays()
+        row_mu, row_sigma = v.mu[np.newaxis], v.sigma[np.newaxis]
+        if self._keys:
+            row_mu = np.concatenate((mu, row_mu))
+            row_sigma = np.concatenate((sigma, row_sigma))
+        self._mu, self._sigma = row_mu, row_sigma
+        self._keys.append(v.key)
+        self._objects.append(v)
         if self.rect is None:
             self.rect = ParameterRect.of_vector(v)
         else:
             self.rect.extend_vector(v)
-        self._invalidate()
 
     def remove_at(self, index: int) -> PFV:
         """Remove and return the entry at ``index``; tightens the MBR."""
-        v = self._decolumnarize().pop(index)
+        v = self.entry_at(index)
+        self._mu = np.delete(self._mu, index, axis=0)
+        self._sigma = np.delete(self._sigma, index, axis=0)
+        del self._keys[index]
+        del self._objects[index]
         self.refresh_rect()
-        self._invalidate()
         return v
 
-    def replace_entries(self, entries: list[PFV]) -> None:
-        """Swap in a new entry list (used by splits); recomputes the MBR."""
-        self._loader = None
-        self._col_mu = None
-        self._col_sigma = None
-        self._col_keys = None
-        self._entries = entries
-        self.refresh_rect()
-        self._invalidate()
-
     def refresh_rect(self) -> None:
-        if self._col_keys is not None and len(self._entries) != len(
-            self._col_keys
-        ):
-            self.rect = (
-                ParameterRect.of_arrays(self._col_mu, self._col_sigma)
-                if self._col_keys
-                else None
-            )
-            return
         self.rect = (
-            ParameterRect.of_vectors(self._entries) if self._entries else None
+            ParameterRect.of_arrays(self._mu, self._sigma)
+            if self._keys
+            else None
         )
 
-    def _invalidate(self) -> None:
-        self._mu_cache = None
-        self._sigma_cache = None
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(mu, sigma)`` stacks of shape ``(count, d)`` for vectorised
-        refinement; the columns themselves on a columnar leaf, else a
-        cache rebuilt after each mutation."""
+        """The ``(mu, sigma)`` columns, each ``(count, d)``, for
+        vectorised refinement; materializes a disk stub on first access.
+        Read-only by contract: mutators swap in new arrays."""
         if self._loader is not None:
             self._materialize()
-        if self._col_mu is not None:
-            return self._col_mu, self._col_sigma
-        if self._mu_cache is None:
-            self._mu_cache = np.vstack([v.mu for v in self.entries])
-            self._sigma_cache = np.vstack([v.sigma for v in self.entries])
-        return self._mu_cache, self._sigma_cache
+        return self._mu, self._sigma
 
     def __iter__(self) -> Iterator[PFV]:
         return iter(self.entries)
@@ -286,12 +240,7 @@ class LeafNode(Node):
     def __repr__(self) -> str:
         if self._loader is not None:
             return f"LeafNode(page={self.page_id}, stub, count={self._stub_count})"
-        if self._col_keys is not None:
-            return (
-                f"LeafNode(page={self.page_id}, columnar, "
-                f"count={len(self._col_keys)})"
-            )
-        return f"LeafNode(page={self.page_id}, entries={len(self._entries)})"
+        return f"LeafNode(page={self.page_id}, count={len(self._keys)})"
 
 
 class InnerNode(Node):

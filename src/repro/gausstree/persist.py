@@ -33,10 +33,11 @@ File layout, format **v3** (all little-endian)::
 
 v3 stores leaf pages **columnar** (page kind 3: contiguous mu block,
 sigma block, key-slot block) so a leaf decodes into ready-to-use
-``(n, d)`` ndarrays and the query kernels refine whole pages in single
-numpy calls. Format v2 (PR 2) used interleaved per-entry leaf pages
-(kind 1) and is still fully supported — reading *and* writing: a v2
-file opened writable keeps committing v2 pages, preserving its format.
+``(n, d)`` ndarrays without copying. Format v2 (PR 2) used interleaved
+per-entry leaf pages (kind 1) and is still fully supported — reading
+*and* writing: its leaves decode into the same columns (copied from the
+interleaved rows), and a v2 file opened writable keeps committing v2
+pages, preserving its format.
 Format v1 (PR 1) is v2 minus the free-page list; v1 files still open,
 read-only. Readers dispatch per page on the kind byte, so the version
 field only gates the header shape and the write path. Keys may be
@@ -601,8 +602,7 @@ def _encode_leaf(
 ) -> bytes:
     """Encode one leaf in the requested format's page kind.
 
-    The v3 path reads the leaf's column arrays directly (no pfv
-    materialization when the leaf is already columnar); the v2 path
+    The v3 path encodes the leaf's column arrays directly; the v2 path
     keeps the interleaved per-entry codec byte-for-byte.
     """
     if version >= 3:
@@ -619,10 +619,7 @@ def _encode_leaf(
             [key_table.slot(k) for k in leaf.keys()],
         )
     return encode_leaf_page(
-        layout,
-        pid,
-        leaf.entries,
-        [key_table.slot(v.key) for v in leaf.entries],
+        layout, pid, leaf.entries, [key_table.slot(k) for k in leaf.keys()]
     )
 
 
@@ -1312,7 +1309,6 @@ def _open_tree_locked(
     else:
         raise ValueError(f"root page has unknown kind {kind}")
     tree.root = root
-    tree.vectorized_leaves = meta["version"] >= 3  # columnar leaf pages
     if len(tree) != meta["n_objects"]:
         raise ValueError(
             f"index corrupt: header says {meta['n_objects']} objects, "

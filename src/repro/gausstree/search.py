@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from heapq import heappop, heappush
 from math import exp as _exp
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.core.joint import log_joint_density_batch
 from repro.core.pfv import PFV
+from repro.core.queries import QueryStats
 from repro.gausstree.hull import node_log_bounds, node_log_bounds_batch
 from repro.gausstree.node import LeafNode, Node
 
@@ -169,9 +171,6 @@ class SearchState:
         self.max_log_density = -math.inf
         self.nodes_expanded = 0
         self.objects_refined = 0
-        # Of which: objects served by the columnar page kernel — the
-        # stats layer prices these at the cost model's vectorized rate.
-        self.objects_refined_vectorized = 0
         # Stored so that a shift change can rebuild exact_sum losslessly.
         self._leaf_log_densities: list[np.ndarray] = []
         root = tree.root
@@ -293,17 +292,15 @@ class SearchState:
 
     def pop_and_expand(
         self,
-    ) -> tuple[LeafNode, np.ndarray, float, bool] | None:
+    ) -> tuple[LeafNode, np.ndarray, float] | None:
         """Pop the top node; count one page access.
 
         Inner node: its children are pushed (their bounds tighten the
         denominator interval) and ``None`` is returned. Leaf: every stored
-        pfv is refined exactly (vectorised Lemma 1) and
-        ``(leaf, log_densities, max_log_density, columnar)`` is returned —
-        the max lets callers skip pages that cannot improve their
-        candidate set, the flag whether the page was refined by the
-        columnar kernel (== ``leaf.is_columnar`` after refinement, saved
-        here so callers skip the property re-check).
+        pfv is refined exactly by one numpy kernel over the page's columns
+        (vectorised Lemma 1) and ``(leaf, log_densities,
+        max_log_density)`` is returned — the max lets callers skip pages
+        that cannot improve their candidate set.
         """
         neg_upper, _, log_lower, node, n = heappop(self._heap)
         shift = self.shift
@@ -333,39 +330,26 @@ class SearchState:
                 max_add(hi, cn, shift)
             return None
         leaf: LeafNode = node  # type: ignore[assignment]
-        mass = None
-        used_shift = math.nan
         refiner = self.refiner
         if refiner is not None:
-            if leaf.is_columnar:
-                # Columnar fast path: densities, row max and scaled mass
-                # were precomputed for the whole batch on first touch;
-                # indexing the extras lists here keeps a leaf expansion
-                # free of per-call numpy dispatch.
-                extras = self._refiner_extras.get(leaf.page_id)
-                if extras is None:
-                    extras = refiner.leaf_extras(leaf)
-                qi = self.query_index
-                log_dens = extras[0][qi]
-                best = extras[1][qi]
-                mass = extras[2][qi]
-                used_shift = extras[3][qi]
-                columnar = True
-            else:
-                log_dens = refiner.leaf_log_densities(leaf)[self.query_index]
-                best = float(np.max(log_dens))
-                # Re-checked after the density computation, which
-                # materializes disk stubs — a v3 page only reports
-                # columnar once decoded.
-                columnar = leaf.is_columnar
+            # Densities, row max and scaled mass were precomputed for the
+            # whole batch on first touch; indexing the extras lists here
+            # keeps a leaf expansion free of per-call numpy dispatch.
+            extras = self._refiner_extras.get(leaf.page_id)
+            if extras is None:
+                extras = refiner.leaf_extras(leaf)
+            qi = self.query_index
+            log_dens = extras[0][qi]
+            best = extras[1][qi]
+            mass = extras[2][qi]
+            used_shift = extras[3][qi]
         else:
             mu, sigma = leaf.arrays()
             log_dens = log_joint_density_batch(mu, sigma, self.q, self.rule)
             best = float(np.max(log_dens))
-            columnar = leaf.is_columnar
+            mass = None
+            used_shift = math.nan
         self.objects_refined += n
-        if columnar:
-            self.objects_refined_vectorized += n
         max_ld = self.max_log_density
         if best > max_ld:
             max_ld = self.max_log_density = best
@@ -384,4 +368,25 @@ class SearchState:
                 np.sum(np.exp(np.clip(log_dens - shift, _UNDERFLOW, _CAP)))
             )
         self.exact_sum += mass
-        return leaf, log_dens, best, columnar
+        return leaf, log_dens, best
+
+    # -- accounting ------------------------------------------------------------
+
+    def query_stats(self, started: float) -> QueryStats:
+        """The query's work counters, its wall time since ``started`` and
+        its modeled CPU. Every leaf page is refined by the one columnar
+        kernel, so all refinements are priced at the cost model's
+        vectorized rate."""
+        log = self.tree.store.log
+        return QueryStats(
+            pages_accessed=log.pages_accessed,
+            page_faults=log.page_faults,
+            objects_refined=self.objects_refined,
+            nodes_expanded=self.nodes_expanded,
+            cpu_seconds=time.perf_counter() - started,
+            io_seconds=log.io_seconds,
+            modeled_cpu_seconds=self.tree.store.cost_model.modeled_cpu_seconds(
+                self.objects_refined, log.pages_accessed, vectorized=True
+            ),
+            buffer_evictions=log.evictions,
+        )

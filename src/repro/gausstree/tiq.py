@@ -24,7 +24,6 @@ import itertools
 import math
 import time
 
-from repro.core.pfv import PFV
 from repro.core.queries import Match, QueryStats, ThresholdQuery
 from repro.gausstree.search import SearchState
 
@@ -55,8 +54,7 @@ def gausstree_tiq(
     :class:`~repro.gausstree.search.SearchState` sharing a
     :class:`~repro.gausstree.batch.BatchRefiner`.
     """
-    store = tree.store
-    store.begin_query()
+    tree.store.begin_query()
     started = time.perf_counter()
     if state is None:
         state = SearchState(tree, query.q)
@@ -64,10 +62,9 @@ def gausstree_tiq(
 
     # Min-heap by log density: rejections always happen at the low end
     # because the denominator lower bound grows monotonically. Items are
-    # (log_density, tiebreak, vector) or — for columnar leaves, which
-    # defer pfv construction to the final classification —
-    # (log_density, tiebreak, leaf, index); tiebreaks are unique, so
-    # heap comparisons never reach element 2.
+    # (log_density, tiebreak, leaf, row) — the pfv is only fetched for
+    # the final classification; tiebreaks are unique, so heap
+    # comparisons never reach the leaf.
     candidates: list[tuple] = []
     # Max-heap (negated) of candidates not yet decided-accept — the
     # undecidedness test needs the *largest* straddling candidate
@@ -104,44 +101,18 @@ def gausstree_tiq(
         expanded = state.pop_and_expand()
         if expanded is None:
             continue
-        leaf, log_dens, best, columnar = expanded
-        # Unlike MLIQ, every entry stays a candidate until the
-        # denominator bounds decide it, so there is nothing to
-        # prefilter — the vectorized win is skipping per-entry pfv
-        # construction (and ndarray scalar boxing) for columnar leaves.
-        if columnar:
-            lds = log_dens.tolist()
-            for i, ld in enumerate(lds):
-                heapq.heappush(candidates, (ld, next(tiebreak), leaf, i))
-                heapq.heappush(undecided_heap, -ld)
-            if lds and best > max_candidate_log:
-                max_candidate_log = best
-        else:
-            for vector, ld in zip(leaf.entries, log_dens):
-                heapq.heappush(candidates, (float(ld), next(tiebreak), vector))
-                heapq.heappush(undecided_heap, -float(ld))
-                if float(ld) > max_candidate_log:
-                    max_candidate_log = float(ld)
+        leaf, log_dens, best = expanded
+        # Unlike MLIQ, every entry stays a candidate until the denominator
+        # bounds decide it, so there is nothing to prefilter: the page's
+        # densities enter both heaps as plain floats.
+        for i, ld in enumerate(log_dens.tolist()):
+            heapq.heappush(candidates, (ld, next(tiebreak), leaf, i))
+            heapq.heappush(undecided_heap, -ld)
+        if best > max_candidate_log:
+            max_candidate_log = best
 
     matches = _classify(state, candidates, p_theta, tolerance)
-    cost = store.cost_model
-    vectorized = state.objects_refined_vectorized
-    stats = QueryStats(
-        pages_accessed=store.log.pages_accessed,
-        page_faults=store.log.page_faults,
-        objects_refined=state.objects_refined,
-        nodes_expanded=state.nodes_expanded,
-        cpu_seconds=time.perf_counter() - started,
-        io_seconds=store.log.io_seconds,
-        # Columnar-leaf refinements are priced at the vectorized rate,
-        # the rest (interleaved or mutated pages) at the scalar rate.
-        modeled_cpu_seconds=cost.modeled_cpu_seconds(
-            state.objects_refined - vectorized, store.log.pages_accessed
-        )
-        + cost.modeled_cpu_seconds(vectorized, 0, vectorized=True),
-        buffer_evictions=store.log.evictions,
-    )
-    return matches, stats
+    return matches, state.query_stats(started)
 
 
 def _upper(state: SearchState, log_density: float, denom_low: float) -> float:
@@ -204,13 +175,6 @@ def _any_undecided(
     return False  # no candidates, or every candidate decided-accept
 
 
-def _vector_of(item: tuple) -> PFV:
-    """The pfv of a heap item, materializing deferred columnar entries."""
-    if len(item) == 3:
-        return item[2]
-    return item[2].entry_at(item[3])
-
-
 def _classify(
     state: SearchState,
     candidates: list[tuple],
@@ -239,6 +203,6 @@ def _classify(
             # positive tolerance allowed the traversal to stop early.
             accepted = tolerance > 0.0 and mid >= p_theta
         if accepted:
-            matches.append(Match(_vector_of(item), log_density, mid))
+            matches.append(Match(item[2].entry_at(item[3]), log_density, mid))
     matches.sort(key=lambda m: -m.probability)
     return matches

@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, Optional
 
+import numpy as np
+
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
 from repro.gausstree.bounds import ParameterRect
@@ -97,13 +99,6 @@ class GaussTree:
         self.sigma_rule = sigma_rule
         self.split_quality = split_quality
         self.root: Node = LeafNode(self.store.allocate())
-        #: Planner hint set by bulk loading and by :meth:`open` on
-        #: format-v3 files: leaves are columnar, so ``explain()`` prices
-        #: refinement at the cost model's vectorized rate. Individual
-        #: leaves still answer for themselves at query time
-        #: (``LeafNode.is_columnar``) — a mutated leaf decolumnarizes
-        #: without touching this flag.
-        self.vectorized_leaves = False
         #: Set by :meth:`open` for format-v1 files, which have no free
         #: list and therefore no write path.
         self.read_only = False
@@ -223,7 +218,7 @@ class GaussTree:
             node.invalidate_count()
             self._mark_dirty(node)
             node = node.parent
-        if len(leaf.entries) > self.leaf_max:
+        if leaf.count > self.leaf_max:
             self._handle_overflow(leaf)
 
     def extend(self, vectors: Iterable[PFV]) -> None:
@@ -294,7 +289,7 @@ class GaussTree:
             best: tuple[LeafNode, bool, tuple[float, float]] | None = None
             for child in containing:
                 leaf, fits, cost = self._descend(child, v)
-                key = (not fits, cost, len(leaf.entries))
+                key = (not fits, cost, leaf.count)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (leaf, fits, cost)
@@ -383,9 +378,18 @@ class GaussTree:
         self, node: Node, v: PFV
     ) -> tuple[LeafNode, int] | None:
         if node.is_leaf:
+            # One vectorized parameter comparison over the page's rows,
+            # then the key: the pfv equality of ``PFV.__eq__``.
             leaf: LeafNode = node  # type: ignore[assignment]
-            for i, e in enumerate(leaf.entries):
-                if e == v:
+            mu, sigma = leaf.arrays()
+            if mu.shape[1:] != v.mu.shape:
+                return None  # no row of v's width (an empty root leaf)
+            same = np.flatnonzero(
+                (mu == v.mu).all(axis=1) & (sigma == v.sigma).all(axis=1)
+            )
+            keys = leaf.keys()
+            for i in same.tolist():
+                if keys[i] == v.key:
                     return leaf, i
             return None
         inner: InnerNode = node  # type: ignore[assignment]
@@ -603,7 +607,7 @@ class GaussTree:
             assert leaf.count <= self.leaf_max, (
                 f"leaf overfull: {leaf.count} > {self.leaf_max}"
             )
-            if leaf.entries:
+            if leaf.count:
                 tight = ParameterRect.of_vectors(leaf.entries)
                 assert leaf.rect == tight, "leaf MBR is not tight"
             else:

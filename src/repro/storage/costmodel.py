@@ -54,7 +54,7 @@ class DiskCostModel:
         2006 JVM evaluating d Gaussians with per-feature calls).
     cpu_per_vectorized_refinement_seconds:
         Modeled CPU of one Lemma-1 evaluation served by a columnar page
-        kernel (format-v3 leaves): the whole page is evaluated as one
+        kernel (every Gauss-tree leaf): the whole page is evaluated as one
         array operation, so the per-object cost is the amortized slice
         of a SIMD pass rather than a per-feature call chain (default
         1 us — a ~30x per-object speedup, matching what the columnar
@@ -122,9 +122,10 @@ class DiskCostModel:
         """Modeled query CPU from the two work counters.
 
         ``vectorized=True`` prices the refinements at the columnar-kernel
-        rate (``cpu_per_vectorized_refinement_seconds``) — pass it for
-        the objects refined through format-v3 columnar leaf pages. Mixed
-        workloads sum two calls, one per rate.
+        rate (``cpu_per_vectorized_refinement_seconds``) — the Gauss-tree
+        passes it for every refinement, since all its leaves are
+        columnar; the sequential scan and the X-tree keep the scalar
+        default.
         """
         if objects_refined < 0 or pages_accessed < 0:
             raise ValueError("work counters must be non-negative")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import MLIQ, session_for
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery
@@ -140,10 +141,18 @@ class TestEfficiency:
 
     def test_stats_counters_populated(self):
         db = make_random_db(n=100, d=2, seed=25)
-        tree = build_tree(db)
         q = make_random_query(d=2, seed=26)
-        _, stats = gausstree_mliq(tree, MLIQuery(q, 2))
-        assert stats.nodes_expanded > 0
-        assert stats.objects_refined > 0
-        assert stats.cpu_seconds > 0.0
-        assert stats.modeled_cpu_seconds > 0.0
+        # Bulk-loaded and insertion-built leaves are both columnar, so
+        # both price every refinement at the vectorized rate.
+        for tree in (build_tree(db), build_tree(db, bulk=False)):
+            _, stats = gausstree_mliq(tree, MLIQuery(q, 2))
+            assert stats.nodes_expanded > 0
+            assert stats.objects_refined > 0
+            assert stats.cpu_seconds > 0.0
+            assert stats.modeled_cpu_seconds > 0.0
+            cost = tree.store.cost_model
+            assert stats.modeled_cpu_seconds == cost.modeled_cpu_seconds(
+                stats.objects_refined, stats.pages_accessed, vectorized=True
+            )
+            plan = session_for(tree).explain(MLIQ(q, 2))
+            assert any("vectorized rate" in note for note in plan.notes)

@@ -1178,24 +1178,25 @@ class TestGroupCommitMechanics:
 
 
 class TestColumnarFileWrites:
-    """The v3 (columnar leaf pages) write path: mutations decolumnarize
-    the touched leaves in memory, the file format stays sticky-v3, and
-    the crash harness holds over columnar files exactly as over v2."""
+    """The writable paths of both leaf-page formats: mutations rebuild the
+    touched leaves' columns in memory, the file format stays sticky (a v3
+    file checkpoints v3 pages, a v2 file interleaved v2 pages), and the
+    crash harness holds over columnar files exactly as over v2."""
 
-    def _columnar_saved(self, path, base, d):
+    def _columnar_saved(self, path, base, d, version=3):
         from repro.gausstree.bulkload import bulk_load
 
         tree = bulk_load(base)
-        tree.save(path, version=3)
+        tree.save(path, version=version)
         return tree
 
-    def test_writable_v3_file_round_trips_and_stays_v3(self, tmp_path):
-        path = str(tmp_path / "col.gauss")
+    def _writable_round_trip(self, tmp_path, version):
+        path = str(tmp_path / f"v{version}.gauss")
         rng = np.random.default_rng(41)
         d = 3
         base = make_vectors(rng, 60, d, "base")
-        self._columnar_saved(path, base, d)
-        assert read_header(path)["version"] == 3
+        self._columnar_saved(path, base, d, version=version)
+        assert read_header(path)["version"] == version
 
         extra = make_vectors(rng, 15, d, "extra")
         writable = GaussTree.open(path, writable=True)
@@ -1210,8 +1211,8 @@ class TestColumnarFileWrites:
             assert_same_answers(replay, writable, d, seed=42)
         finally:
             writable.close()
-        # Sticky format: checkpointing a v3 file writes v3 pages back.
-        assert read_header(path)["version"] == 3
+        # Sticky format: checkpointing writes the file's own format back.
+        assert read_header(path)["version"] == version
         reopened = GaussTree.open(path)
         try:
             assert sorted(v.key for v in reopened) == sorted(
@@ -1222,6 +1223,12 @@ class TestColumnarFileWrites:
             assert_same_answers(replay, reopened, d, seed=43)
         finally:
             reopened.close()
+
+    def test_writable_v3_file_round_trips_and_stays_v3(self, tmp_path):
+        self._writable_round_trip(tmp_path, version=3)
+
+    def test_writable_v2_file_round_trips_and_stays_v2(self, tmp_path):
+        self._writable_round_trip(tmp_path, version=2)
 
     @given(
         d=st.integers(1, 3),

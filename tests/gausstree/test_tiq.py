@@ -201,9 +201,15 @@ class TestEfficiencyAndTolerance:
 
     def test_stats_counters_populated(self):
         db = make_random_db(n=100, d=2, seed=17)
-        tree = build_tree(db)
         q = make_random_query(d=2, seed=18)
-        _, stats = gausstree_tiq(tree, ThresholdQuery(q, 0.5))
-        assert stats.nodes_expanded > 0
-        assert stats.pages_accessed == stats.nodes_expanded
-        assert stats.modeled_cpu_seconds > 0.0
+        # Bulk-loaded and insertion-built leaves are both columnar, so
+        # both price every refinement at the vectorized rate.
+        for tree in (build_tree(db), build_tree(db, bulk=False)):
+            _, stats = gausstree_tiq(tree, ThresholdQuery(q, 0.5))
+            assert stats.nodes_expanded > 0
+            assert stats.pages_accessed == stats.nodes_expanded
+            assert stats.modeled_cpu_seconds > 0.0
+            cost = tree.store.cost_model
+            assert stats.modeled_cpu_seconds == cost.modeled_cpu_seconds(
+                stats.objects_refined, stats.pages_accessed, vectorized=True
+            )

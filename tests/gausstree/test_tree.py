@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery
-from repro.gausstree import gausstree_mliq
+from repro.core.queries import MLIQuery, ThresholdQuery
+from repro.gausstree import gausstree_mliq, gausstree_tiq
+from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
 from repro.storage.layout import PageLayout
 
@@ -83,6 +84,33 @@ class TestInsertion:
             tree.insert(PFV([0.5, 0.5], [0.1, 0.1], key=i))
         tree.check_invariants()
         assert len(tree) == 20
+
+    @pytest.mark.parametrize("build", ["inserted", "bulk", "writable-v3"])
+    def test_delete_finds_the_keyed_row_among_duplicates(
+        self, build, tmp_path
+    ):
+        # 20 rows share mu/sigma: delete must match the parameters *and*
+        # the key, so exactly row 7 goes, and only once.
+        vectors = [PFV([0.5, 0.5], [0.1, 0.1], key=i) for i in range(20)]
+        if build == "inserted":
+            tree = GaussTree(dims=2, degree=2)
+            tree.extend(vectors)
+        else:
+            tree = bulk_load(vectors, degree=2)
+        if build == "writable-v3":
+            path = str(tmp_path / "dup.gauss")
+            tree.save(path, version=3)
+            tree = GaussTree.open(path, writable=True)
+        try:
+            victim = PFV([0.5, 0.5], [0.1, 0.1], key=7)
+            assert tree.delete(victim)
+            assert not tree.delete(victim)
+            tree.check_invariants()
+            assert sorted(v.key for v in tree) == [
+                i for i in range(20) if i != 7
+            ]
+        finally:
+            tree.close()
 
     @given(
         n=st.integers(1, 80),
@@ -173,6 +201,32 @@ class TestDeletion:
         assert len(matches) == 3
         remaining_keys = {v.key for v in tree}
         assert all(m.key in remaining_keys for m in matches)
+
+
+class TestResultObjects:
+    """Rows inserted from a caller's pfv hand that very object back in
+    query results — before and after a delete from the same leaf."""
+
+    def _queries(self, tree, q):
+        matches, _ = gausstree_mliq(tree, MLIQuery(q, 5))
+        found, _ = gausstree_tiq(tree, ThresholdQuery(q, 0.01))
+        return matches + found
+
+    def test_matches_are_the_inserted_objects(self):
+        vectors = random_vectors(60, 2, 11)
+        inserted = {v.key: v for v in vectors}
+        tree = GaussTree(dims=2, degree=3)
+        tree.extend(vectors)
+        leaf = next(n for n in tree.leaves() if n.count > tree.leaf_min)
+        kept, gone = leaf.entries[0], leaf.entries[1]
+        q = PFV(kept.mu, kept.sigma)
+        before = self._queries(tree, q)
+        assert tree.delete(gone)
+        assert any(r is leaf for r in tree.leaves())  # still holds `kept`
+        after = self._queries(tree, q)
+        assert kept.key in {m.key for m in after}
+        for m in before + after:
+            assert m.vector is inserted[m.key]
 
 
 class TestTraversalHelpers:

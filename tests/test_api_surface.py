@@ -371,6 +371,16 @@ def test_removed_2_2_write_and_coalescing_surface_is_absent():
         build_parser().parse_args(["serve", "x.gauss", "--no-coalesce"])
 
 
+def test_removed_2_3_leaf_layout_flags_are_absent():
+    # 2.3.0: every Gauss-tree leaf is columnar, so neither the tree nor
+    # its leaves carry a layout flag any more.
+    from repro.gausstree.node import LeafNode
+    from repro.gausstree.tree import GaussTree
+
+    assert not hasattr(GaussTree(dims=2), "vectorized_leaves")
+    assert not hasattr(LeafNode, "is_columnar")
+
+
 def test_serve_config_defaults_are_pinned():
     # The CLI flags (`repro serve`) document these defaults;
     # changing them must be a deliberate, test-visible act.

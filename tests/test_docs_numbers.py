@@ -33,6 +33,15 @@ QUOTES = [
     ("docs/benchmarks.md", r"modeled and ([\d.]+)x on the wall clock",
      "BENCH_cluster.json",
      ("speedups", "wall_process_pool_vs_serial_fanout")),
+    ("docs/benchmarks.md", r"batch ([\d.]+)x the per-query loop",
+     "BENCH_persistence.json", ("gausstree", "batch_speedup_vs_loop")),
+    ("docs/benchmarks.md",
+     r"`v3_speedup_vs_v2_baseline` ([\d.]+)x against",
+     "BENCH_persistence.json",
+     ("format_v3_vs_v2", "v3_speedup_vs_v2_baseline")),
+    ("docs/benchmarks.md", r"`v3_speedup_vs_v2_batch` ([\d.]+)x\.",
+     "BENCH_persistence.json",
+     ("format_v3_vs_v2", "v3_speedup_vs_v2_batch")),
 ]
 
 
