@@ -16,6 +16,13 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
   calls), and later queries reaching the same node pay a dictionary
   lookup. Identification workloads cluster around the database objects,
   so batch members overwhelmingly revisit one another's nodes;
+* the same amortization runs **across sibling pages**: that first
+  evaluation also covers the node's siblings that are already in memory,
+  so one kernel call fills the cache entries of a whole group of pages
+  (see :class:`BatchRefiner` for the group rule). The 1e-9 posterior
+  tolerance makes a k-MLIQ pop nearly every page (about 539 of 543 on
+  20,000 x 10-d data), so a singleton query there runs about 30 group
+  kernels instead of about 540 per-page ones;
 * for every leaf (all leaves are columnar) the refiner additionally
   precomputes, per page, every query's row maximum and scaled
   denominator mass — so a leaf expansion costs a dictionary lookup and
@@ -32,6 +39,7 @@ one-at-a-time API — the tests assert match-for-match equality.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +47,28 @@ import numpy as np
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.core.joint import log_joint_density_multi
 from repro.gausstree.hull import node_log_bounds_multi
-from repro.gausstree.node import InnerNode, LeafNode
+from repro.gausstree.node import InnerNode, LeafNode, Node
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
 
 __all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
+
+# The most float64 elements, m * rows * d, that one sibling-group kernel
+# may broadcast (m queries, rows leaf rows or child rectangles, d
+# dimensions); its (m, rows, d) temporaries then stay at 256 KiB each.
+# Chosen on the end-to-end identify-sharded workload (16-query batches
+# over 6-d shards of one root and 32 leaves), runs alternated with the
+# 2.3.0 code on a 2-vCPU host, seeds 310-313, queries/s at peak RSS:
+# 2.3.0 199.5-203.5 at 65.5-66.5 MiB; 8,192 elements 195.7-198.9 at
+# 66.5-66.6 MiB (two runs); 16,384 190.4-213.3 at 66.0-66.9 MiB; 32,768
+# 202.1-216.2 at 67.1-67.9 MiB; 65,536 186.2-189.9 at 68.7-68.8 MiB (two
+# runs). Each of them covers a whole parent for a singleton query on
+# 10-d data (about 700 rows).
+_GROUP_ELEMENTS = 32_768
+
+
+def _rows(node: Node) -> int:
+    """A node's share of a group kernel: leaf rows or child rectangles."""
+    return node.count if node.is_leaf else len(node.children)  # type: ignore[attr-defined]
 
 
 class BatchRefiner:
@@ -51,6 +77,46 @@ class BatchRefiner:
     Caches are keyed by page id, which uniquely names a node within one
     tree; the batch APIs build a fresh refiner per call, so mutations
     between batches cannot leak stale numbers.
+
+    **Sibling groups.** The first time the batch needs a node's numbers,
+    the refiner evaluates a *group*: the node plus those of its siblings
+    (other children of its parent) that are materialized and not yet
+    evaluated in this batch, taken in child order, and stopping before
+    ``m * rows * d`` would exceed ``_GROUP_ELEMENTS``. The requested node
+    always joins; a node without a parent is a group of one. One
+    ``log_joint_density_multi`` (leaves) or ``node_log_bounds_multi``
+    (inner nodes) call covers the group, and every member's cache entry
+    is a slice of its result. A leaf group of one skips the
+    concatenation and slicing: root-leaf shards refine through it on
+    every query, and the group code cost them about 10 us per leaf.
+
+    Only materialized siblings join: decoding a stub early would read
+    its page outside the counted access path (``fetch_page`` does not
+    fill the frame cache, so the counted ``read`` later fetches the bytes
+    again) and would decode pages a cold query never reaches. A cold
+    first query therefore evaluates page by page, and groups form once
+    earlier queries have loaded the tree.
+
+    **Speculative rows.** Groups may refine siblings that no query of
+    the batch then pops. On a disk tree, pages no query has reached yet
+    stay stubs, so on identification traffic this is rare (0.0% of
+    refined rows on 20,000 x 10-d and sharded 16,000 x 6-d data). An
+    in-memory tree has no stubs, and every sibling joins: on the
+    paper's data set 1 (27-d) 27-29% of the refined rows belong to
+    unpopped pages, and about 26% under TIQ on a disk tree that earlier
+    queries have loaded. ``QueryStats.objects_refined`` counts
+    only the rows of popped pages, so these rows appear in no counter.
+    Whether they cost wall time on pruning-heavy in-memory traffic is
+    unresolved: TIQ(P=0.2) on data set 1 was faster in only 5 of 10
+    alternated rounds.
+
+    **Bit-identity.** Grouping changes who computes a number, never its
+    value. Both kernels are elementwise over rows, then sum over the
+    last (``d``) axis, so a row's result does not depend on which other
+    rows share the call. Each member's row maxima and denominator masses
+    are reduced over that member's own slice, and numpy's last-axis
+    pairwise summation of a contiguous slice matches the 1-d sum of
+    ``SearchState``'s refiner-less path.
     """
 
     def __init__(self, tree, queries: Sequence) -> None:
@@ -63,14 +129,16 @@ class BatchRefiner:
         self.rule = tree.sigma_rule
         self.q_mu = np.vstack([q.mu for q in queries])
         self.q_sigma = np.vstack([q.sigma for q in queries])
-        self._leaf_cache: dict[int, np.ndarray] = {}
+        # The most rows (leaf rows or child rectangles) one group holds.
+        self._group_rows = _GROUP_ELEMENTS // (len(queries) * tree.dims)
         self._bounds_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Per-query scale shifts (registered by each SearchState at init)
-        # plus, per leaf page, the precomputed row maxima and scaled
-        # denominator masses for every query in the batch.
+        # plus, per leaf page, every batch query's density row, row
+        # maximum and scaled denominator mass.
         self._shifts: list[float] = [0.0] * len(queries)
         self._leaf_extras: dict[
-            int, tuple[list[float], list[float], list[float]]
+            int,
+            tuple[list[np.ndarray], list[float], list[float], list[float]],
         ] = {}
 
     def register_shift(self, query_index: int, shift: float) -> None:
@@ -78,17 +146,34 @@ class BatchRefiner:
         be precomputed on its behalf; called by ``SearchState.__init__``."""
         self._shifts[query_index] = shift
 
+    def _sibling_group(self, node: Node, evaluated: dict) -> list[Node]:
+        """``node`` followed by its materialized siblings whose page ids
+        are not in ``evaluated``, in child order, within the row budget."""
+        parent = node.parent
+        if parent is None:
+            return [node]
+        group = [node]
+        room = self._group_rows - _rows(node)
+        for sibling in parent.children:
+            if (
+                sibling is node
+                or sibling.page_id in evaluated
+                or not sibling.is_materialized
+            ):
+                continue
+            room -= _rows(sibling)
+            if room < 0:
+                break
+            group.append(sibling)
+        return group
+
     def leaf_log_densities(self, leaf: LeafNode) -> np.ndarray:
         """``(m, n)`` Lemma-1 log densities of the leaf's entries, one row
-        per batch query; computed once per leaf per batch."""
-        cached = self._leaf_cache.get(leaf.page_id)
-        if cached is None:
-            mu, sigma = leaf.arrays()
-            cached = log_joint_density_multi(
-                mu, sigma, self.q_mu, self.q_sigma, self.rule
-            )
-            self._leaf_cache[leaf.page_id] = cached
-        return cached
+        per batch query: the rows of :meth:`leaf_extras`, stacked into a
+        new array on every call. Nothing in the package calls this; it
+        is kept for the tests and for the end-to-end benchmark's layer
+        tracer, which wraps it by name."""
+        return np.vstack(self.leaf_extras(leaf)[0])
 
     def leaf_extras(
         self, leaf: LeafNode
@@ -97,44 +182,85 @@ class BatchRefiner:
         query: ``(log_density_rows, row_maxima, scaled_masses,
         shifts_used)``.
 
-        Computed for *all* queries in a handful of array operations the
-        first time any query touches the page; ``SearchState`` indexes the
-        lists directly on every later expansion. Each scaled mass is
-        bit-identical to ``np.sum(np.exp(np.clip(row - shift, _UNDERFLOW,
-        _CAP)))`` for the shift registered at state construction
-        (elementwise ops are rowwise-independent and numpy's last-axis
-        pairwise summation matches the 1-d case); the consumer must
-        recompute the mass itself iff its current shift no longer equals
-        its ``shifts_used`` entry (a query that re-anchored mid-traversal
-        — rare by the 300-nat gap).
+        Computed for *all* queries, and for the leaf's whole sibling
+        group, in a handful of array operations the first time any query
+        touches the page; ``SearchState`` indexes the lists directly on
+        every later expansion. Each scaled mass is bit-identical to
+        ``np.sum(np.exp(np.clip(row - shift, _UNDERFLOW, _CAP)))`` for
+        the shift registered at state construction (elementwise ops are
+        rowwise-independent and numpy's last-axis pairwise summation
+        matches the 1-d case); the consumer must recompute the mass
+        itself iff its current shift no longer equals its
+        ``shifts_used`` entry (a query that re-anchored mid-traversal —
+        rare by the 300-nat gap).
         """
         extras = self._leaf_extras.get(leaf.page_id)
         if extras is None:
-            matrix = self.leaf_log_densities(leaf)
+            group = self._sibling_group(leaf, self._leaf_extras)
+            if len(group) == 1:
+                mu, sigma = leaf.arrays()
+            else:
+                columns = [member.arrays() for member in group]  # type: ignore[attr-defined]
+                mu = np.concatenate([c[0] for c in columns])
+                sigma = np.concatenate([c[1] for c in columns])
+            matrix = log_joint_density_multi(
+                mu, sigma, self.q_mu, self.q_sigma, self.rule
+            )
             scaled = matrix - np.asarray(self._shifts)[:, None]
             np.clip(scaled, _UNDERFLOW, _CAP, out=scaled)
             np.exp(scaled, out=scaled)
-            extras = (
-                list(matrix),  # row views, indexable without numpy dispatch
-                matrix.max(axis=1).tolist(),
-                scaled.sum(axis=1).tolist(),
-                list(self._shifts),
-            )
-            self._leaf_extras[leaf.page_id] = extras
+            shifts = list(self._shifts)
+            if len(group) == 1:
+                self._leaf_extras[leaf.page_id] = (
+                    list(matrix),  # row views, indexable without numpy dispatch
+                    matrix.max(axis=1).tolist(),
+                    scaled.sum(axis=1).tolist(),
+                    shifts,
+                )
+            else:
+                sizes = [len(c[0]) for c in columns]
+                # Maxima are exact under any reduction order, so one call
+                # serves the whole group; masses are summed per member.
+                maxima = np.maximum.reduceat(
+                    matrix, list(accumulate(sizes[:-1], initial=0)), axis=1
+                ).T.tolist()
+                rows = list(matrix)
+                stop = 0
+                for member, size, member_max in zip(group, sizes, maxima):
+                    start, stop = stop, stop + size
+                    self._leaf_extras[member.page_id] = (
+                        [row[start:stop] for row in rows],
+                        member_max,
+                        scaled[:, start:stop].sum(axis=1).tolist(),
+                        shifts,
+                    )
+            extras = self._leaf_extras[leaf.page_id]
         return extras
 
     def child_log_bounds(
         self, inner: InnerNode
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` hull bounds of the node's children, each of
-        shape ``(m, k)``; computed once per inner node per batch."""
+        shape ``(m, k)``; computed once per inner node per batch, together
+        with the node's sibling group."""
         cached = self._bounds_cache.get(inner.page_id)
         if cached is None:
-            mu_lo, mu_hi, sg_lo, sg_hi = inner.stacked_child_bounds()
-            cached = node_log_bounds_multi(
-                mu_lo, mu_hi, sg_lo, sg_hi, self.q_mu, self.q_sigma, self.rule
+            group = self._sibling_group(inner, self._bounds_cache)
+            stacks = [member.stacked_child_bounds() for member in group]  # type: ignore[attr-defined]
+            lower, upper = node_log_bounds_multi(
+                *(np.concatenate(column) for column in zip(*stacks)),
+                self.q_mu,
+                self.q_sigma,
+                self.rule,
             )
-            self._bounds_cache[inner.page_id] = cached
+            stop = 0
+            for member, stack in zip(group, stacks):
+                start, stop = stop, stop + len(stack[0])
+                self._bounds_cache[member.page_id] = (
+                    lower[:, start:stop],
+                    upper[:, start:stop],
+                )
+            cached = self._bounds_cache[inner.page_id]
         return cached
 
 

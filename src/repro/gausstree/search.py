@@ -368,6 +368,12 @@ class SearchState:
                 np.sum(np.exp(np.clip(log_dens - shift, _UNDERFLOW, _CAP)))
             )
         self.exact_sum += mass
+        if not self._heap:
+            # The queue is drained, so the remaining mass is exactly 0:
+            # drop the drift allowance with the terms, or it would still
+            # widen the bounds and bias denominator_mid.
+            self._min_rem.reset()
+            self._max_rem.reset()
         return leaf, log_dens, best
 
     # -- accounting ------------------------------------------------------------
