@@ -2,19 +2,27 @@
 
 These are the kernels whose cost the 2006 cost model abstracts: hull
 bound evaluation, batched Lemma-1 refinement, tree insertion, bulk
-loading and the two query algorithms on a mid-sized tree.
+loading and the two query algorithms on a mid-sized tree. The two
+``*_multi`` kernels also run at the shapes the end-to-end benchmark
+feeds them, ``(m queries, rows, d)``.
+
+    python -m pytest benchmarks/bench_micro.py -q --benchmark-only
 """
 
 import numpy as np
 import pytest
 
-from repro.core.joint import log_joint_density_batch
+from repro.core.joint import log_joint_density_batch, log_joint_density_multi
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.data.synthetic import uniform_pfv_dataset
 from repro.data.workload import identification_workload
 from repro.gausstree.bulkload import bulk_load
-from repro.gausstree.hull import log_hull_upper, node_log_bounds_batch
+from repro.gausstree.hull import (
+    log_hull_upper,
+    node_log_bounds_batch,
+    node_log_bounds_multi,
+)
 from repro.gausstree.tree import GaussTree
 
 D = 10
@@ -53,6 +61,35 @@ def test_node_bounds_batch(benchmark, query, rng_seed=0):
 def test_joint_density_batch(benchmark, db, query):
     mu, sigma = db.mu_matrix, db.sigma_matrix
     benchmark(lambda: log_joint_density_batch(mu, sigma, query))
+
+
+def _uniform_pfv_stack(rng, rows, d):
+    return rng.uniform(0, 1, (rows, d)), rng.uniform(0.01, 0.1, (rows, d))
+
+
+# (1, 740, 10): a singleton query's leaf group on identify-disk (20,000 x
+# 10-d); (16, 341, 6): a coalesced 16-query leaf group on one
+# identify-sharded shard (16,000 x 6-d over 8 shards).
+@pytest.mark.parametrize("m, n, d", [(1, 740, 10), (16, 341, 6)])
+def test_joint_density_multi(benchmark, m, n, d):
+    rng = np.random.default_rng(0)
+    mu, sigma = _uniform_pfv_stack(rng, n, d)
+    q_mu, q_sigma = _uniform_pfv_stack(rng, m, d)
+    benchmark(lambda: log_joint_density_multi(mu, sigma, q_mu, q_sigma))
+
+
+# (1, 190, 10): an inner-node group on identify-disk; (16, 32, 6): the
+# children of an identify-sharded shard's root for a 16-query batch.
+@pytest.mark.parametrize("m, k, d", [(1, 190, 10), (16, 32, 6)])
+def test_node_bounds_multi(benchmark, m, k, d):
+    rng = np.random.default_rng(0)
+    mu_lo, sg_lo = _uniform_pfv_stack(rng, k, d)
+    mu_hi = mu_lo + rng.uniform(0, 0.2, (k, d))
+    sg_hi = sg_lo + rng.uniform(0, 0.1, (k, d))
+    q_mu, q_sigma = _uniform_pfv_stack(rng, m, d)
+    benchmark(
+        lambda: node_log_bounds_multi(mu_lo, mu_hi, sg_lo, sg_hi, q_mu, q_sigma)
+    )
 
 
 def test_tree_insert(benchmark, db):

@@ -17,6 +17,12 @@ numerical quadrature in the test suite. Every index bound in the Gauss-tree
 stays conservative under either rule because both are strictly increasing
 in ``sigma_v`` (for fixed ``sigma_q``), so interval bounds on ``sigma_v``
 map to interval bounds on ``sigma_c``.
+
+:func:`log_joint_density` is the per-pfv reference. Every access path
+evaluates through one vectorised kernel, :func:`log_joint_density_multi`
+(``m`` queries against ``n`` stored pfv), which works dimension-major
+and in variance form; its docstring and helpers give the layout, the
+summation order and the chunk budget.
 """
 
 from __future__ import annotations
@@ -127,24 +133,85 @@ def log_joint_density_batch(
 
     Returns
     -------
-    Array of shape ``(n,)`` with the log joint densities. This is the hot
-    path of the sequential scan and of leaf refinement in the Gauss-tree.
+    Array of shape ``(n,)`` with the log joint densities: the ``m = 1``
+    row of :func:`log_joint_density_multi`, so both forms give the same
+    bits for the same pfv.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if mu.ndim != 2 or mu.shape != sigma.shape:
-        raise ValueError(
-            f"mu and sigma must both have shape (n, d); got {mu.shape} and "
-            f"{sigma.shape}"
-        )
-    if mu.shape[1] != q.dims:
-        raise ValueError(
-            f"dimension mismatch: batch has d={mu.shape[1]}, query has {q.dims}"
-        )
-    sigma_c = combine_sigma(sigma, q.sigma[np.newaxis, :], rule)
-    return np.sum(
-        gaussian.log_pdf_array(q.mu[np.newaxis, :], mu, sigma_c), axis=1
-    )
+    return log_joint_density_multi(
+        mu, sigma, q.mu[np.newaxis, :], q.sigma[np.newaxis, :], rule
+    )[0]
+
+
+# The most float64 elements one (d, m, rows) temporary of the Lemma-1
+# kernel holds. A larger call is cut into chunks of rows, at least one
+# row each, so only a query stack whose m * d alone exceeds the budget
+# exceeds it. Each chunk's two temporaries then take 512 KiB together,
+# inside the 2 MiB per-core L2 of the host below; at 131,072 they leave
+# it, and the scan shapes slow down. Median us per call over 15 rounds
+# interleaved in one process on a 2-vCPU Xeon, numpy 2.4: the replaced
+# (m, rows, d) kernel, then this one at each budget.
+#   (m, rows, d)     replaced   8192  16384  32768  65536  131072
+#   (1, 20000, 10)       4760   2270   1954   1900   1727    2814
+#   (1, 16000, 6)        2431   1053    922    747   1144    2035
+#   (16, 16000, 6)      27510  17701  14177  12697  12196   14032
+#   (1, 740, 10)          112     92     92     91     91      92
+#   (16, 341, 6)          583    413    345    239    237     237
+_CHUNK_ELEMENTS = 32_768
+
+
+def _powered(values: np.ndarray, rule: SigmaRule) -> np.ndarray:
+    """``values ** p`` as a C-ordered array, for the rule's power ``p``.
+
+    Both rules combine p-th powers, ``sigma_c**p = sigma_v**p + sigma_q**p``:
+    ``p = 2`` under CONVOLUTION (variances add) and ``p = 1`` under PAPER.
+    The kernels keep spreads and distances as p-th powers, so CONVOLUTION
+    needs no ``sqrt`` and PAPER never squares a spread.
+    """
+    if rule is SigmaRule.CONVOLUTION:
+        return np.square(values, order="C")
+    if rule is SigmaRule.PAPER:
+        return np.ascontiguousarray(values)
+    raise ValueError(f"unknown sigma rule: {rule!r}")
+
+
+def _log_terms(
+    dist: np.ndarray, spread: np.ndarray, rule: SigmaRule
+) -> np.ndarray:
+    """In place, ``dist`` (``|x - mu|**p``; under PAPER the sign may be
+    either, it is squared after the division) becomes
+    ``z**2 + log sigma_c**2`` with ``z = |x - mu| / sigma_c``, that is
+    ``-2 log N_{mu, sigma_c}(x) - log(2 pi)``; ``spread`` (``sigma_c**p``)
+    is overwritten by its log. Under PAPER the log is taken of ``sigma_c``
+    itself and doubled, so ``sigma_c`` above ~1.3e154 does not overflow.
+    """
+    np.divide(dist, spread, out=dist)
+    np.log(spread, out=spread)
+    if rule is SigmaRule.PAPER:
+        np.square(dist, out=dist)
+        spread *= 2.0
+    dist += spread
+    return dist
+
+
+def _add_planes(terms: np.ndarray, out: np.ndarray) -> None:
+    """Add the ``d`` leading-axis planes of ``terms`` into ``out``.
+
+    One in-place add per plane, left to right, for every shape. A reduce
+    would not do: ``np.add.reduce(terms, axis=0)`` sums left to right
+    except when its output has a single element (``m = rows = 1``), where
+    it switches to pairwise summation for ``d >= 8``. A 1-row leaf under a
+    singleton query would then get different bits alone than beside its
+    siblings.
+    """
+    for plane in terms:
+        out += plane
+
+
+def _log_density_accumulator(d: int, shape: tuple[int, ...]) -> np.ndarray:
+    """What the kernels add their ``z**2 + log sigma_c**2`` planes into:
+    ``d log(2 pi)`` everywhere, so that one final ``*= -0.5`` turns the
+    sums into log densities."""
+    return np.full(shape, 2.0 * d * gaussian.LOG_SQRT_TWO_PI)
 
 
 def log_joint_density_multi(
@@ -166,10 +233,19 @@ def log_joint_density_multi(
     Returns
     -------
     ``(m, n)`` array of log joint densities — row ``i`` is what
-    :func:`log_joint_density_batch` returns for query ``i``. One numpy
-    evaluation replaces ``m`` separate batch calls, which is the kernel
-    behind the batch query APIs: when many concurrent queries refine the
-    same leaf, the per-call dispatch overhead is paid once.
+    :func:`log_joint_density_batch` returns for query ``i``. This is the
+    one Lemma-1 kernel: the sequential scan, leaf refinement in the
+    Gauss-tree (per page or per sibling group), the X-tree baseline and
+    :mod:`repro.core.bayes` all evaluate through it.
+
+    The kernel is *dimension-major*: it transposes the queries once and
+    each chunk of columns once, builds each temporary as
+    ``(d, m, rows)`` and works in place, because numpy broadcasts into and sums over a short trailing
+    ``d`` axis several times slower than over long contiguous rows. Per
+    dimension it evaluates ``-(z**2 + log sigma_c**2) / 2`` from p-th
+    powers (see :func:`_powered`) and adds the ``d`` planes one at a
+    time, so every entry depends on its own row and query only: the same
+    pfv gets the same bits in any call, chunk or group.
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -192,32 +268,21 @@ def log_joint_density_multi(
         )
     n, d = mu.shape
     m = q_mu.shape[0]
-    # The broadcast temporaries are (chunk, n, d); keeping them around the
-    # L2 cache size beats both one giant (m, n, d) broadcast (memory
-    # streaming) and a per-query loop (dispatch overhead) — measured on
-    # the 5000 x 10 scan workload. Small inputs (a leaf, a handful of
-    # queries) take the single-chunk fast path.
-    chunk = max(1, int(250_000 // max(1, n * d)))
-    if chunk >= m:
-        sigma_c = combine_sigma(
-            sigma[np.newaxis, :, :], q_sigma[:, np.newaxis, :], rule
-        )  # (m, n, d)
-        return np.sum(
-            gaussian.log_pdf_array(
-                q_mu[:, np.newaxis, :], mu[np.newaxis, :, :], sigma_c
-            ),
-            axis=2,
-        )
-    out = np.empty((m, n), dtype=np.float64)
-    for start in range(0, m, chunk):
-        rows = slice(start, min(start + chunk, m))
-        sigma_c = combine_sigma(
-            sigma[np.newaxis, :, :], q_sigma[rows, np.newaxis, :], rule
-        )
-        out[rows] = np.sum(
-            gaussian.log_pdf_array(
-                q_mu[rows, np.newaxis, :], mu[np.newaxis, :, :], sigma_c
-            ),
-            axis=2,
-        )
+    q_mu_t = np.ascontiguousarray(q_mu.T)[:, :, np.newaxis]
+    q_part = _powered(q_sigma.T, rule)[:, :, np.newaxis]
+    out = _log_density_accumulator(d, (m, n))
+    rows = max(1, _CHUNK_ELEMENTS // max(1, m * d))
+    for start in range(0, n, rows):
+        chunk = slice(start, start + rows)
+        mu_t = np.ascontiguousarray(mu[chunk].T)
+        dist = np.subtract(mu_t[:, np.newaxis, :], q_mu_t)
+        if rule is SigmaRule.CONVOLUTION:
+            np.square(dist, out=dist)
+        spread = np.add(_powered(sigma[chunk].T, rule)[:, np.newaxis, :], q_part)
+        # sigma_c**p <= 0 iff sigma_c <= 0 (CONVOLUTION) or
+        # sigma_v + sigma_q <= 0 (PAPER, tested before any squaring).
+        if (spread <= 0.0).any():
+            raise ValueError("all sigma values must be positive")
+        _add_planes(_log_terms(dist, spread, rule), out[:, chunk])
+    out *= -0.5
     return out

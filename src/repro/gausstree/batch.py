@@ -54,7 +54,9 @@ __all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
 
 # The most float64 elements, m * rows * d, that one sibling-group kernel
 # may broadcast (m queries, rows leaf rows or child rectangles, d
-# dimensions); its (m, rows, d) temporaries then stay at 256 KiB each.
+# dimensions); its (d, m, rows) temporaries then stay at 256 KiB each,
+# and the Lemma-1 kernel's own chunk budget (_CHUNK_ELEMENTS in
+# repro.core.joint, also 32,768) never cuts a group of several nodes.
 # Chosen on the end-to-end identify-sharded workload (16-query batches
 # over 6-d shards of one root and 32 leaves), runs alternated with the
 # 2.3.0 code on a 2-vCPU host, seeds 310-313, queries/s at peak RSS:
@@ -62,7 +64,12 @@ __all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
 # 66.5-66.6 MiB (two runs); 16,384 190.4-213.3 at 66.0-66.9 MiB; 32,768
 # 202.1-216.2 at 67.1-67.9 MiB; 65,536 186.2-189.9 at 68.7-68.8 MiB (two
 # runs). Each of them covers a whole parent for a singleton query on
-# 10-d data (about 700 rows).
+# 10-d data (about 700 rows). Re-measured with the dimension-major
+# kernels, seeds 221-222: an earlier variant that summed with
+# np.add.reduce read 32,768 249-259 at 66.9-67.0 MiB, 131,072
+# 240.6-241.5 at 69.7 MiB and 262,144 228.6-239.3 at 69.6-69.7 MiB; the
+# committed kernels read 32,768 253.0-256.6 at 66.7 MiB, 65,536
+# 247.9-250.4 at 66.8-66.9 MiB and 131,072 255.1-256.7 at 67.0 MiB.
 _GROUP_ELEMENTS = 32_768
 
 
@@ -111,11 +118,14 @@ class BatchRefiner:
     alternated rounds.
 
     **Bit-identity.** Grouping changes who computes a number, never its
-    value. Both kernels are elementwise over rows, then sum over the
-    last (``d``) axis, so a row's result does not depend on which other
-    rows share the call. Each member's row maxima and denominator masses
-    are reduced over that member's own slice, and numpy's last-axis
-    pairwise summation of a contiguous slice matches the 1-d sum of
+    value. Both kernels are elementwise over rows and add their ``d``
+    per-dimension planes one at a time, in the same order at every
+    shape (a reduction would switch to pairwise summation for a single
+    output element, so a 1-row leaf or 1-child node would differ alone),
+    so a row's result does not depend on which other rows share the
+    call. Each member's row maxima and denominator masses are reduced
+    over that member's own slice, and numpy's last-axis pairwise
+    summation of a contiguous slice matches the 1-d sum of
     ``SearchState``'s refiner-less path.
     """
 

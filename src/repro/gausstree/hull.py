@@ -18,7 +18,11 @@ For query processing the Gauss-tree needs, per node, the *maximum* and
 * **Lower bound** ``N_(x)`` — Lemma 3: the minimum is attained at one of
   the four corners of the ``(mu, sigma)`` rectangle, because for fixed
   ``x`` the density has a single interior maximum in ``(mu, sigma)`` and
-  no interior minimum.
+  no interior minimum. For fixed sigma the density falls with
+  ``|x - mu|``, so of the two mu corners the farther one is the minimum
+  (the "even easier method" the paper notes below Lemma 3), and only
+  its two sigma corners are evaluated: :func:`log_hull_lower` returns
+  the same bits as the minimum over all four corners.
 
 For a *query pfv* ``q`` (uncertain itself), Section 5.2 notes that the
 bounds are simply evaluated with the sigma interval shifted by the query's
@@ -34,7 +38,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.gaussian import LOG_SQRT_TWO_PI
-from repro.core.joint import SigmaRule, combine_sigma
+from repro.core.joint import (
+    SigmaRule,
+    _add_planes,
+    _log_density_accumulator,
+    _log_terms,
+    _powered,
+    combine_sigma,
+)
 from repro.core.pfv import PFV
 from repro.gausstree.bounds import ParameterRect
 
@@ -92,25 +103,26 @@ def log_hull_lower(
     sigma_lo: np.ndarray | float,
     sigma_hi: np.ndarray | float,
 ) -> np.ndarray:
-    """Log of Lemma 3's lower bound: min over the four (mu, sigma) corners."""
+    """Log of Lemma 3's lower bound: min over the four (mu, sigma) corners,
+    of which only the farthest mu corner's two are evaluated."""
     x, mu_lo, mu_hi, sigma_lo, sigma_hi = _as_arrays(
         x, mu_lo, mu_hi, sigma_lo, sigma_hi
     )
     if np.any(sigma_lo <= 0.0):
         raise ValueError("sigma_lo must be strictly positive")
-    # The farthest mu corner minimises the exponent for either sigma, so
-    # only two of the four corners can attain the minimum (the "even easier
-    # method" remarked below Lemma 3) — we still write it as a min over all
-    # four for clarity; numpy fuses it anyway.
-    result = None
-    for mu_c in (mu_lo, mu_hi):
-        z = (x - mu_c) / sigma_lo
-        cand = -0.5 * z * z - np.log(sigma_lo) - LOG_SQRT_TWO_PI
-        result = cand if result is None else np.minimum(result, cand)
-        z = (x - mu_c) / sigma_hi
-        cand = -0.5 * z * z - np.log(sigma_hi) - LOG_SQRT_TWO_PI
-        result = np.minimum(result, cand)
-    return result
+    # For fixed sigma the density falls with |x - mu|, so the farthest mu
+    # corner attains the minimum over both mu corners (the "even easier
+    # method" noted below Lemma 3); only the two sigma bounds remain.
+    far = np.maximum(np.abs(x - mu_lo), np.abs(x - mu_hi))
+    z_lo = far / sigma_lo
+    z_hi = far / sigma_hi
+    return (
+        np.minimum(
+            -0.5 * z_lo * z_lo - np.log(sigma_lo),
+            -0.5 * z_hi * z_hi - np.log(sigma_hi),
+        )
+        - LOG_SQRT_TWO_PI
+    )
 
 
 def hull_lower(
@@ -150,15 +162,14 @@ def node_log_bounds_batch(
     """Vectorised :func:`node_log_bounds` for ``k`` sibling rectangles.
 
     All four bound arrays have shape ``(k, d)``; returns ``(lower, upper)``
-    arrays of shape ``(k,)``. This is the hot path of tree traversal: one
-    numpy evaluation bounds every child of an expanded node at once.
+    arrays of shape ``(k,)``: the ``m = 1`` row of
+    :func:`node_log_bounds_multi`, so both forms give the same bits.
     """
-    s_lo = combine_sigma(sigma_lo, q.sigma[np.newaxis, :], rule)
-    s_hi = combine_sigma(sigma_hi, q.sigma[np.newaxis, :], rule)
-    x = q.mu[np.newaxis, :]
-    upper = np.sum(log_hull_upper(x, mu_lo, mu_hi, s_lo, s_hi), axis=1)
-    lower = np.sum(log_hull_lower(x, mu_lo, mu_hi, s_lo, s_hi), axis=1)
-    return lower, upper
+    lower, upper = node_log_bounds_multi(
+        mu_lo, mu_hi, sigma_lo, sigma_hi,
+        q.mu[np.newaxis, :], q.sigma[np.newaxis, :], rule,
+    )
+    return lower[0], upper[0]
 
 
 def node_log_bounds_multi(
@@ -170,28 +181,64 @@ def node_log_bounds_multi(
     q_sigma: np.ndarray,
     rule: SigmaRule = SigmaRule.CONVOLUTION,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`node_log_bounds_batch` for a *batch of queries* at once.
+    """Both hull bounds of ``k`` rectangles for a *batch of queries*.
 
     Rectangle bounds have shape ``(k, d)``, query stacks ``(m, d)``;
     returns ``(lower, upper)`` arrays of shape ``(m, k)`` — row ``i`` is
-    the batch result for query ``i``. Shared by the batch query APIs so
-    the children of an expanded node are bounded for every concurrent
-    query in one numpy evaluation.
+    the batch result for query ``i``. This is the one Lemma 2-3 kernel:
+    the children of an expanded node (or of a whole sibling group) are
+    bounded for every concurrent query in one numpy evaluation.
+
+    It is dimension-major like
+    :func:`~repro.core.joint.log_joint_density_multi`: its temporaries
+    are ``(d, 3, m, k)``, per dimension three ``(m, k)`` planes
+    evaluated together, spreads and distances are p-th powers (no
+    ``sqrt`` under CONVOLUTION), and the ``d`` planes are added one at a
+    time, so a rectangle's bounds do not depend on the other rectangles
+    in the call. The upper hull evaluates Lemma 2's clamped spread; the
+    lower bound evaluates only the farthest mu corner, at whichever sigma
+    bound gives the lower density (Lemma 3, see :func:`log_hull_lower`).
     """
     q_mu = np.asarray(q_mu, dtype=np.float64)
     q_sigma = np.asarray(q_sigma, dtype=np.float64)
-    s_lo = combine_sigma(
-        sigma_lo[np.newaxis, :, :], q_sigma[:, np.newaxis, :], rule
-    )  # (m, k, d)
-    s_hi = combine_sigma(
-        sigma_hi[np.newaxis, :, :], q_sigma[:, np.newaxis, :], rule
-    )
-    x = q_mu[:, np.newaxis, :]
-    box_mu_lo = mu_lo[np.newaxis, :, :]
-    box_mu_hi = mu_hi[np.newaxis, :, :]
-    upper = np.sum(log_hull_upper(x, box_mu_lo, box_mu_hi, s_lo, s_hi), axis=2)
-    lower = np.sum(log_hull_lower(x, box_mu_lo, box_mu_hi, s_lo, s_hi), axis=2)
-    return lower, upper
+    k, d = np.shape(mu_lo)
+    m = q_mu.shape[0]
+    x = np.ascontiguousarray(q_mu.T)[:, :, np.newaxis]
+    below = np.subtract(_by_dimension(mu_lo), x)
+    above = np.subtract(x, _by_dimension(mu_hi))
+    # Planes 0 and 1 hold the farthest mu corner's distance, negated
+    # (the sign drops out); plane 2 the distance from x to [mu_lo,
+    # mu_hi], 0 inside it.
+    dist = np.empty((d, 3, m, k))
+    np.minimum(below, above, out=dist[:, 0])
+    dist[:, 1] = dist[:, 0]
+    np.maximum(np.maximum(below, above, out=below), 0.0, out=dist[:, 2])
+    if rule is SigmaRule.CONVOLUTION:
+        np.square(dist, out=dist)
+    # Their spreads: sigma_lo, sigma_hi, and Lemma 2's maximiser, the
+    # distance clamped into [sigma_lo, sigma_hi].
+    q_part = _powered(q_sigma.T, rule)[:, :, np.newaxis]
+    spread = np.empty((d, 3, m, k))
+    np.add(_powered(np.transpose(sigma_lo), rule)[:, np.newaxis, :], q_part,
+           out=spread[:, 0])
+    if (spread[:, 0] <= 0.0).any():
+        raise ValueError("sigma_lo must be strictly positive")
+    np.add(_powered(np.transpose(sigma_hi), rule)[:, np.newaxis, :], q_part,
+           out=spread[:, 1])
+    np.maximum(dist[:, 2], spread[:, 0], out=spread[:, 2])
+    np.minimum(spread[:, 2], spread[:, 1], out=spread[:, 2])
+    terms = _log_terms(dist, spread, rule)
+    # The larger term is the lower density.
+    np.maximum(terms[:, 0], terms[:, 1], out=terms[:, 1])
+    sums = _log_density_accumulator(d, (2, m, k))
+    _add_planes(terms[:, 1:], sums)
+    sums *= -0.5
+    return sums[0], sums[1]
+
+
+def _by_dimension(bound: np.ndarray) -> np.ndarray:
+    """A ``(k, d)`` bound as a C-ordered ``(d, 1, k)`` broadcast operand."""
+    return np.ascontiguousarray(np.transpose(bound))[:, np.newaxis, :]
 
 
 def node_log_bounds(

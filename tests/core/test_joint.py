@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from repro.core.gaussian import log_pdf_array
 from repro.core.joint import (
     SigmaRule,
     combine_sigma,
@@ -22,6 +23,7 @@ from repro.core.joint import (
     log_joint_density,
     log_joint_density_1d,
     log_joint_density_batch,
+    log_joint_density_multi,
 )
 from repro.core.pfv import PFV
 
@@ -158,3 +160,88 @@ class TestBatch:
             log_joint_density_batch(np.zeros(3), np.ones(3), q)
         with pytest.raises(ValueError):
             log_joint_density_batch(np.zeros((3, 2)), np.ones((3, 2)), q)
+
+
+def per_dimension_reference(mu, sigma, q_mu, q_sigma, rule):
+    """``(m, n)`` sums of per-dimension ``log_pdf_array`` terms: the
+    elementwise Lemma-1 path, which accepts any array the pfv would not."""
+    sigma_c = combine_sigma(sigma[None, :, :], q_sigma[:, None, :], rule)
+    return np.sum(log_pdf_array(q_mu[:, None, :], mu[None, :, :], sigma_c), axis=2)
+
+
+class TestMultiKernel:
+    """The dimension-major kernel against the per-pfv reference."""
+
+    @pytest.mark.parametrize("rule", list(SigmaRule))
+    @pytest.mark.parametrize("d", [1, 4, 10, 27, 64])
+    def test_every_entry_matches_the_per_pfv_reference(self, rule, d):
+        rng = np.random.default_rng(d)
+        n, m = 30, 3
+        mu = rng.uniform(-1, 1, (n, d))
+        sigma = 10.0 ** rng.uniform(-3, 1, (n, d))
+        q_mu = rng.uniform(-1, 1, (m, d))
+        q_sigma = 10.0 ** rng.uniform(-3, 1, (m, d))
+        multi = log_joint_density_multi(mu, sigma, q_mu, q_sigma, rule)
+        assert multi.shape == (m, n)
+        for i in range(m):
+            q = PFV(q_mu[i], q_sigma[i])
+            for j in range(n):
+                ref = log_joint_density(PFV(mu[j], sigma[j]), q, rule)
+                assert abs(multi[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_paper_rule_takes_the_log_of_sigma_c_not_its_square(self):
+        # sigma_c**2 overflows above ~1.3e154; log(sigma_c) does not.
+        mu = np.array([[0.0, 1.0]])
+        sigma = np.array([[1e200, 0.5]])
+        q_mu = np.array([[0.5, 0.5]])
+        q_sigma = np.array([[1e200, 0.5]])
+        got = log_joint_density_multi(mu, sigma, q_mu, q_sigma, SigmaRule.PAPER)
+        ref = per_dimension_reference(mu, sigma, q_mu, q_sigma, SigmaRule.PAPER)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+class TestMultiKernelInputChecks:
+    """The kernels reject exactly what ``log_pdf_array`` rejects: a
+    combined ``sigma_c <= 0`` anywhere."""
+
+    def setup_method(self):
+        self.mu = np.zeros((4, 3))
+        self.sigma = np.full((4, 3), 0.5)
+        self.q_mu = np.full((2, 3), 0.1)
+        self.q_sigma = np.full((2, 3), 0.5)
+
+    def check(self, rule, rejected):
+        args = (self.mu, self.sigma, self.q_mu, self.q_sigma, rule)
+        if rejected:
+            with pytest.raises(ValueError, match="positive"):
+                log_joint_density_multi(*args)
+            with pytest.raises(ValueError, match="positive"):
+                log_joint_density_batch(
+                    self.mu, self.sigma, PFV(self.q_mu[1], self.q_sigma[1]), rule
+                )
+        else:
+            np.testing.assert_allclose(
+                log_joint_density_multi(*args),
+                per_dimension_reference(*args),
+                rtol=1e-12,
+            )
+
+    def test_convolution_rejects_zero_sigma_on_both_sides(self):
+        self.sigma[2, 1] = 0.0
+        self.check(SigmaRule.CONVOLUTION, rejected=False)
+        self.q_sigma[1, 1] = 0.0
+        self.check(SigmaRule.CONVOLUTION, rejected=True)
+
+    def test_convolution_accepts_a_negative_sigma(self):
+        # sigma_c = sqrt(sigma_v**2 + sigma_q**2) stays positive.
+        self.sigma[2, 1] = -0.7
+        self.check(SigmaRule.CONVOLUTION, rejected=False)
+
+    def test_paper_rejects_a_nonpositive_sum(self):
+        self.sigma[2, 1] = -0.3  # sigma_v + sigma_q = 0.2
+        self.check(SigmaRule.PAPER, rejected=False)
+        self.sigma[2, 1] = -0.7  # -0.2: its square would be positive
+        self.check(SigmaRule.PAPER, rejected=True)
+        self.sigma[2, 1] = -0.5  # exactly 0
+        self.check(SigmaRule.PAPER, rejected=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import joint
 from repro.core.joint import (
     SigmaRule,
     log_joint_density_batch,
@@ -25,6 +26,7 @@ from repro.gausstree import (
 )
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import node_log_bounds_batch, node_log_bounds_multi
+from repro.gausstree.node import InnerNode, LeafNode
 from repro.gausstree.search import _CAP, _UNDERFLOW
 from repro.gausstree.tree import GaussTree
 
@@ -59,12 +61,13 @@ class TestMultiKernels:
                 row = log_joint_density_batch(
                     db.mu_matrix, db.sigma_matrix, q, rule
                 )
-                np.testing.assert_allclose(multi[i], row, rtol=0, atol=1e-12)
+                assert np.array_equal(multi[i], row)
 
     def test_density_multi_chunked_path(self, db):
-        # Force the chunked branch: m * n * d big enough to split.
+        # m * n * d = 504,000 elements: the kernel cuts the call into row
+        # chunks of 39 rows, while each batch call (4,200) is one chunk.
         rng = np.random.default_rng(0)
-        n, d, m = 600, 7, 120  # n*d=4200 -> chunk ~59 < m
+        n, d, m = 600, 7, 120
         mu = rng.uniform(0, 1, (n, d))
         sigma = rng.uniform(0.05, 0.4, (n, d))
         q_mu = rng.uniform(0, 1, (m, d))
@@ -74,7 +77,60 @@ class TestMultiKernels:
             row = log_joint_density_batch(
                 mu, sigma, PFV(q_mu[i], q_sigma[i])
             )
-            np.testing.assert_allclose(multi[i], row, rtol=0, atol=1e-12)
+            assert np.array_equal(multi[i], row)
+
+    @pytest.mark.parametrize("budget", [1, 40, 700])
+    @pytest.mark.parametrize("rule", list(SigmaRule))
+    def test_density_multi_equal_across_chunk_borders(
+        self, budget, rule, monkeypatch
+    ):
+        # Budgets of 1 and 40 elements cut every row apart (a chunk holds
+        # at least one row, with all 3 queries); 700 cuts the 50 rows
+        # into chunks of 23, 23 and 4.
+        rng = np.random.default_rng(budget)
+        m, n, d = 3, 50, 10
+        args = (
+            rng.uniform(0, 1, (n, d)),
+            rng.uniform(0.05, 0.4, (n, d)),
+            rng.uniform(0, 1, (m, d)),
+            rng.uniform(0.05, 0.4, (m, d)),
+            rule,
+        )
+        whole = log_joint_density_multi(*args)
+        monkeypatch.setattr(joint, "_CHUNK_ELEMENTS", budget)
+        assert np.array_equal(log_joint_density_multi(*args), whole)
+
+    @pytest.mark.parametrize("d", [4, 10, 27])
+    @pytest.mark.parametrize("rule", list(SigmaRule))
+    def test_single_output_calls_match_wider_calls(self, d, rule):
+        # One row and one query is where a reduction over d would switch
+        # to pairwise summation; the kernels sum the same way at every
+        # shape.
+        rng = np.random.default_rng(d)
+        m, n = 3, 5
+        mu = rng.uniform(0, 1, (n, d))
+        sigma = rng.uniform(0.05, 0.4, (n, d))
+        q_mu = rng.uniform(0, 1, (m, d))
+        q_sigma = rng.uniform(0.05, 0.4, (m, d))
+        mu_lo = mu - rng.uniform(0, 0.2, (n, d))
+        sg_lo = sigma * rng.uniform(0.5, 1, (n, d))
+        dens = log_joint_density_multi(mu, sigma, q_mu, q_sigma, rule)
+        lows, highs = node_log_bounds_multi(
+            mu_lo, mu, sg_lo, sigma, q_mu, q_sigma, rule
+        )
+        for i in range(m):
+            for j in range(n):
+                row, q = slice(j, j + 1), slice(i, i + 1)
+                one = log_joint_density_multi(
+                    mu[row], sigma[row], q_mu[q], q_sigma[q], rule
+                )
+                lo, hi = node_log_bounds_multi(
+                    mu_lo[row], mu[row], sg_lo[row], sigma[row],
+                    q_mu[q], q_sigma[q], rule,
+                )
+                assert one.shape == lo.shape == (1, 1)
+                assert one[0, 0] == dens[i, j]
+                assert (lo[0, 0], hi[0, 0]) == (lows[i, j], highs[i, j])
 
     def test_density_multi_validates_shapes(self, db):
         with pytest.raises(ValueError):
@@ -98,8 +154,8 @@ class TestMultiKernels:
         )
         for i, q in enumerate(qs):
             lo, hi = node_log_bounds_batch(mu_lo, mu_hi, sg_lo, sg_hi, q)
-            np.testing.assert_allclose(lows[i], lo, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(highs[i], hi, rtol=0, atol=1e-12)
+            assert np.array_equal(lows[i], lo)
+            assert np.array_equal(highs[i], hi)
 
 
 class TestGaussTreeBatch:
@@ -150,6 +206,36 @@ def _walk(node, leaves, inners):
         _walk(child, leaves, inners)
 
 
+def _sparse_tree(db, rule):
+    """A hand-built tree of 1-row leaves and 1-child inner nodes beside
+    ordinary siblings: under a singleton query such a node alone is a
+    one-element kernel output, the shape where a reduction over ``d``
+    switches to pairwise summation."""
+    tree = GaussTree(dims=db.dims, sigma_rule=rule)
+    rows = iter(range(len(db)))
+
+    def leaf(size):
+        node = LeafNode(tree.store.allocate())
+        keys = [next(rows) for _ in range(size)]
+        node.set_columns(db.mu_matrix[keys], db.sigma_matrix[keys], keys)
+        return node
+
+    def inner(*children):
+        node = InnerNode(tree.store.allocate())
+        for child in children:
+            node.add_child(child)
+        return node
+
+    tree.root = inner(
+        inner(leaf(1)),
+        inner(leaf(1)),
+        inner(inner(leaf(1))),
+        inner(leaf(5)),
+        inner(*(leaf(1) for _ in range(6)), leaf(7), leaf(7)),
+    )
+    return tree
+
+
 @pytest.fixture(scope="module")
 def group_tree(tmp_path_factory):
     """One small, fully materialized tree per (kind, d, rule), built on
@@ -159,7 +245,9 @@ def group_tree(tmp_path_factory):
     def get(kind, d, rule):
         if (kind, d, rule) not in trees:
             db = uniform_pfv_dataset(n=900, d=d, seed=d, sigma_rule=rule)
-            if kind == "insertion":
+            if kind == "sparse":
+                tree = _sparse_tree(db, rule)
+            elif kind == "insertion":
                 tree = GaussTree(dims=d, sigma_rule=rule)
                 tree.extend(db.vectors)
             else:
@@ -177,7 +265,7 @@ def group_tree(tmp_path_factory):
 
 
 class TestSiblingGroups:
-    @pytest.mark.parametrize("kind", ["bulk", "insertion", "v2", "v3"])
+    @pytest.mark.parametrize("kind", ["bulk", "insertion", "v2", "v3", "sparse"])
     @pytest.mark.parametrize("d", [4, 10, 27])
     @pytest.mark.parametrize("m", [1, 16])
     @pytest.mark.parametrize("rule", list(SigmaRule))

@@ -24,6 +24,7 @@ from repro.gausstree.hull import (
     log_hull_upper,
     node_log_bounds,
     node_log_bounds_batch,
+    node_log_bounds_multi,
     node_log_upper,
 )
 
@@ -250,3 +251,62 @@ class TestNodeBounds:
         clo, chi = node_log_bounds(child, q)
         assert chi <= phi + 1e-12
         assert clo >= plo - 1e-12
+
+
+def random_rects(rng, k, d):
+    """``k`` rectangles as stacked ``(k, d)`` bounds, sigma in 1e-3..10."""
+    mu_lo = rng.uniform(-1, 1, (k, d))
+    mu_hi = mu_lo + rng.uniform(0, 0.5, (k, d))
+    sigma_lo = 10.0 ** rng.uniform(-3, 0.5, (k, d))
+    sigma_hi = sigma_lo * 10.0 ** rng.uniform(0, 0.5, (k, d))
+    return mu_lo, mu_hi, sigma_lo, sigma_hi
+
+
+class TestMultiKernel:
+    """The dimension-major bound kernel against the per-rectangle
+    reference :func:`node_log_bounds`."""
+
+    @pytest.mark.parametrize("rule", list(SigmaRule))
+    @pytest.mark.parametrize("d", [1, 4, 10, 27, 64])
+    def test_every_row_matches_node_log_bounds(self, rule, d):
+        rng = np.random.default_rng(100 + d)
+        k, m = 12, 3
+        stacked = random_rects(rng, k, d)
+        # Rectangles 0-2 are points in mu; query 0 sits inside the mu box
+        # of rectangle 5.
+        stacked[1][:3] = stacked[0][:3]
+        q_mu = rng.uniform(-1.2, 1.2, (m, d))
+        q_mu[0] = stacked[0][5] + 0.25 * (stacked[1][5] - stacked[0][5])
+        q_sigma = 10.0 ** rng.uniform(-3, 1, (m, d))
+        lows, highs = node_log_bounds_multi(*stacked, q_mu, q_sigma, rule)
+        assert lows.shape == highs.shape == (m, k)
+        for j in range(k):
+            rect = ParameterRect(*(bound[j] for bound in stacked))
+            for i in range(m):
+                lo, hi = node_log_bounds(rect, PFV(q_mu[i], q_sigma[i]), rule)
+                assert abs(lows[i, j] - lo) <= 1e-12 * max(1.0, abs(lo))
+                assert abs(highs[i, j] - hi) <= 1e-12 * max(1.0, abs(hi))
+
+    @pytest.mark.parametrize("rule", list(SigmaRule))
+    def test_rejects_a_zero_combined_sigma_lo(self, rule):
+        rng = np.random.default_rng(5)
+        stacked = random_rects(rng, 4, 3)
+        q_mu = rng.uniform(-1, 1, (2, 3))
+        q_sigma = np.full((2, 3), 0.2)
+        stacked[2][2, 1] = 0.0
+        # The query's sigma keeps the combined bound positive, as in
+        # node_log_bounds.
+        node_log_bounds_multi(*stacked, q_mu, q_sigma, rule)
+        q_sigma[1, 1] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            node_log_bounds_multi(*stacked, q_mu, q_sigma, rule)
+
+    def test_paper_rule_rejects_a_nonpositive_sum(self):
+        rng = np.random.default_rng(6)
+        stacked = random_rects(rng, 4, 3)
+        q = PFV(rng.uniform(-1, 1, 3), np.full(3, 0.2))
+        stacked[2][2, 1] = -0.1  # sigma_lo + sigma_q = 0.1
+        node_log_bounds_batch(*stacked, q, SigmaRule.PAPER)
+        stacked[2][2, 1] = -0.3  # -0.1: its square would be positive
+        with pytest.raises(ValueError, match="strictly positive"):
+            node_log_bounds_batch(*stacked, q, SigmaRule.PAPER)
