@@ -29,26 +29,29 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
   two float adds instead of four small-array numpy reductions. The
   per-query shifts are registered up front and the mass is recomputed
   exactly for the rare query that re-anchors its shift mid-traversal,
-  keeping the accumulated sums bit-identical to the unbatched path.
+  keeping the accumulated sums bit-identical to per-page evaluation.
 
-Every query still owns its best-first traversal
-(:class:`~repro.gausstree.search.SearchState`), so answer sets, posterior
-guarantees and per-query logical page accounting are *identical* to the
-one-at-a-time API — the tests assert match-for-match equality.
+Every query, a singleton included (``gausstree_mliq``/``gausstree_tiq``
+are one-query batches), runs through a refiner and still owns its
+best-first traversal (:class:`~repro.gausstree.search.SearchState`), so
+answer sets, posterior guarantees and per-query logical page accounting
+do not depend on the batch — the tests assert match-for-match equality.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.core.joint import log_joint_density_multi
 from repro.gausstree.hull import node_log_bounds_multi
+from repro.gausstree.mliq import search_mliq
 from repro.gausstree.node import InnerNode, LeafNode, Node
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
+from repro.gausstree.tiq import search_tiq
 
 __all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
 
@@ -125,8 +128,8 @@ class BatchRefiner:
     so a row's result does not depend on which other rows share the
     call. Each member's row maxima and denominator masses are reduced
     over that member's own slice, and numpy's last-axis pairwise
-    summation of a contiguous slice matches the 1-d sum of
-    ``SearchState``'s refiner-less path.
+    summation of a contiguous slice matches the 1-d sum over that
+    member's own row.
     """
 
     def __init__(self, tree, queries: Sequence) -> None:
@@ -274,17 +277,11 @@ class BatchRefiner:
         return cached
 
 
-def gausstree_mliq_many(
-    tree, queries: Sequence[MLIQuery], tolerance: float = 1e-9
+def _run_many(
+    tree, queries: Sequence, search: Callable
 ) -> tuple[list[list[Match]], QueryStats]:
-    """Answer many k-MLIQs in one buffer-warm pass over the tree.
-
-    Returns ``(per-query match lists, aggregate stats)``. Results are
-    exactly what ``gausstree_mliq`` returns query by query; only the wall
-    time changes (shared page cache, shared vectorized refinement).
-    """
-    from repro.gausstree.mliq import gausstree_mliq
-
+    """The loop both drivers share: one refiner and one search state per
+    query, then ``search(state, query)`` for each query in order."""
     if not queries:
         return [], QueryStats()
     refiner = BatchRefiner(tree, [query.q for query in queries])
@@ -292,16 +289,33 @@ def gausstree_mliq_many(
     # refiner, so the first page any query expands precomputes masses
     # that are valid for the whole batch.
     states = [
-        SearchState(tree, query.q, refiner=refiner, query_index=index)
+        SearchState(tree, query.q, refiner, index)
         for index, query in enumerate(queries)
     ]
     results: list[list[Match]] = []
     total = QueryStats()
     for query, state in zip(queries, states):
-        matches, stats = gausstree_mliq(tree, query, tolerance, state=state)
+        matches, stats = search(state, query)
         results.append(matches)
         total.merge(stats)
     return results, total
+
+
+def gausstree_mliq_many(
+    tree, queries: Sequence[MLIQuery], tolerance: float = 1e-9
+) -> tuple[list[list[Match]], QueryStats]:
+    """Answer many k-MLIQs in one buffer-warm pass over the tree.
+
+    Returns ``(per-query match lists, aggregate stats)``. Results do not
+    depend on the batch: each query's matches are those of a one-query
+    batch (``gausstree_mliq``); only the wall time changes (shared page
+    cache, shared vectorized refinement).
+    """
+    return _run_many(
+        tree,
+        queries,
+        lambda state, query: search_mliq(state, query, tolerance),
+    )
 
 
 def gausstree_tiq_many(
@@ -315,25 +329,10 @@ def gausstree_tiq_many(
     Returns ``(per-query match lists, aggregate stats)``; per-query
     semantics are identical to ``gausstree_tiq``.
     """
-    from repro.gausstree.tiq import gausstree_tiq
-
-    if not queries:
-        return [], QueryStats()
-    refiner = BatchRefiner(tree, [query.q for query in queries])
-    states = [
-        SearchState(tree, query.q, refiner=refiner, query_index=index)
-        for index, query in enumerate(queries)
-    ]
-    results: list[list[Match]] = []
-    total = QueryStats()
-    for query, state in zip(queries, states):
-        matches, stats = gausstree_tiq(
-            tree,
-            query,
-            tolerance=tolerance,
-            probability_tolerance=probability_tolerance,
-            state=state,
-        )
-        results.append(matches)
-        total.merge(stats)
-    return results, total
+    return _run_many(
+        tree,
+        queries,
+        lambda state, query: search_tiq(
+            state, query, tolerance, probability_tolerance
+        ),
+    )

@@ -29,16 +29,15 @@ import numpy as np
 from repro.core.queries import Match, MLIQuery, QueryStats
 from repro.gausstree.search import SearchState
 
-__all__ = ["gausstree_mliq"]
+__all__ = ["gausstree_mliq", "search_mliq"]
 
 
 def gausstree_mliq(
-    tree,
-    query: MLIQuery,
-    tolerance: float = 1e-9,
-    state: SearchState | None = None,
+    tree, query: MLIQuery, tolerance: float = 1e-9
 ) -> tuple[list[Match], QueryStats]:
     """Answer a k-MLIQ on a Gauss-tree.
+
+    A one-query :func:`~repro.gausstree.batch.gausstree_mliq_many` call.
 
     Parameters
     ----------
@@ -51,20 +50,24 @@ def gausstree_mliq(
         the paper's "user's specification of exactness" (Section 5.2.2).
         ``0.0`` forces exact posteriors (drains the queue's contribution
         entirely; ranking alone never needs that).
-    state:
-        A pre-built :class:`~repro.gausstree.search.SearchState` (the
-        batch API passes one wired to a shared
-        :class:`~repro.gausstree.batch.BatchRefiner`).
 
     Returns
     -------
     ``(matches, stats)`` with matches ordered by descending posterior.
     Ranking is exact; posteriors are exact within ``tolerance``.
     """
-    tree.store.begin_query()
+    from repro.gausstree.batch import gausstree_mliq_many
+
+    (matches,), stats = gausstree_mliq_many(tree, [query], tolerance)
+    return matches, stats
+
+
+def search_mliq(
+    state: SearchState, query: MLIQuery, tolerance: float
+) -> tuple[list[Match], QueryStats]:
+    """Run one k-MLIQ's best-first traversal over its prepared state."""
+    state.tree.store.begin_query()
     started = time.perf_counter()
-    if state is None:
-        state = SearchState(tree, query.q)
 
     # Min-heap of the k best candidates as (log_density, tiebreak, leaf,
     # row); tiebreaks are unique, so heap comparisons never reach the leaf.

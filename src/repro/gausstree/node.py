@@ -32,7 +32,7 @@ Stubs are not read-only: on a writable disk-opened tree every mutator
 (``add``, ``remove_at``, ``add_child``, ``remove_child``, the split-time
 ``replace_*``) goes through the same materializing properties, so a stub
 transparently loads, mutates, and is then marked dirty by the tree's
-write path (:meth:`repro.gausstree.tree.GaussTree._mark_dirty`) for the
+write path (:meth:`repro.gausstree.tree.GaussTree._note_dirty`) for the
 next WAL commit.
 """
 

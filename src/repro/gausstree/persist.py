@@ -77,7 +77,7 @@ from repro.gausstree.bounds import ParameterRect
 from repro.gausstree.node import InnerNode, LeafNode, Node
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import DiskCostModel
-from repro.storage.filestore import FilePageStore
+from repro.storage.filestore import FilePageStore, publish_generation
 from repro.storage.layout import PageLayout
 from repro.storage.serializer import (
     COLUMNAR_LEAF_KIND,
@@ -839,44 +839,17 @@ def recover_index(
     # already-open readers of the old file keep their inode untouched
     # (replica apply under live readers depends on this), and a crash
     # mid-apply leaves the old generation plus the sealed WAL intact.
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp_path = os.path.join(
-        directory, f".{os.path.basename(path)}.rec.{os.getpid()}"
-    )
-    out = file_factory(tmp_path, "w+b")
-    try:
-        with open(path, "rb") as src:
-            remaining = kt_offset
-            while remaining > 0:
-                chunk = src.read(min(1 << 20, remaining))
-                if not chunk:
-                    break
-                out.write(chunk)
-                remaining -= len(chunk)
-        if remaining > 0:
-            # Pages appended past the old EOF: zero-fill, the folded
-            # images below cover every page written since the last
-            # checkpoint.
-            out.write(b"\x00" * remaining)
-        for pid in sorted(pages):
-            out.seek(pid * page_size)
-            out.write(pages[pid])
-        out.seek(kt_offset)
-        out.write(table)
-        out.truncate(kt_offset + len(table))
-        out.seek(0)
-        out.write(bytes(patched))
-        out.flush()
-        os.fsync(out.fileno())
-        out.close()
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            out.close()
-        finally:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-        raise
+    with open(path, "rb") as base:
+        publish_generation(
+            path,
+            base,
+            page_size=page_size,
+            page_count=page_count,
+            images=pages,
+            table=table,
+            header_page=bytes(patched),
+            file_factory=file_factory,
+        )
     # The main file now holds everything; retire the WAL.
     wal = WriteAheadLog(wal_path, file_factory=file_factory)
     try:
@@ -988,8 +961,8 @@ class TreeWriter:
         page images + appended keys + header meta (built through
         :class:`~repro.storage.wal.WALGroup`, so a batch pays one
         ``COMMIT`` and one fsync and each dirtied page is logged once),
-        then install the images into the store (buffer-dirty,
-        write-back tracked)."""
+        then install the images into the store, which keeps them until
+        the next checkpoint publishes them."""
         live = [n for n in dirty if self._attached(n)]
         live_leaf = next((n for n in live if n.is_leaf), None)
         if live_leaf is not None:

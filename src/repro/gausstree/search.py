@@ -38,11 +38,15 @@ from math import exp as _exp
 
 import numpy as np
 
-from repro.core.joint import log_joint_density_batch
 from repro.core.pfv import PFV
 from repro.core.queries import QueryStats
-from repro.gausstree.hull import node_log_bounds, node_log_bounds_batch
+from repro.gausstree.hull import node_log_bounds
 from repro.gausstree.node import LeafNode, Node
+
+# Imported but not called here: the end-to-end benchmark's layer tracer
+# (benchmarks/e2e/workloads.py) wraps both kernels by name in this module.
+from repro.core.joint import log_joint_density_batch
+from repro.gausstree.hull import node_log_bounds_batch
 
 __all__ = ["SearchState"]
 
@@ -137,29 +141,26 @@ class _BoundSum:
 class SearchState:
     """Priority queue plus denominator bounds for one query.
 
-    ``refiner`` (see :class:`repro.gausstree.batch.BatchRefiner`) lets a
-    batch of concurrent queries share the numeric work of node expansion:
-    when set, leaf densities and child bounds come from the refiner's
-    cross-query cache (computed vectorised over every query in the batch
-    the first time any of them expands the node) and ``query_index``
-    selects this state's row. Traversal order, accounting and results are
-    unchanged — the refiner only changes who computes the numbers.
+    The numbers of node expansion come from ``refiner`` (a
+    :class:`repro.gausstree.batch.BatchRefiner` over the query batch this
+    state belongs to; a singleton query is a batch of one): leaf
+    densities and child bounds are read from its cross-query cache,
+    computed vectorised over every query in the batch the first time
+    any of them expands the node, and ``query_index`` selects this
+    state's row. Traversal order, accounting and results do not depend
+    on the batch — the refiner only changes who computes the numbers.
     """
 
-    def __init__(self, tree, q: PFV, refiner=None, query_index: int = 0) -> None:
+    def __init__(self, tree, q: PFV, refiner, query_index: int) -> None:
         if q.dims != tree.dims:
             raise ValueError(f"query is {q.dims}-d, tree is {tree.dims}-d")
         self.tree = tree
-        self.q = q
         self.refiner = refiner
         self.query_index = query_index
         # The refiner's per-page extras cache (a dict mutated in place,
         # never rebound), kept as an attribute for call-free lookups in
         # the leaf fast path.
-        self._refiner_extras = (
-            refiner._leaf_extras if refiner is not None else None
-        )
-        self.rule = tree.sigma_rule
+        self._refiner_extras = refiner._leaf_extras
         self._counter = itertools.count()
         self._heap: list[tuple[float, int, float, Node, int]] = []
         # Bound once: the store is fixed for the state's lifetime and
@@ -177,10 +178,9 @@ class SearchState:
         if root.count == 0:
             self.shift = 0.0
             return
-        log_lower, log_upper = node_log_bounds(root.rect, q, self.rule)
+        log_lower, log_upper = node_log_bounds(root.rect, q, tree.sigma_rule)
         self.shift = log_upper
-        if refiner is not None:
-            refiner.register_shift(query_index, log_upper)
+        refiner.register_shift(query_index, log_upper)
         self._push(root, log_lower, log_upper)
 
     # -- scaling -------------------------------------------------------------
@@ -309,14 +309,9 @@ class SearchState:
         self._read(node.page_id)
         self.nodes_expanded += 1
         if not node.is_leaf:
-            if self.refiner is not None:
-                lows, highs = self.refiner.child_log_bounds(node)
-                lows = lows[self.query_index]
-                highs = highs[self.query_index]
-            else:
-                lows, highs = node_log_bounds_batch(
-                    *node.stacked_child_bounds(), self.q, self.rule  # type: ignore[attr-defined]
-                )
+            lows, highs = self.refiner.child_log_bounds(node)
+            lows = lows[self.query_index]
+            highs = highs[self.query_index]
             # Inline _push with everything pre-bound: a query pushes one
             # entry per tree node, so per-child lookups add up.
             heap = self._heap
@@ -330,25 +325,17 @@ class SearchState:
                 max_add(hi, cn, shift)
             return None
         leaf: LeafNode = node  # type: ignore[assignment]
-        refiner = self.refiner
-        if refiner is not None:
-            # Densities, row max and scaled mass were precomputed for the
-            # whole batch on first touch; indexing the extras lists here
-            # keeps a leaf expansion free of per-call numpy dispatch.
-            extras = self._refiner_extras.get(leaf.page_id)
-            if extras is None:
-                extras = refiner.leaf_extras(leaf)
-            qi = self.query_index
-            log_dens = extras[0][qi]
-            best = extras[1][qi]
-            mass = extras[2][qi]
-            used_shift = extras[3][qi]
-        else:
-            mu, sigma = leaf.arrays()
-            log_dens = log_joint_density_batch(mu, sigma, self.q, self.rule)
-            best = float(np.max(log_dens))
-            mass = None
-            used_shift = math.nan
+        # Densities, row max and scaled mass were precomputed for the
+        # whole batch on first touch; indexing the extras lists here
+        # keeps a leaf expansion free of per-call numpy dispatch.
+        extras = self._refiner_extras.get(leaf.page_id)
+        if extras is None:
+            extras = self.refiner.leaf_extras(leaf)
+        qi = self.query_index
+        log_dens = extras[0][qi]
+        best = extras[1][qi]
+        mass = extras[2][qi]
+        used_shift = extras[3][qi]
         self.objects_refined += n
         max_ld = self.max_log_density
         if best > max_ld:
@@ -363,7 +350,7 @@ class SearchState:
             self._maybe_rescale()
             shift = self.shift
         self._leaf_log_densities.append(log_dens)
-        if mass is None or used_shift != shift:
+        if used_shift != shift:
             mass = float(
                 np.sum(np.exp(np.clip(log_dens - shift, _UNDERFLOW, _CAP)))
             )

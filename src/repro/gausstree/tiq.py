@@ -27,7 +27,7 @@ import time
 from repro.core.queries import Match, QueryStats, ThresholdQuery
 from repro.gausstree.search import SearchState
 
-__all__ = ["gausstree_tiq"]
+__all__ = ["gausstree_tiq", "search_tiq"]
 
 
 def gausstree_tiq(
@@ -35,9 +35,10 @@ def gausstree_tiq(
     query: ThresholdQuery,
     tolerance: float = 0.0,
     probability_tolerance: float | None = None,
-    state: SearchState | None = None,
 ) -> tuple[list[Match], QueryStats]:
     """Answer a TIQ on a Gauss-tree.
+
+    A one-query :func:`~repro.gausstree.batch.gausstree_tiq_many` call.
 
     ``tolerance`` is the paper's optional accuracy specification for the
     *decision*: a candidate whose posterior interval straddles the
@@ -49,15 +50,24 @@ def gausstree_tiq(
     *reported* posterior (the paper's "report the actual probabilities
     ... at a specified accuracy", Section 5.2.3 last paragraph); ``None``
     reports best-effort interval midpoints without extra page reads.
-
-    ``state`` lets the batch API pass a pre-built
-    :class:`~repro.gausstree.search.SearchState` sharing a
-    :class:`~repro.gausstree.batch.BatchRefiner`.
     """
-    tree.store.begin_query()
+    from repro.gausstree.batch import gausstree_tiq_many
+
+    (matches,), stats = gausstree_tiq_many(
+        tree, [query], tolerance, probability_tolerance
+    )
+    return matches, stats
+
+
+def search_tiq(
+    state: SearchState,
+    query: ThresholdQuery,
+    tolerance: float,
+    probability_tolerance: float | None,
+) -> tuple[list[Match], QueryStats]:
+    """Run one TIQ's best-first traversal over its prepared state."""
+    state.tree.store.begin_query()
     started = time.perf_counter()
-    if state is None:
-        state = SearchState(tree, query.q)
     p_theta = query.p_theta
 
     # Min-heap by log density: rejections always happen at the low end

@@ -178,7 +178,7 @@ class GaussTree:
         self._dirty_nodes = set()
         self.read_only = False
 
-    def _mark_dirty(self, *nodes: Node) -> None:
+    def _note_dirty(self, *nodes: Node) -> None:
         if self._dirty_nodes is not None:
             self._dirty_nodes.update(nodes)
 
@@ -210,13 +210,13 @@ class GaussTree:
             raise ValueError(f"vector is {v.dims}-d, tree is {self.dims}-d")
         leaf = self._choose_leaf(v)
         leaf.add(v)
-        self._mark_dirty(leaf)
+        self._note_dirty(leaf)
         node: Optional[InnerNode] = leaf.parent
         while node is not None:
             assert node.rect is not None
             node.rect.extend_vector(v)
             node.invalidate_count()
-            self._mark_dirty(node)
+            self._note_dirty(node)
             node = node.parent
         if leaf.count > self.leaf_max:
             self._handle_overflow(leaf)
@@ -317,18 +317,18 @@ class GaussTree:
                 if len(node.children) <= self.inner_max:  # type: ignore[attr-defined]
                     return
                 new_node = self._split_inner(node)  # type: ignore[arg-type]
-            self._mark_dirty(node, new_node)
+            self._note_dirty(node, new_node)
             parent = node.parent
             if parent is None:
                 new_root = InnerNode(self.store.allocate())
                 new_root.add_child(node)
                 new_root.add_child(new_node)
                 self.root = new_root
-                self._mark_dirty(new_root)
+                self._note_dirty(new_root)
                 return
             parent.refresh_rect()
             parent.add_child(new_node)
-            self._mark_dirty(parent)
+            self._note_dirty(parent)
             node = parent
 
     def _split_leaf(self, leaf: LeafNode) -> LeafNode:
@@ -367,7 +367,7 @@ class GaussTree:
             return False
         leaf, index = found
         leaf.remove_at(index)
-        self._mark_dirty(leaf)
+        self._note_dirty(leaf)
         if leaf.parent is not None:
             leaf.parent.invalidate_count()
         self._condense(leaf)
@@ -426,7 +426,7 @@ class GaussTree:
                 parent.invalidate_count()  # child rect tightened: stale caches
             # Either way the parent's page changed: a child entry left,
             # or the child's stored MBR/cardinality moved.
-            self._mark_dirty(parent)
+            self._note_dirty(parent)
             node = parent
         node.refresh_rect()  # tighten the root
         # Collapse a degenerate inner root.
@@ -441,7 +441,7 @@ class GaussTree:
         if not self.root.is_leaf and not self.root.children:  # type: ignore[attr-defined]
             self.store.free(self.root.page_id)
             self.root = LeafNode(self.store.allocate())
-            self._mark_dirty(self.root)
+            self._note_dirty(self.root)
         # Reinserts ride inside the same logical operation (and the same
         # WAL transaction): _insert_impl, not insert.
         for orphan in orphans:

@@ -503,9 +503,7 @@ def histogram(name, help_text="", buckets=LATENCY_BUCKETS, labelnames=()):
 # session close/reopen.
 
 _TRACKED_BUFFERS: "weakref.WeakSet" = weakref.WeakSet()
-_RETIRED_TOTALS = {
-    "accesses": 0, "hits": 0, "faults": 0, "evictions": 0, "writebacks": 0,
-}
+_RETIRED_TOTALS = {"accesses": 0, "hits": 0, "faults": 0, "evictions": 0}
 
 
 def retire_buffer_stats(stats) -> None:
@@ -566,11 +564,6 @@ def register_buffer_collectors(registry: MetricsRegistry) -> None:
         "repro_buffer_evictions_total",
         "LRU evictions across all buffers.",
         callback=lambda: buffer_total("evictions"),
-    )
-    registry.counter(
-        "repro_buffer_writebacks_total",
-        "Dirty pages written back on eviction.",
-        callback=lambda: buffer_total("writebacks"),
     )
     registry.gauge(
         "repro_buffer_hit_ratio",

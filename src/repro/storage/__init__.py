@@ -11,7 +11,9 @@ simulation equivalents:
 ``serializer`` — byte encoding of leaf/inner pages (round-trip tested).
 ``filestore``  — file-backed page store serving real bytes through the
                  buffer (the disk path behind ``GaussTree.save/open``);
-                 in writable mode the data half of the WAL protocol.
+                 in writable mode the data half of the WAL protocol,
+                 with ``publish_generation``, the one writer of new
+                 index file generations.
 ``wal``        — write-ahead log with checksummed records and redo replay.
 ``fault``      — crash-injection file doubles for the durability tests.
 """

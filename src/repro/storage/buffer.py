@@ -11,18 +11,9 @@ The buffer is deliberately independent of page contents — the access
 methods in this repository keep their nodes in Python objects and route
 every logical node visit through :meth:`BufferManager.access` with the
 node's page id, which is exactly the information the paper's metric needs.
-
-For the writable storage path the buffer additionally tracks *dirty*
-pages (:meth:`BufferManager.write` / :meth:`mark_dirty`): a dirty page
-leaving the buffer — LRU eviction, invalidation or cold start — first
-fires the registered *write-back* callback exactly once (and before the
-ordinary eviction listeners), so the owning page store can preserve the
-page image before its frame is dropped. Pages can also be *pinned*:
-pinned pages are skipped by LRU victim selection until unpinned. The
-single-threaded write path does not need pins today (dirty images
-survive eviction via the store's pending overlay); the semantics are
-specified and tested here for the concurrent-reader work the ROADMAP
-names, and victim selection stays O(1) while nothing is pinned.
+A byte-holding page store registers an eviction listener to keep its
+frame cache in step with residency; committed page images that have not
+reached the main file yet live in the store, not here.
 """
 
 from __future__ import annotations
@@ -38,14 +29,13 @@ __all__ = ["BufferManager", "BufferStats"]
 class BufferStats:
     """Counters of buffer activity since construction or the last reset."""
 
-    __slots__ = ("accesses", "hits", "faults", "evictions", "writebacks")
+    __slots__ = ("accesses", "hits", "faults", "evictions")
 
     def __init__(self) -> None:
         self.accesses = 0
         self.hits = 0
         self.faults = 0
         self.evictions = 0
-        self.writebacks = 0
 
     def reset(self) -> None:
         """Zero every counter in place (identity-preserving, so
@@ -54,7 +44,6 @@ class BufferStats:
         self.hits = 0
         self.faults = 0
         self.evictions = 0
-        self.writebacks = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -68,14 +57,12 @@ class BufferStats:
             "hits": self.hits,
             "faults": self.faults,
             "evictions": self.evictions,
-            "writebacks": self.writebacks,
         }
 
     def __repr__(self) -> str:
         return (
             f"BufferStats(accesses={self.accesses}, hits={self.hits}, "
-            f"faults={self.faults}, evictions={self.evictions}, "
-            f"writebacks={self.writebacks})"
+            f"faults={self.faults}, evictions={self.evictions})"
         )
 
 
@@ -101,13 +88,6 @@ class BufferManager:
         # page store registers one to keep its frame cache in sync with
         # residency, and detaches it on close.
         self._evict_listeners: list[Callable[[int], None]] = []
-        # Resident pages whose latest image has not reached stable
-        # storage; flushed through the write-back callback when they
-        # leave the buffer, cleared by mark_clean() at a checkpoint.
-        self._dirty: set[int] = set()
-        # Pin counts: pinned pages are skipped by LRU victim selection.
-        self._pins: dict[int, int] = {}
-        self._writeback: Callable[[int], None] | None = None
         # Scrape-time metrics collection: the global /metrics series sum
         # live buffers' counters, so access() pays nothing per page.
         _obs_metrics.track_buffer(self)
@@ -141,98 +121,11 @@ class BufferManager:
         if self._capacity == 0:
             return False
         if len(self._resident) >= self._capacity:
-            victim = self._pick_victim()
-            if victim is not None:
-                del self._resident[victim]
-                self.stats.evictions += 1
-                self._depart(victim)
+            victim, _ = self._resident.popitem(last=False)
+            self.stats.evictions += 1
+            self._notify_evict(victim)
         self._resident[page_id] = None
         return False
-
-    def _pick_victim(self) -> int | None:
-        """Least-recently-used *unpinned* resident page.
-
-        With every resident page pinned there is no legal victim; the
-        buffer then grows past its capacity rather than evicting a page
-        a caller is actively using.
-        """
-        for page_id in self._resident:
-            if not self._pins.get(page_id):
-                return page_id
-        return None
-
-    def _depart(self, page_id: int) -> None:
-        """A page left the buffer: write back if dirty, then notify."""
-        if page_id in self._dirty:
-            self._dirty.discard(page_id)
-            self.stats.writebacks += 1
-            if self._writeback is not None:
-                self._writeback(page_id)
-        self._pins.pop(page_id, None)
-        self._notify_evict(page_id)
-
-    # -- dirty tracking -----------------------------------------------------
-
-    def write(self, page_id: int) -> bool:
-        """Touch a page for writing: an access that also marks it dirty.
-
-        Returns the hit/fault flag of the underlying :meth:`access`. With
-        a zero-capacity buffer the page cannot become resident, so the
-        caller keeps responsibility for the image (the writable page
-        store routes it straight to its pending overlay).
-        """
-        hit = self.access(page_id)
-        if page_id in self._resident:
-            self._dirty.add(page_id)
-        return hit
-
-    def mark_dirty(self, page_id: int) -> None:
-        """Flag a *resident* page as dirty without touching recency."""
-        if page_id not in self._resident:
-            raise KeyError(f"page {page_id} is not resident")
-        self._dirty.add(page_id)
-
-    def mark_clean(self, page_id: int) -> None:
-        """Drop the dirty flag (after a checkpoint persisted the page)."""
-        self._dirty.discard(page_id)
-
-    def is_dirty(self, page_id: int) -> bool:
-        return page_id in self._dirty
-
-    @property
-    def dirty_pages(self) -> set[int]:
-        """Snapshot of the dirty resident page ids."""
-        return set(self._dirty)
-
-    def set_writeback(self, callback: Callable[[int], None] | None) -> None:
-        """Install the single write-back callback for departing dirty pages.
-
-        Fired exactly once per departure, before the ordinary eviction
-        listeners, so the owner can copy the frame bytes aside before the
-        frame-dropping listener runs.
-        """
-        self._writeback = callback
-
-    # -- pinning ------------------------------------------------------------
-
-    def pin(self, page_id: int) -> None:
-        """Exempt a resident page from eviction until unpinned (nestable)."""
-        if page_id not in self._resident:
-            raise KeyError(f"cannot pin page {page_id}: not resident")
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-
-    def unpin(self, page_id: int) -> None:
-        """Release one pin; unpinning an unpinned page is an error."""
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise ValueError(f"page {page_id} is not pinned")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
-
-    def pin_count(self, page_id: int) -> int:
-        return self._pins.get(page_id, 0)
 
     def add_evict_listener(self, listener: Callable[[int], None]) -> None:
         """Register an additional page-departure callback."""
@@ -256,25 +149,19 @@ class BufferManager:
     def invalidate(self, page_id: int) -> None:
         """Drop a page (e.g. after a node split rewrote it)."""
         if page_id in self._resident:
-            if self._pins.get(page_id):
-                raise RuntimeError(f"cannot invalidate pinned page {page_id}")
             del self._resident[page_id]
-            self._depart(page_id)
+            self._notify_evict(page_id)
 
     def cold_start(self) -> None:
         """Empty the cache, as the paper does before each experiment.
 
-        Dirty pages are written back (in residency order) before their
-        frames drop; pins do not survive a cold start. Keeps the
-        statistics; call :meth:`reset_stats` too for a fully fresh
-        measurement.
+        Keeps the statistics; call :meth:`reset_stats` too for a fully
+        fresh measurement.
         """
-        if self._evict_listeners or self._dirty:
-            for page_id in list(self._resident):
-                self._depart(page_id)
+        if self._evict_listeners:
+            for page_id in self._resident:
+                self._notify_evict(page_id)
         self._resident.clear()
-        self._dirty.clear()
-        self._pins.clear()
 
     def reset_stats(self) -> None:
         """Zero the counters; the pre-reset totals are folded into the

@@ -18,39 +18,37 @@ last page) is owned by :mod:`repro.gausstree.persist`.
 In **writable** mode (``writable=True``) the store becomes the data half
 of a write-ahead protocol (see :mod:`repro.storage.wal`):
 
-* :meth:`write` installs a committed page image *in memory only* — into
-  the frame cache, with the page marked dirty in the buffer. The main
-  file stays untouched between checkpoints, which is what makes crash
-  recovery a pure WAL replay.
-* a dirty page evicted from the buffer is written back exactly once via
-  the buffer's write-back hook — into the store's *pending overlay*, not
-  the file, preserving the image until the next checkpoint while keeping
-  buffer residency meaningful;
-* reads overlay the main file with the frame cache and the pending
-  images, so the store always serves the latest committed bytes;
+* :meth:`write` installs a committed page image *in memory only*: into
+  the store's pending map, the one home of every committed image that
+  the main file does not hold yet, and into the frame cache while the
+  page is resident. The main file stays untouched between checkpoints,
+  which is what makes crash recovery a pure WAL replay;
+* reads serve the frame cache, then the pending images, then the main
+  file, so the store always returns the latest committed bytes;
 * :meth:`allocate` reuses ids from the free-page list (populated by node
   deletes and persisted in the v2 header) before growing the file.
 
 The checkpoint itself is driven by
 :class:`repro.gausstree.persist.TreeWriter` through
-:meth:`publish_checkpoint`, which writes the dirty images, key table
-and header as a complete sibling file and atomically renames it over
-the index — readers that already hold the file open keep serving the
-pre-checkpoint generation (reader snapshot isolation). The raw-IO
-helpers (:meth:`write_page_to_file`, :meth:`write_raw`, :meth:`sync`)
-remain for in-place surgery paths.
+:meth:`publish_checkpoint`. Every new file generation — a checkpoint,
+a crash recovery, a replica resync — is written by one function,
+:func:`publish_generation`: it builds the generation as a complete
+sibling file and atomically renames it over the index, so readers that
+already hold the file open keep serving the generation they opened
+(reader snapshot isolation).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+import uuid
+from typing import BinaryIO, Callable, Mapping
 
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pagestore import PageStore
 
-__all__ = ["FilePageStore"]
+__all__ = ["FilePageStore", "publish_generation"]
 
 
 class FilePageStore(PageStore):
@@ -105,8 +103,8 @@ class FilePageStore(PageStore):
         self._allocated = set(range(1, 1 + allocated_pages))
         self._free: list[int] = [p for p in free_pages if p in self._allocated]
         self._allocated.difference_update(self._free)
-        # Committed page images whose buffer frame was evicted before the
-        # next checkpoint could persist them (the write-back target).
+        # Every committed page image the main file does not hold yet,
+        # until the next checkpoint publishes it.
         self._pending: dict[int, bytes] = {}
         # Bytes of the buffer-resident pages; kept in lockstep with the
         # buffer via an eviction listener, detached again on close().
@@ -123,25 +121,11 @@ class FilePageStore(PageStore):
         self.buffer.cold_start()
         self._frames: dict[int, bytes] = {}
         self.buffer.add_evict_listener(self._drop_frame)
-        if writable:
-            self.buffer.set_writeback(self._write_back)
 
     # -- byte fetching -------------------------------------------------------
 
     def _drop_frame(self, page_id: int) -> None:
         self._frames.pop(page_id, None)
-
-    def _write_back(self, page_id: int) -> None:
-        """A dirty page left the buffer: preserve its committed image.
-
-        Fired by the buffer exactly once per departure, before the
-        frame-dropping eviction listener, so the bytes are still in the
-        frame cache. The image moves to the pending overlay; the main
-        file is only written at the next checkpoint.
-        """
-        data = self._frames.get(page_id)
-        if data is not None:
-            self._pending[page_id] = data
 
     def _read_from_file(self, page_id: int) -> bytes:
         pending = self._pending.get(page_id)
@@ -206,10 +190,10 @@ class FilePageStore(PageStore):
     def write(self, page_id: int, data: bytes) -> None:
         """Install a committed page image (WAL already holds it durably).
 
-        The image lands in the frame cache with the page marked dirty;
-        if the buffer cannot hold it (zero capacity) it goes straight to
-        the pending overlay. The main file is untouched until the next
-        checkpoint, so a crash at any point replays from the WAL.
+        Counts one buffer access; the image joins the pending map, and
+        the frame cache while the buffer holds the page. The main file
+        is untouched until the next checkpoint, so a crash at any point
+        replays from the WAL.
         """
         self._assert_writable()
         if page_id not in self._allocated:
@@ -219,15 +203,10 @@ class FilePageStore(PageStore):
                 f"page image has {len(data)} bytes, expected {self.page_size}"
             )
         self.log.pages_written += 1
-        self.buffer.write(page_id)
+        self.buffer.access(page_id)
+        self._pending[page_id] = data
         if self.buffer.contains(page_id):
             self._frames[page_id] = data
-            # A stale pre-image in the overlay would shadow nothing (the
-            # frame wins) but would resurrect on eviction ordering bugs;
-            # drop it eagerly.
-            self._pending.pop(page_id, None)
-        else:
-            self._pending[page_id] = data
 
     # -- allocation with free-page reuse -------------------------------------
 
@@ -239,11 +218,8 @@ class FilePageStore(PageStore):
         return super().allocate()
 
     def free(self, page_id: int) -> None:
-        if self.writable:
-            # Forget any unpersisted image and the dirty flag first: a
-            # freed page must not be written back or checkpointed.
-            self.buffer.mark_clean(page_id)
-            self._pending.pop(page_id, None)
+        # A freed page's unpublished image must not be checkpointed.
+        self._pending.pop(page_id, None)
         self._frames.pop(page_id, None)
         was_allocated = page_id in self._allocated
         super().free(page_id)
@@ -267,92 +243,37 @@ class FilePageStore(PageStore):
 
     def dirty_images(self) -> dict[int, bytes]:
         """Latest committed image of every page not yet in the main file."""
-        images = dict(self._pending)
-        for page_id in self.buffer.dirty_pages:
-            data = self._frames.get(page_id)
-            if data is not None:
-                images[page_id] = data
-        return images
-
-    def write_page_to_file(self, page_id: int, data: bytes) -> None:
-        self._assert_writable()
-        self._file.seek(page_id * self.page_size)
-        self._file.write(data)
-
-    def write_raw(self, offset: int, data: bytes) -> None:
-        self._assert_writable()
-        self._file.seek(offset)
-        self._file.write(data)
-
-    def sync(self) -> None:
-        """fsync the main file (checkpoint ordering barrier)."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        return dict(self._pending)
 
     def mark_all_clean(self) -> None:
         """Checkpoint epilogue: every image reached the main file."""
-        for page_id in self.buffer.dirty_pages:
-            self.buffer.mark_clean(page_id)
         self._pending.clear()
 
     def publish_checkpoint(
-        self, images: dict[int, bytes], table: bytes, header_page: bytes
+        self, images: Mapping[int, bytes], table: bytes, header_page: bytes
     ) -> None:
         """Publish a checkpoint as a whole new file *generation*.
 
-        Builds a sibling temp file — the current generation's page
-        region, overlaid with the dirty ``images``, the key ``table``
-        behind the last page and ``header_page`` in slot 0 — fsyncs it
-        and atomically renames it over :attr:`path`. A reader that
-        already has the index open keeps its file descriptor on the old
-        inode and is never touched (reader snapshot isolation); this
-        store's own handle is re-opened onto the new generation, with
-        every cache intact (page ids and images are unchanged — the
-        caller still runs :meth:`mark_all_clean` afterwards). A crash
-        anywhere before the rename leaves the old generation and the
-        WAL exactly as they were.
+        The current generation's pages overlaid with ``images``, the key
+        ``table`` and ``header_page`` go through
+        :func:`publish_generation`; this store's own handle is then
+        re-opened onto the new generation with every cache intact (page
+        ids and images are unchanged; the caller still runs
+        :meth:`mark_all_clean` afterwards). A crash anywhere before the
+        rename leaves the old generation and the WAL exactly as they
+        were.
         """
         self._assert_writable()
-        page_size = self.page_size
-        kt_offset = (self.page_count + 1) * page_size
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        tmp_path = os.path.join(
-            directory, f".{os.path.basename(self.path)}.ckpt.{os.getpid()}"
+        publish_generation(
+            self.path,
+            self._file,
+            page_size=self.page_size,
+            page_count=self.page_count,
+            images=images,
+            table=table,
+            header_page=header_page,
+            file_factory=self._file_factory,
         )
-        out = self._file_factory(tmp_path, "w+b")
-        try:
-            # Clean pages keep their current-generation bytes; pages
-            # allocated past the old EOF are all dirty (they have never
-            # been checkpointed), so zero-filling the gap is safe.
-            self._file.seek(0)
-            remaining = kt_offset
-            while remaining > 0:
-                chunk = self._file.read(min(1 << 20, remaining))
-                if not chunk:
-                    break
-                out.write(chunk)
-                remaining -= len(chunk)
-            if remaining > 0:
-                out.write(b"\x00" * remaining)
-            for pid in sorted(images):
-                out.seek(pid * page_size)
-                out.write(images[pid])
-            out.seek(kt_offset)
-            out.write(table)
-            out.truncate(kt_offset + len(table))
-            out.seek(0)
-            out.write(header_page)
-            out.flush()
-            os.fsync(out.fileno())
-            out.close()
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                out.close()
-            finally:
-                if os.path.exists(tmp_path):
-                    os.unlink(tmp_path)
-            raise
         self._file.close()
         self._file = self._file_factory(self.path, "r+b")
 
@@ -381,8 +302,6 @@ class FilePageStore(PageStore):
         if not self._file.closed:
             self._file.close()
         self.buffer.remove_evict_listener(self._drop_frame)
-        if self.writable:
-            self.buffer.set_writeback(None)
         self._frames.clear()
         self._pending.clear()
 
@@ -397,3 +316,68 @@ class FilePageStore(PageStore):
             f"FilePageStore({self.path!r}, pages={len(self._allocated)}, "
             f"page_size={self.page_size}, resident={len(self._frames)})"
         )
+
+
+def publish_generation(
+    path: str | os.PathLike,
+    base: BinaryIO,
+    *,
+    page_size: int,
+    page_count: int,
+    images: Mapping[int, bytes],
+    table: bytes,
+    header_page: bytes,
+    file_factory: Callable = open,
+) -> None:
+    """Atomically replace the index file at ``path`` with a new generation.
+
+    The generation is built in a uniquely named sibling temp file: the
+    header slot and pages ``1..page_count`` copied from ``base`` (an open
+    binary file of the current generation), zero-filled where ``base``
+    ends early, overlaid with ``images`` (page id to image), the key
+    ``table`` behind the last page and ``header_page`` in slot 0. The
+    temp file is fsynced and renamed over ``path``, so a reader holding
+    the old file open keeps its inode untouched; on any failure the temp
+    file is removed and ``path`` is left as it was. Checkpoints, crash
+    recovery and replica resyncs all publish through this function.
+    """
+    path = os.fspath(path)
+    kt_offset = (page_count + 1) * page_size
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp_path = os.path.join(
+        directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.gen"
+    )
+    out = file_factory(tmp_path, "xb")
+    try:
+        base.seek(0)
+        remaining = kt_offset
+        while remaining > 0:
+            chunk = base.read(min(1 << 20, remaining))
+            if not chunk:
+                break
+            out.write(chunk)
+            remaining -= len(chunk)
+        if remaining > 0:
+            # Pages allocated past the base's end were never published,
+            # so ``images`` holds every one of them.
+            out.write(b"\x00" * remaining)
+        for pid in sorted(images):
+            out.seek(pid * page_size)
+            out.write(images[pid])
+        out.seek(kt_offset)
+        out.write(table)
+        # Drops any image of a page freed past the new high-water mark.
+        out.truncate(kt_offset + len(table))
+        out.seek(0)
+        out.write(header_page)
+        out.flush()
+        os.fsync(out.fileno())
+        out.close()
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            out.close()
+        finally:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+        raise

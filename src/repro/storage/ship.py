@@ -14,19 +14,21 @@ consequences fall out for free:
   torn tail), and replica apply is the recovery path — so a replica is
   always equal to some committed prefix of the primary's history, never
   a state the primary could not itself recover to.
-* **Live readers are safe.** Recovery publishes a new replica
-  generation by atomic rename; a server session already reading the
-  replica keeps its pre-apply snapshot and the next open sees the
-  shipped state.
+* **Live readers are safe.** Recovery and full resyncs publish a new
+  replica generation by atomic rename
+  (:func:`~repro.storage.filestore.publish_generation`); a server
+  session already reading the replica keeps its pre-apply snapshot and
+  the next open sees the shipped state.
 
 A :class:`WALShipper` tracks one shipped byte offset per replica.
 When the primary checkpoints, its WAL resets and the shipped offset
 suddenly exceeds the log — the shipper detects this and falls back to
-a **full resync** (:func:`create_replica`: copy the main file plus the
-committed WAL prefix, then recover). The owner of both sides (the
-sharded backend) avoids that copy on its own checkpoints by shipping
-*first* and then calling :meth:`WALShipper.note_reset`, which marks the
-replicas logically current with the freshly checkpointed primary.
+a **full resync** (:func:`create_replica`: publish a copy of the main
+file, ship the committed WAL prefix, then recover). The owner of both
+sides (the sharded backend) avoids that copy on its own checkpoints by
+shipping *first* and then calling :meth:`WALShipper.note_reset`, which
+marks the replicas logically current with the freshly checkpointed
+primary.
 
 Layering: this module sits in ``storage`` next to ``wal``/``fault`` but
 replica apply needs the index-level replay, so
@@ -36,8 +38,8 @@ replica apply needs the index-level replay, so
 from __future__ import annotations
 
 import os
-import shutil
 
+from repro.storage.filestore import publish_generation
 from repro.storage.wal import WAL_MAGIC, WriteAheadLog
 
 __all__ = ["replica_path", "create_replica", "WALShipper"]
@@ -53,19 +55,38 @@ def create_replica(
 ) -> str:
     """Full resync: clone a primary index file into a replica.
 
-    Copies the primary's main file and the committed prefix of its WAL
-    (a torn tail is never shipped), then replays the WAL into the
-    replica via the ordinary recovery path so the replica's main file is
-    self-contained and its WAL empty. Returns the replica path. The
+    Publishes a copy of the primary's main file as a new replica
+    generation, copies the committed prefix of the primary's WAL (a torn
+    tail is never shipped), then replays the WAL into the replica via
+    the ordinary recovery path so the replica's main file is
+    self-contained and its WAL empty. A reader already holding the
+    replica open keeps its snapshot. Returns the replica path. The
     caller must ensure the primary is quiescent or its WAL append-only
     for the duration (the sharded backend ships between batches, never
     mid-commit).
     """
-    from repro.gausstree.persist import recover_index, wal_path_for
+    from repro.gausstree.persist import (
+        read_header,
+        recover_index,
+        wal_path_for,
+    )
 
     primary_path = os.fspath(primary_path)
     replica = os.fspath(replica)
-    shutil.copyfile(primary_path, replica)
+    meta = read_header(primary_path)
+    with open(primary_path, "rb") as base:
+        header_page = base.read(meta["page_size"])
+        base.seek(meta["key_table_offset"])
+        table = base.read(meta["key_table_bytes"])
+        publish_generation(
+            replica,
+            base,
+            page_size=meta["page_size"],
+            page_count=meta["page_count"],
+            images={},
+            table=table,
+            header_page=header_page,
+        )
     src_wal = wal_path_for(primary_path)
     dst_wal = wal_path_for(replica)
     end = WriteAheadLog.committed_length(src_wal)

@@ -202,78 +202,65 @@ class WriteAheadLog:
     # -- scanning ------------------------------------------------------------
 
     @staticmethod
+    def _commit_ends(path: str | os.PathLike):
+        """Yield the end offset of every COMMIT record, oldest first.
+
+        Walks record headers only (seeking over payloads, no CRC work,
+        O(1) memory) and stops at a torn tail, a short read or a mangled
+        magic; a missing file yields nothing. Read-only opens walk
+        without the index lock, so a live writer's checkpoint may
+        truncate the log mid-walk; the writer publishes the checkpointed
+        main file before it truncates, so a log that shrank under the
+        walk holds nothing left to replay.
+        """
+        try:
+            f = open(path, "rb")
+        except FileNotFoundError:
+            return
+        with f:
+            if f.read(len(WAL_MAGIC)) != WAL_MAGIC:
+                return
+            f.seek(0, os.SEEK_END)
+            total = f.tell()
+            offset = len(WAL_MAGIC)
+            while offset + _REC_HEAD.size <= total:
+                f.seek(offset)
+                head = f.read(_REC_HEAD.size)
+                if len(head) < _REC_HEAD.size:
+                    return  # truncated by a checkpoint
+                length, rtype = _REC_HEAD.unpack(head)
+                end = offset + _REC_HEAD.size + length + _CRC.size
+                if length > _MAX_PAYLOAD or end > total:
+                    return  # torn tail
+                if rtype == REC_COMMIT:
+                    yield end
+                offset = end
+
+    @staticmethod
     def has_committed(path: str | os.PathLike) -> bool:
         """Cheap streaming probe: does the log hold any COMMIT record?
 
-        Walks record headers (seeking over payloads, no CRC work, O(1)
-        memory) — a pre-check for recovery that must stay cheap on the
-        multi-hundred-MB WAL a killed bulk insert leaves behind. May
-        return a false positive on a log whose tail is garbage (the
-        caller's full scan then finds nothing committed); a genuinely
-        committed prefix is always detected because garbage can only
-        follow valid records.
-
-        Read-only opens call it without the index lock, so a live
-        writer's checkpoint may truncate the log mid-walk. The writer
-        publishes the checkpointed main file before it truncates, so a
-        log that shrank under the probe holds nothing left to replay.
+        Stops at the first COMMIT — a pre-check for recovery that must
+        stay cheap on the multi-hundred-MB WAL a killed bulk insert
+        leaves behind. May return a false positive on a log whose tail
+        is garbage (the caller's full scan then finds nothing
+        committed); a genuinely committed prefix is always detected
+        because garbage can only follow valid records.
         """
-        try:
-            with open(path, "rb") as f:
-                if f.read(len(WAL_MAGIC)) != WAL_MAGIC:
-                    return False
-                f.seek(0, os.SEEK_END)
-                total = f.tell()
-                offset = len(WAL_MAGIC)
-                while offset + _REC_HEAD.size <= total:
-                    f.seek(offset)
-                    head = f.read(_REC_HEAD.size)
-                    if len(head) < _REC_HEAD.size:
-                        return False  # truncated by a checkpoint
-                    length, rtype = _REC_HEAD.unpack(head)
-                    end = offset + _REC_HEAD.size + length + _CRC.size
-                    if length > _MAX_PAYLOAD or end > total:
-                        return False
-                    if rtype == REC_COMMIT:
-                        return True
-                    offset = end
-        except FileNotFoundError:
-            return False
-        return False
+        return next(WriteAheadLog._commit_ends(path), None) is not None
 
     @staticmethod
     def committed_length(path: str | os.PathLike) -> int:
         """Byte offset just past the last COMMIT record (streaming).
 
-        Walks record headers like :meth:`has_committed` — seeking over
-        payloads, no CRC work, O(1) memory — so WAL shipping
-        (:mod:`repro.storage.ship`) can locate the durable prefix of a
-        multi-hundred-MB log without materializing any payload. Returns
-        ``len(WAL_MAGIC)`` for a missing, magic-less or commit-free log.
-        Header-only walking cannot detect a checksum-corrupt committed
-        record; the replica's own recovery scan (which does verify CRCs)
-        discards such a tail on apply.
+        Lets WAL shipping (:mod:`repro.storage.ship`) locate the durable
+        prefix of a multi-hundred-MB log without materializing any
+        payload. Returns ``len(WAL_MAGIC)`` for a missing, magic-less or
+        commit-free log. Header-only walking cannot detect a
+        checksum-corrupt committed record; the replica's own recovery
+        scan (which does verify CRCs) discards such a tail on apply.
         """
-        committed_end = len(WAL_MAGIC)
-        try:
-            with open(path, "rb") as f:
-                if f.read(len(WAL_MAGIC)) != WAL_MAGIC:
-                    return committed_end
-                f.seek(0, os.SEEK_END)
-                total = f.tell()
-                offset = len(WAL_MAGIC)
-                while offset + _REC_HEAD.size <= total:
-                    f.seek(offset)
-                    length, rtype = _REC_HEAD.unpack(f.read(_REC_HEAD.size))
-                    end = offset + _REC_HEAD.size + length + _CRC.size
-                    if length > _MAX_PAYLOAD or end > total:
-                        break  # torn tail
-                    if rtype == REC_COMMIT:
-                        committed_end = end
-                    offset = end
-        except FileNotFoundError:
-            pass
-        return committed_end
+        return max(WriteAheadLog._commit_ends(path), default=len(WAL_MAGIC))
 
     @staticmethod
     def iter_committed(path: str | os.PathLike):

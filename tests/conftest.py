@@ -2,13 +2,13 @@
 
 Also registers the hypothesis profiles: the crash-injection/durability
 property tests (tests/storage/test_wal.py, tests/gausstree/
-test_persist_write.py) deliberately do not pin ``max_examples``, so the
-example budget is the active profile's — ``dev`` (20 examples, fast
-local feedback) by default, ``default`` (hypothesis's stock 100) for
-CI's main suite via ``REPRO_HYPOTHESIS_PROFILE=default``, and ``ci``
-(150) when the dedicated durability step passes
-``--hypothesis-profile=ci``. Tests that pin their own ``@settings`` are
-unaffected by profiles.
+test_persist_write.py, tests/storage/test_publish.py) deliberately do
+not pin ``max_examples``, so the example budget is the active
+profile's — ``dev`` (20 examples, fast local feedback) by default,
+``default`` (hypothesis's stock 100) for CI's main suite via
+``REPRO_HYPOTHESIS_PROFILE=default``, and ``ci`` (150) when the
+dedicated durability step passes ``--hypothesis-profile=ci``. Tests
+that pin their own ``@settings`` are unaffected by profiles.
 """
 
 from __future__ import annotations

@@ -7,11 +7,17 @@ import pytest
 
 from repro.core.joint import log_joint_density
 from repro.core.pfv import PFV
+from repro.gausstree.batch import BatchRefiner
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.search import SearchState
 from repro.gausstree.tree import GaussTree
 
 from tests.conftest import make_random_db, make_random_query
+
+
+def state_for(tree, q):
+    """A singleton query's state: a refiner over the batch ``[q]``."""
+    return SearchState(tree, q, BatchRefiner(tree, [q]), 0)
 
 
 def drain(state):
@@ -28,7 +34,7 @@ class TestDenominatorBounds:
             math.exp(log_joint_density(v, q, tree.sigma_rule) - 0.0)
             for v in db
         )
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         while state.has_active_nodes:
             lo = state.denominator_low * math.exp(state.shift)
             hi = state.denominator_high
@@ -45,7 +51,7 @@ class TestDenominatorBounds:
         db = make_random_db(n=150, d=2, seed=3)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=4)
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         prev_lo, prev_hi = state.denominator_low, state.denominator_high
         prev_shift = state.shift
         while state.has_active_nodes:
@@ -64,7 +70,7 @@ class TestDenominatorBounds:
         db = make_random_db(n=80, d=2, seed=5)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=6)
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         drain(state)
         assert state.objects_refined == 80
         assert state.nodes_expanded == sum(1 for _ in tree.nodes())
@@ -73,7 +79,7 @@ class TestDenominatorBounds:
         db = make_random_db(n=120, d=2, seed=7)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=8)
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         prev = math.inf
         while state.has_active_nodes:
             top = state.top_log_upper
@@ -90,7 +96,7 @@ class TestRescaling:
         db = make_random_db(n=100, d=3, seed=9, sigma_low=0.001, sigma_high=0.01)
         tree = bulk_load(db.vectors, degree=3)
         q = PFV([30.0, 30.0, 30.0], [0.001, 0.001, 0.001])
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         initial_shift = state.shift
         drain(state)
         assert state.shift != initial_shift  # rescale happened
@@ -99,19 +105,20 @@ class TestRescaling:
     def test_empty_tree_state(self):
         tree = GaussTree(dims=2, degree=3)
         q = make_random_query(d=2)
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         assert not state.has_active_nodes
         assert state.top_log_upper == -math.inf
 
     def test_dimension_mismatch(self):
         tree = GaussTree(dims=2, degree=3)
+        refiner = BatchRefiner(tree, [make_random_query(d=2)])
         with pytest.raises(ValueError):
-            SearchState(tree, PFV([0.0], [1.0]))
+            SearchState(tree, PFV([0.0], [1.0]), refiner, 0)
 
     def test_scaled_density_underflow_guard(self):
         db = make_random_db(n=20, d=2, seed=10)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=11)
-        state = SearchState(tree, q)
+        state = state_for(tree, q)
         assert state.scaled_density(state.shift - 1e6) == 0.0
         assert state.scaled_density(state.shift) == pytest.approx(1.0)

@@ -64,7 +64,6 @@ class TestStats:
             "hits": 0,
             "faults": 1,
             "evictions": 0,
-            "writebacks": 0,
         }
 
     def test_reset_stats(self):
@@ -140,155 +139,3 @@ class TestEvictionListeners:
         buf.access(1)
         buf.access(2)  # evicts silently
         assert buf.stats.evictions == 1
-
-
-class TestDirtyTracking:
-    def test_write_marks_dirty(self):
-        buf = BufferManager(4)
-        buf.write(1)
-        assert buf.is_dirty(1)
-        assert buf.dirty_pages == {1}
-        buf.access(2)
-        assert not buf.is_dirty(2)
-
-    def test_write_counts_as_access(self):
-        buf = BufferManager(4)
-        assert buf.write(1) is False  # fault
-        assert buf.write(1) is True  # hit, stays dirty
-        assert buf.stats.accesses == 2
-        assert buf.is_dirty(1)
-
-    def test_zero_capacity_write_never_dirty(self):
-        # The page cannot become resident, so the dirty flag (a residency
-        # attribute) must not be set; the caller keeps the image.
-        buf = BufferManager(0)
-        buf.write(1)
-        assert not buf.is_dirty(1)
-        assert buf.dirty_pages == set()
-
-    def test_eviction_writes_back_exactly_once(self):
-        buf = BufferManager(2)
-        written_back = []
-        buf.set_writeback(written_back.append)
-        buf.write(1)
-        buf.access(2)
-        buf.access(3)  # evicts dirty page 1
-        assert written_back == [1]
-        assert buf.stats.writebacks == 1
-        buf.access(4)  # evicts clean page 2: no write-back
-        assert written_back == [1]
-        # Page 1 faults back in clean; its next eviction is silent.
-        buf.access(1)
-        buf.access(5)
-        assert written_back == [1]
-
-    def test_writeback_fires_before_evict_listeners(self):
-        buf = BufferManager(1)
-        order = []
-        buf.set_writeback(lambda pid: order.append(("writeback", pid)))
-        buf.add_evict_listener(lambda pid: order.append(("evict", pid)))
-        buf.write(1)
-        buf.access(2)
-        assert order == [("writeback", 1), ("evict", 1)]
-
-    def test_invalidate_and_cold_start_write_back(self):
-        buf = BufferManager(4)
-        written_back = []
-        buf.set_writeback(written_back.append)
-        buf.write(1)
-        buf.invalidate(1)
-        assert written_back == [1]
-        buf.write(2)
-        buf.write(3)
-        buf.cold_start()
-        assert sorted(written_back) == [1, 2, 3]
-        assert buf.dirty_pages == set()
-
-    def test_mark_clean_suppresses_writeback(self):
-        buf = BufferManager(1)
-        written_back = []
-        buf.set_writeback(written_back.append)
-        buf.write(1)
-        buf.mark_clean(1)
-        buf.access(2)  # evicts 1, now clean
-        assert written_back == []
-
-    def test_mark_dirty_requires_residency(self):
-        buf = BufferManager(2)
-        with pytest.raises(KeyError):
-            buf.mark_dirty(9)
-
-    def test_dirty_without_writeback_callback_is_counted(self):
-        buf = BufferManager(1)
-        buf.write(1)
-        buf.access(2)
-        assert buf.stats.writebacks == 1  # no callback installed: no crash
-
-
-class TestPinning:
-    def test_pinned_page_skipped_by_eviction(self):
-        buf = BufferManager(2)
-        buf.access(1)
-        buf.pin(1)
-        buf.access(2)
-        buf.access(3)  # LRU would be 1, but it is pinned: 2 goes instead
-        assert buf.contains(1)
-        assert not buf.contains(2)
-        assert buf.contains(3)
-
-    def test_unpin_restores_evictability(self):
-        buf = BufferManager(2)
-        buf.access(1)
-        buf.pin(1)
-        buf.access(2)
-        buf.unpin(1)
-        buf.access(3)  # now 1 is the legal LRU victim again
-        assert not buf.contains(1)
-
-    def test_pin_nesting_order_respected(self):
-        buf = BufferManager(2)
-        buf.access(1)
-        buf.pin(1)
-        buf.pin(1)
-        buf.unpin(1)
-        assert buf.pin_count(1) == 1
-        buf.access(2)
-        buf.access(3)  # still pinned once: not evicted
-        assert buf.contains(1)
-        buf.unpin(1)
-        with pytest.raises(ValueError):
-            buf.unpin(1)  # unpin below zero is an ordering bug
-
-    def test_pin_requires_residency(self):
-        buf = BufferManager(2)
-        with pytest.raises(KeyError):
-            buf.pin(7)
-
-    def test_all_pinned_overflows_capacity(self):
-        buf = BufferManager(2)
-        buf.access(1)
-        buf.access(2)
-        buf.pin(1)
-        buf.pin(2)
-        buf.access(3)  # no legal victim: the buffer grows past capacity
-        assert buf.resident_pages == 3
-        assert buf.contains(1) and buf.contains(2) and buf.contains(3)
-
-    def test_invalidate_pinned_raises(self):
-        buf = BufferManager(2)
-        buf.access(1)
-        buf.pin(1)
-        with pytest.raises(RuntimeError, match="pinned"):
-            buf.invalidate(1)
-
-    def test_pinned_dirty_page_survives_pressure_then_writes_back(self):
-        buf = BufferManager(1)
-        written_back = []
-        buf.set_writeback(written_back.append)
-        buf.write(1)
-        buf.pin(1)
-        buf.access(2)  # 1 is pinned: 2 joins over capacity
-        assert written_back == []
-        buf.unpin(1)
-        buf.access(3)  # 1 evicts now (LRU among unpinned) and writes back
-        assert written_back == [1]

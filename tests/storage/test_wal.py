@@ -189,6 +189,45 @@ class TestCorruption:
         assert WriteAheadLog.has_committed(wal.path) is False
         wal.close()
 
+    def test_committed_length_survives_a_checkpoint_truncating_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        """WAL shipping sizes the log without the index lock as well: a
+        log reset after the walk sized it reads as nothing committed
+        (the short header read once raised ``struct.error``)."""
+        import repro.storage.wal as wal_module
+
+        wal = wal_at(tmp_path)
+        wal.append_page(1, b"x" * 64)
+        wal.commit()
+
+        class ResetAfterSizing:
+            def __init__(self, f):
+                self._f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+            def tell(self):
+                size = self._f.tell()
+                wal.reset()
+                return size
+
+            def __getattr__(self, name):
+                return getattr(self._f, name)
+
+        monkeypatch.setattr(
+            wal_module,
+            "open",
+            lambda path, mode="r": ResetAfterSizing(open(path, mode)),
+            raising=False,
+        )
+        assert WriteAheadLog.committed_length(wal.path) == len(WAL_MAGIC)
+        wal.close()
+
 
 class TestFaultyFile:
     def test_budget_tears_a_write_and_sticks(self, tmp_path):

@@ -381,6 +381,28 @@ def test_removed_2_3_leaf_layout_flags_are_absent():
     assert not hasattr(LeafNode, "is_columnar")
 
 
+def test_removed_2_4_storage_surface_is_absent():
+    # 2.4.0: committed page images live only in the file store, the
+    # buffer has no dirty tracking, write-back or pins, and every new
+    # file generation goes through one publisher.
+    from repro.obs import metrics
+    from repro.storage.buffer import BufferManager, BufferStats
+    from repro.storage.filestore import FilePageStore
+
+    for method in (
+        "write", "mark_dirty", "mark_clean", "is_dirty", "dirty_pages",
+        "set_writeback", "pin", "unpin", "pin_count",
+    ):
+        assert not hasattr(BufferManager, method), method
+    assert "writebacks" not in BufferStats.__slots__
+    assert "writebacks" not in BufferManager(1).stats.snapshot()
+    for method in ("_write_back", "write_page_to_file", "write_raw", "sync"):
+        assert not hasattr(FilePageStore, method), method
+    registry = metrics.MetricsRegistry()
+    metrics.register_buffer_collectors(registry)
+    assert "repro_buffer_writebacks_total" not in registry.render()
+
+
 def test_serve_config_defaults_are_pinned():
     # The CLI flags (`repro serve`) document these defaults;
     # changing them must be a deliberate, test-visible act.
