@@ -12,7 +12,12 @@ answering the same 100-query MLIQ workload:
   backend's buffer-warm shared-pass batch entry point).
 
 The sequential-scan backend gets the same treatment (execute-loop vs
-the single-pass ``execute_many``). On top of that, the same tree is
+the single-pass ``execute_many``). The ``tree_vs_scan`` section times
+singleton queries of the Gauss-tree and of the scan on four query
+shapes — this workload's 20,000 x 10-d disk index, data set 1 rank-only
+1-MLIQ and data set 1 and 2 ``MLIQ(q, 5)`` at the 1e-9 default — with
+pages per query and the share of queries the tree finished with a sweep
+(reported, not gated). On top of that, the same tree is
 saved twice — interleaved v2 pages and columnar v3 pages — and three
 configurations race over interleaved best-of-3 rounds: the v2 baseline
 serving path (per-query execution against the v2 file, i.e. what the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -47,7 +53,8 @@ sys.path.insert(
 
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.data.workload import identification_workload  # noqa: E402
-from repro.engine import MLIQ, connect  # noqa: E402
+from repro.engine import MLIQ, connect, session_for  # noqa: E402
+from repro.eval.figures import dataset1, dataset2  # noqa: E402
 from repro.gausstree.bulkload import bulk_load  # noqa: E402
 
 
@@ -55,6 +62,93 @@ def _timed(fn):
     started = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - started
+
+
+def _tree_vs_scan_case(tree, scan, db, k, n_queries, seed, node_pages):
+    """Singleton wall p50 of ``tree`` and ``scan`` (sessions) over the
+    same identification queries, alternating which runs first, after a
+    few warm-up queries; the two must agree on every ranking."""
+    specs = [
+        MLIQ(w.q, k)
+        for w in identification_workload(db, 5 + n_queries, seed=seed)
+    ]
+    for spec in specs[:5]:
+        tree.execute(spec)
+        scan.execute(spec)
+    times = {"tree": [], "scan": []}
+    pages = swept = 0
+    for i, spec in enumerate(specs[5:]):
+        order = (("tree", tree), ("scan", scan))
+        answers = {}
+        for name, session in order if i % 2 == 0 else order[::-1]:
+            rs, seconds = _timed(lambda: session.execute(spec))
+            times[name].append(seconds)
+            answers[name] = rs
+        assert [m.key for m in answers["tree"].matches] == [
+            m.key for m in answers["scan"].matches
+        ]
+        pages += answers["tree"].stats.pages_accessed
+        swept += answers["tree"].stats.swept
+    tree_p50 = 1e3 * float(np.median(times["tree"]))
+    scan_p50 = 1e3 * float(np.median(times["scan"]))
+    return {
+        "queries": n_queries,
+        "tree_p50_ms": round(tree_p50, 3),
+        "scan_p50_ms": round(scan_p50, 3),
+        "tree_over_scan": round(tree_p50 / scan_p50, 3),
+        "pages_per_query": round(pages / n_queries, 1),
+        "node_pages": node_pages,
+        "swept_share": round(swept / n_queries, 3),
+    }
+
+
+def tree_vs_scan(n: int, n_queries: int, seed: int, smoke: bool) -> dict:
+    """The tree against the scan, one query at a time, on four shapes."""
+    out = {
+        "timing": (
+            "singleton wall p50 per access path, tree and scan alternated "
+            "query by query after 5 warm-up queries"
+        ),
+    }
+    tmp_dir = tempfile.mkdtemp()
+    try:
+        db = uniform_pfv_dataset(n=n, d=10, seed=seed)
+        path = os.path.join(tmp_dir, "identify.gauss")
+        built = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        built.save(path)
+        node_pages = sum(1 for _ in built.nodes())
+        with connect(path) as tree, connect(db, backend="seqscan") as scan:
+            out["identify_disk_mliq5"] = {
+                "data": f"{n} x 10-d uniform, disk format v3",
+                "k": 5,
+                "tolerance": f"{1e-9:g}",
+                **_tree_vs_scan_case(
+                    tree, scan, db, 5, n_queries, seed + 2, node_pages
+                ),
+            }
+    finally:
+        shutil.rmtree(tmp_dir)
+    ds1 = dataset1(scale=0.05 if smoke else None)
+    ds2 = dataset2(scale=0.012 if smoke else None)
+    cases = (
+        ("ds1_rank_only_mliq1", ds1, "data set 1", 1, math.inf),
+        ("ds1_mliq5", ds1, "data set 1", 5, 1e-9),
+        ("ds2_mliq5", ds2, "data set 2", 5, 1e-9),
+    )
+    for name, db, label, k, tolerance in cases:
+        built = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        node_pages = sum(1 for _ in built.nodes())
+        tree = session_for(built, mliq_tolerance=tolerance)
+        with tree, connect(db, backend="seqscan") as scan:
+            out[name] = {
+                "data": f"{label}: {len(db)} x {db.dims}-d, in-memory tree",
+                "k": k,
+                "tolerance": f"{tolerance:g}",
+                **_tree_vs_scan_case(
+                    tree, scan, db, k, n_queries, seed + 2, node_pages
+                ),
+            }
+    return out
 
 
 def run(n: int, d: int, n_queries: int, k: int, seed: int) -> dict:
@@ -218,10 +312,21 @@ def main(argv=None) -> int:
     if args.smoke:
         args.n, args.queries = 1200, 25
     result = run(args.n, args.d, args.queries, args.k, args.seed)
+    result["tree_vs_scan"] = tree_vs_scan(
+        args.n, args.queries, args.seed, args.smoke
+    )
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
     print(json.dumps(result, indent=2))
+    for name, case in result["tree_vs_scan"].items():
+        if isinstance(case, dict):
+            print(
+                f"tree vs scan, {name}: {case['tree_p50_ms']} vs "
+                f"{case['scan_p50_ms']} ms p50 ({case['tree_over_scan']}x), "
+                f"{case['pages_per_query']} of {case['node_pages']} pages, "
+                f"swept {case['swept_share']}"
+            )
     gt = result["gausstree"]
     if gt["batch_seconds"] >= gt["per_query_loop_seconds"]:
         print("WARNING: batch API did not beat the per-query loop", file=sys.stderr)

@@ -28,6 +28,7 @@ from repro.core.bayes import posteriors_from_log_densities
 from repro.core.database import PFVDatabase
 from repro.core.joint import log_joint_density_multi
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.scan import top_k_order
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
@@ -100,7 +101,7 @@ class SequentialScanIndex:
         results: list[list[Match]] = []
         for row, query in zip(log_dens, queries):
             post = posteriors_from_log_densities(row)
-            order = np.lexsort((np.arange(row.size), -row))[: query.k]
+            order = top_k_order(row, query.k)
             results.append(
                 [
                     Match(self.db[int(i)], float(row[int(i)]), float(post[int(i)]))

@@ -242,6 +242,7 @@ def result_to_json(rs: ResultSet) -> dict:
             "pages_accessed": stats.pages_accessed,
             "page_faults": stats.page_faults,
             "objects_refined": stats.objects_refined,
+            "swept": stats.swept,
             "nodes_expanded": stats.nodes_expanded,
             "cpu_seconds": stats.cpu_seconds,
             "io_seconds": stats.io_seconds,

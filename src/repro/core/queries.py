@@ -99,7 +99,11 @@ class QueryStats:
     ``page_faults`` counts the subset that missed the buffer and paid
     simulated disk IO. ``objects_refined`` counts exact Lemma-1 density
     evaluations; ``nodes_expanded`` counts index nodes popped from the
-    priority queue (0 for the sequential scan).
+    priority queue (0 for the sequential scan). ``swept`` counts the
+    queries a Gauss-tree k-MLIQ finished with one exact sweep of every
+    leaf row once its hulls stopped pruning (see
+    :mod:`repro.gausstree.mliq`); the sweep's pages count as accessed and
+    its rows as refined.
 
     Two time columns coexist (see ``repro.storage.costmodel``):
     ``cpu_seconds`` is *measured* Python wall time, while
@@ -117,6 +121,7 @@ class QueryStats:
     io_seconds: float = 0.0
     modeled_cpu_seconds: float = 0.0
     buffer_evictions: int = 0
+    swept: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -147,3 +152,4 @@ class QueryStats:
         self.io_seconds += other.io_seconds
         self.modeled_cpu_seconds += other.modeled_cpu_seconds
         self.buffer_evictions += other.buffer_evictions
+        self.swept += other.swept

@@ -25,7 +25,7 @@ from repro.core.bayes import log_densities, posteriors_from_log_densities
 from repro.core.database import PFVDatabase
 from repro.core.queries import Match, MLIQuery, ThresholdQuery
 
-__all__ = ["scan_mliq", "scan_tiq", "scan_posteriors"]
+__all__ = ["scan_mliq", "scan_tiq", "scan_posteriors", "top_k_order"]
 
 
 def _matches_from(
@@ -43,6 +43,24 @@ def _ranked_order(log_dens: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(log_dens.size), -log_dens))
 
 
+def top_k_order(log_dens: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` indices of :func:`_ranked_order`, without sorting
+    every row.
+
+    One partition finds the k-th largest density; only the rows at least
+    that dense — the k densest plus any row tied with the k-th — are
+    sorted, by descending density and then by position, so ties keep the
+    full sort's order. The k-MLIQ answers of the scan and of the
+    Gauss-tree's sweep finish both come from here.
+    """
+    n = log_dens.size
+    if k >= n:
+        return _ranked_order(log_dens)
+    kth = np.partition(log_dens, n - k)[n - k]
+    chosen = np.flatnonzero(log_dens >= kth)
+    return chosen[np.lexsort((chosen, -log_dens[chosen]))][:k]
+
+
 def scan_posteriors(db: PFVDatabase, q) -> tuple[np.ndarray, np.ndarray]:
     """Log densities and posteriors of all objects, in insertion order."""
     log_dens = log_densities(db, q)
@@ -57,8 +75,7 @@ def scan_mliq(db: PFVDatabase, query: MLIQuery) -> list[Match]:
     if len(db) == 0:
         return []
     log_dens, post = scan_posteriors(db, query.q)
-    order = _ranked_order(log_dens)[: query.k]
-    return _matches_from(db, order, log_dens, post)
+    return _matches_from(db, top_k_order(log_dens, query.k), log_dens, post)
 
 
 def scan_tiq(db: PFVDatabase, query: ThresholdQuery) -> list[Match]:

@@ -319,7 +319,8 @@ class GaussTreeBackend(BackendAdapter):
             leaf_reads = max(1, math.ceil(k / max(1, tree.leaf_min)))
             note = (
                 "best-first descent: inner path plus ~k/M leaves; "
-                "actual pages depend on how well MBRs separate"
+                "actual pages depend on how well MBRs separate, and a "
+                "query they do not separate sweeps every leaf row"
             )
         per_query = (height - 1) + leaf_reads
         pages = per_query * len(specs)

@@ -19,10 +19,11 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
 * the same amortization runs **across sibling pages**: that first
   evaluation also covers the node's siblings that are already in memory,
   so one kernel call fills the cache entries of a whole group of pages
-  (see :class:`BatchRefiner` for the group rule). The 1e-9 posterior
-  tolerance makes a k-MLIQ pop nearly every page (about 539 of 543 on
-  20,000 x 10-d data), so a singleton query there runs about 30 group
-  kernels instead of about 540 per-page ones;
+  (see :class:`BatchRefiner` for the group rule);
+* a k-MLIQ whose hulls stop pruning sweeps the tree's leaf stack
+  (:mod:`repro.gausstree.mliq`): the refiner evaluates the stack once
+  for the whole batch, and the pages later queries pop are slices of
+  that evaluation;
 * for every leaf (all leaves are columnar) the refiner additionally
   precomputes, per page, every query's row maximum and scaled
   denominator mass — so a leaf expansion costs a dictionary lookup and
@@ -153,6 +154,11 @@ class BatchRefiner:
             int,
             tuple[list[np.ndarray], list[float], list[float], list[float]],
         ] = {}
+        # Every query's densities over the leaf stack once a query of the
+        # batch sweeps (see stack_log_densities), and each leaf's column
+        # span in them, mapped when a later query first needs one.
+        self._stack_rows: np.ndarray | None = None
+        self._stack_spans: dict[int, tuple[int, int]] | None = None
 
     def register_shift(self, query_index: int, shift: float) -> None:
         """Record a query's scale shift so per-page denominator masses can
@@ -209,16 +215,23 @@ class BatchRefiner:
         """
         extras = self._leaf_extras.get(leaf.page_id)
         if extras is None:
-            group = self._sibling_group(leaf, self._leaf_extras)
-            if len(group) == 1:
-                mu, sigma = leaf.arrays()
+            span = None if self._stack_rows is None else self._stack_span(leaf)
+            if span is not None:
+                # A sweep has evaluated the whole leaf stack for the
+                # batch: the leaf's densities are a slice of that.
+                group = [leaf]
+                matrix = self._stack_rows[:, span[0] : span[1]]  # type: ignore[index]
             else:
-                columns = [member.arrays() for member in group]  # type: ignore[attr-defined]
-                mu = np.concatenate([c[0] for c in columns])
-                sigma = np.concatenate([c[1] for c in columns])
-            matrix = log_joint_density_multi(
-                mu, sigma, self.q_mu, self.q_sigma, self.rule
-            )
+                group = self._sibling_group(leaf, self._leaf_extras)
+                if len(group) == 1:
+                    mu, sigma = leaf.arrays()
+                else:
+                    columns = [member.arrays() for member in group]  # type: ignore[attr-defined]
+                    mu = np.concatenate([c[0] for c in columns])
+                    sigma = np.concatenate([c[1] for c in columns])
+                matrix = log_joint_density_multi(
+                    mu, sigma, self.q_mu, self.q_sigma, self.rule
+                )
             scaled = matrix - np.asarray(self._shifts)[:, None]
             np.clip(scaled, _UNDERFLOW, _CAP, out=scaled)
             np.exp(scaled, out=scaled)
@@ -249,6 +262,38 @@ class BatchRefiner:
                     )
             extras = self._leaf_extras[leaf.page_id]
         return extras
+
+    def stack_log_densities(self, query_index: int) -> np.ndarray:
+        """One query's Lemma-1 log densities over every row of the tree's
+        leaf stack (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`),
+        in stack order: what a k-MLIQ sweep ranks.
+
+        The first call evaluates the stack for every query of the batch
+        in one ``log_joint_density_multi`` call; later calls, and
+        :meth:`leaf_extras` for pages no query has evaluated yet, slice
+        that result. The kernel is rowwise independent, so each row
+        holds the bits a one-query call gives and no answer depends on
+        its batch.
+        """
+        if self._stack_rows is None:
+            stack = self.tree.leaf_stack()
+            self._stack_rows = log_joint_density_multi(
+                stack.mu, stack.sigma, self.q_mu, self.q_sigma, self.rule
+            )
+        return self._stack_rows[query_index]
+
+    def _stack_span(self, leaf: LeafNode) -> tuple[int, int] | None:
+        """The leaf's ``(start, stop)`` columns in the stack rows."""
+        if self._stack_spans is None:
+            stack = self.tree.leaf_stack()
+            stops = [*stack.starts[1:].tolist(), len(stack.mu)]
+            self._stack_spans = {
+                member.page_id: (start, stop)
+                for member, start, stop in zip(
+                    stack.leaves, stack.starts.tolist(), stops
+                )
+            }
+        return self._stack_spans.get(leaf.page_id)
 
     def child_log_bounds(
         self, inner: InnerNode

@@ -194,6 +194,26 @@ class LeafNode(Node):
         self._objects = objects
         self.refresh_rect()
 
+    def peek_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(mu, sigma)`` columns, materializing a disk stub only
+        where that keeps no page bytes alive.
+
+        A columnar page decodes into views of its bytes, so such a stub
+        is decoded into a throwaway node: it stays a stub, and the bytes
+        are freed with the returned arrays. A page whose decode copies
+        the rows out (the interleaved format) is materialized as usual,
+        which spares decoding it a second time later.
+        """
+        if self._loader is None:
+            return self._mu, self._sigma
+        scratch = LeafNode(self.page_id)
+        self._loader(scratch)
+        if scratch._mu.base is None:
+            self._adopt(
+                scratch._mu, scratch._sigma, scratch._keys, scratch._objects
+            )
+        return scratch._mu, scratch._sigma
+
     def add(self, v: PFV) -> None:
         """Append a pfv as a new row, growing the MBR in place."""
         mu, sigma = self.arrays()

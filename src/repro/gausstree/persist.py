@@ -962,8 +962,15 @@ class TreeWriter:
         :class:`~repro.storage.wal.WALGroup`, so a batch pays one
         ``COMMIT`` and one fsync and each dirtied page is logged once),
         then install the images into the store, which keeps them until
-        the next checkpoint publishes them."""
-        live = [n for n in dirty if self._attached(n)]
+        the next checkpoint publishes them.
+
+        Nodes are encoded in page-id order, so key-slot assignment and
+        the order of the PAGE records — and with them the WAL, the
+        checkpointed file and every replica — are the same bytes for the
+        same operations, whatever the nodes' memory addresses."""
+        live = sorted(
+            (n for n in dirty if self._attached(n)), key=lambda n: n.page_id
+        )
         live_leaf = next((n for n in live if n.is_leaf), None)
         if live_leaf is not None:
             self.height = self._depth(live_leaf) + 1

@@ -242,51 +242,62 @@ class SearchState:
 
         Widened by the drift allowance in the safe direction, so an
         acceptance/rejection decided against it stays correct despite
-        float residue in the incremental sums.
+        float residue in the incremental sums. Reading it (or either
+        sibling reading) changes nothing: the traversals tighten the
+        sums through :meth:`settle_bounds` at their own decision points,
+        so an extra reading cannot change what a query does next.
         """
-        self._maybe_rebuild_bounds()
         return self.exact_sum + self._min_rem.lower_value
 
     @property
     def denominator_high(self) -> float:
         """Scaled upper bound of the Bayes denominator (may be ``inf``)."""
-        self._maybe_rebuild_bounds()
         return self.exact_sum + self._max_rem.upper_value
 
     @property
     def denominator_mid(self) -> float:
         if self._max_rem.capped > 0:
             return math.inf
-        self._maybe_rebuild_bounds()
         return self.exact_sum + 0.5 * (
             self._min_rem.lower_value
             + (self._max_rem.finite + self._max_rem.drift)
         )
 
-    def _maybe_rebuild_bounds(self) -> None:
-        """Replay the queue when drift is material next to the sums.
+    def settle_bounds(self) -> None:
+        """Replay the queue when a drift allowance is material.
 
-        O(queue) per rebuild; triggered only when the allowance exceeds a
-        millionth of the quantity it pads, which keeps the amortised cost
-        negligible while making the reported bounds effectively exact.
+        Material means above a millionth of the denominator's lower sum,
+        or above a millionth of the sum the allowance pads. The second
+        test matters once the remaining mass has shrunk by orders of
+        magnitude: float residue from the large early terms then
+        persists in the running sum, and only a replay removes it. A
+        fresh replay's allowance is a few ulps of the sum times the
+        queue length, so neither test fires again until the sum has
+        shrunk by about seven more orders of magnitude. O(queue) per
+        replay. A replay depends only on the queue, so settling twice in
+        a row changes nothing; the traversals settle before the readings
+        a decision uses.
         """
-        threshold = 1e-6 * (self.exact_sum + self._min_rem.finite) + 1e-300
-        if self._min_rem.drift <= threshold and self._max_rem.drift <= threshold:
+        low, high = self._min_rem, self._max_rem
+        threshold = 1e-6 * (self.exact_sum + low.finite) + 1e-300
+        if (
+            low.drift <= threshold
+            and high.drift <= threshold
+            and low.drift <= 1e-6 * low.finite
+            and high.drift <= 1e-6 * high.finite
+        ):
             return
-        self._min_rem.reset()
-        self._max_rem.reset()
+        low.reset()
+        high.reset()
         for item in self._heap:
             n = item[4]
-            self._min_rem.add(item[2], n, self.shift)
-            self._max_rem.add(-item[0], n, self.shift)
+            low.add(item[2], n, self.shift)
+            high.add(-item[0], n, self.shift)
         # A fresh replay's residue is one pass of additions, far below
         # the incremental allowance it replaces.
-        self._min_rem.drift = _BoundSum._ULP * self._min_rem.finite * max(
-            1, len(self._heap)
-        )
-        self._max_rem.drift = _BoundSum._ULP * self._max_rem.finite * max(
-            1, len(self._heap)
-        )
+        length = max(1, len(self._heap))
+        low.drift = _BoundSum._ULP * low.finite * length
+        high.drift = _BoundSum._ULP * high.finite * length
 
     # -- expansion -------------------------------------------------------------
 

@@ -87,6 +87,7 @@ def search_tiq(
     max_candidate_log = -math.inf
 
     while state.has_active_nodes:
+        state.settle_bounds()
         denom_low = state.denominator_low
         denom_high = state.denominator_high
         # Drop candidates whose best possible posterior is already below
@@ -191,6 +192,7 @@ def _classify(
     p_theta: float,
     tolerance: float,
 ) -> list[Match]:
+    state.settle_bounds()
     denom_low = state.denominator_low
     denom_high = state.denominator_high
     denom_mid = state.denominator_mid

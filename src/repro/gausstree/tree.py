@@ -31,7 +31,7 @@ of the tree; callers reach them through the engine
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +44,30 @@ from repro.gausstree.split import split_children, split_entries
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
-__all__ = ["GaussTree"]
+__all__ = ["GaussTree", "LeafStack"]
+
+
+class LeafStack(NamedTuple):
+    """Every row of a tree's leaves as one contiguous pair of ``(n, d)``
+    ``mu``/``sigma`` stacks, in :meth:`GaussTree.leaves` order.
+
+    ``leaves`` lists the leaves that hold rows and ``starts`` their first
+    stack row, so stack row ``i`` is row ``i - starts[j]`` of
+    ``leaves[j]`` for the last ``j`` with ``starts[j] <= i``.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    leaves: list[LeafNode]
+    starts: np.ndarray
+
+    def entries_at(self, rows: np.ndarray) -> list[PFV]:
+        """The stored pfv behind the given stack rows (``entry_at``)."""
+        owners = np.searchsorted(self.starts, rows, side="right") - 1
+        return [
+            self.leaves[j].entry_at(i - int(self.starts[j]))
+            for i, j in zip(rows.tolist(), owners.tolist())
+        ]
 
 
 class GaussTree:
@@ -113,6 +136,8 @@ class GaussTree:
         # `repro reshard-gc` can see live readers; set by open_tree,
         # released in close().
         self._reader_lock = None
+        # Built by leaf_stack() on first use; every mutation drops it.
+        self._leaf_stack: LeafStack | None = None
 
     # -- capacities (Definition 4) ------------------------------------------
 
@@ -167,6 +192,31 @@ class GaussTree:
         """All stored pfv (no particular order)."""
         for leaf in self.leaves():
             yield from leaf.entries
+
+    def leaf_stack(self) -> LeafStack:
+        """Every stored row as one contiguous :class:`LeafStack`.
+
+        Built on first use and kept until :meth:`insert_many` or
+        :meth:`delete` changes the rows, or :meth:`close`. On a
+        disk-opened tree the build reads the pages of leaves no query
+        has materialized outside the counted access path (like any
+        offline walk) and leaves them stubs, so the stack costs its own
+        ``2 * n * d`` floats and no more. A k-MLIQ whose hulls stop
+        pruning finishes with one kernel call over it (see
+        :mod:`repro.gausstree.mliq`).
+        """
+        stack = self._leaf_stack
+        if stack is None:
+            leaves = [leaf for leaf in self.leaves() if leaf.count]
+            sizes = np.array([leaf.count for leaf in leaves], dtype=np.intp)
+            starts = np.cumsum(sizes) - sizes
+            mu = np.empty((int(sizes.sum()), self.dims))
+            sigma = np.empty_like(mu)
+            for leaf, start, stop in zip(leaves, starts, starts + sizes):
+                mu[start:stop], sigma[start:stop] = leaf.peek_arrays()
+            mu.flags.writeable = sigma.flags.writeable = False
+            stack = self._leaf_stack = LeafStack(mu, sigma, leaves, starts)
+        return stack
 
     # -- write-path bookkeeping ----------------------------------------------
 
@@ -254,6 +304,7 @@ class GaussTree:
 
             for v in batch:
                 _encode_key(v.key)
+        self._leaf_stack = None
         for v in batch:
             self._insert_impl(v)
         # One commit for the whole batch: the dirty-node union reaches
@@ -365,6 +416,7 @@ class GaussTree:
         found = self._find_entry(self.root, v)
         if found is None:
             return False
+        self._leaf_stack = None
         leaf, index = found
         leaf.remove_at(index)
         self._note_dirty(leaf)
@@ -570,6 +622,7 @@ class GaussTree:
         replayed on the next open — the crash-recovery path, which the
         recovery benchmark and tests exercise deliberately).
         """
+        self._leaf_stack = None
         try:
             if self._writer is not None:
                 self._writer.close(checkpoint=checkpoint)

@@ -51,3 +51,9 @@ class TestQueryStats:
         assert a.cpu_seconds == pytest.approx(55.0)
         assert a.io_seconds == pytest.approx(66.0)
         assert a.modeled_cpu_seconds == pytest.approx(77.0)
+
+    def test_merge_counts_sweeps(self):
+        total = QueryStats()
+        for swept in (1, 0, 1):
+            total.merge(QueryStats(swept=swept))
+        assert total.swept == 2

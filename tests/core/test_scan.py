@@ -12,7 +12,7 @@ from repro.core.bayes import identification_posteriors
 from repro.core.database import PFVDatabase
 from repro.core.joint import log_joint_density
 from repro.core.queries import MLIQuery, ThresholdQuery
-from repro.core.scan import scan_mliq, scan_posteriors, scan_tiq
+from repro.core.scan import scan_mliq, scan_posteriors, scan_tiq, top_k_order
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -107,3 +107,26 @@ class TestScanPosteriors:
         log_dens, post = scan_posteriors(small_db, query_pfv)
         assert log_dens.shape == post.shape == (len(small_db),)
         assert np.argmax(log_dens) == np.argmax(post)
+
+
+class TestTopKOrder:
+    @given(
+        values=st.lists(
+            st.sampled_from([-np.inf, -750.0, -3.5, -1.0, -1.0, 0.0, 2.25]),
+            min_size=1,
+            max_size=60,
+        ),
+        k=st.integers(1, 70),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_lexsort_on_duplicated_densities(self, values, k):
+        # Few distinct values, so most rows tie and many ties straddle
+        # the k-th position.
+        log_dens = np.array(values)
+        full = np.lexsort((np.arange(log_dens.size), -log_dens))[:k]
+        assert top_k_order(log_dens, k).tolist() == full.tolist()
+
+    def test_keeps_every_row_tied_with_the_kth_for_the_position_order(self):
+        log_dens = np.array([1.0, 5.0, 3.0, 5.0, 3.0, 3.0, 0.0])
+        assert top_k_order(log_dens, 3).tolist() == [1, 3, 2]
+        assert top_k_order(log_dens, 4).tolist() == [1, 3, 2, 4]

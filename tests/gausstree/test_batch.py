@@ -1,5 +1,7 @@
 """Batch query APIs must answer exactly like the one-at-a-time APIs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.eval.figures import dataset1
 from repro.gausstree import (
     BatchRefiner,
     batch,
+    mliq,
     gausstree_mliq,
     gausstree_mliq_many,
     gausstree_tiq,
@@ -399,6 +402,9 @@ class TestSiblingGroups:
 
             return wrapper
 
+        # Sweeps off: once a query sweeps, the batch's later leaves are
+        # slices of its one leaf-stack evaluation, and no group forms.
+        monkeypatch.setattr(mliq, "_FIRST_CHECK", math.inf)
         monkeypatch.setattr(BatchRefiner, "_sibling_group", recording_group)
         monkeypatch.setattr(
             batch, "log_joint_density_multi",

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import MLIQ, session_for
+from repro.core.database import PFVDatabase
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery
 from repro.core.scan import scan_mliq
-from repro.gausstree import gausstree_mliq
+from repro.data.synthetic import uniform_pfv_dataset
+from repro.data.workload import identification_workload
+from repro.gausstree import gausstree_mliq, gausstree_mliq_many
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
 
@@ -156,3 +159,131 @@ class TestEfficiency:
             )
             plan = session_for(tree).explain(MLIQ(q, 2))
             assert any("vectorized rate" in note for note in plan.notes)
+
+
+def node_pages(tree):
+    return sum(1 for _ in tree.nodes())
+
+
+def ranked(matches):
+    """Keys in answer order, reordered only within equal densities."""
+    return sorted((-m.log_density, m.key) for m in matches)
+
+
+class TestSweep:
+    """A k-MLIQ whose hulls stop pruning finishes with one exact sweep of
+    the tree's leaf stack (``QueryStats.swept``)."""
+
+    @given(
+        n=st.integers(2000, 3000),
+        d=st.integers(6, 10),
+        k=st.integers(1, 8),
+        tolerance=st.sampled_from([1e-9, 0.0]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_swept_answers_are_the_scans(self, n, d, k, tolerance, seed):
+        # Broad query sigmas over uniform data: no hull separates the
+        # rows, so the traversal gives up at its first checkpoint.
+        db = uniform_pfv_dataset(n=n, d=d, seed=seed)
+        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+        query = MLIQuery(make_random_query(d=d, seed=seed + 1), k)
+        got, stats = gausstree_mliq(tree, query, tolerance=tolerance)
+        expected = scan_mliq(db, query)
+        assert stats.swept == 1
+        assert stats.pages_accessed == node_pages(tree)
+        assert stats.objects_refined == n
+        assert ranked(got) == ranked(expected)
+        assert [m.log_density for m in got] == [
+            m.log_density for m in expected
+        ]
+        by_key = {m.key: m.probability for m in expected}
+        for m in got:
+            assert abs(m.probability - by_key[m.key]) <= 1e-12
+
+    def test_batch_answers_equal_singletons_when_some_queries_sweep(self):
+        db = uniform_pfv_dataset(n=3000, d=8, seed=4)
+        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+        # At a 1e-3 tolerance most re-observations ranked 1-best prune;
+        # broad queries asking for a top-6 do not, and sweep.
+        queries = []
+        for i, w in enumerate(identification_workload(db, 8, seed=5)):
+            queries.append(MLIQuery(w.q, 1))
+            queries.append(MLIQuery(make_random_query(d=8, seed=i), 6))
+        batched, total = gausstree_mliq_many(tree, queries, tolerance=1e-3)
+        assert 0 < total.swept < len(queries)
+        for query, many in zip(queries, batched):
+            single, _ = gausstree_mliq(tree, query, tolerance=1e-3)
+            assert [(m.key, m.log_density, m.probability) for m in many] == [
+                (m.key, m.log_density, m.probability) for m in single
+            ]
+
+    def test_cold_disk_trees_of_either_format_answer_alike(self, tmp_path):
+        db = uniform_pfv_dataset(n=2500, d=10, seed=6)
+        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+        queries = [
+            MLIQuery(make_random_query(d=10, seed=s), 5) for s in range(4)
+        ]
+        expected = [gausstree_mliq(tree, q)[0] for q in queries]
+        for version in (2, 3):
+            path = tmp_path / f"v{version}.gauss"
+            tree.save(path, version=version)
+            disk = GaussTree.open(path)
+            try:
+                for i, (query, want) in enumerate(zip(queries, expected)):
+                    got, stats = gausstree_mliq(disk, query)
+                    if i == 0 and version == 3:
+                        # Building the stack reads the other leaves'
+                        # columnar pages without materializing them.
+                        materialized = sum(
+                            leaf.is_materialized for leaf in disk.leaves()
+                        )
+                        assert materialized <= stats.nodes_expanded + 5
+                    assert stats.swept == 1
+                    assert stats.pages_accessed == node_pages(tree)
+                    assert [
+                        (m.key, m.log_density, m.probability) for m in got
+                    ] == [(m.key, m.log_density, m.probability) for m in want]
+            finally:
+                disk.close()
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_mutations_drop_the_leaf_stack(self, tmp_path, on_disk):
+        db = uniform_pfv_dataset(n=2500, d=8, seed=8)
+        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+        if on_disk:
+            tree.save(tmp_path / "w.gauss")
+            tree = GaussTree.open(tmp_path / "w.gauss", writable=True)
+        q = make_random_query(d=8, seed=9)
+        query = MLIQuery(q, 3)
+        _, stats = gausstree_mliq(tree, query)
+        assert stats.swept == 1
+        # A copy of the query itself is the densest possible row.
+        twin = PFV(q.mu, q.sigma, key="twin")
+        tree.insert_many([twin])
+        got, stats = gausstree_mliq(tree, query)
+        assert stats.swept == 1
+        assert got[0].key == "twin"
+        assert [m.key for m in got] == [
+            m.key for m in scan_mliq(PFVDatabase([*db.vectors, twin]), query)
+        ]
+        victim = next(v for v in db.vectors if v.key == got[1].key)
+        assert tree.delete(victim)
+        got, stats = gausstree_mliq(tree, query)
+        assert stats.swept == 1
+        remaining = [v for v in db.vectors if v is not victim]
+        assert [m.key for m in got] == [
+            m.key
+            for m in scan_mliq(PFVDatabase([*remaining, twin]), query)
+        ]
+        tree.close()
+
+    def test_sweeps_are_counted_through_the_engine_and_the_wire(self):
+        from repro.cluster.wire import result_to_json
+
+        db = uniform_pfv_dataset(n=2500, d=8, seed=10)
+        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+        specs = [MLIQ(make_random_query(d=8, seed=s), 4) for s in range(3)]
+        rs = session_for(tree).execute_many(specs)
+        assert rs.stats.swept == 3
+        assert result_to_json(rs)["stats"]["swept"] == 3

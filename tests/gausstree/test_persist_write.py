@@ -1278,3 +1278,77 @@ class TestColumnarFileWrites:
             assert_same_answers(replay, recovered, d, seed + 1)
         finally:
             recovered.close()
+
+
+def write_fixed_workload(directory, version, buffer_pages):
+    """One fixed save/insert/delete workload on a writable tree; returns
+    the bytes it leaves behind: the WAL before the checkpoint, a replica
+    resynced from that WAL, and the checkpointed main file. Runs in a
+    child process for :class:`TestDeterministicBytes`."""
+    from repro.storage.buffer import BufferManager
+    from repro.storage.ship import create_replica, replica_path
+
+    rng = np.random.default_rng(11)
+    path = os.path.join(directory, "index.gauss")
+    base = GaussTree(dims=3, degree=3)
+    base.extend(make_vectors(rng, 120, 3, "base"))
+    base.save(path, version=version)
+    buffer = None if buffer_pages is None else BufferManager(buffer_pages)
+    tree = GaussTree.open(path, buffer=buffer, writable=True)
+    added = make_vectors(rng, 300, 3, "add")
+    tree.insert_many(added[:200])
+    for v in added[:120:3]:
+        tree.delete(v)
+    tree.insert_many(added[200:])
+    tree.insert(make_vectors(rng, 1, 3, "one")[0])
+    with open(path + ".wal", "rb") as f:
+        wal = f.read()
+    replica = create_replica(path, replica_path(path, 1))
+    with open(replica, "rb") as f:
+        replica_bytes = f.read()
+    tree.close()
+    with open(path, "rb") as f:
+        checkpointed = f.read()
+    return {"wal": wal, "replica": replica_bytes, "checkpointed": checkpointed}
+
+
+class TestDeterministicBytes:
+    @pytest.mark.parametrize("version, buffer_pages", [(2, None), (3, 2)])
+    def test_same_workload_writes_the_same_bytes_in_two_processes(
+        self, tmp_path, version, buffer_pages
+    ):
+        # Dirty nodes hash by identity, so an encoding order that follows
+        # a set's iteration order depends on memory addresses, which
+        # differ between processes.
+        import json
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join((os.path.join(root, "src"), root)),
+        )
+        digests = []
+        for run in range(2):
+            directory = tmp_path / f"run{run}"
+            directory.mkdir()
+            script = (
+                "import hashlib, json; "
+                "from tests.gausstree.test_persist_write import "
+                "write_fixed_workload as w; "
+                f"out = w({str(directory)!r}, {version}, {buffer_pages}); "
+                "print(json.dumps({k: hashlib.sha256(v).hexdigest() "
+                "for k, v in out.items()}))"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=root,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            digests.append(json.loads(done.stdout.strip().splitlines()[-1]))
+        assert digests[0] == digests[1]

@@ -7,6 +7,10 @@ import pytest
 
 from repro.core.joint import log_joint_density
 from repro.core.pfv import PFV
+from repro.core.queries import MLIQuery
+from repro.data.workload import identification_workload
+from repro.eval.figures import dataset1
+from repro.gausstree import gausstree_mliq
 from repro.gausstree.batch import BatchRefiner
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.search import SearchState
@@ -86,6 +90,52 @@ class TestDenominatorBounds:
             assert top <= prev + 1e-9
             prev = top
             state.pop_and_expand()
+
+
+class TestBoundReadings:
+    """Reading the denominator bounds changes nothing; the traversals
+    tighten them through ``settle_bounds`` at their own decision points.
+    Data set 1's loose root hulls start the upper sum orders of magnitude
+    above the denominator, which is where a stale allowance hurt."""
+
+    @pytest.fixture(scope="class")
+    def ds1_tree(self):
+        db = dataset1(scale=0.05)
+        return db, bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+
+    def test_reading_the_bounds_at_every_pop_adds_no_pages(
+        self, ds1_tree, monkeypatch
+    ):
+        db, tree = ds1_tree
+        queries = [
+            MLIQuery(w.q, k)
+            for k in (1, 5)
+            for w in identification_workload(db, 20, seed=5)
+        ]
+        plain = [gausstree_mliq(tree, query) for query in queries]
+        pop = SearchState.pop_and_expand
+
+        def reading_pop(self):
+            self.denominator_low, self.denominator_high, self.denominator_mid
+            return pop(self)
+
+        monkeypatch.setattr(SearchState, "pop_and_expand", reading_pop)
+        for query, (want, base) in zip(queries, plain):
+            got, stats = gausstree_mliq(tree, query)
+            assert stats.pages_accessed == base.pages_accessed
+            assert [(m.key, m.probability) for m in got] == [
+                (m.key, m.probability) for m in want
+            ]
+
+    def test_settled_allowances_are_small_next_to_their_sums(self, ds1_tree):
+        db, tree = ds1_tree
+        for w in identification_workload(db, 10, seed=6):
+            state = state_for(tree, w.q)
+            while state.has_active_nodes:
+                state.settle_bounds()
+                for bound in (state._min_rem, state._max_rem):
+                    assert bound.drift <= 1e-6 * bound.finite
+                state.pop_and_expand()
 
 
 class TestRescaling:
