@@ -99,11 +99,13 @@ class QueryStats:
     ``page_faults`` counts the subset that missed the buffer and paid
     simulated disk IO. ``objects_refined`` counts exact Lemma-1 density
     evaluations; ``nodes_expanded`` counts index nodes popped from the
-    priority queue (0 for the sequential scan). ``swept`` counts the
-    queries a Gauss-tree k-MLIQ finished with one exact sweep of every
-    leaf row once its hulls stopped pruning (see
-    :mod:`repro.gausstree.mliq`); the sweep's pages count as accessed and
-    its rows as refined.
+    priority queue (0 for the sequential scan), and a k-MLIQ that sweeps
+    a two-level tree counts the root it expands, 1. ``swept`` counts the
+    queries a Gauss-tree k-MLIQ answered with one exact sweep of every
+    leaf row: on a two-level tree every k-MLIQ (see
+    :func:`repro.gausstree.batch.gausstree_mliq_many`), on a deeper tree
+    one whose hulls stopped pruning (see :mod:`repro.gausstree.mliq`);
+    the sweep's pages count as accessed and its rows as refined.
 
     Two time columns coexist (see ``repro.storage.costmodel``):
     ``cpu_seconds`` is *measured* Python wall time, while

@@ -302,10 +302,23 @@ class GaussTreeBackend(BackendAdapter):
         return len(self.tree)
 
     def estimate(self, kind: str, specs: Sequence) -> PlanEstimate:
+        from repro.gausstree.batch import sweeps_every_mliq
+
         tree = self.tree
         n = len(tree)
         if n == 0 or not specs:
             return PlanEstimate(0, 0.0, "empty index: no pages touched")
+        if kind != "tiq" and sweeps_every_mliq(tree):
+            pages = (1 + len(tree.root.children)) * len(specs)  # type: ignore[attr-defined]
+            cost = self.store.cost_model
+            return PlanEstimate(
+                pages,
+                cost.random_read_seconds(pages),
+                "two-level tree: every query sweeps the leaf stack, "
+                "reading every node page and refining every row at the "
+                "vectorized rate",
+                cost.modeled_cpu_seconds(n * len(specs), pages, vectorized=True),
+            )
         height = tree.height
         leaves = max(1, math.ceil(n / max(1, tree.leaf_min)))
         if kind == "tiq":

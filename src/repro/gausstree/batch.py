@@ -23,7 +23,8 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
 * a k-MLIQ whose hulls stop pruning sweeps the tree's leaf stack
   (:mod:`repro.gausstree.mliq`): the refiner evaluates the stack once
   for the whole batch, and the pages later queries pop are slices of
-  that evaluation;
+  that evaluation. On a two-level tree, a root over leaves, every
+  k-MLIQ sweeps without a traversal (:func:`gausstree_mliq_many`);
 * for every leaf (all leaves are columnar) the refiner additionally
   precomputes, per page, every query's row maximum and scaled
   denominator mass — so a leaf expansion costs a dictionary lookup and
@@ -33,14 +34,17 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
   keeping the accumulated sums bit-identical to per-page evaluation.
 
 Every query, a singleton included (``gausstree_mliq``/``gausstree_tiq``
-are one-query batches), runs through a refiner and still owns its
-best-first traversal (:class:`~repro.gausstree.search.SearchState`), so
-answer sets, posterior guarantees and per-query logical page accounting
-do not depend on the batch — the tests assert match-for-match equality.
+are one-query batches), runs through a refiner and, unless it sweeps a
+two-level tree, owns its best-first traversal
+(:class:`~repro.gausstree.search.SearchState`). Whether it sweeps
+depends only on the tree's shape, so answer sets, posterior guarantees
+and per-query logical page accounting do not depend on the batch — the
+tests assert match-for-match equality.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -49,12 +53,17 @@ import numpy as np
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.core.joint import log_joint_density_multi
 from repro.gausstree.hull import node_log_bounds_multi
-from repro.gausstree.mliq import search_mliq
+from repro.gausstree.mliq import search_mliq, sweep_matches
 from repro.gausstree.node import InnerNode, LeafNode, Node
-from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
+from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState, query_stats
 from repro.gausstree.tiq import search_tiq
 
-__all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
+__all__ = [
+    "BatchRefiner",
+    "gausstree_mliq_many",
+    "gausstree_tiq_many",
+    "sweeps_every_mliq",
+]
 
 # The most float64 elements, m * rows * d, that one sibling-group kernel
 # may broadcast (m queries, rows leaf rows or child rectangles, d
@@ -346,6 +355,72 @@ def _run_many(
     return results, total
 
 
+# A two-level tree sweeps every k-MLIQ. Calibrated on a 2-vCPU host
+# (Python 3.11.7, numpy 2.4.6), swept against traversed wall p50 in ms
+# per call, configurations interleaved round by round in one process,
+# 4 rounds of 48 identification queries, as singletons and as 16-query
+# batches (per batch), for a rank-only 1-MLIQ / MLIQ(q, 5) at 1e-9:
+#   identify-sharded shard shape (2,090 x 6-d disk tree, a root over 32
+#     leaves): singletons 0.29 vs 0.88 / 0.36 vs 1.08; batches 3.83 vs
+#     6.75 / 4.70 vs 9.75.
+#   700 x 10-d uniform disk tree (a root over 16 leaves): singletons
+#     0.21 vs 0.63 / 0.27 vs 0.78; batches 2.35 vs 4.88 / 3.61 vs 6.86.
+#   the same tree opened writable, one insert (and, past 8 live rows,
+#     one delete) before every call, so every call rebuilds the stack:
+#     singletons 0.39 vs 0.84 / 0.46 vs 0.96; batches 2.64 vs 5.29 /
+#     3.57 vs 7.24.
+# No configuration was slower swept, so the rule is the tree's shape
+# alone and no query builds a SearchState. The per-query alternative,
+# mliq._pruning_failed right after the root's expansion with the k-th
+# best guaranteed lower bound standing in for the k-th candidate,
+# flagged every query of all twelve configurations, and it would pay
+# for the root bound, the expansion and the heap that the sweep saves.
+def sweeps_every_mliq(tree) -> bool:
+    """Whether :func:`gausstree_mliq_many` sweeps every query: the tree
+    is two levels deep, a root over leaves, so it could prune only among
+    its leaves, and a traversal pays a root bound, a heap and a pop per
+    leaf for that chance. Reads only the root's child list, so on a
+    deeper disk tree it decodes no stub (``GaussTree.height`` would)."""
+    root = tree.root
+    return not root.is_leaf and root.children[0].is_leaf  # type: ignore[attr-defined]
+
+
+def _sweep_many(
+    tree, queries: Sequence[MLIQuery]
+) -> tuple[list[list[Match]], QueryStats]:
+    """Answer every k-MLIQ of the batch from one ``(m, n)`` evaluation
+    of the leaf stack (:meth:`BatchRefiner.stack_log_densities`).
+
+    Each query reads every node page through the store, as its pops
+    would have, counts the root as its one expanded node and every row
+    as refined, and finishes as a traversal's sweep does
+    (:func:`~repro.gausstree.mliq.sweep_matches`), so its answer and
+    counters do not depend on the batch.
+    """
+    refiner = BatchRefiner(tree, [query.q for query in queries])
+    root = tree.root
+    pages = [root.page_id, *(leaf.page_id for leaf in root.children)]  # type: ignore[attr-defined]
+    store = tree.store
+    read = store.read
+    rows = len(tree)
+    results: list[list[Match]] = []
+    total = QueryStats()
+    for index, query in enumerate(queries):
+        store.begin_query()
+        started = time.perf_counter()
+        for page_id in pages:
+            read(page_id)
+        results.append(
+            sweep_matches(tree, refiner.stack_log_densities(index), query.k)
+        )
+        stats = query_stats(
+            tree, started, objects_refined=rows, nodes_expanded=1
+        )
+        stats.swept = 1
+        total.merge(stats)
+    return results, total
+
+
 def gausstree_mliq_many(
     tree, queries: Sequence[MLIQuery], tolerance: float = 1e-9
 ) -> tuple[list[list[Match]], QueryStats]:
@@ -354,8 +429,13 @@ def gausstree_mliq_many(
     Returns ``(per-query match lists, aggregate stats)``. Results do not
     depend on the batch: each query's matches are those of a one-query
     batch (``gausstree_mliq``); only the wall time changes (shared page
-    cache, shared vectorized refinement).
+    cache, shared vectorized refinement). On a two-level tree every
+    query sweeps the leaf stack instead of traversing (see
+    :func:`sweeps_every_mliq`); its posteriors are then exact whatever
+    the ``tolerance``.
     """
+    if queries and sweeps_every_mliq(tree):
+        return _sweep_many(tree, queries)
     return _run_many(
         tree,
         queries,

@@ -235,7 +235,7 @@ def _pruning_failed(
 
 def _sweep(state: SearchState, k: int) -> list[Match]:
     """Answer the query as the scan does, from one density row over the
-    tree's leaf stack: the top k of it and one exact denominator.
+    tree's leaf stack (:func:`sweep_matches`).
 
     Every page still under the queue is read through the store, as the
     pops it replaces would have, so the query's page accesses are the
@@ -248,9 +248,17 @@ def _sweep(state: SearchState, k: int) -> list[Match]:
         read(node.page_id)
         if not node.is_leaf:
             pending.extend(node.children)  # type: ignore[attr-defined]
-    tree = state.tree
-    state.objects_refined = len(tree)
-    row = state.refiner.stack_log_densities(state.query_index)
+    state.objects_refined = len(state.tree)
+    return sweep_matches(
+        state.tree, state.refiner.stack_log_densities(state.query_index), k
+    )
+
+
+def sweep_matches(tree, row: np.ndarray, k: int) -> list[Match]:
+    """The k-MLIQ answer from one query's density row over the tree's
+    leaf stack: the top k of it and one exact denominator. The finish of
+    both sweeps, a traversal's (:func:`_sweep`) and a two-level tree's
+    (:func:`~repro.gausstree.batch.gausstree_mliq_many`)."""
     order = top_k_order(row, k)
     top = row[order[0]]
     if top == -math.inf:

@@ -48,7 +48,7 @@ from repro.gausstree.node import LeafNode, Node
 from repro.core.joint import log_joint_density_batch
 from repro.gausstree.hull import node_log_bounds_batch
 
-__all__ = ["SearchState"]
+__all__ = ["SearchState", "query_stats"]
 
 # Re-anchor the shift when it drifts this many nats from the best density.
 _RESCALE_GAP = 300.0
@@ -377,20 +377,30 @@ class SearchState:
     # -- accounting ------------------------------------------------------------
 
     def query_stats(self, started: float) -> QueryStats:
-        """The query's work counters, its wall time since ``started`` and
-        its modeled CPU. Every leaf page is refined by the one columnar
-        kernel, so all refinements are priced at the cost model's
-        vectorized rate."""
-        log = self.tree.store.log
-        return QueryStats(
-            pages_accessed=log.pages_accessed,
-            page_faults=log.page_faults,
-            objects_refined=self.objects_refined,
-            nodes_expanded=self.nodes_expanded,
-            cpu_seconds=time.perf_counter() - started,
-            io_seconds=log.io_seconds,
-            modeled_cpu_seconds=self.tree.store.cost_model.modeled_cpu_seconds(
-                self.objects_refined, log.pages_accessed, vectorized=True
-            ),
-            buffer_evictions=log.evictions,
+        """The query's :func:`query_stats`."""
+        return query_stats(
+            self.tree, started, self.objects_refined, self.nodes_expanded
         )
+
+
+def query_stats(
+    tree, started: float, objects_refined: int, nodes_expanded: int
+) -> QueryStats:
+    """A query's work counters: its page accesses from the store's log
+    since ``begin_query``, the given refinement and expansion counts, its
+    wall time since ``started`` and its modeled CPU. Every leaf page is
+    refined by the one columnar kernel, so all refinements are priced at
+    the cost model's vectorized rate."""
+    log = tree.store.log
+    return QueryStats(
+        pages_accessed=log.pages_accessed,
+        page_faults=log.page_faults,
+        objects_refined=objects_refined,
+        nodes_expanded=nodes_expanded,
+        cpu_seconds=time.perf_counter() - started,
+        io_seconds=log.io_seconds,
+        modeled_cpu_seconds=tree.store.cost_model.modeled_cpu_seconds(
+            objects_refined, log.pages_accessed, vectorized=True
+        ),
+        buffer_evictions=log.evictions,
+    )

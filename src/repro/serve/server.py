@@ -128,6 +128,7 @@ class ServingStats:
         self.delete_batches = 0
         self.pages_accessed = 0
         self.objects_refined = 0
+        self.swept = 0
         self.execute_seconds = 0.0
 
     def record(self, op: str, items: list, elapsed: float, outcome) -> None:
@@ -147,6 +148,7 @@ class ServingStats:
                         )
                 self.pages_accessed += outcome.stats.pages_accessed
                 self.objects_refined += outcome.stats.objects_refined
+                self.swept += outcome.stats.swept
                 if fused:
                     self.coalesced_reads += len(items)
                 return
@@ -180,6 +182,7 @@ class ServingStats:
                 "delete_batches": self.delete_batches,
                 "pages_accessed": self.pages_accessed,
                 "objects_refined": self.objects_refined,
+                "swept": self.swept,
                 "execute_seconds": round(self.execute_seconds, 4),
                 "coalescing": {
                     "read_batches": self.batches,
@@ -513,6 +516,10 @@ class AsyncQueryServer:
             ("repro_serve_queries_total",
              "Query specs executed (batch members counted singly).",
              lambda: s.queries),
+            ("repro_serve_swept_total",
+             "Gauss-tree k-MLIQs (per shard) answered by a sweep of the "
+             "leaf stack instead of a traversal.",
+             lambda: s.swept),
             ("repro_serve_inserts_total", "Vectors inserted.",
              lambda: s.inserts),
             ("repro_serve_deletes_total",

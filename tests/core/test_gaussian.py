@@ -1,10 +1,11 @@
 """Unit tests for the univariate Gaussian primitives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from repro.core import gaussian
@@ -38,11 +39,22 @@ class TestPdf:
         mu=st.floats(-50, 50),
         sigma=st.floats(0.01, 100),
     )
+    # pdf is the subnormal 1.3e-320 here, whose log is off by 1e-4.
+    @example(x=0.0, mu=42.25, sigma=1.1015625)
     def test_log_pdf_consistent_with_pdf(self, x, mu, sigma):
         log_value = gaussian.log_pdf(x, mu, sigma)
         direct = gaussian.pdf(x, mu, sigma)
-        if direct > 0.0:
+        if direct >= sys.float_info.min:
             assert log_value == pytest.approx(math.log(direct), rel=1e-9, abs=1e-9)
+        elif direct > 0.0:
+            # A subnormal holds its value only to an absolute 2**-1074:
+            # exp rounds to that, the division by sigma * sqrt(2 pi)
+            # scales the error and rounds once more. The true density
+            # lies within ``error`` of pdf, so log_pdf lies within the
+            # logs of that interval.
+            error = math.ulp(0.0) * (1.0 + 1.0 / (gaussian.SQRT_TWO_PI * sigma))
+            low = math.log(direct - error) if direct > error else -math.inf
+            assert low - 1e-9 <= log_value <= math.log(direct + error) + 1e-9
         else:
             # pdf underflowed; log form must still be finite.
             assert math.isfinite(log_value)

@@ -20,29 +20,36 @@ class TestConstruction:
     def test_alias(self):
         assert PFV is ProbabilisticFeatureVector
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="same length"):
-            PFV([1.0, 2.0], [0.1])
+    @pytest.mark.parametrize(
+        "mu, sigma, message",
+        [
+            ([math.nan], [1.0], "mu contains non-finite values"),
+            ([0.0, math.nan], [1.0, 1.0], "mu contains non-finite values"),
+            ([math.inf, 0.0], [1.0, 1.0], "mu contains non-finite values"),
+            ([-math.inf], [1.0], "mu contains non-finite values"),
+            ([0.0, 0.0], [1.0, math.nan], "finite and strictly positive"),
+            ([0.0], [math.inf], "finite and strictly positive"),
+            ([0.0], [-math.inf], "finite and strictly positive"),
+            ([0.0], [0.0], "finite and strictly positive"),
+            ([0.0], [-1.0], "finite and strictly positive"),
+            ([0.0, 0.0], [1.0, 0.0], "finite and strictly positive"),
+            ([0.0], [-0.0], "finite and strictly positive"),
+            ([0.0], [-1e-300], "finite and strictly positive"),
+            ([1.0, 2.0], [0.1], "must have the same length, got 2 and 1"),
+            ([0.0], [1.0, 1.0], "must have the same length, got 1 and 2"),
+            ([], [], "a pfv needs at least one dimension"),
+            (np.zeros((2, 2)), np.ones((2, 2)), "mu must be 1-dimensional"),
+            ([0.0], [[1.0]], "sigma must be 1-dimensional"),
+            (0.0, [1.0], "mu must be 1-dimensional"),
+        ],
+    )
+    def test_every_rejected_input_names_its_fault(self, mu, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            PFV(mu, sigma)
 
-    def test_empty(self):
-        with pytest.raises(ValueError, match="at least one dimension"):
-            PFV([], [])
-
-    def test_nonpositive_sigma(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            PFV([0.0], [0.0])
-        with pytest.raises(ValueError, match="strictly positive"):
-            PFV([0.0], [-1.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            PFV([math.nan], [1.0])
-        with pytest.raises(ValueError):
-            PFV([0.0], [math.inf])
-
-    def test_2d_input_rejected(self):
-        with pytest.raises(ValueError, match="1-dimensional"):
-            PFV(np.zeros((2, 2)), np.ones((2, 2)))
+    def test_smallest_positive_sigma_accepted(self):
+        v = PFV([0.0, -1e308], [5e-324, 1e308])
+        assert v.sigma[0] > 0.0
 
     def test_arrays_are_read_only(self):
         v = PFV([1.0], [0.5])

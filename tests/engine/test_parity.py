@@ -22,6 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
+from repro.core.queries import MLIQuery
+from repro.core.scan import scan_mliq
 from repro.engine import (
     MLIQ,
     TIQ,
@@ -34,7 +36,9 @@ from repro.engine import (
     connect,
     session_for,
 )
+from repro.gausstree.batch import gausstree_mliq_many
 from repro.gausstree.bulkload import bulk_load
+from repro.gausstree.tree import GaussTree
 
 EXACT_DB_BACKENDS = ("tree", "seqscan")
 
@@ -252,3 +256,157 @@ def test_registry_documents_exactness_split():
         assert "exact" not in session.capabilities
     with connect(db, backend="tree") as session:
         assert "exact" in session.capabilities
+
+
+# -- multi-level trees ---------------------------------------------------------
+#
+# The cases above hold at most 28 rows, so every tree they build is one
+# root leaf. These build two-level trees (a root over leaves, which
+# answer every k-MLIQ with one sweep of the leaf stack) and deeper ones
+# (a best-first traversal, which may still sweep once its hulls stop
+# pruning) by bulk loading with a small degree M: leaves hold at most
+# 2M rows, and the median packing makes a power of two leaves.
+
+
+def _rows(d, n, rng):
+    return [
+        PFV(rng.uniform(0.0, 1.0, d), rng.uniform(0.05, 0.4, d), key=i)
+        for i in range(n)
+    ]
+
+
+def _two_level_rows(draw, degree):
+    """A row count that bulk-loads into a root over leaves at ``degree``:
+    more than one leaf's 2M rows, at most M leaves of them."""
+    leaves = 1 << (degree.bit_length() - 1)  # a power of two <= M
+    return draw(st.integers(2 * degree + 1, 2 * degree * leaves))
+
+
+@st.composite
+def multilevel_case(draw):
+    shape = draw(st.sampled_from(["two-level", "deeper"]))
+    d = draw(st.integers(1, 4))
+    if shape == "two-level":
+        degree = draw(st.integers(2, 6))
+        n = _two_level_rows(draw, degree)
+    else:
+        # More than M leaves of 2M rows cannot hang from one root.
+        degree = draw(st.integers(2, 3))
+        n = draw(st.integers(2 * degree * degree + 1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    db = PFVDatabase(_rows(d, n, rng))
+    queries = [
+        MLIQuery(
+            PFV(rng.uniform(0.0, 1.0, d), rng.uniform(0.05, 0.4, d)),
+            draw(st.integers(1, n + 2)),
+        )
+        for _ in range(draw(st.integers(1, 16)))
+    ]
+    return shape, degree, db, queries
+
+
+def _bits(matches):
+    return [(m.key, m.log_density, m.probability) for m in matches]
+
+
+@given(case=multilevel_case())
+@settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_multilevel_trees_answer_as_the_scan(case, tmp_path_factory):
+    """In-memory, cold and warm v2/v3 disk trees of two or more levels
+    answer every k-MLIQ of a 1-16 query batch as the scan does: the same
+    keys in the same order, the same log densities bit for bit and
+    posteriors within 1e-12 (``tolerance=0.0`` makes the traversal's
+    exact too). Batch answers equal singleton answers bit for bit, and
+    on a two-level tree every query sweeps: one expanded node, every
+    node page read, every row refined."""
+    shape, degree, db, queries = case
+    bulk = bulk_load(db.vectors, degree=degree, sigma_rule=db.sigma_rule)
+    assert (bulk.height == 2) == (shape == "two-level"), bulk.height
+    node_pages = sum(1 for _ in bulk.nodes())
+    tmp = tmp_path_factory.mktemp("multilevel")
+    trees = {"memory": bulk}
+    for version in (2, 3):
+        path = str(tmp / f"idx.v{version}.gauss")
+        bulk.save(path, version=version)
+        trees[f"v{version}"] = GaussTree.open(path)
+    want = [scan_mliq(db, query) for query in queries]
+    answers = {}
+    try:
+        for label, tree in trees.items():
+            # On a disk tree the first batch runs cold, the last warm.
+            cold, _ = gausstree_mliq_many(tree, queries, 0.0)
+            singles = []
+            for query in queries:
+                (matches,), stats = gausstree_mliq_many(tree, [query], 0.0)
+                singles.append(matches)
+                if shape == "two-level":
+                    assert stats.swept == 1, label
+                    assert stats.nodes_expanded == 1, label
+                    assert stats.pages_accessed == node_pages, label
+                    assert stats.objects_refined == len(db), label
+            warm, _ = gausstree_mliq_many(tree, queries, 0.0)
+            answers[label] = [_bits(matches) for matches in singles]
+            assert [_bits(m) for m in cold] == answers[label], label
+            assert [_bits(m) for m in warm] == answers[label], label
+    finally:
+        for label in ("v2", "v3"):
+            trees[label].close()
+    assert answers["v2"] == answers["v3"] == answers["memory"]
+    for query, got, ref in zip(queries, answers["memory"], want):
+        assert [key for key, _, _ in got] == [m.key for m in ref], query
+        assert [ld for _, ld, _ in got] == [m.log_density for m in ref]
+        for (_, _, p), m in zip(got, ref):
+            assert math.isclose(p, m.probability, rel_tol=0.0, abs_tol=1e-12)
+
+
+@st.composite
+def two_level_shards_case(draw):
+    n_shards = draw(st.integers(2, 3))
+    degree = draw(st.integers(2, 6))
+    # Round-robin placement gives every shard exactly this many rows.
+    n = n_shards * _two_level_rows(draw, degree)
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    db = PFVDatabase(_rows(d, n, rng))
+    specs = []
+    for _ in range(draw(st.integers(1, 8))):
+        q = PFV(rng.uniform(0.0, 1.0, d), rng.uniform(0.05, 0.4, d))
+        k = draw(st.integers(1, n + 2))
+        specs.append(
+            draw(st.sampled_from([MLIQ(q, k), ConsensusTopK(q, k)]))
+        )
+    return n_shards, degree, db, specs
+
+
+@given(case=two_level_shards_case())
+@settings(deadline=None)
+def test_two_level_shards_stay_within_1e9_of_one_tree(case):
+    """Shards that each sweep every query merge into one tree's answers:
+    the same keys in the same order, posteriors and consensus scores
+    within 1e-9."""
+    n_shards, degree, db, specs = case
+    with connect(db, backend="tree") as session:
+        reference = session.execute_many(specs)
+    with connect(
+        db,
+        backend="sharded",
+        shards=n_shards,
+        inner="tree",
+        policy="round-robin",
+        inner_options={"degree": degree},
+    ) as session:
+        sharded = session.execute_many(specs)
+    assert sharded.stats.swept == n_shards * len(specs)
+    for spec, got, want in zip(specs, sharded, reference):
+        assert [m.key for m in got] == [m.key for m in want], spec
+        for g, w in zip(got, want):
+            assert math.isclose(
+                g.probability, w.probability, rel_tol=0.0, abs_tol=1e-9
+            ), spec
+            if w.score is not None:
+                assert math.isclose(
+                    g.score, w.score, rel_tol=0.0, abs_tol=1e-9
+                ), spec

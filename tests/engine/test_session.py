@@ -252,6 +252,33 @@ class TestExplain:
                 backend.store.cost_model.sequential_read_seconds(pages)
             )
 
+    @pytest.mark.parametrize("backend", ["tree", "disk"])
+    def test_two_level_tree_estimate_is_the_sweep_that_runs(
+        self, db, q, backend, tmp_path
+    ):
+        # A root over leaves answers every k-MLIQ with a sweep, so
+        # explain() can price exactly what runs: every node page per
+        # query, every row refined.
+        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+        assert tree.height == 2
+        source = tree
+        if backend == "disk":
+            source = str(tmp_path / "two-level.gauss")
+            tree.save(source)
+        specs = [MLIQ(q, 3), RankQuery(q, 2), MLIQ(q, 1)]
+        with (connect(source) if backend == "disk" else session_for(tree)) as s:
+            plan = s.explain(specs)
+            rs = s.execute_many(specs)
+        node_pages = sum(1 for _ in tree.nodes())
+        assert plan.estimated_pages == rs.stats.pages_accessed
+        assert plan.estimated_pages == node_pages * len(specs)
+        assert rs.stats.swept == len(specs)
+        assert rs.stats.objects_refined == len(db) * len(specs)
+        assert plan.estimated_cpu_seconds == pytest.approx(
+            rs.stats.modeled_cpu_seconds
+        )
+        assert any("sweeps the leaf stack" in note for note in plan.notes)
+
     def test_explain_accepts_any_iterable_like_execute_many(self, db, q):
         with connect(db, backend="seqscan") as s:
             from_list = s.explain([MLIQ(q, 2), MLIQ(q, 3)])

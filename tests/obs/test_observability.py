@@ -104,6 +104,7 @@ class TestMetricsExposition:
             "repro_serve_pool_in_use",
             "repro_serve_pool_acquires_total",
             "repro_serve_queries_total",
+            "repro_serve_swept_total",
             "repro_serve_inserts_total",
             "repro_serve_errors_total",
             "repro_serve_execute_seconds",
@@ -169,6 +170,31 @@ class TestMetricsExposition:
             "repro_cluster_fanouts_total",
             "repro_cluster_fanout_seconds",
         } <= names, sorted(names)
+
+    def test_swept_queries_count_in_stats_and_metrics(self):
+        """Two-level shards answer every k-MLIQ with a sweep: /stats
+        counts one per query and shard next to objects_refined, and
+        /metrics exports the same count."""
+        db = make_random_db(n=60, seed=76)
+        session = connect(
+            db, backend="sharded", shards=2, inner_options={"degree": 5}
+        )
+        queries = [make_random_query(seed=77 + i) for i in range(3)]
+        with serve_async(session, port=0) as server:
+            host, port = server.address
+            with JsonlClient(host, port) as client:
+                client.query([MLIQ(q, 2) for q in queries])
+                stats = client.stats()
+                text = client.metrics()
+        session.close()
+        assert stats["swept"] == len(queries) * 2
+        assert stats["objects_refined"] == len(queries) * len(db)
+        swept = [
+            float(line.split()[-1])
+            for line in text.splitlines()
+            if line.startswith("repro_serve_swept_total ")
+        ]
+        assert swept == [stats["swept"]]
 
     def test_null_registry_silences_the_server_series(self):
         db = make_random_db(n=30, seed=75)
