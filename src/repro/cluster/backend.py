@@ -24,6 +24,13 @@ log P_s(v_top|q)``, with an MLIQ(q, 1) probe for TIQ batches whose local
 answer set is empty), and the merge renormalises the union of shard
 candidates against ``log Z = logsumexp_s(log Z_s)``.
 
+Shard answers reach the merge as row references
+(:class:`~repro.core.queries.RowMatch`: a log density, a shard posterior
+and the stored row), and the coordinator builds a pfv only for the
+matches it returns — the MLIQ top-k, the TIQ survivors, the ranked
+prefix — through ``LeafNode.entry_at``. The process pool's replies
+build theirs when pickled, so both pools merge through one path.
+
 Correctness of the candidate sets:
 
 * **MLIQ(k)** — the global top-k by posterior is the top-k by density,
@@ -92,7 +99,7 @@ from repro.obs import trace as _obs_trace
 from repro.core.database import PFVDatabase
 from repro.core.gaussian import logsumexp
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats
+from repro.core.queries import Match, MLIQuery, QueryStats, RowMatch
 from repro.engine.backends import (
     BackendAdapter,
     PlanEstimate,
@@ -135,7 +142,8 @@ class ShardReply:
     """One shard's answer to one fanned-out payload.
 
     ``per_query`` holds ``(matches, log_total)`` pairs in query order:
-    the shard-local answer list (posteriors still shard-normalised) and
+    the shard-local answer list (posteriors still shard-normalised; row
+    references from a Gauss-tree shard, built matches once pickled) and
     the shard's log Bayes denominator ``log Z_s`` for that query
     (``-inf`` for an empty shard or fully underflowed densities).
 
@@ -147,7 +155,7 @@ class ShardReply:
     expected-rank scores are exact.
     """
 
-    per_query: list[tuple[list[Match], float]]
+    per_query: list[tuple[list[Match | RowMatch], float]]
     stats: QueryStats
     aux: list[tuple[int, float]] | None = None
 
@@ -224,7 +232,7 @@ class _ShardOpener:
         return Session(backend)
 
 
-def _shard_log_total(matches: list[Match]) -> float:
+def _shard_log_total(matches: list[Match | RowMatch]) -> float:
     """Recover ``log Z_s`` from a shard's answer list.
 
     The top match has the shard's maximal posterior (``>= 1/n_s``), so
@@ -250,17 +258,19 @@ def _run_shard_payload(session: Session, payload) -> ShardReply:
     shard whose threshold answer is empty still reports its total
     density mass, and ranked payloads (consensus / expected-rank)
     piggyback the per-shard sufficient statistics described on
-    :class:`ShardReply`.
+    :class:`ShardReply`. Answers stay row references
+    (``Session._execute_many(..., build=False)``, which keeps the
+    ``session.execute`` and ``run.query`` spans).
     """
     kind, items = payload
     if kind == "mliq":
         specs = [MLIQ(q, k) for q, k in items]
-        rs = session.execute_many(specs)
+        rs = session._execute_many(specs, build=False)
         per = [(list(matches), _shard_log_total(matches)) for matches in rs]
         return ShardReply(per, rs.stats)
     if kind == "ranked":
         specs = [MLIQ(q, k) for q, k in items]
-        rs = session.execute_many(specs)
+        rs = session._execute_many(specs, build=False)
         per, aux = [], []
         n_s = len(session)
         for matches in rs:
@@ -276,7 +286,7 @@ def _run_shard_payload(session: Session, payload) -> ShardReply:
     if kind == "tiq":
         tiqs = [TIQ(q, tau, eps) for q, tau, eps in items]
         probes = [MLIQ(q, 1) for q, _, _ in items]
-        rs = session.execute_many([*tiqs, *probes])
+        rs = session._execute_many([*tiqs, *probes], build=False)
         per = []
         for i in range(len(items)):
             matches = list(rs[i])
@@ -284,6 +294,14 @@ def _run_shard_payload(session: Session, payload) -> ShardReply:
             per.append((matches, _shard_log_total(probe)))
         return ShardReply(per, rs.stats)
     raise ClusterError(f"unknown shard payload kind {kind!r}")
+
+
+def _global_matches(
+    merged: list[tuple[Match | RowMatch, float]]
+) -> list[Match]:
+    """The matches a merge returns, each with its global posterior; a
+    shard's row reference builds its pfv here (``LeafNode.entry_at``)."""
+    return [Match(c.vector, c.log_density, p) for c, p in merged]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +588,7 @@ class ShardedBackend(BackendAdapter):
         n = self.count()
         for j, query in enumerate(queries):
             merged = self._merge_candidates(shard_replies, j, n)
-            results.append(merged[: query.k])
+            results.append(_global_matches(merged[: query.k]))
         return results, total
 
     def _tiq_batch(
@@ -585,9 +603,8 @@ class ShardedBackend(BackendAdapter):
         n = self.count()
         for j, spec in enumerate(specs):
             merged = self._merge_candidates(shard_replies, j, n)
-            results.append(
-                [m for m in merged if m.probability >= spec.tau]
-            )
+            survivors = [(c, p) for c, p in merged if p >= spec.tau]
+            results.append(_global_matches(survivors))
         return results, total
 
     def run_ranked(
@@ -621,7 +638,7 @@ class ShardedBackend(BackendAdapter):
         n = self.count()
         for j, (i, spec) in enumerate(live):
             merged = self._merge_candidates(shard_replies, j, n)
-            prefix = merged[: spec.k]
+            prefix = _global_matches(merged[: spec.k])
             self._check_ranked_stats(shard_replies, j, prefix)
             results[i] = score_ranked(spec, prefix)
         return results, total
@@ -674,20 +691,22 @@ class ShardedBackend(BackendAdapter):
     @staticmethod
     def _merge_candidates(
         shard_replies: list[tuple[int, ShardReply]], j: int, total_n: int
-    ) -> list[Match]:
-        """Merge query ``j``'s shard answers into globally normalised
-        matches, ordered by descending global posterior (ties broken by
-        shard id then local rank, so merges are deterministic)."""
+    ) -> list[tuple[Match | RowMatch, float]]:
+        """Merge query ``j``'s shard answers into ``(candidate, global
+        posterior)`` pairs, ordered by descending global posterior (ties
+        broken by shard id then local rank, so merges are
+        deterministic). Callers build matches (:func:`_global_matches`)
+        only for the pairs they return."""
         log_z = logsumexp(
             [reply.per_query[j][1] for _, reply in shard_replies]
         )
-        pool: list[tuple[float, int, int, Match]] = []
+        pool: list[tuple[float, int, int, Match | RowMatch]] = []
         for shard_id, reply in shard_replies:
             matches, _ = reply.per_query[j]
             for rank, m in enumerate(matches):
                 pool.append((-m.log_density, shard_id, rank, m))
         pool.sort(key=lambda item: item[:3])
-        merged: list[Match] = []
+        merged: list[tuple[Match | RowMatch, float]] = []
         for neg_ld, _, _, m in pool:
             ld = -neg_ld
             if math.isfinite(log_z):
@@ -698,7 +717,7 @@ class ShardedBackend(BackendAdapter):
                 # Every shard's denominator underflowed: mirror the
                 # scan's "maximally indifferent" uniform fallback.
                 probability = 1.0 / max(1, total_n)
-            merged.append(Match(m.vector, ld, probability))
+            merged.append((m, probability))
         return merged
 
     # -- the write router ----------------------------------------------------
@@ -922,19 +941,26 @@ class ShardedBackend(BackendAdapter):
 
     def estimate(self, kind: str, specs) -> PlanEstimate:
         """Sum shard page estimates; price latency via the pool's
-        fan-out rule (max-over-shards parallel, sum serial)."""
+        fan-out rule (max-over-shards parallel, sum serial). A TIQ
+        also pays, on every shard, the ``MLIQ(q, 1)`` denominator probe
+        its payload adds per query."""
         if not self._active or not specs:
             return PlanEstimate(0, 0.0, "empty deployment: no shards hit")
+        probes = (
+            [MLIQ(spec.q, 1) for spec in specs] if kind == "tiq" else []
+        )
         pages = 0
         cpu_seconds = 0.0
         branch_seconds: list[float] = []
         cost_model = None
         for shard_id in self._active:
             session = self._meta_session(shard_id)
-            est = session._backend.estimate(kind, specs)
-            pages += est.pages
-            cpu_seconds += est.cpu_seconds
-            branch_seconds.append(est.io_seconds)
+            estimates = [session._backend.estimate(kind, specs)]
+            if probes:
+                estimates.append(session._backend.estimate("mliq", probes))
+            pages += sum(est.pages for est in estimates)
+            cpu_seconds += sum(est.cpu_seconds for est in estimates)
+            branch_seconds.append(sum(est.io_seconds for est in estimates))
             store = getattr(session._backend, "store", None)
             if cost_model is None and store is not None:
                 cost_model = store.cost_model

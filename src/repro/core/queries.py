@@ -14,7 +14,9 @@ feature vectors:
 Every access method in this repository (sequential scan, Gauss-tree,
 X-tree filter+refine) answers these same specs and returns the same
 :class:`Match` records, so results are directly comparable — the test
-suite asserts scan/tree equivalence on randomized databases.
+suite asserts scan/tree equivalence on randomized databases. Inside the
+engine the Gauss-tree hands back :class:`RowMatch` references instead,
+which the engine builds into matches before any caller sees them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from typing import Hashable
 
 from repro.core.pfv import PFV
 
-__all__ = ["MLIQuery", "ThresholdQuery", "Match", "QueryStats"]
+__all__ = [
+    "MLIQuery",
+    "ThresholdQuery",
+    "Match",
+    "RowMatch",
+    "QueryStats",
+    "built",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +98,66 @@ class Match:
             f"Match(key={self.vector.key!r}, P={self.probability:.4f}, "
             f"log_p(q|v)={self.log_density:.2f}{extra})"
         )
+
+
+class RowMatch:
+    """A :class:`Match` whose pfv is not built yet: the log density, the
+    posterior and the stored row the match came from, as a leaf (any
+    object with ``entry_at(row)``) and a row index.
+
+    The Gauss-tree's query finishes return these, so a sharded merge
+    that keeps 5 of 40 shard candidates builds the pfv of those 5 only.
+    :meth:`build` makes the :class:`Match` through ``leaf.entry_at``, so
+    a row added from a caller's pfv hands back that same object. A
+    reference is valid until its tree next changes, so the engine builds
+    every answer before returning it (``Session.execute``). Pickling
+    builds it too: a reference that crosses a process boundary arrives
+    as a :class:`Match`, and no leaf is ever pickled.
+
+    ``vector`` and ``key`` read as a match's do, building the pfv on
+    every access.
+    """
+
+    __slots__ = ("leaf", "row", "log_density", "probability")
+
+    score = None  # plain MLIQ/TIQ answers carry no semantics score
+
+    def __init__(
+        self, leaf, row: int, log_density: float, probability: float
+    ) -> None:
+        self.leaf = leaf
+        self.row = row
+        self.log_density = log_density
+        self.probability = probability
+
+    @property
+    def vector(self) -> PFV:
+        """The stored pfv, built now (``leaf.entry_at(row)``)."""
+        return self.leaf.entry_at(self.row)
+
+    @property
+    def key(self) -> Hashable:
+        """Key of the matched real-world object."""
+        return self.vector.key
+
+    def build(self) -> Match:
+        """The :class:`Match` this reference stands for."""
+        return Match(self.vector, self.log_density, self.probability)
+
+    def __reduce__(self):
+        return Match, (self.vector, self.log_density, self.probability)
+
+    def __repr__(self) -> str:
+        return (
+            f"RowMatch(row={self.row}, P={self.probability:.4f}, "
+            f"log_p(q|v)={self.log_density:.2f})"
+        )
+
+
+def built(matches) -> list[Match]:
+    """``matches`` with every :class:`RowMatch` built into its
+    :class:`Match` (matches already built pass through)."""
+    return [m.build() if type(m) is RowMatch else m for m in matches]
 
 
 @dataclasses.dataclass

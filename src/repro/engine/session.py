@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.core.queries import Match, QueryStats
+from repro.core.queries import Match, QueryStats, built
 from repro.engine.backends import (
     Backend,
     CapabilityError,
@@ -97,7 +97,22 @@ class Session:
         ``insert_many`` — one group-commit WAL transaction on durable
         trees. Write specs occupy their result slot with the empty
         match list.
+
+        Every returned match is built (its ``vector`` a pfv), whatever
+        the backend answered with.
         """
+        return self._execute_many(queries, build=True)
+
+    def _execute_many(
+        self, queries: Iterable[Spec], *, build: bool
+    ) -> ResultSet:
+        """:meth:`execute_many`; with ``build=False`` a Gauss-tree's
+        answers stay row references (:class:`~repro.core.queries.RowMatch`),
+        which the sharded fan-out's shard runner hands to the
+        coordinator's merge so that only the matches it keeps are built.
+        A reference is valid until its tree next changes, so the write
+        specs of such a batch would move the rows under earlier answers;
+        the shard runner sends read specs only."""
         self._check_open()
         specs = list(queries)
         for spec in specs:
@@ -124,7 +139,9 @@ class Session:
                         with _obs_trace.span(
                             "run.query", count=len(indices)
                         ):
-                            self._run_queries(specs, indices, per_query, total)
+                            self._run_queries(
+                                specs, indices, per_query, total, build
+                            )
         except BaseException:
             # A run that failed after an earlier run succeeded must not
             # leak the partial breakdown into the next result.
@@ -146,9 +163,10 @@ class Session:
         indices: list[int],
         per_query: list,
         total: QueryStats,
+        build: bool,
     ) -> None:
         """Execute one read run, grouping same-kind specs into shared
-        backend batches."""
+        backend batches (answers built when ``build``)."""
         groups: dict[str, list[int]] = {}
         for i in indices:
             groups.setdefault(spec_kind(specs[i]), []).append(i)
@@ -183,7 +201,7 @@ class Session:
                     for matches, spec in zip(answered, subset)
                 ]
             for i, matches in zip(group, answered):
-                per_query[i] = matches
+                per_query[i] = built(matches) if build else matches
             total.merge(stats)
 
     def _apply_write_run(

@@ -40,6 +40,11 @@ two-level tree, owns its best-first traversal
 depends only on the tree's shape, so answer sets, posterior guarantees
 and per-query logical page accounting do not depend on the batch — the
 tests assert match-for-match equality.
+
+The batch calls answer with row references
+(:class:`~repro.core.queries.RowMatch`), valid until the tree next
+changes: the engine builds the pfv of the matches it returns, and no
+others (a sharded merge drops most shard candidates).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import MLIQuery, QueryStats, RowMatch, ThresholdQuery
 from repro.core.joint import log_joint_density_multi
 from repro.gausstree.hull import node_log_bounds_multi
 from repro.gausstree.mliq import search_mliq, sweep_matches
@@ -333,7 +338,7 @@ class BatchRefiner:
 
 def _run_many(
     tree, queries: Sequence, search: Callable
-) -> tuple[list[list[Match]], QueryStats]:
+) -> tuple[list[list[RowMatch]], QueryStats]:
     """The loop both drivers share: one refiner and one search state per
     query, then ``search(state, query)`` for each query in order."""
     if not queries:
@@ -346,7 +351,7 @@ def _run_many(
         SearchState(tree, query.q, refiner, index)
         for index, query in enumerate(queries)
     ]
-    results: list[list[Match]] = []
+    results: list[list[RowMatch]] = []
     total = QueryStats()
     for query, state in zip(queries, states):
         matches, stats = search(state, query)
@@ -380,20 +385,21 @@ def sweeps_every_mliq(tree) -> bool:
     is two levels deep, a root over leaves, so it could prune only among
     its leaves, and a traversal pays a root bound, a heap and a pop per
     leaf for that chance. Reads only the root's child list, so on a
-    deeper disk tree it decodes no stub (``GaussTree.height`` would)."""
+    deeper disk tree it decodes no stub."""
     root = tree.root
     return not root.is_leaf and root.children[0].is_leaf  # type: ignore[attr-defined]
 
 
 def _sweep_many(
     tree, queries: Sequence[MLIQuery]
-) -> tuple[list[list[Match]], QueryStats]:
+) -> tuple[list[list[RowMatch]], QueryStats]:
     """Answer every k-MLIQ of the batch from one ``(m, n)`` evaluation
     of the leaf stack (:meth:`BatchRefiner.stack_log_densities`).
 
-    Each query reads every node page through the store, as its pops
-    would have, counts the root as its one expanded node and every row
-    as refined, and finishes as a traversal's sweep does
+    Each query reads every node page through the store (one
+    ``read_many``, in the order its pops would have read them), counts
+    the root as its one expanded node and every row as refined, and
+    finishes as a traversal's sweep does
     (:func:`~repro.gausstree.mliq.sweep_matches`), so its answer and
     counters do not depend on the batch.
     """
@@ -401,15 +407,13 @@ def _sweep_many(
     root = tree.root
     pages = [root.page_id, *(leaf.page_id for leaf in root.children)]  # type: ignore[attr-defined]
     store = tree.store
-    read = store.read
     rows = len(tree)
-    results: list[list[Match]] = []
+    results: list[list[RowMatch]] = []
     total = QueryStats()
     for index, query in enumerate(queries):
         store.begin_query()
         started = time.perf_counter()
-        for page_id in pages:
-            read(page_id)
+        store.read_many(pages)
         results.append(
             sweep_matches(tree, refiner.stack_log_densities(index), query.k)
         )
@@ -423,16 +427,17 @@ def _sweep_many(
 
 def gausstree_mliq_many(
     tree, queries: Sequence[MLIQuery], tolerance: float = 1e-9
-) -> tuple[list[list[Match]], QueryStats]:
+) -> tuple[list[list[RowMatch]], QueryStats]:
     """Answer many k-MLIQs in one buffer-warm pass over the tree.
 
-    Returns ``(per-query match lists, aggregate stats)``. Results do not
-    depend on the batch: each query's matches are those of a one-query
-    batch (``gausstree_mliq``); only the wall time changes (shared page
-    cache, shared vectorized refinement). On a two-level tree every
-    query sweeps the leaf stack instead of traversing (see
-    :func:`sweeps_every_mliq`); its posteriors are then exact whatever
-    the ``tolerance``.
+    Returns ``(per-query match lists, aggregate stats)``; the matches are
+    row references (:class:`~repro.core.queries.RowMatch`), valid until
+    the tree next changes. Results do not depend on the batch: each
+    query's matches are those of a one-query batch (``gausstree_mliq``);
+    only the wall time changes (shared page cache, shared vectorized
+    refinement). On a two-level tree every query sweeps the leaf stack
+    instead of traversing (see :func:`sweeps_every_mliq`); its
+    posteriors are then exact whatever the ``tolerance``.
     """
     if queries and sweeps_every_mliq(tree):
         return _sweep_many(tree, queries)
@@ -448,10 +453,11 @@ def gausstree_tiq_many(
     queries: Sequence[ThresholdQuery],
     tolerance: float = 0.0,
     probability_tolerance: float | None = None,
-) -> tuple[list[list[Match]], QueryStats]:
+) -> tuple[list[list[RowMatch]], QueryStats]:
     """Answer many TIQs in one buffer-warm pass over the tree.
 
-    Returns ``(per-query match lists, aggregate stats)``; per-query
+    Returns ``(per-query match lists, aggregate stats)``, the matches as
+    row references like :func:`gausstree_mliq_many`'s; per-query
     semantics are identical to ``gausstree_tiq``.
     """
     return _run_many(

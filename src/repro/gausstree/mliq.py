@@ -11,9 +11,11 @@ requested accuracy.
 Every leaf is columnar, so candidate selection is one loop over pages:
 the entries beating the current k-th density are found with one numpy
 comparison over the whole page, and candidates are kept as ``(leaf,
-row)`` references whose pfv is only fetched for the final result set.
-The selected candidates — and hence matches and posteriors — are those
-of the paper's per-entry loop, which the parity property tests assert
+row)`` references. The answer keeps them too
+(:class:`~repro.core.queries.RowMatch`): a pfv is built only for a match
+some caller is handed, so a sharded merge builds the ones it keeps. The
+selected candidates — and hence matches and posteriors — are those of
+the paper's per-entry loop, which the parity property tests assert
 against the sequential scan.
 
 **The sweep.** Where the hulls do not separate the data (low-dimensional
@@ -43,7 +45,7 @@ import time
 
 import numpy as np
 
-from repro.core.queries import Match, MLIQuery, QueryStats
+from repro.core.queries import Match, MLIQuery, QueryStats, RowMatch, built
 from repro.core.scan import top_k_order
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
 
@@ -103,18 +105,19 @@ def gausstree_mliq(
 
     Returns
     -------
-    ``(matches, stats)`` with matches ordered by descending posterior.
+    ``(matches, stats)`` with matches ordered by descending posterior,
+    built (unlike the batch call's row references).
     Ranking is exact; posteriors are exact within ``tolerance``.
     """
     from repro.gausstree.batch import gausstree_mliq_many
 
     (matches,), stats = gausstree_mliq_many(tree, [query], tolerance)
-    return matches, stats
+    return built(matches), stats
 
 
 def search_mliq(
     state: SearchState, query: MLIQuery, tolerance: float
-) -> tuple[list[Match], QueryStats]:
+) -> tuple[list[RowMatch], QueryStats]:
     """Run one k-MLIQ's best-first traversal over its prepared state."""
     state.tree.store.begin_query()
     started = time.perf_counter()
@@ -233,28 +236,35 @@ def _pruning_failed(
     return must >= _SWEEP_SHARE * queued
 
 
-def _sweep(state: SearchState, k: int) -> list[Match]:
+def _sweep(state: SearchState, k: int) -> list[RowMatch]:
     """Answer the query as the scan does, from one density row over the
     tree's leaf stack (:func:`sweep_matches`).
 
-    Every page still under the queue is read through the store, as the
-    pops it replaces would have, so the query's page accesses are the
-    tree's node pages; every row counts as refined.
+    Every page still under the queue is read through the store, in the
+    order the pops it replaces would have read them, so the query's page
+    accesses are the tree's node pages; every row counts as refined. The
+    reads go in runs, one ``read_many`` per inner node: the leaves popped
+    before it, then the node itself, which must be read before its
+    children are listed (listing decodes a stub).
     """
-    read = state._read
+    read_many = state.tree.store.read_many
     pending = [item[3] for item in state._heap]
+    run: list[int] = []
     while pending:
         node = pending.pop()
-        read(node.page_id)
+        run.append(node.page_id)
         if not node.is_leaf:
+            read_many(run)
+            run = []
             pending.extend(node.children)  # type: ignore[attr-defined]
+    read_many(run)
     state.objects_refined = len(state.tree)
     return sweep_matches(
         state.tree, state.refiner.stack_log_densities(state.query_index), k
     )
 
 
-def sweep_matches(tree, row: np.ndarray, k: int) -> list[Match]:
+def sweep_matches(tree, row: np.ndarray, k: int) -> list[RowMatch]:
     """The k-MLIQ answer from one query's density row over the tree's
     leaf stack: the top k of it and one exact denominator. The finish of
     both sweeps, a traversal's (:func:`_sweep`) and a two-level tree's
@@ -275,9 +285,9 @@ def sweep_matches(tree, row: np.ndarray, k: int) -> list[Match]:
             np.exp(row[order] - top) / float(np.sum(scaled))
         ).tolist()
     return [
-        Match(vector, log_density, probability)
-        for vector, log_density, probability in zip(
-            tree.leaf_stack().entries_at(order),
+        RowMatch(leaf, i, log_density, probability)
+        for (leaf, i), log_density, probability in zip(
+            tree.leaf_stack().locate(order),
             row[order].tolist(),
             probabilities,
         )
@@ -286,7 +296,7 @@ def sweep_matches(tree, row: np.ndarray, k: int) -> list[Match]:
 
 def _assemble(
     state: SearchState, candidates: list[tuple]
-) -> list[Match]:
+) -> list[RowMatch]:
     ordered = sorted(candidates, key=lambda item: (-item[0], item[1]))
     state.settle_bounds()
     denom = state.denominator_mid
@@ -304,8 +314,6 @@ def _assemble(
             # Degenerate: every density underflowed — mirror the scan's
             # "maximally indifferent" uniform posterior (Property 3).
             probability = 1.0 / max(1, len(state.tree))
-        matches.append(
-            Match(item[2].entry_at(item[3]), log_density, probability)
-        )
+        matches.append(RowMatch(item[2], item[3], log_density, probability))
     return matches
 

@@ -975,7 +975,7 @@ class TreeWriter:
         if live_leaf is not None:
             self.height = self._depth(live_leaf) + 1
         else:  # pure-structural op; rare, costs a leftmost-path walk
-            self.height = self.tree.height
+            self.height = self.tree._spine_height()
         images: list[tuple[int, bytes]] = []
         for node in live:
             level = 0 if node.is_leaf else self.height - 1 - self._depth(node)
@@ -1315,6 +1315,7 @@ def _open_tree_locked(
         )
     else:
         tree.read_only = True
+        tree._header_height = meta["height"]
         # Register reader presence for `repro reshard-gc` (best-effort;
         # released by tree.close()).
         reader_lock = _ReaderLock(path)

@@ -24,7 +24,13 @@ import itertools
 import math
 import time
 
-from repro.core.queries import Match, QueryStats, ThresholdQuery
+from repro.core.queries import (
+    Match,
+    QueryStats,
+    RowMatch,
+    ThresholdQuery,
+    built,
+)
 from repro.gausstree.search import SearchState
 
 __all__ = ["gausstree_tiq", "search_tiq"]
@@ -50,13 +56,15 @@ def gausstree_tiq(
     *reported* posterior (the paper's "report the actual probabilities
     ... at a specified accuracy", Section 5.2.3 last paragraph); ``None``
     reports best-effort interval midpoints without extra page reads.
+
+    The matches come back built (the batch call returns row references).
     """
     from repro.gausstree.batch import gausstree_tiq_many
 
     (matches,), stats = gausstree_tiq_many(
         tree, [query], tolerance, probability_tolerance
     )
-    return matches, stats
+    return built(matches), stats
 
 
 def search_tiq(
@@ -64,7 +72,7 @@ def search_tiq(
     query: ThresholdQuery,
     tolerance: float,
     probability_tolerance: float | None,
-) -> tuple[list[Match], QueryStats]:
+) -> tuple[list[RowMatch], QueryStats]:
     """Run one TIQ's best-first traversal over its prepared state."""
     state.tree.store.begin_query()
     started = time.perf_counter()
@@ -72,9 +80,9 @@ def search_tiq(
 
     # Min-heap by log density: rejections always happen at the low end
     # because the denominator lower bound grows monotonically. Items are
-    # (log_density, tiebreak, leaf, row) — the pfv is only fetched for
-    # the final classification; tiebreaks are unique, so heap
-    # comparisons never reach the leaf.
+    # (log_density, tiebreak, leaf, row) — accepted ones leave as row
+    # references; tiebreaks are unique, so heap comparisons never reach
+    # the leaf.
     candidates: list[tuple] = []
     # Max-heap (negated) of candidates not yet decided-accept — the
     # undecidedness test needs the *largest* straddling candidate
@@ -191,13 +199,13 @@ def _classify(
     candidates: list[tuple],
     p_theta: float,
     tolerance: float,
-) -> list[Match]:
+) -> list[RowMatch]:
     state.settle_bounds()
     denom_low = state.denominator_low
     denom_high = state.denominator_high
     denom_mid = state.denominator_mid
     n = max(1, len(state.tree))
-    matches: list[Match] = []
+    matches: list[RowMatch] = []
     for item in candidates:
         log_density = item[0]
         if denom_mid > 0.0:
@@ -215,6 +223,6 @@ def _classify(
             # positive tolerance allowed the traversal to stop early.
             accepted = tolerance > 0.0 and mid >= p_theta
         if accepted:
-            matches.append(Match(item[2].entry_at(item[3]), log_density, mid))
+            matches.append(RowMatch(item[2], item[3], log_density, mid))
     matches.sort(key=lambda m: -m.probability)
     return matches

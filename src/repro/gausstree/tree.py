@@ -61,13 +61,12 @@ class LeafStack(NamedTuple):
     leaves: list[LeafNode]
     starts: np.ndarray
 
-    def entries_at(self, rows: np.ndarray) -> list[PFV]:
-        """The stored pfv behind the given stack rows (``entry_at``)."""
+    def locate(self, rows: np.ndarray) -> list[tuple[LeafNode, int]]:
+        """The ``(leaf, row)`` each given stack row is stored at."""
         owners = np.searchsorted(self.starts, rows, side="right") - 1
-        return [
-            self.leaves[j].entry_at(i - int(self.starts[j]))
-            for i, j in zip(rows.tolist(), owners.tolist())
-        ]
+        offsets = (rows - self.starts[owners]).tolist()
+        leaves = self.leaves
+        return [(leaves[j], i) for j, i in zip(owners.tolist(), offsets)]
 
 
 class GaussTree:
@@ -138,6 +137,9 @@ class GaussTree:
         self._reader_lock = None
         # Built by leaf_stack() on first use; every mutation drops it.
         self._leaf_stack: LeafStack | None = None
+        # The height a read-only disk tree's header records (set by
+        # open_tree); a writable tree's writer keeps its own current.
+        self._header_height: int | None = None
 
     # -- capacities (Definition 4) ------------------------------------------
 
@@ -166,7 +168,21 @@ class GaussTree:
 
     @property
     def height(self) -> int:
-        """Number of levels (1 for a lone root leaf)."""
+        """Number of levels (1 for a lone root leaf).
+
+        A disk-opened tree answers from its header's height, which the
+        writer of a writable tree keeps current at every commit, so no
+        stub page is decoded; an in-memory tree walks its left spine.
+        """
+        if self._writer is not None:
+            return self._writer.height
+        if self._header_height is not None:
+            return self._header_height
+        return self._spine_height()
+
+    def _spine_height(self) -> int:
+        """Levels down the first children from the root to a leaf; on a
+        disk-opened tree this decodes every inner stub on the way."""
         h = 1
         node = self.root
         while not node.is_leaf:

@@ -18,6 +18,8 @@ real page bytes through the same buffer and accounting.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import DiskCostModel
 
@@ -104,16 +106,26 @@ class PageStore:
 
     def read(self, page_id: int) -> None:
         """One random page read through the buffer."""
-        if page_id not in self._allocated:
-            raise KeyError(f"page {page_id} is not allocated")
-        self.log.pages_accessed += 1
-        hit = self.buffer.access(page_id)
-        if not hit:
-            self.log.page_faults += 1
-            self.log.io_seconds += self.cost_model.random_read_seconds(1)
-            self.log.evictions = max(
-                0, self.buffer.stats.evictions - self._evictions_base
-            )
+        self.read_many((page_id,))
+
+    def read_many(self, page_ids: Sequence[int]) -> None:
+        """Random page reads through the buffer, in order: the counters,
+        the buffer's LRU order and its faults are those of one
+        :meth:`read` per page (which is this call with one page), paid
+        in one call."""
+        allocated = self._allocated
+        log = self.log
+        access = self.buffer.access
+        for page_id in page_ids:
+            if page_id not in allocated:
+                raise KeyError(f"page {page_id} is not allocated")
+            log.pages_accessed += 1
+            if not access(page_id):
+                log.page_faults += 1
+                log.io_seconds += self.cost_model.random_read_seconds(1)
+                log.evictions = max(
+                    0, self.buffer.stats.evictions - self._evictions_base
+                )
 
     def read_sequential_run(self, page_ids: list[int]) -> None:
         """Read a contiguous run of pages at streaming cost.

@@ -19,7 +19,17 @@ from repro.cluster import ClusterError, ProcessPool, SerialPool, make_pool
 from repro.cluster.partition import build_shards
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.engine import MLIQ, TIQ, RankQuery, CapabilityError, connect
+from repro.engine import (
+    MLIQ,
+    TIQ,
+    CapabilityError,
+    ConsensusTopK,
+    RankQuery,
+    connect,
+)
+from repro.gausstree.node import LeafNode
+from repro.gausstree.persist import read_header
+from repro.gausstree.tree import GaussTree
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -330,6 +340,97 @@ def test_process_pool_parity_with_serial(tmp_path):
             assert b.probability == pytest.approx(
                 a.probability, abs=1e-12
             )
+
+
+def _two_level_shards(tmp_path, n_shards, rows_per_shard, seed):
+    """Hash-placed disk shards on 1 KiB pages (at most 18 rows of 3-d
+    per leaf), so every shard tree is a root over its leaves and answers
+    every k-MLIQ with a sweep. Returns the database, the manifest and
+    each shard's node pages."""
+    db = make_random_db(n=n_shards * rows_per_shard, seed=seed)
+    manifest = build_shards(
+        db, n_shards, tmp_path / "two-level", page_size=1024
+    )
+    node_pages = []
+    for path in manifest.shard_paths():
+        tree = GaussTree.open(path)
+        assert tree.height == 2, (path, tree.height)
+        tree.close()
+        node_pages.append(read_header(path)["page_count"])
+    return db, manifest, node_pages
+
+
+def _bits(rs):
+    return [
+        [(m.key, m.log_density, m.probability, m.score) for m in matches]
+        for matches in rs
+    ]
+
+
+def test_process_pool_parity_over_two_level_shards(tmp_path):
+    # Replies that cross to the parent carry swept shards' answers: the
+    # process pool must merge them into the serial pool's bits.
+    db, manifest, _ = _two_level_shards(tmp_path, 3, 60, seed=33)
+    qs = [PFV(db[i].mu, db[i].sigma) for i in (3, 50, 99, 140, 171)]
+    specs = [
+        MLIQ(qs[0], 1),
+        MLIQ(qs[1], 3),
+        MLIQ(qs[2], 5),
+        TIQ(qs[3], 0.05),
+        RankQuery(qs[4], 6, min_mass=0.9),
+        ConsensusTopK(qs[0], 4),
+    ]
+    with connect(manifest.source_path, backend="sharded") as serial:
+        expected = serial.execute_many(specs)
+    # Every spec sweeps every shard once; the TIQ through its probe.
+    assert expected.stats.swept == 3 * len(specs)
+    assert all(expected), "every spec must have answers to compare"
+    with connect(
+        manifest.source_path, backend="sharded", pool="process", workers=2
+    ) as parallel:
+        got = parallel.execute_many(specs)
+        again = parallel.execute_many(specs)
+    assert got.stats.swept == expected.stats.swept
+    assert _bits(got) == _bits(expected)
+    assert _bits(again) == _bits(expected)
+
+
+def test_merge_builds_a_pfv_only_for_the_returned_matches(
+    tmp_path, monkeypatch
+):
+    # 16 MLIQ(q, 5) over 8 two-level shards: each shard answers its top
+    # 5 per query (640 candidates), the coordinator returns 80 matches
+    # and builds those alone.
+    _, manifest, _ = _two_level_shards(tmp_path, 8, 60, seed=35)
+    specs = [MLIQ(make_random_query(seed=200 + i), 5) for i in range(16)]
+    builds = []
+    entry_at = LeafNode.entry_at
+
+    def counting_entry_at(leaf, index):
+        builds.append(index)
+        return entry_at(leaf, index)
+
+    with connect(manifest.source_path, backend="sharded") as session:
+        session.execute(specs[0])  # open every shard first
+        monkeypatch.setattr(LeafNode, "entry_at", counting_entry_at)
+        rs = session.execute_many(specs)
+    assert sum(len(matches) for matches in rs) == 80
+    assert rs.stats.swept == 8 * len(specs)
+    assert len(builds) == 80
+
+
+def test_tiq_estimate_prices_the_denominator_probes(tmp_path):
+    # A sharded TIQ adds an MLIQ(q, 1) probe per query on every shard,
+    # and on a two-level shard that probe reads every node page.
+    db, manifest, node_pages = _two_level_shards(tmp_path, 4, 60, seed=37)
+    specs = [TIQ(PFV(db[i].mu, db[i].sigma), 0.2) for i in (5, 60, 130, 200)]
+    with connect(manifest.source_path, backend="sharded") as session:
+        plan = session.explain(specs)
+        rs = session.execute_many(specs)
+    probe_pages = sum(node_pages) * len(specs)
+    assert rs.stats.swept == 4 * len(specs)
+    assert rs.stats.pages_accessed >= probe_pages
+    assert plan.estimated_pages >= probe_pages
 
 
 def test_serial_pool_shares_sessions_with_metadata():

@@ -53,6 +53,26 @@ def make_random_query(d: int = 3, seed: int = 1) -> PFV:
     return PFV(rng.uniform(0.0, 1.0, d), rng.uniform(0.05, 0.4, d))
 
 
+def lru_reference(sequence, capacity, resident=()):
+    """A plain LRU cache read through ``sequence``: the resident pages
+    in LRU order, the faults and the evictions."""
+    order = list(resident)
+    faults = evictions = 0
+    for pid in sequence:
+        if pid in order:
+            order.remove(pid)
+            order.append(pid)
+            continue
+        faults += 1
+        if capacity == 0:
+            continue
+        if len(order) >= capacity:
+            order.pop(0)
+            evictions += 1
+        order.append(pid)
+    return order, faults, evictions
+
+
 @pytest.fixture
 def small_db() -> PFVDatabase:
     return make_random_db()

@@ -1,9 +1,20 @@
 """Unit tests for query specs and stats records."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import (
+    Match,
+    MLIQuery,
+    QueryStats,
+    RowMatch,
+    ThresholdQuery,
+    built,
+)
+from repro.gausstree.node import LeafNode
 
 
 class TestSpecs:
@@ -34,6 +45,49 @@ class TestMatch:
         m = Match(PFV([0.0], [1.0], key="obj"), -1.0, 0.5)
         assert m.key == "obj"
         assert "obj" in repr(m)
+
+
+class TestRowMatch:
+    def _leaf(self):
+        # Rows 0-1 are columns only (as decoded or bulk-loaded rows are);
+        # row 2 was added from a caller's pfv.
+        leaf = LeafNode(page_id=1)
+        leaf.set_columns(
+            np.array([[0.1, 0.2], [0.3, 0.4]]),
+            np.array([[0.5, 0.5], [0.6, 0.6]]),
+            ["b", "c"],
+        )
+        added = PFV([0.0, 0.0], [1.0, 1.0], key="a")
+        leaf.add(added)
+        return leaf, added
+
+    def test_build_goes_through_entry_at(self):
+        leaf, added = self._leaf()
+        ref = RowMatch(leaf, 2, -1.5, 0.25)
+        match = ref.build()
+        assert type(match) is Match
+        assert match.vector is added  # the caller's own object
+        assert (match.log_density, match.probability) == (-1.5, 0.25)
+        assert ref.key == "a" and ref.score is None
+
+    def test_pickles_as_the_built_match(self):
+        leaf = LeafNode(page_id=1)
+        leaf.set_columns(np.array([[0.1, 0.2]]), np.array([[0.5, 0.6]]), [7])
+        restored = pickle.loads(pickle.dumps([RowMatch(leaf, 0, -2.0, 1.0)]))
+        (match,) = restored
+        assert type(match) is Match
+        assert match.key == 7
+        assert match.vector.mu.tolist() == [0.1, 0.2]
+        assert match.vector.sigma.tolist() == [0.5, 0.6]
+        assert (match.log_density, match.probability) == (-2.0, 1.0)
+
+    def test_built_passes_matches_through(self):
+        leaf, _ = self._leaf()
+        done = Match(PFV([0.0], [1.0], key="x"), -1.0, 0.5)
+        out = built([done, RowMatch(leaf, 1, -3.0, 0.1)])
+        assert out[0] is done
+        assert type(out[1]) is Match and out[1].key == "c"
+        assert out[1].vector.mu.tolist() == [0.3, 0.4]
 
 
 class TestQueryStats:

@@ -375,8 +375,18 @@ def two_level_shards_case(draw):
     for _ in range(draw(st.integers(1, 8))):
         q = PFV(rng.uniform(0.0, 1.0, d), rng.uniform(0.05, 0.4, d))
         k = draw(st.integers(1, n + 2))
+        tau = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
         specs.append(
-            draw(st.sampled_from([MLIQ(q, k), ConsensusTopK(q, k)]))
+            draw(
+                st.sampled_from(
+                    [
+                        MLIQ(q, k),
+                        ConsensusTopK(q, k),
+                        TIQ(q, tau),
+                        RankQuery(q, k, min_mass=0.9),
+                    ]
+                )
+            )
         )
     return n_shards, degree, db, specs
 
@@ -386,7 +396,8 @@ def two_level_shards_case(draw):
 def test_two_level_shards_stay_within_1e9_of_one_tree(case):
     """Shards that each sweep every query merge into one tree's answers:
     the same keys in the same order, posteriors and consensus scores
-    within 1e-9."""
+    within 1e-9. A TIQ sweeps each shard through its denominator probe
+    and returns the shard candidates that pass the global threshold."""
     n_shards, degree, db, specs = case
     with connect(db, backend="tree") as session:
         reference = session.execute_many(specs)

@@ -16,11 +16,13 @@ import repro
 from repro.baselines.seqscan import SequentialScanIndex
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
+from repro.core.queries import Match, MLIQuery, ThresholdQuery
 from repro.engine import (
     MLIQ,
     TIQ,
     CapabilityError,
+    ConsensusTopK,
+    ExpectedRank,
     RankQuery,
     available_backends,
     connect,
@@ -119,6 +121,64 @@ class TestExecute:
             _ = rs.matches  # multi-query: must index per query
         cum = rs.cumulative_probability(1)
         assert cum == sorted(cum) and len(cum) == 3
+
+
+class TestBuiltAnswers:
+    """Inside the engine a Gauss-tree answers with row references, which
+    a later write would move; every answer leaves ``execute`` built."""
+
+    @pytest.mark.parametrize("backend", ["tree", "disk", "sharded"])
+    def test_answers_are_built_and_outlive_later_writes(
+        self, tmp_path, db, backend
+    ):
+        # Degree 3 keeps leaves at 3-6 rows: the deletes and inserts
+        # below shift, split and dissolve the leaves the answers sit in.
+        tree = bulk_load(db.vectors, degree=3, sigma_rule=db.sigma_rule)
+        if backend == "disk":
+            path = str(tmp_path / "built.gauss")
+            tree.save(path)
+            session = connect(path, writable=True, fsync=False)
+        elif backend == "tree":
+            session = session_for(tree)
+        else:
+            session = connect(
+                db,
+                backend="sharded",
+                shards=2,
+                inner="tree",
+                writable=True,
+                inner_options={"degree": 3},
+            )
+        q = PFV(db[7].mu, db[7].sigma)
+        specs = [
+            MLIQ(q, 5),
+            TIQ(q, 0.01),
+            RankQuery(q, 4),
+            ConsensusTopK(q, 3),
+            ExpectedRank(q, 3),
+        ]
+        with session:
+            rs = session.execute_many(specs)
+            seen = {}
+            for matches in rs:
+                assert matches
+                for m in matches:
+                    assert type(m) is Match
+                    assert isinstance(m.vector, PFV)
+                    seen[id(m)] = (m, m.key, m.vector.mu, m.vector.sigma)
+            answered = {m.key: m.vector for m, *_ in seen.values()}
+            for v in list(answered.values())[:3]:
+                assert session.delete(v)
+            session.insert_many(
+                PFV(q.mu + 0.01 * i, q.sigma, key=("new", i))
+                for i in range(12)
+            )
+            for m, key, mu, sigma in seen.values():
+                assert m.key == key
+                assert np.array_equal(m.vector.mu, mu)
+                assert np.array_equal(m.vector.sigma, sigma)
+        for m, key, _, _ in seen.values():
+            assert m.key == key
 
 
 class TestEdgeSemantics:

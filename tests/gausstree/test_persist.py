@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery, ThresholdQuery
+from repro.engine import MLIQ, TIQ, session_for
 from repro.gausstree import gausstree_mliq, gausstree_mliq_many, gausstree_tiq
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.persist import read_header, save_tree
@@ -23,7 +24,7 @@ from repro.gausstree.tree import GaussTree
 from repro.storage.buffer import BufferManager
 from repro.storage.filestore import FilePageStore
 
-from tests.conftest import make_random_db, make_random_query
+from tests.conftest import lru_reference, make_random_db, make_random_query
 
 
 def build_tree(db, degree=3, bulk=True):
@@ -259,6 +260,30 @@ def _iter_shallow(node):
             stack.extend(current._children)
 
 
+def _materialized(tree) -> int:
+    return sum(node.is_materialized for node in _iter_shallow(tree.root))
+
+
+class TestHeight:
+    def test_explain_on_a_fresh_open_decodes_no_stub(self, tmp_path):
+        # The height of a disk tree comes from its header: walking the
+        # left spine would decode the inner stubs on it.
+        path = str(tmp_path / "tall.gauss")
+        db = make_random_db(n=300, d=2, seed=17)
+        tree = build_tree(db)
+        assert tree.height >= 4
+        tree.save(path)
+        reopened = GaussTree.open(path)
+        try:
+            assert _materialized(reopened) == 1  # the root
+            assert reopened.height == tree.height
+            q = make_random_query(d=2, seed=18)
+            session_for(reopened).explain([MLIQ(q, 3), TIQ(q, 0.2)])
+            assert _materialized(reopened) == 1
+        finally:
+            reopened.close()
+
+
 class TestFileFormat:
     def test_header_fields(self, tmp_path):
         path = str(tmp_path / "h.gauss")
@@ -346,6 +371,43 @@ class TestFilePageStore:
             )
         finally:
             reopened.close()
+
+    @pytest.mark.parametrize("capacity", [0, 3, 1 << 20])
+    def test_read_many_keeps_frames_of_the_resident_pages_read(
+        self, tmp_path, capacity
+    ):
+        # Counters and LRU order are the page store's (see
+        # tests/storage/test_pagestore.py); the frame cache must hold
+        # the file's bytes of exactly the pages left resident, cold and
+        # warm, though a 3-page buffer evicts pages inside one call.
+        path = str(tmp_path / "many.gauss")
+        build_tree(make_random_db(n=120, d=2, seed=15)).save(path)
+        meta = read_header(path)
+        size = meta["page_size"]
+        with open(path, "rb") as f:
+            data = f.read()
+        store = FilePageStore(
+            path,
+            size,
+            allocated_pages=meta["page_count"],
+            buffer=BufferManager(capacity),
+        )
+        pages = list(range(1, meta["page_count"] + 1))
+        sequence = pages + pages[::2] + pages[:3]
+        try:
+            for _ in range(2):  # cold, then warm
+                store.begin_query()
+                before = list(store.buffer._resident)
+                store.read_many(sequence)
+                order, faults, _ = lru_reference(sequence, capacity, before)
+                assert list(store.buffer._resident) == order
+                assert store.log.page_faults == faults
+                assert store._frames == {
+                    pid: data[pid * size : (pid + 1) * size] for pid in order
+                }
+            assert store.read(pages[0]) == data[size : 2 * size]
+        finally:
+            store.close()
 
     def test_sharing_a_buffer_across_stores_is_rejected(self, tmp_path):
         # Buffer residency is keyed by file-local page ids, so one buffer

@@ -396,6 +396,43 @@ class TestMutateQueryEquivalence:
             writable.close()
 
 
+class TestHeight:
+    def test_height_follows_the_tree_as_it_grows_and_shrinks(self, tmp_path):
+        # A writable disk tree reports the height its writer keeps for
+        # the header; it must match the structure after every insert and
+        # delete, root splits and root collapses included.
+        path = str(tmp_path / "height.gauss")
+        rng = np.random.default_rng(23)
+        base = make_vectors(rng, 3, 2, "base")
+        build_saved(path, base, 2, degree=2)
+        extra = make_vectors(rng, 60, 2, "new")
+        heights = []
+        tree = GaussTree.open(path, writable=True, fsync=False)
+        try:
+            assert tree.height == 1
+            for v in extra[:40]:
+                tree.insert(v)
+                assert tree.height == tree._spine_height()
+                heights.append(tree.height)
+            tree.insert_many(extra[40:])
+            assert tree.height == tree._spine_height()
+            tree.flush()
+            reopened = GaussTree.open(path)
+            assert reopened.height == tree.height
+            reopened.close()
+            for v in base + extra:
+                assert tree.delete(v)
+                assert tree.height == tree._spine_height()
+                heights.append(tree.height)
+        finally:
+            tree.close()
+        assert max(heights) >= 4
+        assert heights[-1] == 1
+        reopened = GaussTree.open(path)
+        assert reopened.height == 1
+        reopened.close()
+
+
 class TestWritableLifecycle:
     def test_v1_files_still_open_read_only(self, tmp_path):
         import struct

@@ -6,6 +6,8 @@ from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pagestore import PageStore
 
+from tests.conftest import lru_reference
+
 
 class TestAllocation:
     def test_allocate_unique_ids(self):
@@ -99,3 +101,43 @@ class TestAccounting:
 
     def test_repr(self):
         assert "PageStore" in repr(self.make_store())
+
+
+class TestReadMany:
+    """``read_many`` is one ``read`` per page, paid in one call."""
+
+    # Duplicates, a run longer than the 4-page buffer (evictions) and a
+    # revisit of evicted pages.
+    SEQUENCE = [0, 1, 2, 0, 3, 4, 5, 1, 6, 2, 2, 7, 0]
+
+    @pytest.mark.parametrize("capacity", [0, 4, 64])
+    def test_counters_and_lru_order_are_those_of_an_lru_cache(
+        self, capacity
+    ):
+        cost = DiskCostModel()
+        store = PageStore(buffer=BufferManager(capacity), cost_model=cost)
+        for _ in range(8):
+            store.allocate()
+        for _ in range(2):  # cold, then warm
+            store.begin_query()
+            before = list(store.buffer._resident)
+            store.read_many(self.SEQUENCE[:5])
+            store.read_many(self.SEQUENCE[5:])
+            order, faults, evictions = lru_reference(
+                self.SEQUENCE, capacity, before
+            )
+            io_seconds = 0.0
+            for _ in range(faults):
+                io_seconds += cost.random_read_seconds(1)
+            assert list(store.buffer._resident) == order
+            assert store.log.pages_accessed == len(self.SEQUENCE)
+            assert store.log.page_faults == faults
+            assert store.log.evictions == evictions
+            assert store.log.io_seconds == io_seconds
+
+    def test_unallocated_page_raises_after_counting_the_ones_before(self):
+        store = PageStore(buffer=BufferManager(4))
+        pid = store.allocate()
+        with pytest.raises(KeyError):
+            store.read_many([pid, 42])
+        assert store.log.pages_accessed == 1
