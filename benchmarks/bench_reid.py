@@ -19,11 +19,13 @@ throughput (identify+insert+expire cycles per second) and the
 re-identification precision against the stream generator's ground
 truth.
 
-* **Failover determinism** — a read-only process-pool deployment
-  answers a 48-query identification batch with a worker kill armed
-  mid-batch; the answers must be *bit-identical* (keys, posteriors,
-  consensus scores) to the fault-free run. This gate is asserted even
-  under ``--smoke``: it is a correctness claim, not a throughput ratio.
+* **Failover determinism** — a read-only replicated deployment
+  answers a 48-query identification batch after one shard's replica
+  file is lost; the shard's task fails over to its primary, and the
+  answers must be *bit-identical* (keys, posteriors, consensus scores)
+  to the fault-free run, at one or more observed failovers. This gate
+  is asserted even under ``--smoke``: it is a correctness claim, not a
+  throughput ratio.
 
 Throughput gates (full runs only): every observation must complete its
 identify+insert cycle, every expiry must delete exactly its track, and
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -50,14 +53,12 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
-from repro.cluster.backend import ShardedBackend, _run_shard_payload  # noqa: E402
 from repro.cluster.partition import build_shards  # noqa: E402
 from repro.core.database import PFVDatabase  # noqa: E402
 from repro.core.pfv import PFV  # noqa: E402
 from repro.engine import ConsensusTopK, connect  # noqa: E402
-from repro.engine.session import Session  # noqa: E402
+from repro.obs.metrics import counter  # noqa: E402
 from repro.serve import JsonlClient, serve_async  # noqa: E402
-from repro.storage.fault import WorkerKillSwitch, killing_runner  # noqa: E402
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -233,41 +234,30 @@ def run_serve_phase(
     return result
 
 
-def run_kill_phase(stream, tmp_dir: str, *, k: int) -> dict:
+def run_failover_phase(stream, tmp_dir: str, *, k: int) -> dict:
     """Bit-identical failover: a 48-query identification batch over a
-    process-pool deployment with a worker kill armed mid-batch must
-    answer exactly like the fault-free run — keys, posteriors and
-    consensus scores compared as floats, no tolerance."""
+    replicated deployment whose shard-0 replica file is lost must answer
+    exactly like the fault-free run — keys, posteriors and consensus
+    scores compared as floats, no tolerance. Reports the failovers the
+    batch cost (``repro_cluster_failover_total``)."""
     tracks = [
         PFV(obs.mu, obs.sigma, key=("track", i))
         for i, (_, obs) in enumerate(stream[:64])
     ]
     manifest = build_shards(
-        PFVDatabase(tracks), 2, os.path.join(tmp_dir, "kill"), replicas=1
+        PFVDatabase(tracks), 2, os.path.join(tmp_dir, "failover"),
+        replicas=1,
     )
     specs = [ConsensusTopK(obs, k) for _, obs in stream[64:112]]
 
     with connect(manifest.source_path, backend="sharded") as ref:
         expected = [list(matches) for matches in ref.execute_many(specs)]
 
-    switch = WorkerKillSwitch(os.path.join(tmp_dir, "kill.sentinel"))
-    backend = ShardedBackend(
-        manifest.shard_paths(),
-        [s.objects for s in manifest.shards],
-        inner="disk",
-        pool_kind="process",
-        workers=2,
-        inner_options={"mliq_tolerance": 1e-12},
-        manifest=manifest,
-        replicas=manifest.replica_paths(),
-        runner=killing_runner(_run_shard_payload, switch),
-    )
-    session = Session(backend)
-    try:
-        switch.arm()
+    os.unlink(manifest.replica_paths()[0][0])
+    failovers = counter("repro_cluster_failover_total")
+    before = failovers.value
+    with connect(manifest.source_path, backend="sharded") as session:
         got = [list(matches) for matches in session.execute_many(specs)]
-    finally:
-        session.close()
     identical = len(got) == len(expected)
     for exp, act in zip(expected, got):
         identical = identical and (
@@ -280,7 +270,7 @@ def run_kill_phase(stream, tmp_dir: str, *, k: int) -> dict:
     return {
         "queries": len(specs),
         "tracks": len(tracks),
-        "kill_consumed": not switch.armed,
+        "failovers": int(failovers.value - before),
         "bit_identical": identical,
     }
 
@@ -303,10 +293,7 @@ def run(
         serve = run_serve_phase(
             stream, tmp_dir, window=window, k=k, server=server
         )
-        if os.name == "posix":
-            kill = run_kill_phase(stream, tmp_dir, k=min(k, 5))
-        else:  # pragma: no cover - process pools need fork
-            kill = {"skipped": "process pool requires posix fork"}
+        failover = run_failover_phase(stream, tmp_dir, k=min(k, 5))
     finally:
         shutil.rmtree(tmp_dir)
     return {
@@ -316,7 +303,7 @@ def run(
             "sync_identify_p99_ms": sync["identify_p99_ms"],
             "serve_identify_p99_ms": serve["identify_p99_ms"],
             "reid_precision": sync["reid_precision"],
-            "failover_bit_identical": kill.get("bit_identical"),
+            "failover_bit_identical": failover["bit_identical"],
         },
         "workload": {
             "identities": identities,
@@ -329,6 +316,8 @@ def run(
         },
         "environment": {
             "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "note": (
                 "identify-then-insert with sliding-window expiry; sync "
                 "is one in-process writable sharded session, serve is "
@@ -339,7 +328,7 @@ def run(
         },
         "sync": sync,
         "serve": serve,
-        "failover": kill,
+        "failover": failover,
     }
 
 
@@ -392,20 +381,19 @@ def main(argv=None) -> int:
     print(json.dumps(result, indent=2))
 
     headline = result["headline"]
+    # Correctness gates hold even in smoke runs.
     failures = []
-    if result["failover"].get("skipped") is None:
-        # Correctness gates hold even in smoke runs.
-        if not result["failover"]["kill_consumed"]:
-            failures.append("no worker consumed the kill sentinel")
-        if not headline["failover_bit_identical"]:
-            failures.append(
-                "identification answers under a worker kill differ from "
-                "the fault-free run (must be bit-identical)"
-            )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
+    if result["failover"]["failovers"] < 1:
+        failures.append("the lost replica file cost no failover")
+    if not headline["failover_bit_identical"]:
+        failures.append(
+            "identification answers with a replica file lost differ from "
+            "the fault-free run (must be bit-identical)"
+        )
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1
     soft = []
     if headline["sync_churn_per_second"] <= 0:
         soft.append("sync tier sustained no churn")

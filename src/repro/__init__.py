@@ -33,9 +33,9 @@ Unified query engine (the query surface):
 Sharded serving (scale-out):
     :mod:`repro.cluster` — ``repro shard-build`` partitions a database
     into per-shard indexes behind a manifest; ``connect(manifest,
-    backend="sharded", pool="process")`` fans batches out to shard
-    sessions (serial or process pool) and merges globally renormalised
-    posteriors; ``repro serve`` exposes any session as a concurrent
+    backend="sharded")`` fans batches out to the shard sessions one
+    after another and merges globally renormalised posteriors;
+    ``repro serve`` exposes any session as a concurrent
     JSON HTTP endpoint. See README "Sharded serving".
 
 Baselines (Section 6):
@@ -83,7 +83,7 @@ from repro.gausstree import GaussTree, bulk_load
 # box (the subsystem itself is stdlib-only on top of the engine).
 import repro.cluster  # noqa: E402,F401  (registration side effect)
 
-__version__ = "2.4.3"
+__version__ = "2.5.0"
 
 __all__ = [
     "PFV",

@@ -34,8 +34,7 @@ write-ahead log — every insert that completed survives.
 The sharded serving commands (see README "Sharded serving"):
 
     python -m repro shard-build cluster/ds1 --dataset 1 --shards 4
-    python -m repro query cluster/ds1.shards.json --backend sharded \
-        --k 5 --pool process --workers 4
+    python -m repro query cluster/ds1.shards.json --backend sharded --k 5
     python -m repro serve cluster/ds1.shards.json --port 8631
 
 ``shard-build`` partitions a dataset deterministically (hash or
@@ -134,21 +133,6 @@ def _cmd_build(args: argparse.Namespace) -> None:
     )
 
 
-def _backend_options(
-    args: argparse.Namespace, backend: str, context: str
-) -> dict:
-    """connect() options from the --pool/--workers flags; rejects them
-    for non-sharded backends (``context`` names the right fix)."""
-    options: dict = {}
-    if getattr(args, "pool", None) is not None:
-        options["pool"] = args.pool
-    if getattr(args, "workers", None) is not None:
-        options["workers"] = args.workers
-    if options and backend != "sharded":
-        raise SystemExit(f"--pool/--workers only apply to {context}")
-    return options
-
-
 def _load_input_specs(path: str):
     """Parse a JSONL workload file (``-`` reads stdin)."""
     from repro.cluster.wire import WireError, load_jsonl
@@ -200,11 +184,7 @@ def _cmd_query(args: argparse.Namespace) -> None:
     if args.queries < 1:
         raise SystemExit("--queries must be at least 1")
     started = time.perf_counter()
-    session = connect(
-        args.index,
-        backend=args.backend,
-        **_backend_options(args, args.backend, "--backend sharded"),
-    )
+    session = connect(args.index, backend=args.backend)
     opened = time.perf_counter()
     print(f"connected {session!r} to {args.index} in {opened - started:.2f}s")
     workload = None
@@ -298,10 +278,7 @@ def _cmd_shard_build(args: argparse.Namespace) -> None:
         + f" in {elapsed:.1f}s"
     )
     print(f"manifest: {manifest.source_path}")
-    print(
-        "serve it:  python -m repro serve "
-        f"{manifest.source_path} --pool process"
-    )
+    print(f"serve it:  python -m repro serve {manifest.source_path}")
 
 
 def _cmd_reshard(args: argparse.Namespace) -> None:
@@ -371,16 +348,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         )
     if args.sessions < 1:
         raise SystemExit("--sessions must be at least 1")
-    options = _backend_options(
-        args,
-        backend,
-        "sharded serving (a .shards.json manifest or "
-        "--backend sharded)",
-    )
     started = time.perf_counter()
-    session = connect(
-        args.index, backend=backend, writable=args.writable, **options
-    )
+    session = connect(args.index, backend=backend, writable=args.writable)
     print(
         f"connected {session!r} to {args.index} "
         f"in {time.perf_counter() - started:.2f}s"
@@ -388,7 +357,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     # Replica sessions open the same source read-only; they serve
     # queries concurrently while writes serialize on the primary.
     factory = (
-        (lambda: connect(args.index, backend=backend, **options))
+        (lambda: connect(args.index, backend=backend))
         if args.sessions > 1
         else None
     )
@@ -798,18 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         "re-observation workload; '-' reads stdin",
     )
     p.add_argument(
-        "--pool",
-        default=None,
-        choices=("serial", "process"),
-        help="sharded only: fan-out worker pool (default serial)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sharded only: process-pool worker count",
-    )
-    p.add_argument(
         "--k", type=int, default=None, help="answer k-MLIQs with this k"
     )
     p.add_argument(
@@ -970,16 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8631,
         help="listening port (0 binds an ephemeral port)",
-    )
-    p.add_argument(
-        "--pool",
-        default=None,
-        choices=("serial", "process"),
-        help="sharded only: fan-out worker pool",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="sharded only: process-pool worker count",
     )
     p.add_argument(
         "--sessions",

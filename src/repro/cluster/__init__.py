@@ -1,4 +1,4 @@
-"""``repro.cluster`` — sharded parallel serving over the unified engine.
+"""``repro.cluster`` — sharded serving over the unified engine.
 
 The scaling layer the ROADMAP's serving story plugs into: one database
 split into N disjoint shards, each behind its own inner backend, fanned
@@ -15,14 +15,14 @@ The lifecycle:
    database deterministically (``hash`` or ``round-robin`` policy),
    saves one Gauss-tree index per shard and writes a
    ``<name>.shards.json`` manifest;
-2. ``repro.connect(manifest, backend="sharded", pool="process")`` opens
-   a session that fans batches out through a
-   :mod:`~repro.cluster.pool` worker pool (serial, or a
-   ``multiprocessing`` pool whose workers open disk shards locally so
-   page buffers stay per-process); ``writable=True`` additionally arms
-   the **write router** — inserts/deletes route to the owning shard by
-   the placement policy, batches group-commit per shard, and the
-   manifest's counts + placement epoch refresh on every commit;
+2. ``repro.connect(manifest, backend="sharded")`` opens a session that
+   fans batches out to the shards one after another through
+   :class:`~repro.cluster.pool.SerialPool`, which keeps each shard's
+   session and page buffer open across batches; ``writable=True``
+   additionally arms the **write router** — inserts/deletes route to
+   the owning shard by the placement policy, batches group-commit per
+   shard, and the manifest's counts + placement epoch refresh on every
+   commit;
 3. :func:`repro.serve.serve_async` (CLI: ``repro serve``) exposes any
    session — sharded or not — over pipelined JSONL and HTTP
    (``--sessions N`` executes concurrent batches on N pooled sessions;
@@ -34,8 +34,8 @@ The lifecycle:
 Elasticity (PR 7): ``repro shard-build --replicas K`` clones each shard
 K times; a writable session WAL-ships every committed batch to the
 clones (:mod:`repro.storage.ship`), read-only sessions rotate reads
-across them and the pools retry a failed task on the next replica — a
-worker killed mid-batch costs a retry, not the batch. :func:`reshard`
+across them and the pool retries a failed task on the next replica — a
+lost replica file costs a retry, not the batch. :func:`reshard`
 (CLI: ``repro reshard``) rebuilds the deployment at a new shard count
 and cuts over atomically via the manifest while queries keep flowing;
 :func:`reshard_gc` (CLI: ``repro reshard-gc``) later deletes the
@@ -58,7 +58,7 @@ from repro.cluster.partition import (
     shard_of,
     stable_shard_hash,
 )
-from repro.cluster.pool import POOL_KINDS, ProcessPool, SerialPool, make_pool
+from repro.cluster.pool import SerialPool
 from repro.cluster.reshard import reshard, reshard_gc
 from repro.cluster.wire import (
     WireError,
@@ -81,10 +81,7 @@ __all__ = [
     "partition_database",
     "shard_of",
     "stable_shard_hash",
-    "POOL_KINDS",
     "SerialPool",
-    "ProcessPool",
-    "make_pool",
     "reshard",
     "reshard_gc",
     "ServeClient",

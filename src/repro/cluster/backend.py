@@ -2,8 +2,9 @@
 
 Each shard holds a disjoint slice of the database behind its own inner
 backend (``tree``, ``disk``, ``seqscan`` — anything registered). A batch
-fans out through a :mod:`~repro.cluster.pool` worker pool and the
-per-shard answers merge into *globally correct* identification results.
+fans out through :class:`~repro.cluster.pool.SerialPool`, one shard
+after another in the calling thread, and the per-shard answers merge
+into *globally correct* identification results.
 
 The merge is the interesting part. A shard can only normalise posteriors
 over its own objects::
@@ -28,8 +29,7 @@ Shard answers reach the merge as row references
 (:class:`~repro.core.queries.RowMatch`: a log density, a shard posterior
 and the stored row), and the coordinator builds a pfv only for the
 matches it returns — the MLIQ top-k, the TIQ survivors, the ranked
-prefix — through ``LeafNode.entry_at``. The process pool's replies
-build theirs when pickled, so both pools merge through one path.
+prefix — through ``LeafNode.entry_at``.
 
 Correctness of the candidate sets:
 
@@ -63,14 +63,11 @@ routes to its **owning shard** under the deployment's placement policy
 — the stable key hash directly, round-robin by the manifest's recorded
 *placement epoch*, which keeps counting positions where the original
 partitioning stopped. Writes land on per-shard *writable* child
-sessions held behind the (serial) pool — the same sessions queries fan
-out to, so an interleaved write+query workload is read-your-writes
-consistent and the parity property holds against a single writable
-tree. Batches group-commit per shard (one WAL fsync per touched shard),
-and every commit refreshes the manifest's per-shard object counts and
-epoch. The process pool is refused for writable sessions: its workers
-open shards in other processes read-only, where they could not see
-uncheckpointed writes.
+sessions held by the pool — the same sessions queries fan out to, so an
+interleaved write+query workload is read-your-writes consistent and the
+parity property holds against a single writable tree. Batches
+group-commit per shard (one WAL fsync per touched shard), and every
+commit refreshes the manifest's per-shard object counts and epoch.
 
 **Replicas & failover.** A v2 manifest may record replica index files
 per shard. A *writable* session ships its WAL to them after every
@@ -80,8 +77,8 @@ prefix of the primary) and the primary stays sole writer. A *read-only*
 session routes each fan-out to a replica (rotating across them;
 the primary is the last-resort fallback, since an external writer may
 leave the primary's main file at its last checkpoint while replicas got
-the shipped tail) and arms the pool's retry hook: a worker that dies or
-a replica that will not open re-targets the failed task onto the next
+the shipped tail) and arms the pool's retry hook: a replica that will
+not open or fails mid-batch re-targets the failed task onto the next
 replica of the same shard, so the batch completes with answers
 bit-identical to the fault-free run.
 """
@@ -117,12 +114,7 @@ from repro.cluster.partition import (
     partition_database,
     shard_of,
 )
-from repro.cluster.pool import (
-    ClusterError,
-    SerialPool,
-    _shard_label,
-    make_pool,
-)
+from repro.cluster.pool import ClusterError, SerialPool, _shard_label
 
 __all__ = ["ClusterError", "ShardedBackend", "ShardReply"]
 
@@ -133,7 +125,7 @@ _EXACT_INNER = {"tree", "disk", "seqscan"}
 
 
 # ---------------------------------------------------------------------------
-# Worker-side pieces (module level: pickled by reference into pool workers)
+# Shard-side pieces: opening a shard and running one payload on it
 # ---------------------------------------------------------------------------
 
 
@@ -143,9 +135,9 @@ class ShardReply:
 
     ``per_query`` holds ``(matches, log_total)`` pairs in query order:
     the shard-local answer list (posteriors still shard-normalised; row
-    references from a Gauss-tree shard, built matches once pickled) and
-    the shard's log Bayes denominator ``log Z_s`` for that query
-    (``-inf`` for an empty shard or fully underflowed densities).
+    references from a Gauss-tree shard) and the shard's log Bayes
+    denominator ``log Z_s`` for that query (``-inf`` for an empty shard
+    or fully underflowed densities).
 
     ``aux`` is ``None`` except for ``"ranked"`` payloads, where it
     holds one ``(n_s, log_above)`` pair per query: the shard's object
@@ -161,16 +153,15 @@ class ShardReply:
 
 
 class _ShardOpener:
-    """Picklable ``opener(key) -> Session`` over the shard sources.
+    """``opener(key) -> Session`` over the shard sources.
 
     Sources are per-shard index file paths (manifest mode) or per-shard
-    :class:`PFVDatabase` slices (in-memory mode). Workers call this
-    lazily, so each process opens only the shards it actually serves and
-    keeps their page buffers local. The task key is an ``int`` shard id
-    (the primary) or ``(shard_id, replica_idx)`` with ``replica_idx >=
-    1`` naming one of the shard's replica files from
-    ``replica_sources`` — replicas always open read-only (the primary is
-    sole writer).
+    :class:`PFVDatabase` slices (in-memory mode). The pool calls this
+    lazily, so a session opens only the shards it actually reads. The
+    task key is an ``int`` shard id (the primary) or ``(shard_id,
+    replica_idx)`` with ``replica_idx >= 1`` naming one of the shard's
+    replica files from ``replica_sources`` — replicas always open
+    read-only (the primary is sole writer).
     """
 
     def __init__(
@@ -249,11 +240,11 @@ def _shard_log_total(matches: list[Match | RowMatch]) -> float:
 
 
 def _run_shard_payload(session: Session, payload) -> ShardReply:
-    """Execute one fanned-out payload on an open shard session.
+    """Execute one fanned-out payload on an open shard session (the
+    pool's runner).
 
-    Runs in pool workers (and inline for the serial pool). Payloads are
-    ``("mliq", [(q, k), ...])``, ``("tiq", [(q, tau, eps), ...])`` or
-    ``("ranked", [(q, k), ...])``; TIQ payloads piggyback an
+    Payloads are ``("mliq", [(q, k), ...])``, ``("tiq", [(q, tau, eps),
+    ...])`` or ``("ranked", [(q, k), ...])``; TIQ payloads piggyback an
     ``MLIQ(q, 1)`` denominator probe per query in the same batch, so a
     shard whose threshold answer is empty still reports its total
     density mass, and ranked payloads (consensus / expected-rank)
@@ -315,26 +306,23 @@ class ShardedBackend(BackendAdapter):
     Connect over a shard manifest (built by ``repro shard-build`` /
     :func:`~repro.cluster.partition.build_shards`)::
 
-        repro.connect("ds1.shards.json", backend="sharded",
-                      pool="process", workers=4)
+        repro.connect("ds1.shards.json", backend="sharded")
 
     or shard an in-memory source on the fly (the parity-testing path)::
 
         repro.connect(db, backend="sharded", shards=3, inner="tree")
 
     Options: ``inner`` (inner backend name; default ``"disk"`` for a
-    manifest, ``"tree"`` for in-memory sources), ``pool`` (``"serial"``
-    or ``"process"``), ``workers``, ``shards`` + ``policy`` (in-memory
-    partitioning), ``inner_options`` (dict forwarded to every shard's
-    backend factory).
+    manifest, ``"tree"`` for in-memory sources), ``shards`` + ``policy``
+    (in-memory partitioning), ``inner_options`` (dict forwarded to every
+    shard's backend factory).
 
     With ``connect(..., writable=True)`` the deployment also routes
     writes: inserts land on the shard the placement policy owns them to
     (round-robin continues from the manifest's recorded placement
     epoch), batches group-commit per shard, and every commit refreshes
     the manifest counts. Writable sessions hold writable child sessions
-    behind a *serial* pool so queries read their own writes; the
-    process pool is refused.
+    in the pool, so queries read their own writes.
     """
 
     def __init__(
@@ -343,8 +331,6 @@ class ShardedBackend(BackendAdapter):
         counts: list[int],
         *,
         inner: str,
-        pool_kind: str,
-        workers: int | None,
         inner_options: dict,
         manifest: ShardManifest | None = None,
         writable: bool = False,
@@ -355,12 +341,6 @@ class ShardedBackend(BackendAdapter):
     ) -> None:
         if len(sources) != len(counts):
             raise ValueError("one object count per shard source required")
-        if writable and pool_kind != "serial":
-            raise TypeError(
-                "writable sharded sessions require pool='serial': process "
-                "pool workers open shards read-only in other processes and "
-                "would not see uncheckpointed writes"
-            )
         self.inner = inner
         self.manifest = manifest
         self._writable = writable
@@ -374,8 +354,8 @@ class ShardedBackend(BackendAdapter):
             self._replicas.append([])
         self._shippers: dict[int, object] = {}
         self._rotation = 0
-        #: The worker-side payload runner — a test can substitute a
-        #: fault-injecting wrapper (``storage.fault.killing_runner``).
+        #: The shard payload runner — a test can substitute a
+        #: fault-injecting wrapper.
         self._runner = runner if runner is not None else _run_shard_payload
         #: Placement policy writes route by (from the manifest, or the
         #: in-memory partitioning choice; None on read-only sessions
@@ -399,21 +379,12 @@ class ShardedBackend(BackendAdapter):
         # (the last-resort fallback), re-targeted by _failover_target.
         max_replicas = max((len(r) for r in self._replicas), default=0)
         use_failover = max_replicas > 0 and not writable
-        self._pool = make_pool(
-            pool_kind,
+        self._pool = SerialPool(
             self._opener,
             self._runner,
-            n_shards=len(sources),
-            workers=workers,
             attempts=max_replicas + 2 if use_failover else 1,
             failover=self._failover_target if use_failover else None,
         )
-        # Spawn pool workers now, while the constructing thread (the
-        # connect() caller) is the only one running — forking later
-        # from an HTTP handler thread risks inheriting held locks.
-        warm = getattr(self._pool, "warm", None)
-        if warm is not None:
-            warm()
         if writable:
             # Open every shard eagerly and trust the *indexes*, not the
             # manifest: a crashed writer leaves manifest counts stale
@@ -430,7 +401,6 @@ class ShardedBackend(BackendAdapter):
         #: Shards that hold at least one object; empty shards never get
         #: tasks (an empty shard's denominator contribution is zero).
         self._active = [i for i, c in enumerate(self._counts) if c > 0]
-        self._meta_sessions: dict[int, Session] = {}
         self._pending_provenance: list[tuple[str, QueryStats]] = []
         self.name = f"sharded({inner}x{len(sources)})"
         caps = {"mliq", "tiq", "batch"}
@@ -455,21 +425,8 @@ class ShardedBackend(BackendAdapter):
             return False
         if not self._active:  # empty deployment answers exactly (nothing)
             return True
-        probe = self._meta_session(self._active[0])
+        probe = self._pool.session(self._active[0])
         return "exact" in probe.capabilities
-
-    def _meta_session(self, shard_id: int) -> Session:
-        """A parent-side session for metadata (estimates, database
-        materialisation). The serial pool shares its execution sessions;
-        the process pool's sessions live in workers, so the parent opens
-        its own read-only view lazily."""
-        if isinstance(self._pool, SerialPool):
-            return self._pool.session(shard_id)
-        session = self._meta_sessions.get(shard_id)
-        if session is None:
-            session = self._opener(shard_id)
-            self._meta_sessions[shard_id] = session
-        return session
 
     def _task_key(self, shard_id: int):
         """The pool task key a fan-out uses for one shard.
@@ -536,11 +493,10 @@ class ShardedBackend(BackendAdapter):
                 "cluster.fanout", count=len(tasks)
             ) as fanout_span:
                 replies = self._pool.run(tasks)
-                # Per-shard spans are synthesized on the coordinator
-                # from the replies (a process pool cannot carry live
-                # spans across its boundary); a serial pool
-                # additionally nests the shard sessions' own spans
-                # here, since it runs in the calling thread.
+                # Per-shard spans are synthesized from the replies, each
+                # spanning the whole fan-out; the shard sessions' own
+                # spans nest beside them, in shard order, since the pool
+                # runs in the calling thread.
                 done = active_trace.now()
                 for shard_id, reply in zip(self._active, replies):
                     active_trace.add(
@@ -761,7 +717,7 @@ class ShardedBackend(BackendAdapter):
     def _writable_session(
         self, shard_id: int, dims: int | None = None
     ) -> Session:
-        """The writable child session owning one shard (serial pool).
+        """The writable child session owning one shard.
 
         ``dims`` is the dimensionality of the write being routed; a
         manifest-backed shard with no index file yet (empty at build
@@ -781,7 +737,7 @@ class ShardedBackend(BackendAdapter):
                     "was empty at build time) and no manifest path is "
                     "available to create one next to"
                 )
-        session = self._pool.session(shard_id)  # serial pool, enforced
+        session = self._pool.session(shard_id)
         if not session.writable:
             raise ClusterError(
                 f"shard {shard_id}'s inner backend {self.inner!r} is not "
@@ -846,8 +802,8 @@ class ShardedBackend(BackendAdapter):
                 f"independent): {exc}"
             ) from exc
         # Replicas catch up as soon as the shard WALs hold the commits,
-        # so replica-routed readers (server sessions, process pools)
-        # observe this batch without waiting for a checkpoint.
+        # so replica-routed readers (other read-only sessions) observe
+        # this batch without waiting for a checkpoint.
         self._ship_replicas(sessions)
         self._refresh_manifest()
         return len(batch)
@@ -940,8 +896,8 @@ class ShardedBackend(BackendAdapter):
         return sum(self._counts)
 
     def estimate(self, kind: str, specs) -> PlanEstimate:
-        """Sum shard page estimates; price latency via the pool's
-        fan-out rule (max-over-shards parallel, sum serial). A TIQ
+        """Sum shard page estimates; price latency as the serial fan-out
+        runs it, the sum over shards plus per-shard dispatch. A TIQ
         also pays, on every shard, the ``MLIQ(q, 1)`` denominator probe
         its payload adds per query."""
         if not self._active or not specs:
@@ -954,7 +910,7 @@ class ShardedBackend(BackendAdapter):
         branch_seconds: list[float] = []
         cost_model = None
         for shard_id in self._active:
-            session = self._meta_session(shard_id)
+            session = self._pool.session(shard_id)
             estimates = [session._backend.estimate(kind, specs)]
             if probes:
                 estimates.append(session._backend.estimate("mliq", probes))
@@ -968,19 +924,11 @@ class ShardedBackend(BackendAdapter):
             from repro.storage.costmodel import DiskCostModel
 
             cost_model = DiskCostModel()
-        io_seconds = cost_model.fan_out_seconds(
-            branch_seconds, parallel=self._pool.parallel
-        )
-        how = (
-            "max over shards (parallel pool)"
-            if self._pool.parallel
-            else "sum over shards (serial fan-out)"
-        )
         return PlanEstimate(
             pages,
-            io_seconds,
+            cost_model.fan_out_seconds(branch_seconds),
             f"fan-out to {len(self._active)} shard(s); latency priced as "
-            f"{how} plus per-shard dispatch",
+            "sum over shards (serial fan-out) plus per-shard dispatch",
             cpu_seconds,
         )
 
@@ -988,7 +936,7 @@ class ShardedBackend(BackendAdapter):
         """Extra lowering lines for ``Session.explain`` (planner hook)."""
         steps = [
             f"fan-out: {len(self._active)} of {self.n_shards} shard(s) "
-            f"via {self._pool.kind} pool, inner backend {self.inner!r}",
+            f"via serial fan-out, inner backend {self.inner!r}",
             "merge: renormalise posteriors against the global Bayes "
             "denominator (logsumexp of per-shard totals)",
         ]
@@ -1009,7 +957,7 @@ class ShardedBackend(BackendAdapter):
         """Materialise every shard's objects as one database."""
         merged: PFVDatabase | None = None
         for shard_id in self._active:
-            shard_db = self._meta_session(shard_id).database()
+            shard_db = self._pool.session(shard_id).database()
             if merged is None:
                 merged = PFVDatabase(sigma_rule=shard_db.sigma_rule)
             merged.extend(shard_db)
@@ -1017,11 +965,8 @@ class ShardedBackend(BackendAdapter):
 
     def cold_start(self) -> None:
         """Drop every open shard session's page cache."""
-        if isinstance(self._pool, SerialPool):
-            for shard_id in self._active:
-                self._pool.session(shard_id).cold_start()
-        for session in self._meta_sessions.values():
-            session.cold_start()
+        for shard_id in self._active:
+            self._pool.session(shard_id).cold_start()
 
     def close(self) -> None:
         """Release every shard session (writable ones checkpoint) and
@@ -1031,15 +976,9 @@ class ShardedBackend(BackendAdapter):
         self._closed = True
         self._refresh_manifest()
         self._pool.close()
-        sessions, self._meta_sessions = self._meta_sessions, {}
-        for session in sessions.values():
-            session.close()
 
     def __repr__(self) -> str:
-        return (
-            f"<ShardedBackend {self.name!r} n={self.count()} "
-            f"pool={self._pool.kind}>"
-        )
+        return f"<ShardedBackend {self.name!r} n={self.count()}>"
 
 
 # ---------------------------------------------------------------------------
@@ -1055,24 +994,16 @@ def _looks_like_manifest(source) -> bool:
 
 def _make_sharded(source, *, writable: bool, options: dict) -> ShardedBackend:
     """Factory behind ``connect(..., backend="sharded")``: resolves the
-    manifest / in-memory partitioning, the inner backend and the pool,
-    and (``writable=True``) arms the write router."""
+    manifest / in-memory partitioning and the inner backend, and
+    (``writable=True``) arms the write router."""
     inner = options.pop("inner", None)
     policy = options.pop("policy", None)
-    pool_kind = options.pop("pool", "serial")
-    workers = options.pop("workers", None)
     inner_options = dict(options.pop("inner_options", None) or {})
     shards_requested = options.pop("shards", None)
     if options:
         raise TypeError(
             f"the 'sharded' backend does not understand options "
             f"{sorted(options)}"
-        )
-    if writable and pool_kind == "process":
-        raise TypeError(
-            "writable sharded sessions require pool='serial' (process "
-            "pool workers open shards read-only in other processes and "
-            "cannot see uncheckpointed writes)"
         )
 
     manifest: ShardManifest | None = None
@@ -1142,8 +1073,6 @@ def _make_sharded(source, *, writable: bool, options: dict) -> ShardedBackend:
         sources,
         counts,
         inner=inner,
-        pool_kind=pool_kind,
-        workers=workers,
         inner_options=inner_options,
         manifest=manifest,
         writable=writable,
@@ -1157,6 +1086,6 @@ register_backend(
     "sharded",
     _make_sharded,
     "fan-out over N shard sessions (manifest or shards=N) with exact "
-    "global posterior renormalisation; serial or process pool; "
-    "writable=True adds placement-routed writes",
+    "global posterior renormalisation; writable=True adds "
+    "placement-routed writes",
 )

@@ -1,75 +1,49 @@
-"""Worker pools that fan shard batches out for the sharded backend.
+"""The shard fan-out of the sharded backend.
 
-The unit of work is a *shard task* ``(shard_id, payload)``: run one
-query payload against one shard. A pool is built from two picklable
-callables —
+The unit of work is a *shard task* ``(key, payload)``: run one query
+payload against one shard. :class:`SerialPool` runs a batch's tasks in
+the calling thread, one shard after another, from two callables —
 
-``opener(shard_id) -> Session``
-    opens (and owns) the shard's session. Pools cache one session per
-    shard per worker, so a disk shard's page buffer lives and stays warm
-    inside the process that reads it;
+``opener(key) -> Session``
+    opens (and owns) the shard's session. The pool caches one session
+    per task key, so a disk shard's page buffer stays warm across
+    batches and the owning backend reads its metadata (counts,
+    estimates, database materialisation) through the same sessions;
 ``runner(session, payload) -> result``
     executes the payload on an open session.
 
-Two implementations share that contract:
+Failures never hang the caller: a payload that raises and a shard that
+cannot open both surface as :class:`ClusterError` naming the shard.
 
-* :class:`SerialPool` — in-process, one shard after another. The
-  baseline fan-out (and the only choice when shards are in-memory
-  objects that cannot cross a process boundary).
-* :class:`ProcessPool` — a ``multiprocessing`` process pool. Workers
-  open disk shards *locally* (sessions never cross processes; only
-  specs and match lists are pickled), so page buffers are per-process
-  and shard batches genuinely overlap on multi-core hosts.
-
-Failures never hang the caller: a payload that raises, a worker that
-dies mid-batch (``BrokenProcessPool``) and a shard that cannot open all
-surface as :class:`ClusterError` naming the shard.
-
-**Failover.** Both pools take ``attempts``/``backoff``/``failover``:
-a failed task is retried up to ``attempts`` times total, sleeping
-``backoff * attempt`` seconds between rounds, and an optional
+**Failover.** ``attempts``/``failover`` configure per-task retries: a
+failed task runs up to ``attempts`` times in total, and an optional
 ``failover(task_key, attempt) -> task_key | None`` hook re-targets each
-retry (the sharded backend maps ``(shard, replica)`` keys to the next
-replica of the same shard, which is what turns a dead worker or a lost
-replica file into a transparent retry instead of a failed batch). The
-shard task key is opaque to the pool — an ``int`` shard id or a
-``(shard_id, replica_idx)`` tuple — it only keys the per-worker session
-cache and names the shard in errors. Retries preserve result order and
-resubmit only the failed tasks; a retry that keeps failing surfaces the
-*first* error of the final round, so the historical error messages
-(``"worker process died ..."``) are stable.
+retry. The sharded backend maps ``(shard, replica)`` keys to the next
+replica of the same shard, which turns a lost or unreadable replica
+file into a transparent retry on another file instead of a failed
+batch, so a retry runs at once: nothing transient needs waiting out.
+The task key is opaque to the pool — an ``int`` shard id or a
+``(shard_id, replica_idx)`` tuple — it only keys the session cache and
+names the shard in errors. A task that keeps failing surfaces the error
+of its last attempt.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from repro.obs import metrics as _obs_metrics
 
-__all__ = [
-    "ClusterError",
-    "SerialPool",
-    "ProcessPool",
-    "make_pool",
-    "POOL_KINDS",
-]
-
-POOL_KINDS = ("serial", "process")
+__all__ = ["ClusterError", "SerialPool"]
 
 
 class ClusterError(RuntimeError):
     """A sharded-serving failure: bad manifest, unopenable shard, or a
-    worker that raised/died mid-batch. Always carries enough context to
-    name the shard involved: beyond the message, ``shard`` holds the
-    shard label (or ``None`` for non-shard failures) and ``attempts``
-    how many execution rounds were spent before giving up — so the
-    trace/metrics path can count failovers instead of only surviving
-    them."""
+    shard task that raised. Always carries enough context to name the
+    shard involved: beyond the message, ``shard`` holds the shard label
+    (or ``None`` for non-shard failures) and ``attempts`` how many
+    attempts were spent before giving up — so the trace/metrics path
+    can count failovers instead of only surviving them."""
 
     def __init__(
         self,
@@ -97,15 +71,6 @@ def _count_failover() -> None:
     ).inc()
 
 
-def default_workers(n_shards: int) -> int:
-    """Worker count when the caller does not choose: one per shard,
-    bounded by the visible cores (but never below 2 — overlap between a
-    blocked and a running shard batch helps even on small hosts, and a
-    single-shard deployment still overlaps a dying worker's replacement
-    with its healthy sibling)."""
-    return max(2, min(n_shards, max(2, os.cpu_count() or 1)))
-
-
 def _shard_label(key) -> str:
     """Human-readable shard name of a task key (int or shard/replica)."""
     if isinstance(key, tuple):
@@ -124,16 +89,12 @@ class SerialPool:
     database materialisation) without opening shards twice.
     """
 
-    kind = "serial"
-    parallel = False
-
     def __init__(
         self,
         opener: Callable[[int], Any],
         runner: Callable[[Any, Any], Any],
         *,
         attempts: int = 1,
-        backoff: float = 0.05,
         failover: Callable[[Any, int], Any] | None = None,
     ) -> None:
         if attempts < 1:
@@ -141,7 +102,6 @@ class SerialPool:
         self._opener = opener
         self._runner = runner
         self.attempts = attempts
-        self.backoff = backoff
         self._failover = failover
         self._sessions: dict[Any, Any] = {}
         self._closed = False
@@ -168,8 +128,6 @@ class SerialPool:
         for attempt in range(self.attempts):
             if attempt:
                 _count_retry()
-                if self.backoff:
-                    time.sleep(self.backoff * attempt)
                 if self._failover is not None:
                     alternate = self._failover(key, attempt)
                     if alternate is not None:
@@ -196,7 +154,7 @@ class SerialPool:
     def run(self, tasks: Sequence[tuple[Any, Any]]) -> list[Any]:
         """Run shard tasks one after another; results in task order."""
         if self._closed:
-            raise ClusterError("worker pool is closed")
+            raise ClusterError("shard pool is closed")
         return [self._run_one(key, payload) for key, payload in tasks]
 
     def close(self) -> None:
@@ -207,230 +165,3 @@ class SerialPool:
             close = getattr(session, "close", None)
             if close is not None:
                 close()
-
-
-# -- process-pool worker side (module-level: picklable by reference) --------
-
-_WORKER_OPENER: Callable[[int], Any] | None = None
-_WORKER_RUNNER: Callable[[Any, Any], Any] | None = None
-_WORKER_SESSIONS: dict[int, Any] = {}
-
-
-def _worker_init(opener, runner) -> None:
-    global _WORKER_OPENER, _WORKER_RUNNER
-    _WORKER_OPENER = opener
-    _WORKER_RUNNER = runner
-    _WORKER_SESSIONS.clear()
-
-
-def _worker_call(task):
-    shard_id, payload = task
-    session = _WORKER_SESSIONS.get(shard_id)
-    if session is None:
-        session = _WORKER_OPENER(shard_id)
-        _WORKER_SESSIONS[shard_id] = session
-    return _WORKER_RUNNER(session, payload)
-
-
-def _worker_warmup(seconds: float) -> int:
-    # Keeps a freshly spawned worker busy just long enough that the
-    # executor spawns a sibling for the next pending warmup task.
-    time.sleep(seconds)
-    return os.getpid()
-
-
-class ProcessPool:
-    """``multiprocessing`` fan-out: each worker opens shards locally.
-
-    Uses the ``fork`` start method where available (Linux) so worker
-    startup is cheap and test doubles pickle by reference; falls back to
-    the platform default elsewhere. Because forking from a
-    multi-threaded process is hazardous (a lock held by any other
-    thread at fork time is inherited locked), callers that will go
-    multi-threaded — the HTTP server — should :meth:`warm` the pool
-    first, from their still-single-threaded setup phase; the sharded
-    backend does this at construction. A broken executor (dead worker)
-    is dropped and replaced on the next batch, so one crash fails its
-    batch loudly instead of poisoning the pool forever.
-    """
-
-    kind = "process"
-    parallel = True
-
-    def __init__(
-        self,
-        opener: Callable[[int], Any],
-        runner: Callable[[Any, Any], Any],
-        workers: int,
-        *,
-        attempts: int = 1,
-        backoff: float = 0.05,
-        failover: Callable[[Any, int], Any] | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {attempts}")
-        self._opener = opener
-        self._runner = runner
-        self.workers = workers
-        self.attempts = attempts
-        self.backoff = backoff
-        #: Parent-side hook ``(task_key, attempt) -> task_key | None``:
-        #: re-targets a failed task before its retry (e.g. onto another
-        #: replica of the same shard). Never pickled to workers.
-        self._failover = failover
-        self._executor: ProcessPoolExecutor | None = None
-        self._closed = False
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(self._opener, self._runner),
-            )
-        return self._executor
-
-    def warm(self) -> None:
-        """Spawn the worker processes now (from the calling thread).
-
-        ProcessPoolExecutor forks workers lazily on submit; submitting
-        one short sleep per worker slot forces the full complement to
-        spawn while the caller is still single-threaded.
-        """
-        executor = self._ensure_executor()
-        warmups = [
-            executor.submit(_worker_warmup, 0.05)
-            for _ in range(self.workers)
-        ]
-        for future in warmups:
-            try:
-                future.result(timeout=60)
-            except BrokenProcessPool:
-                self._executor = None
-                raise ClusterError(
-                    "worker process died during pool warm-up"
-                ) from None
-
-    def run(self, tasks: Sequence[tuple[Any, Any]]) -> list[Any]:
-        """Submit shard tasks to the worker processes; results in task
-        order. Worker failures surface as :class:`ClusterError` — after
-        up to ``attempts`` rounds: only the failed tasks are resubmitted
-        (to a fresh executor if a worker died), each re-targeted through
-        the ``failover`` hook if one is set, so a mid-batch worker kill
-        with replicas configured completes the batch transparently."""
-        if self._closed:
-            raise ClusterError("worker pool is closed")
-        slots: list[tuple[Any, Any]] = [
-            (key, payload) for key, payload in tasks
-        ]
-        results: list[Any] = [None] * len(slots)
-        pending = list(range(len(slots)))
-        first_error: ClusterError | None = None
-        for attempt in range(self.attempts):
-            if not pending:
-                break
-            if attempt:
-                for _ in pending:
-                    _count_retry()
-                if self.backoff:
-                    time.sleep(self.backoff * attempt)
-                if self._failover is not None:
-                    for i in pending:
-                        alternate = self._failover(slots[i][0], attempt)
-                        if alternate is not None:
-                            slots[i] = (alternate, slots[i][1])
-                            _count_failover()
-            executor = self._ensure_executor()
-            futures = [
-                (i, executor.submit(_worker_call, slots[i]))
-                for i in pending
-            ]
-            failed: list[int] = []
-            first_error = None
-            for i, future in futures:
-                key = slots[i][0]
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool as exc:
-                    # A worker died (killed, OOM, segfault): the executor
-                    # is unusable. Drop it so the retry (or the next
-                    # batch) gets a fresh pool.
-                    self._executor = None
-                    failed.append(i)
-                    if first_error is None:
-                        first_error = ClusterError(
-                            "worker process died while serving shard "
-                            f"{_shard_label(key)} (pool restarted; "
-                            "re-submit the batch)",
-                            shard=_shard_label(key),
-                        )
-                        first_error.__cause__ = exc
-                except ClusterError as exc:
-                    failed.append(i)
-                    if exc.shard is None:
-                        exc.shard = _shard_label(key)
-                    first_error = first_error or exc
-                except Exception as exc:
-                    failed.append(i)
-                    if first_error is None:
-                        first_error = ClusterError(
-                            f"shard {_shard_label(key)} failed in a pool "
-                            f"worker: {exc}",
-                            shard=_shard_label(key),
-                        )
-                        first_error.__cause__ = exc
-            pending = failed
-        if pending:
-            assert first_error is not None
-            first_error.attempts = self.attempts
-            raise first_error
-        return results
-
-    def close(self) -> None:
-        """Shut the worker processes down (cancelling queued tasks)."""
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-
-def make_pool(
-    kind: str,
-    opener: Callable[[int], Any],
-    runner: Callable[[Any, Any], Any],
-    *,
-    n_shards: int,
-    workers: int | None = None,
-    attempts: int = 1,
-    backoff: float = 0.05,
-    failover: Callable[[Any, int], Any] | None = None,
-):
-    """Build the pool named by ``kind`` (``"serial"`` or ``"process"``).
-
-    ``attempts``/``backoff``/``failover`` configure per-task retries
-    (see the module docstring); the defaults keep the historical
-    fail-fast behaviour."""
-    if kind == "serial":
-        return SerialPool(
-            opener, runner,
-            attempts=attempts, backoff=backoff, failover=failover,
-        )
-    if kind == "process":
-        return ProcessPool(
-            opener,
-            runner,
-            workers or default_workers(n_shards),
-            attempts=attempts,
-            backoff=backoff,
-            failover=failover,
-        )
-    raise ValueError(
-        f"unknown pool kind {kind!r}; choose from {POOL_KINDS}"
-    )

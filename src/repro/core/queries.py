@@ -110,9 +110,7 @@ class RowMatch:
     :meth:`build` makes the :class:`Match` through ``leaf.entry_at``, so
     a row added from a caller's pfv hands back that same object. A
     reference is valid until its tree next changes, so the engine builds
-    every answer before returning it (``Session.execute``). Pickling
-    builds it too: a reference that crosses a process boundary arrives
-    as a :class:`Match`, and no leaf is ever pickled.
+    every answer before returning it (``Session.execute``).
 
     ``vector`` and ``key`` read as a match's do, building the pfv on
     every access.
@@ -143,9 +141,6 @@ class RowMatch:
     def build(self) -> Match:
         """The :class:`Match` this reference stands for."""
         return Match(self.vector, self.log_density, self.probability)
-
-    def __reduce__(self):
-        return Match, (self.vector, self.log_density, self.probability)
 
     def __repr__(self) -> str:
         return (

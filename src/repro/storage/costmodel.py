@@ -153,23 +153,19 @@ class DiskCostModel:
         )
         return pages * per_page
 
-    def fan_out_seconds(
-        self, branch_seconds: "Sequence[float]", *, parallel: bool = True
-    ) -> float:
+    def fan_out_seconds(self, branch_seconds: "Sequence[float]") -> float:
         """Latency of fanning one batch out over shard branches.
 
-        A parallel fan-out (process pool, one worker per shard) finishes
-        with its slowest branch — the max; a serial fan-out pays every
-        branch in turn — the sum. Both pay one dispatch overhead per
-        branch. This is how sharded ``explain()`` plans are priced.
+        The serial fan-out pays every branch in turn — the sum — plus
+        one dispatch overhead per branch. This is how sharded
+        ``explain()`` plans are priced.
         """
         branch_seconds = list(branch_seconds)
         if any(s < 0 for s in branch_seconds):
             raise ValueError("branch latencies must be non-negative")
-        if not branch_seconds:
-            return 0.0
-        base = max(branch_seconds) if parallel else sum(branch_seconds)
-        return base + self.fanout_dispatch_seconds * len(branch_seconds)
+        return sum(branch_seconds) + self.fanout_dispatch_seconds * len(
+            branch_seconds
+        )
 
     def commit_seconds(self, wal_bytes: int, fsyncs: int) -> float:
         """Modeled cost of durable write-ahead-log commits.

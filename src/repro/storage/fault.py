@@ -22,29 +22,14 @@ The model treats every byte that was written as durable (no reordering,
 no lost OS cache); ``fsync`` is therefore a free no-op here. That is the
 conservative half of the torn-write failure model and it is the half the
 WAL's checksums and commit records must already survive.
-
-**Process-level faults.** The cluster failover tests need a coarser
-weapon than torn writes: a whole pool worker dying mid-batch.
-:class:`WorkerKillSwitch` is a picklable, filesystem-armed kill switch —
-``arm()`` drops a sentinel file, and the *first* worker process whose
-runner calls :meth:`~WorkerKillSwitch.maybe_kill` atomically claims it
-(``os.unlink``) and hard-exits, simulating an OOM-kill / node loss.
-Exactly one worker dies per arming no matter how many race for the
-sentinel. :func:`killing_runner` wraps any pool runner with that check.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, IO
+from typing import IO
 
-__all__ = [
-    "InjectedCrash",
-    "FaultInjector",
-    "FaultyFile",
-    "WorkerKillSwitch",
-    "killing_runner",
-]
+__all__ = ["InjectedCrash", "FaultInjector", "FaultyFile"]
 
 
 class InjectedCrash(Exception):
@@ -151,56 +136,3 @@ class FaultyFile:
             f"FaultyFile({getattr(self._raw, 'name', '?')!r}, "
             f"remaining={self._injector.remaining})"
         )
-
-
-class WorkerKillSwitch:
-    """A picklable one-shot kill switch for pool worker processes.
-
-    State lives in the filesystem (a sentinel file), not the object, so
-    the switch survives pickling into fork/spawn workers and arming it
-    from the parent is visible to all of them. ``os.unlink`` is atomic:
-    when several workers race :meth:`maybe_kill`, exactly one wins the
-    unlink and dies; the rest see ``FileNotFoundError`` and survive.
-    """
-
-    def __init__(self, path: str | os.PathLike, exit_code: int = 137) -> None:
-        self.path = os.fspath(path)
-        self.exit_code = exit_code
-
-    def arm(self) -> None:
-        """Sentence the next worker that checks in to death."""
-        with open(self.path, "w"):
-            pass
-
-    @property
-    def armed(self) -> bool:
-        return os.path.exists(self.path)
-
-    def maybe_kill(self) -> None:
-        """Die (hard, no cleanup) if this process claims the sentinel."""
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            return
-        os._exit(self.exit_code)
-
-
-class _KillingRunner:
-    """Picklable runner wrapper: check the kill switch, then delegate."""
-
-    def __init__(self, runner: Callable, switch: WorkerKillSwitch) -> None:
-        self._runner = runner
-        self._switch = switch
-
-    def __call__(self, session, payload):
-        self._switch.maybe_kill()
-        return self._runner(session, payload)
-
-
-def killing_runner(runner: Callable, switch: WorkerKillSwitch) -> Callable:
-    """Wrap a pool runner so each call first offers itself to ``switch``.
-
-    The wrapper is a module-level class instance, hence picklable into
-    :class:`~repro.cluster.pool.ProcessPool` workers.
-    """
-    return _KillingRunner(runner, switch)

@@ -5,9 +5,9 @@ sharded answers equal the single-backend ones on random workloads; this
 file pins the *mechanisms* — the cross-shard Bayes denominator (a shard
 with no threshold answers still shifts everyone's posterior), the
 per-shard stats/provenance accounting, the fan-out cost pricing — and
-the failure modes: a manifest pointing at missing shard files, a pool
-worker that raises, and a worker process that dies mid-batch must all
-surface as a prompt :class:`ClusterError`, never a hang.
+the failure modes: a manifest pointing at missing shard files, a shard
+that cannot open and a shard task that raises must all surface as a
+prompt :class:`ClusterError`, never a hang.
 """
 
 import math
@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.cluster import ClusterError, ProcessPool, SerialPool, make_pool
+from repro.cluster import ClusterError, SerialPool
 from repro.cluster.partition import build_shards
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
@@ -23,7 +23,6 @@ from repro.engine import (
     MLIQ,
     TIQ,
     CapabilityError,
-    ConsensusTopK,
     RankQuery,
     connect,
 )
@@ -182,22 +181,27 @@ def test_sharded_over_xtree_inner_is_not_exact():
         assert "exact" not in s.capabilities
 
 
-def test_parallel_pool_estimate_prices_max_not_sum(tmp_path):
+def test_estimate_prices_the_serial_fan_out_as_a_sum(tmp_path):
     db = make_random_db(n=80, seed=21)
     manifest = build_shards(db, 4, tmp_path / "est")
     specs = [MLIQ(make_random_query(seed=22), 5)] * 8
-    with connect(manifest.source_path, backend="sharded") as serial:
-        serial_plan = serial.explain(specs)
-    with connect(
-        manifest.source_path, backend="sharded", pool="process", workers=2
-    ) as parallel:
-        parallel_plan = parallel.explain(specs)
-    assert serial_plan.estimated_pages == parallel_plan.estimated_pages
-    assert (
-        parallel_plan.estimated_io_seconds
-        < serial_plan.estimated_io_seconds
+    with connect(manifest.source_path, backend="sharded") as session:
+        plan = session.explain(specs)
+        backend = session._backend
+        shard_io = [
+            backend._pool.session(i)._backend.estimate("mliq", specs)
+            .io_seconds
+            for i in backend._active
+        ]
+        cost_model = backend._pool.session(0)._backend.store.cost_model
+    assert len(shard_io) == 4
+    assert plan.estimated_io_seconds == pytest.approx(
+        sum(shard_io) + 4 * cost_model.fanout_dispatch_seconds, rel=1e-12
     )
-    assert any("fan-out" in step for step in serial_plan.lowering)
+    assert any(
+        "fan-out" in step and "serial fan-out" in step
+        for step in plan.lowering
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +215,14 @@ def test_in_memory_source_requires_shard_count():
         connect(db, backend="sharded")
 
 
-def test_unknown_options_rejected():
+@pytest.mark.parametrize(
+    "option", [{"replicas": 3}, {"pool": "process"}, {"workers": 2}]
+)
+def test_unknown_options_rejected(option):
     db = make_random_db(n=6)
-    with pytest.raises(TypeError, match="replicas"):
-        connect(db, backend="sharded", shards=2, replicas=3)
+    (name,) = option
+    with pytest.raises(TypeError, match=f"does not understand.*{name}"):
+        connect(db, backend="sharded", shards=2, **option)
 
 
 def test_disk_inner_requires_manifest():
@@ -224,7 +232,7 @@ def test_disk_inner_requires_manifest():
 
 
 # ---------------------------------------------------------------------------
-# Hardening: broken manifests and dying workers
+# Hardening: broken manifests and failing shards
 # ---------------------------------------------------------------------------
 
 
@@ -254,8 +262,6 @@ def test_shard_unopenable_at_query_time_fails_loudly(tmp_path):
     session.close()
 
 
-# Pool doubles must live at module level so fork workers resolve them by
-# reference.
 class _Boom:
     def __call__(self, shard_id):
         raise RuntimeError("shard backend exploded")
@@ -265,81 +271,13 @@ def _echo_runner(session, payload):
     return (session, payload)
 
 
-class _IdentityOpener:
-    def __call__(self, shard_id):
-        return f"session-{shard_id}"
-
-
-def _crashing_runner(session, payload):
-    if payload == "die":
-        os._exit(17)  # simulated worker crash (segfault/OOM-kill stand-in)
-    return (session, payload)
-
-
 def test_serial_pool_wraps_worker_exceptions():
-    pool = make_pool("serial", _Boom(), _echo_runner, n_shards=2)
+    pool = SerialPool(_Boom(), _echo_runner)
     with pytest.raises(ClusterError, match="cannot open shard 0"):
         pool.run([(0, "payload")])
     pool.close()
     with pytest.raises(ClusterError, match="closed"):
         pool.run([(0, "payload")])
-
-
-@pytest.mark.skipif(
-    os.name != "posix", reason="fork start method required"
-)
-def test_process_pool_surfaces_raising_worker():
-    pool = ProcessPool(_Boom(), _echo_runner, workers=1)
-    try:
-        with pytest.raises(ClusterError, match="shard backend exploded"):
-            pool.run([(0, "payload")])
-    finally:
-        pool.close()
-
-
-@pytest.mark.skipif(
-    os.name != "posix", reason="fork start method required"
-)
-def test_process_pool_surfaces_dead_worker_and_recovers():
-    pool = ProcessPool(_IdentityOpener(), _crashing_runner, workers=1)
-    try:
-        with pytest.raises(ClusterError, match="worker process died"):
-            pool.run([(0, "die")])
-        # The broken executor was dropped: the next batch gets a fresh
-        # pool and works.
-        assert pool.run([(1, "ok")]) == [("session-1", "ok")]
-    finally:
-        pool.close()
-
-
-def test_make_pool_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown pool kind"):
-        make_pool("threads", _IdentityOpener(), _echo_runner, n_shards=1)
-
-
-@pytest.mark.skipif(
-    os.name != "posix", reason="fork start method required"
-)
-def test_process_pool_parity_with_serial(tmp_path):
-    db = make_random_db(n=50, seed=31)
-    manifest = build_shards(db, 3, tmp_path / "pp")
-    q = make_random_query(seed=32)
-    specs = [MLIQ(q, 5), TIQ(q, 0.1), RankQuery(q, 8, min_mass=0.9)]
-    with connect(manifest.source_path, backend="sharded") as serial:
-        expected = [list(m) for m in serial.execute_many(specs)]
-    with connect(
-        manifest.source_path, backend="sharded", pool="process", workers=2
-    ) as parallel:
-        got = [list(m) for m in parallel.execute_many(specs)]
-        # Warm workers answer a second batch identically.
-        again = [list(m) for m in parallel.execute_many(specs)]
-    for exp, g1, g2 in zip(expected, got, again):
-        assert [m.key for m in exp] == [m.key for m in g1]
-        assert [m.key for m in exp] == [m.key for m in g2]
-        for a, b in zip(exp, g1):
-            assert b.probability == pytest.approx(
-                a.probability, abs=1e-12
-            )
 
 
 def _two_level_shards(tmp_path, n_shards, rows_per_shard, seed):
@@ -358,41 +296,6 @@ def _two_level_shards(tmp_path, n_shards, rows_per_shard, seed):
         tree.close()
         node_pages.append(read_header(path)["page_count"])
     return db, manifest, node_pages
-
-
-def _bits(rs):
-    return [
-        [(m.key, m.log_density, m.probability, m.score) for m in matches]
-        for matches in rs
-    ]
-
-
-def test_process_pool_parity_over_two_level_shards(tmp_path):
-    # Replies that cross to the parent carry swept shards' answers: the
-    # process pool must merge them into the serial pool's bits.
-    db, manifest, _ = _two_level_shards(tmp_path, 3, 60, seed=33)
-    qs = [PFV(db[i].mu, db[i].sigma) for i in (3, 50, 99, 140, 171)]
-    specs = [
-        MLIQ(qs[0], 1),
-        MLIQ(qs[1], 3),
-        MLIQ(qs[2], 5),
-        TIQ(qs[3], 0.05),
-        RankQuery(qs[4], 6, min_mass=0.9),
-        ConsensusTopK(qs[0], 4),
-    ]
-    with connect(manifest.source_path, backend="sharded") as serial:
-        expected = serial.execute_many(specs)
-    # Every spec sweeps every shard once; the TIQ through its probe.
-    assert expected.stats.swept == 3 * len(specs)
-    assert all(expected), "every spec must have answers to compare"
-    with connect(
-        manifest.source_path, backend="sharded", pool="process", workers=2
-    ) as parallel:
-        got = parallel.execute_many(specs)
-        again = parallel.execute_many(specs)
-    assert got.stats.swept == expected.stats.swept
-    assert _bits(got) == _bits(expected)
-    assert _bits(again) == _bits(expected)
 
 
 def test_merge_builds_a_pfv_only_for_the_returned_matches(
@@ -618,18 +521,6 @@ def test_insert_into_hash_empty_shard_activates_it():
         assert len(s) == 14
         rs = s.execute(MLIQ(PFV([0.2, 0.3], [0.1, 0.1]), 14))
         assert len(rs.matches) == 14
-
-
-def test_writable_process_pool_is_refused(tmp_path):
-    db = make_random_db(n=10, seed=64)
-    manifest = build_shards(db, 2, str(tmp_path / "pp"))
-    with pytest.raises(TypeError, match="serial"):
-        connect(
-            manifest.source_path,
-            backend="sharded",
-            pool="process",
-            writable=True,
-        )
 
 
 def test_writable_seqscan_inner_fails_loudly():

@@ -8,20 +8,22 @@ The PR-7 contract, pinned end to end:
   newly committed WAL bytes (applied through the ordinary recovery
   path), and a primary checkpoint the shipper was not told about forces
   a full resync instead of corrupting the replica.
-* **Failover** — a pool worker killed mid-batch costs a retry on the
-  shard's next replica, not the batch: a 64-query MLIQ batch answered
-  under a kill is *bit-identical* to the fault-free run.
+* **Failover** — a lost replica file costs a retry on the shard's next
+  replica (or its primary), not the batch: a 64-query MLIQ batch
+  answered with one replica file gone is *bit-identical* to the
+  fault-free run, and the retry runs at once.
 * **Re-sharding** — ``reshard`` rebuilds the deployment at a new shard
   count beside the old generation and cuts over via one atomic manifest
   replace; queries running throughout never see a wrong or partial
   answer.
 * **The property** — a random interleaved write+query workload with
-  injected worker losses and replica failovers answers within 1e-9 of a
-  single in-memory tree over the same objects.
+  injected shard-task failures and replica failovers answers within
+  1e-9 of a single in-memory tree over the same objects.
 """
 
 import os
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import ClusterError, load_manifest, reshard
 from repro.cluster.backend import ShardedBackend, _run_shard_payload
 from repro.cluster.partition import build_shards
-from repro.cluster.pool import default_workers
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery
@@ -37,34 +38,11 @@ from repro.engine import MLIQ, ConsensusTopK, ExpectedRank, connect
 from repro.engine.session import Session
 from repro.gausstree import gausstree_mliq
 from repro.gausstree.tree import GaussTree
-from repro.storage.fault import WorkerKillSwitch, killing_runner
+from repro.obs.metrics import counter
 from repro.storage.ship import WALShipper, create_replica, replica_path
 from repro.storage.wal import WAL_MAGIC, WriteAheadLog
 
 from tests.conftest import make_random_db, make_random_query
-
-
-# ---------------------------------------------------------------------------
-# default_workers: the "never below 2" contract
-# ---------------------------------------------------------------------------
-
-
-def test_default_workers_never_drops_below_two(monkeypatch):
-    """A single-shard deployment still gets 2 workers (a dying worker's
-    replacement overlaps its healthy sibling), and the count stays
-    bounded by shards above that."""
-    assert default_workers(1) == 2
-    assert default_workers(2) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert default_workers(1) == 2
-    assert default_workers(5) == 5
-    assert default_workers(64) == 8
-    # Exotic hosts that report one (or no) core keep the floor of 2.
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert default_workers(1) == 2
-    assert default_workers(16) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert default_workers(4) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,42 +160,36 @@ def test_lost_replica_file_is_rebuilt_on_next_ship(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Failover: a worker killed mid-batch answers bit-identically
+# Failover: a lost replica file answers bit-identically
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(os.name != "posix", reason="fork start method required")
-def test_worker_killed_mid_batch_answers_bit_identical(tmp_path):
-    """Kill one pool worker mid-way through a 64-query MLIQ batch: the
-    retry lands on the shard's replica and the merged answers are
-    bit-identical to the fault-free run — same keys, same probability
-    and log-density floats."""
+def _lost_replica_deployment(tmp_path):
+    """Two shards with one replica each, 64 ``MLIQ(q, 5)`` queries and
+    the fault-free answers; then shard 0's replica file is unlinked, so
+    the next read-only session's first task on shard 0 cannot open."""
     db = make_random_db(n=60, seed=90)
-    manifest = build_shards(db, 2, str(tmp_path / "kill"), replicas=1)
+    manifest = build_shards(db, 2, str(tmp_path / "lost"), replicas=1)
     specs = [MLIQ(make_random_query(seed=900 + i), 5) for i in range(64)]
-
     with connect(manifest.source_path, backend="sharded") as ref:
         expected = [list(matches) for matches in ref.execute_many(specs)]
+    os.unlink(manifest.replica_paths()[0][0])
+    return manifest, specs, expected
 
-    switch = WorkerKillSwitch(str(tmp_path / "kill.sentinel"))
-    backend = ShardedBackend(
-        manifest.shard_paths(),
-        [s.objects for s in manifest.shards],
-        inner="disk",
-        pool_kind="process",
-        workers=2,
-        inner_options={"mliq_tolerance": 1e-12},
-        manifest=manifest,
-        replicas=manifest.replica_paths(),
-        runner=killing_runner(_run_shard_payload, switch),
-    )
-    session = Session(backend)
-    try:
-        switch.arm()
+
+def test_lost_replica_answers_bit_identical(tmp_path):
+    """Shard 0's read routes to its lost replica file: the retry lands
+    on the shard's primary and the merged answers are bit-identical to
+    the fault-free run — same keys, same probability and log-density
+    floats — at exactly one retry and one failover for the batch."""
+    manifest, specs, expected = _lost_replica_deployment(tmp_path)
+    retries = counter("repro_cluster_retry_total")
+    failovers = counter("repro_cluster_failover_total")
+    retries_before, failovers_before = retries.value, failovers.value
+    with connect(manifest.source_path, backend="sharded") as session:
         got = [list(matches) for matches in session.execute_many(specs)]
-    finally:
-        session.close()
-    assert not switch.armed, "no worker consumed the kill sentinel"
+    assert retries.value - retries_before == 1
+    assert failovers.value - failovers_before == 1
     assert len(got) == len(expected) == 64
     for exp, act in zip(expected, got):
         assert [m.key for m in exp] == [m.key for m in act]
@@ -226,33 +198,20 @@ def test_worker_killed_mid_batch_answers_bit_identical(tmp_path):
             assert b.log_density == a.log_density
 
 
-@pytest.mark.skipif(os.name != "posix", reason="fork start method required")
-def test_replicaless_deployment_still_fails_loudly_on_kill(tmp_path):
-    """Without replicas there is no failover target: the kill surfaces
-    as the historical ClusterError, and the *next* batch works again
-    (the broken executor is dropped)."""
-    db = make_random_db(n=30, seed=91)
-    manifest = build_shards(db, 2, str(tmp_path / "nokill"))
-    switch = WorkerKillSwitch(str(tmp_path / "nokill.sentinel"))
-    backend = ShardedBackend(
-        manifest.shard_paths(),
-        [s.objects for s in manifest.shards],
-        inner="disk",
-        pool_kind="process",
-        workers=2,
-        inner_options={"mliq_tolerance": 1e-12},
-        manifest=manifest,
-        runner=killing_runner(_run_shard_payload, switch),
-    )
-    session = Session(backend)
-    try:
-        q = make_random_query(seed=92)
-        switch.arm()
-        with pytest.raises(ClusterError, match="worker process died"):
-            session.execute(MLIQ(q, 4))
-        assert len(session.execute(MLIQ(q, 4)).matches) == 4
-    finally:
-        session.close()
+def test_lost_replica_retries_without_sleeping(tmp_path, monkeypatch):
+    """A failover retry goes to another file, so nothing transient needs
+    waiting out: the batch must answer without ever sleeping."""
+    manifest, specs, expected = _lost_replica_deployment(tmp_path)
+
+    def no_sleep(seconds):
+        raise AssertionError(f"the shard fan-out slept {seconds} s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    with connect(manifest.source_path, backend="sharded") as session:
+        got = session.execute_many(specs)
+    assert [[m.key for m in ms] for ms in got] == [
+        [m.key for m in ms] for ms in expected
+    ]
 
 
 def test_read_only_sessions_rotate_reads_across_replicas(tmp_path):
@@ -427,9 +386,9 @@ class _InjectedLoss(RuntimeError):
 
 
 class _FlakyRunner:
-    """Serial-pool stand-in for a worker loss: while the sentinel file
-    exists, the first shard task to run claims it (unlink is atomic) and
-    fails — exercising the same failover hook a dead process does."""
+    """A shard task that fails once: while the sentinel file exists, the
+    first shard task to run claims it (unlink is atomic) and raises —
+    exercising the same failover hook a lost replica file does."""
 
     def __init__(self, sentinel: str) -> None:
         self.sentinel = sentinel
@@ -440,7 +399,7 @@ class _FlakyRunner:
         except FileNotFoundError:
             pass
         else:
-            raise _InjectedLoss("injected worker loss")
+            raise _InjectedLoss("injected shard-task failure")
         return _run_shard_payload(session, payload)
 
 
@@ -458,8 +417,9 @@ def test_interleaved_workload_with_failovers_matches_single_tree(
     tmp_path_factory, seed, n_base, ops
 ):
     """Random interleaving of writes, checkpoints, queries and injected
-    worker losses (failing over between two replicas) answers within
-    1e-9 of one in-memory tree over the same surviving objects."""
+    shard-task failures (failing over between two replicas) answers
+    within 1e-9 of one in-memory tree over the same surviving
+    objects."""
     tmp = tmp_path_factory.mktemp("elastic")
     db = make_random_db(n=n_base, seed=seed)
     manifest = build_shards(
@@ -495,8 +455,6 @@ def test_interleaved_workload_with_failovers_matches_single_tree(
                 fresh.shard_paths(),
                 [s.objects for s in fresh.shards],
                 inner="disk",
-                pool_kind="serial",
-                workers=None,
                 inner_options={"mliq_tolerance": 1e-12},
                 manifest=fresh,
                 replicas=fresh.replica_paths(),
@@ -545,8 +503,8 @@ def test_reid_churn_with_worker_kills_matches_single_tree_replay(
 ):
     """The re-identification workload as a property: a randomized
     identify-then-insert / sliding-window-expire stream over a writable
-    round-robin 2-shard x 2-replica cluster, with worker losses injected
-    mid-batch during identification, scores every ConsensusTopK and
+    round-robin 2-shard x 2-replica cluster, with shard-task failures
+    injected mid-batch during identification, scores every ConsensusTopK and
     ExpectedRank answer within 1e-9 of one in-memory tree replayed over
     the same surviving tracks. Expiry also deletes an already-expired
     ghost each round, pinning the clean not-found path under churn."""
@@ -581,8 +539,8 @@ def test_reid_churn_with_worker_kills_matches_single_tree_replay(
                 with open(sentinel, "w"):
                     pass
             # Identify: rank the observation against the live cluster
-            # under both semantics, through a reader whose runner loses
-            # a worker mid-batch whenever the sentinel is armed.
+            # under both semantics, through a reader whose runner fails
+            # one shard task mid-batch whenever the sentinel is armed.
             q = make_random_query(seed=seed + 31 * serial + 7)
             k = min(4, len(alive))
             fresh = load_manifest(manifest.source_path)
@@ -590,8 +548,6 @@ def test_reid_churn_with_worker_kills_matches_single_tree_replay(
                 fresh.shard_paths(),
                 [s.objects for s in fresh.shards],
                 inner="disk",
-                pool_kind="serial",
-                workers=None,
                 inner_options={"mliq_tolerance": 1e-12},
                 manifest=fresh,
                 replicas=fresh.replica_paths(),

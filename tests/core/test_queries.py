@@ -1,7 +1,5 @@
 """Unit tests for query specs and stats records."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -69,17 +67,6 @@ class TestRowMatch:
         assert match.vector is added  # the caller's own object
         assert (match.log_density, match.probability) == (-1.5, 0.25)
         assert ref.key == "a" and ref.score is None
-
-    def test_pickles_as_the_built_match(self):
-        leaf = LeafNode(page_id=1)
-        leaf.set_columns(np.array([[0.1, 0.2]]), np.array([[0.5, 0.6]]), [7])
-        restored = pickle.loads(pickle.dumps([RowMatch(leaf, 0, -2.0, 1.0)]))
-        (match,) = restored
-        assert type(match) is Match
-        assert match.key == 7
-        assert match.vector.mu.tolist() == [0.1, 0.2]
-        assert match.vector.sigma.tolist() == [0.5, 0.6]
-        assert (match.log_density, match.probability) == (-2.0, 1.0)
 
     def test_built_passes_matches_through(self):
         leaf, _ = self._leaf()

@@ -413,8 +413,8 @@ class TestTracePropagation:
 
 
 class TestFailoverAccounting:
-    def test_killed_worker_counts_exactly_one_failover(self):
-        """Regression: a worker death that fails over to a replica
+    def test_failed_task_counts_exactly_one_failover(self):
+        """Regression: a failed shard task that fails over to a replica
         increments ``repro_cluster_failover_total`` exactly once, and
         the error path (no replica) carries shard + attempts."""
         calls = {"n": 0}
@@ -424,8 +424,8 @@ class TestFailoverAccounting:
 
         def runner(session, payload):
             calls["n"] += 1
-            if session == 0:  # primary dies on first touch
-                raise RuntimeError("worker killed")
+            if session == 0:  # the first target fails
+                raise RuntimeError("replica lost")
             return "ok"
 
         failover_counter = global_counter("repro_cluster_failover_total")
@@ -436,7 +436,6 @@ class TestFailoverAccounting:
             opener,
             runner,
             attempts=2,
-            backoff=0.0,
             failover=lambda key, attempt: 1,
         )
         assert pool.run([(0, "payload")]) == ["ok"]
@@ -448,7 +447,7 @@ class TestFailoverAccounting:
         def runner(session, payload):
             raise RuntimeError("dead")
 
-        pool = SerialPool(lambda k: k, runner, attempts=3, backoff=0.0)
+        pool = SerialPool(lambda k: k, runner, attempts=3)
         with pytest.raises(ClusterError) as info:
             pool.run([(7, "payload")])
         assert info.value.shard == "7"

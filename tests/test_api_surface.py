@@ -180,10 +180,7 @@ EXPECTED_CLUSTER_EXPORTS = {
     "partition_database",
     "shard_of",
     "stable_shard_hash",
-    "POOL_KINDS",
     "SerialPool",
-    "ProcessPool",
-    "make_pool",
     "reshard",
     "reshard_gc",
     "ServeClient",
@@ -211,11 +208,6 @@ EXPECTED_CLUSTER_SIGNATURES = {
     "policy: 'str' = 'hash') -> 'list[PFVDatabase]'",
     "shard_of": "(v: 'PFV', position: 'int', n_shards: 'int', "
     "policy: 'str') -> 'int'",
-    "make_pool": "(kind: 'str', opener: 'Callable[[int], Any]', "
-    "runner: 'Callable[[Any, Any], Any]', *, n_shards: 'int', "
-    "workers: 'int | None' = None, attempts: 'int' = 1, "
-    "backoff: 'float' = 0.05, "
-    "failover: 'Callable[[Any, int], Any] | None' = None)",
 }
 
 

@@ -135,9 +135,15 @@ def test_query_serves_sharded_manifest(shard_manifest, capsys):
     assert "shard-00:disk" in out  # provenance breakdown printed
 
 
-def test_query_pool_flags_require_sharded(built_index):
-    with pytest.raises(SystemExit, match="only apply to --backend sharded"):
-        main(["query", built_index, "--k", "3", "--pool", "process"])
+@pytest.mark.parametrize("command", ["query", "serve"])
+@pytest.mark.parametrize("flag", [["--pool", "process"], ["--workers", "2"]])
+def test_pool_flags_are_argparse_errors(built_index, command, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, built_index, *flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_shard_build_and_input_through_sharded(

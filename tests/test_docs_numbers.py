@@ -27,12 +27,9 @@ QUOTES = [
     ("docs/benchmarks.md", r"committed run: ([\d.]+)x — the bounded queue",
      "BENCH_serve.json",
      ("headline", "overload_accepted_p99_over_half_saturation_p99")),
-    ("docs/benchmarks.md", r"process pool is ([\d.]+)x serial fan-out modeled",
-     "BENCH_cluster.json",
-     ("speedups", "modeled_process_pool_vs_serial_fanout")),
-    ("docs/benchmarks.md", r"modeled and ([\d.]+)x on the wall clock",
-     "BENCH_cluster.json",
-     ("speedups", "wall_process_pool_vs_serial_fanout")),
+    ("docs/benchmarks.md",
+     r"at ([\d.]+)x the single shard's wall-clock throughput",
+     "BENCH_cluster.json", ("headline", "wall_sharded_vs_single_shard")),
     ("docs/benchmarks.md", r"batch ([\d.]+)x the per-query loop",
      "BENCH_persistence.json", ("gausstree", "batch_speedup_vs_loop")),
     ("docs/benchmarks.md",
