@@ -23,6 +23,7 @@ from repro.engine import (
     MLIQ,
     TIQ,
     CapabilityError,
+    ConsensusTopK,
     RankQuery,
     connect,
 )
@@ -280,6 +281,38 @@ def test_serial_pool_wraps_worker_exceptions():
         pool.run([(0, "payload")])
 
 
+def test_serial_pool_wraps_runner_exceptions_and_keeps_serving():
+    """A shard task that raises surfaces as a ClusterError naming the
+    shard and chaining the cause; the cached sessions answer the next
+    batch without reopening."""
+    opened = []
+
+    def opener(shard_id):
+        opened.append(shard_id)
+        return f"session-{shard_id}"
+
+    def runner(session, payload):
+        if payload == "boom":
+            raise ValueError("shard task exploded")
+        return (session, payload)
+
+    pool = SerialPool(opener, runner)
+    with pytest.raises(
+        ClusterError,
+        match="shard 1 failed executing its batch: shard task exploded",
+    ) as info:
+        pool.run([(0, "ok"), (1, "boom")])
+    assert info.value.shard == "1"
+    assert info.value.attempts == 1
+    assert isinstance(info.value.__cause__, ValueError)
+    assert pool.run([(0, "ok"), (1, "ok")]) == [
+        ("session-0", "ok"),
+        ("session-1", "ok"),
+    ]
+    assert opened == [0, 1]
+    pool.close()
+
+
 def _two_level_shards(tmp_path, n_shards, rows_per_shard, seed):
     """Hash-placed disk shards on 1 KiB pages (at most 18 rows of 3-d
     per leaf), so every shard tree is a root over its leaves and answers
@@ -296,6 +329,48 @@ def _two_level_shards(tmp_path, n_shards, rows_per_shard, seed):
         tree.close()
         node_pages.append(read_header(path)["page_count"])
     return db, manifest, node_pages
+
+
+def _bits(rs):
+    return [
+        [(m.key, m.log_density, m.probability, m.score) for m in matches]
+        for matches in rs
+    ]
+
+
+def test_two_level_disk_shards_match_the_scan(tmp_path):
+    # Every spec sweeps every shard once (the TIQ through its probe);
+    # the merge carries the scan's keys and posteriors, and a second
+    # batch through the warm shard sessions repeats the first bit for
+    # bit.
+    db, manifest, _ = _two_level_shards(tmp_path, 3, 60, seed=33)
+    qs = [PFV(db[i].mu, db[i].sigma) for i in (3, 50, 99, 140, 171)]
+    specs = [
+        MLIQ(qs[0], 1),
+        MLIQ(qs[1], 3),
+        MLIQ(qs[2], 5),
+        TIQ(qs[3], 0.05),
+        RankQuery(qs[4], 6, min_mass=0.9),
+        ConsensusTopK(qs[0], 4),
+    ]
+    with connect(db, backend="seqscan") as ref:
+        expected = ref.execute_many(specs)
+    with connect(manifest.source_path, backend="sharded") as session:
+        got = session.execute_many(specs)
+        again = session.execute_many(specs)
+    assert got.stats.swept == 3 * len(specs)
+    assert all(expected), "every spec must have answers to compare"
+    for spec, matches, want in zip(specs, got, expected):
+        assert [m.key for m in matches] == [m.key for m in want], spec
+        for g, w in zip(matches, want):
+            assert math.isclose(
+                g.probability, w.probability, rel_tol=0.0, abs_tol=1e-9
+            ), spec
+            if w.score is not None:
+                assert math.isclose(
+                    g.score, w.score, rel_tol=0.0, abs_tol=1e-9
+                ), spec
+    assert _bits(again) == _bits(got)
 
 
 def test_merge_builds_a_pfv_only_for_the_returned_matches(
@@ -521,6 +596,22 @@ def test_insert_into_hash_empty_shard_activates_it():
         assert len(s) == 14
         rs = s.execute(MLIQ(PFV([0.2, 0.3], [0.1, 0.1]), 14))
         assert len(rs.matches) == 14
+
+
+def test_writable_sharded_session_rejects_pool_options(tmp_path):
+    # The fan-out is serial on both sides of the write router: the
+    # writable factory path refuses the old pool options like any other
+    # unknown option.
+    db = make_random_db(n=10, seed=64)
+    manifest = build_shards(db, 2, str(tmp_path / "pp"))
+    for option in ({"pool": "process"}, {"workers": 2}):
+        with pytest.raises(TypeError, match="does not understand"):
+            connect(
+                manifest.source_path,
+                backend="sharded",
+                writable=True,
+                **option,
+            )
 
 
 def test_writable_seqscan_inner_fails_loudly():

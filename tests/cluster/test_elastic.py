@@ -214,6 +214,24 @@ def test_lost_replica_retries_without_sleeping(tmp_path, monkeypatch):
     ]
 
 
+def test_replicaless_lost_shard_file_fails_loudly_without_retry(tmp_path):
+    """Without replicas a lost shard file has no failover target: the
+    batch fails at once with a ClusterError naming the shard, after one
+    attempt and no retry."""
+    db = make_random_db(n=30, seed=91)
+    manifest = build_shards(db, 2, str(tmp_path / "noreplica"))
+    retries = counter("repro_cluster_retry_total")
+    failovers = counter("repro_cluster_failover_total")
+    before = (retries.value, failovers.value)
+    with connect(manifest.source_path, backend="sharded") as session:
+        os.unlink(manifest.shard_paths()[0])
+        with pytest.raises(ClusterError, match="cannot open shard 0") as info:
+            session.execute(MLIQ(make_random_query(seed=92), 4))
+    assert info.value.shard == "0"
+    assert info.value.attempts == 1
+    assert (retries.value, failovers.value) == before
+
+
 def test_read_only_sessions_rotate_reads_across_replicas(tmp_path):
     db = make_random_db(n=20, seed=93)
     manifest = build_shards(db, 2, str(tmp_path / "rot"), replicas=2)

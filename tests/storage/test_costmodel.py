@@ -68,3 +68,21 @@ class TestModeledCpu:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DiskCostModel().modeled_cpu_seconds(-1, 0)
+
+
+class TestFanOut:
+    def test_prices_the_sum_plus_one_dispatch_per_branch(self):
+        m = DiskCostModel()
+        assert m.fan_out_seconds([0.010, 0.002, 0.030]) == pytest.approx(
+            0.042 + 3 * m.fanout_dispatch_seconds, rel=1e-12
+        )
+        # Branches are paid in turn: the slowest one is not the price.
+        assert m.fan_out_seconds([0.010, 0.010]) > m.fan_out_seconds([0.010])
+        assert m.fan_out_seconds([]) == 0.0
+        assert DiskCostModel(fanout_dispatch_seconds=0.0).fan_out_seconds(
+            [0.5, 0.25]
+        ) == pytest.approx(0.75)
+
+    def test_negative_branch_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DiskCostModel().fan_out_seconds([0.01, -0.001])
