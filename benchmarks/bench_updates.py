@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -119,6 +120,12 @@ def run(n: int, d: int, n_inserts: int, seed: int) -> dict:
             "dims": d,
             "n_inserts_per_mode": n_inserts,
             "seed": seed,
+        },
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
         },
         "index": {
             "base_file_bytes": base_bytes,

@@ -44,7 +44,8 @@ routing and failover); ``query --backend sharded`` fans batches out
 to the shards and merges globally renormalised posteriors; ``serve``
 exposes any index (or manifest) over pipelined JSONL and HTTP;
 ``reshard MANIFEST --shards N`` rebuilds the deployment at a new shard
-count and cuts over atomically while queries keep flowing.
+count and cuts over atomically while queries keep flowing (it refuses
+while any shard is open writable).
 ``query --input workload.jsonl`` (or ``--input -`` for stdin) replays a
 JSONL spec file — the same wire format the server accepts — instead of
 generating a re-observation workload.
@@ -282,18 +283,21 @@ def _cmd_shard_build(args: argparse.Namespace) -> None:
 
 
 def _cmd_reshard(args: argparse.Namespace) -> None:
-    from repro.cluster import reshard
+    from repro.cluster import ClusterError, reshard
 
     if args.shards < 1:
         raise SystemExit("--shards must be at least 1")
     started = time.perf_counter()
-    manifest = reshard(
-        args.manifest,
-        args.shards,
-        policy=args.policy,
-        page_size=args.page_size,
-        replicas=args.replicas,
-    )
+    try:
+        manifest = reshard(
+            args.manifest,
+            args.shards,
+            policy=args.policy,
+            page_size=args.page_size,
+            replicas=args.replicas,
+        )
+    except ClusterError as exc:
+        raise SystemExit(f"reshard refused: {exc}") from exc
     elapsed = time.perf_counter() - started
     sizes = ", ".join(str(s.objects) for s in manifest.shards)
     print(
@@ -858,7 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reshard",
         help="re-shard a deployment to a new shard count, cutting over "
-        "atomically via the manifest while queries keep flowing",
+        "atomically via the manifest while queries keep flowing (refused "
+        "while any shard is open writable)",
     )
     p.add_argument(
         "manifest", help=".shards.json manifest written by `shard-build`"

@@ -3,11 +3,14 @@
 ``reshard(manifest, new_n_shards)`` rebuilds a sharded deployment at a
 different shard count while queries keep flowing:
 
-1. **Materialize.** Every object is read back through a read-only
-   sharded session over the current manifest — i.e. through the same
-   recovery path queries use, so a shard whose writer crashed
-   mid-batch contributes exactly its WAL-committed state, and replicas
-   / the primary agree by the shipping invariant.
+1. **Lock and materialize.** ``reshard`` first takes the writer lock
+   (``<index>.lock``) of every current-generation primary and holds
+   them through the cutover, so no writer can commit to a generation
+   that is being replaced; a live writer makes it refuse with
+   :class:`~repro.cluster.backend.ClusterError` before anything is
+   written. Under those locks it replays each shard's committed WAL
+   tail (a crashed writer's last batches), then reads every object
+   back through a read-only sharded session over the current manifest.
 2. **Repartition & bulk-load.** The objects are re-placed under the
    (possibly new) policy and each new shard is STR bulk-loaded into a
    fresh index file of the *next generation* —
@@ -19,6 +22,10 @@ different shard count while queries keep flowing:
    descriptors on the old generation and finishes its queries on a
    consistent snapshot; a session opened after it sees only the new
    one. There is no in-between: the manifest is the single switch.
+
+Safe under concurrent readers, not under a live writer: close the
+writable sessions (or ``repro serve --writable``) first; their commits
+are then in the shard files ``reshard`` reads.
 
 Old-generation files are deliberately left on disk — deleting them
 would yank pages from under pre-cutover sessions. :func:`reshard_gc`
@@ -72,11 +79,12 @@ def reshard(
     ``replicas`` to its current per-shard replica count. Returns the
     new manifest (``source_path`` set). Safe under concurrent readers:
     they either see the old generation or the new one, never a mix.
+    Raises :class:`~repro.cluster.backend.ClusterError`, leaving the
+    manifest untouched, while any shard is open writable: the writer's
+    uncheckpointed commits are invisible to the materializing read, and
+    its next manifest refresh would undo the cutover.
     """
-    from repro.engine.backends import create_backend
-    from repro.gausstree.bulkload import bulk_load
-    from repro.storage.layout import PageLayout
-    from repro.storage.ship import create_replica, replica_path
+    from repro.gausstree.persist import _IndexLock, recover_index
 
     if new_n_shards < 1:
         raise ValueError(f"new_n_shards must be >= 1, got {new_n_shards}")
@@ -91,8 +99,46 @@ def reshard(
     if replicas is None:
         replicas = max((len(s.replicas) for s in old.shards), default=0)
 
-    # 1. Materialize through a read-only sharded session: recovery and
-    # replica routing included, exactly what queries would answer from.
+    locks: list[_IndexLock] = []
+    try:
+        for shard_id, path in enumerate(old.shard_paths()):
+            if path is None:
+                continue
+            lock = _IndexLock(path)
+            if not lock.acquire():
+                raise ClusterError(
+                    f"shard {shard_id} ({os.path.basename(path)}) is open "
+                    "writable; close its writer before resharding (its "
+                    "unflushed writes would be lost and its next manifest "
+                    "refresh would undo the cutover)"
+                )
+            locks.append(lock)
+            # A read-only open replays a crashed writer's committed tail
+            # only if it can take this lock, which is now ours.
+            recover_index(path, _lock=lock)
+        return _reshard_locked(
+            manifest_path, old, new_n_shards, new_policy, page_size, replicas
+        )
+    finally:
+        for lock in locks:
+            lock.release()
+
+
+def _reshard_locked(
+    manifest_path: str,
+    old: ShardManifest,
+    new_n_shards: int,
+    new_policy: str,
+    page_size: int,
+    replicas: int,
+) -> ShardManifest:
+    from repro.engine.backends import create_backend
+    from repro.gausstree.bulkload import bulk_load
+    from repro.storage.layout import PageLayout
+    from repro.storage.ship import create_replica, replica_path
+
+    # 1. Materialize through a read-only sharded session over the
+    # recovered primaries, exactly what queries would answer from.
     backend = create_backend("sharded", manifest_path, options={})
     try:
         db: PFVDatabase = backend.database()

@@ -314,15 +314,31 @@ def _decode_key(entry: list) -> Hashable:
     raise ValueError(f"unknown key tag {tag!r} in key table")
 
 
+#: ``json.dumps`` with its default arguments, less its per-call argument
+#: checks: the same bytes, and a fresh save probes every key through it.
+_json_encode = json.JSONEncoder().encode
+
+
 class _KeyTable:
-    """Deduplicating key -> int64 slot assignment for the write path."""
+    """Deduplicating key -> int64 slot assignment for the write path.
+
+    The tagged JSON encoding of a key decides its slot. A writer's
+    commit re-encodes whole leaves, so the table also remembers one key
+    *object* per slot and answers it by identity without encoding it
+    again: only keys new to the table pay the JSON probe.
+    """
 
     def __init__(self) -> None:
+        #: The key of each slot: the object the table remembers for it.
         self.keys: list[Hashable] = []
         # Keyed by the tagged JSON encoding, which distinguishes types
         # recursively — (1,), (True,) and (1.0,) hash equal as tuples but
         # encode differently, so each keeps its own slot.
         self._index: dict[str, int] = {}
+        # id(self.keys[slot]) -> slot. Persistable keys are immutable,
+        # so an object's encoding never changes, and self.keys holds the
+        # object alive, so its id cannot name another object meanwhile.
+        self._slot_of_id: dict[int, int] = {}
         # len(self.dump()) maintained incrementally: the per-op commit
         # needs the serialized table size for the header (not the bytes),
         # and re-encoding the whole table would make inserts O(n^2).
@@ -336,7 +352,10 @@ class _KeyTable:
         return table
 
     def slot(self, key: Hashable) -> int:
-        probe = json.dumps(_encode_key(key))
+        idx = self._slot_of_id.get(id(key))
+        if idx is not None:
+            return idx
+        probe = _json_encode(_encode_key(key))
         idx = self._index.get(probe)
         if idx is None:
             idx = len(self.keys)
@@ -345,6 +364,13 @@ class _KeyTable:
             # json.dumps(list) joins item encodings with ", " — probe is
             # exactly the item encoding, so the list length is additive.
             self._dump_len += len(probe) if idx == 0 else 2 + len(probe)
+        else:
+            # An equal key as a new object takes over the slot's memo
+            # entry (it encodes to the same bytes), so re-inserting one
+            # key as fresh objects never grows the table.
+            del self._slot_of_id[id(self.keys[idx])]
+            self.keys[idx] = key
+        self._slot_of_id[id(key)] = idx
         return idx
 
     @property

@@ -385,6 +385,88 @@ def test_reshard_refuses_cutover_on_count_mismatch(tmp_path):
     assert load_manifest(manifest.source_path).generation == 0
 
 
+def _deployment_keys(manifest_path) -> set:
+    with connect(manifest_path, backend="sharded") as s:
+        n = len(s)
+        return {
+            m.key
+            for m in s.execute(MLIQ(PFV([0.5] * 3, [0.3] * 3), n)).matches
+        }
+
+
+def test_reshard_refuses_a_live_writer_and_keeps_its_writes(tmp_path):
+    """A live writer's unflushed insert and delete cancel in the count
+    cross-check, and a reader cannot see them: reshard must refuse
+    rather than cut over without them (and have the writer's next
+    manifest refresh put generation 0 back)."""
+    from repro.cli import main
+
+    db = make_random_db(n=40, seed=5)
+    manifest = build_shards(db, 2, str(tmp_path / "live"))
+    gone = list(db)[7]
+    writer = connect(manifest.source_path, backend="sharded", writable=True)
+    try:
+        writer.insert(PFV([0.5] * 3, [0.1] * 3, key="x"))
+        assert writer.delete(gone)
+        with pytest.raises(ClusterError, match=r"shard \d .*open writable"):
+            reshard(manifest.source_path, 4)
+        assert load_manifest(manifest.source_path).generation == 0
+        with pytest.raises(SystemExit, match=r"reshard refused: shard \d"):
+            main(["reshard", manifest.source_path, "--shards", "3"])
+        writer.insert(PFV([0.4] * 3, [0.1] * 3, key="after"))
+    finally:
+        writer.close()
+    assert load_manifest(manifest.source_path).generation == 0
+    assert not os.path.exists(str(tmp_path / "live.g1.shard-00.gauss"))
+
+    new_manifest = reshard(manifest.source_path, 4)
+    assert new_manifest.generation == 1
+    keys = _deployment_keys(manifest.source_path)
+    assert {"x", "after"} <= keys
+    assert gone.key not in keys
+    assert len(keys) == 41
+
+
+def test_reshard_keeps_a_crashed_writers_committed_tail(tmp_path):
+    """A writer killed after committing leaves its last writes only in
+    the shard WALs. reshard holds the writer locks, so the reader it
+    materializes through cannot replay them; it must replay them
+    itself."""
+    import subprocess
+    import sys
+
+    db = make_random_db(n=40, seed=5)
+    manifest = build_shards(db, 2, str(tmp_path / "crash"))
+    gone = list(db)[7]
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    script = (
+        "import os, sys; "
+        "from repro.core.pfv import PFV; "
+        "from repro.engine import connect; "
+        f"s = connect({manifest.source_path!r}, backend='sharded', "
+        "writable=True); "
+        "s.insert(PFV([0.5] * 3, [0.1] * 3, key='x')); "
+        f"assert s.delete(PFV({gone.mu.tolist()!r}, {gone.sigma.tolist()!r}, "
+        f"key={gone.key!r})); "
+        "sys.stdout.flush(); os._exit(0)"  # no checkpoint, no close
+    )
+    subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        check=True,
+        timeout=120,
+    )
+    assert any(
+        WriteAheadLog.has_committed(path + ".wal")
+        for path in manifest.shard_paths()
+    )
+    reshard(manifest.source_path, 3)
+    keys = _deployment_keys(manifest.source_path)
+    assert "x" in keys
+    assert gone.key not in keys
+    assert len(keys) == 40
+
+
 def test_reshard_validates_arguments(tmp_path):
     db = make_random_db(n=6, seed=100)
     manifest = build_shards(db, 2, str(tmp_path / "val"))

@@ -1389,3 +1389,159 @@ class TestDeterministicBytes:
             )
             digests.append(json.loads(done.stdout.strip().splitlines()[-1]))
         assert digests[0] == digests[1]
+
+
+class TestKeySlotReuse:
+    """A writer's commit re-encodes its dirty leaf, and the key table
+    answers the slots of keys it has stored before without encoding
+    them again. The tagged JSON encoding still decides every slot."""
+
+    @staticmethod
+    def _open_single_leaf(path, keys):
+        base = GaussTree(dims=3)
+        base.extend(
+            PFV([0.1 * (i % 9)] * 3, [0.2] * 3, key=k)
+            for i, k in enumerate(keys)
+        )
+        base.save(path)
+        tree = GaussTree.open(path, writable=True, fsync=False)
+        assert tree.root.is_leaf  # every commit re-encodes the one leaf
+        return tree
+
+    @staticmethod
+    def _count_encodings(monkeypatch):
+        from repro.gausstree import persist
+
+        encoded = []
+        real = persist._encode_key
+
+        def counting(key):
+            encoded.append(key)
+            return real(key)
+
+        monkeypatch.setattr(persist, "_encode_key", counting)
+        return encoded
+
+    @staticmethod
+    def _table(path):
+        import json
+
+        meta = read_header(path)
+        with open(path, "rb") as f:
+            f.seek(meta["key_table_offset"])
+            return json.loads(f.read(meta["key_table_bytes"]))
+
+    def test_commit_encodes_only_keys_new_to_the_table(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "reuse.gauss")
+        tree = self._open_single_leaf(path, [f"row{i}" for i in range(100)])
+        try:
+            tree.insert(PFV([0.5] * 3, [0.2] * 3, key="warm"))
+            encoded = self._count_encodings(monkeypatch)
+            fresh = PFV([0.4] * 3, [0.2] * 3, key="fresh")
+            tree.insert(fresh)
+            assert tree.root.count == 102
+            assert set(encoded) == {"fresh"}
+            encoded.clear()
+            assert tree.delete(PFV([0.1] * 3, [0.2] * 3, key="row1"))
+            assert encoded == []
+            # A deleted key object inserted again keeps its slot, and
+            # the table remembers it: only insert_many's up-front key
+            # check encodes it, the commit encodes nothing.
+            assert tree.delete(fresh)
+            encoded.clear()
+            tree.insert(fresh)
+            assert encoded == ["fresh"]
+        finally:
+            tree.close()
+        table = self._table(path)
+        assert table.count(["s", "fresh"]) == 1
+        assert len(table) == 102  # the deleted row1 keeps its slot
+
+    def test_equal_keys_of_different_types_keep_distinct_slots(self, tmp_path):
+        from repro.gausstree.persist import _decode_key, _encode_key
+
+        keys = [1, True, 1.0, (1,), (True,), (1.0,), -0.0, 0.0, "1"]
+        path = str(tmp_path / "types.gauss")
+        tree = self._open_single_leaf(path, keys)
+        before = self._table(path)
+        assert len(before) == len(keys)
+        try:
+            # Equal keys as objects the table has not seen: each must
+            # land on the slot of the key with its own type.
+            for k in [
+                int("1"), bool(1), float("1.0"), tuple([int("1")]),
+                tuple([bool(1)]), tuple([float("1.0")]), float("-0.0"),
+                float("0.0"), "".join(["1"]),
+            ]:
+                tree.insert(PFV([0.7] * 3, [0.2] * 3, key=k))
+        finally:
+            tree.close()
+        assert self._table(path) == before  # no new slot
+        reopened = GaussTree.open(path)
+        try:
+            got = sorted(repr(_encode_key(v.key)) for v in reopened)
+        finally:
+            reopened.close()
+        want = sorted(repr(_encode_key(_decode_key(e))) for e in before) * 2
+        assert got == sorted(want)
+
+    def test_a_key_reinserted_as_fresh_objects_keeps_one_memo_entry(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "bounded.gauss")
+        tree = self._open_single_leaf(path, [("base", i) for i in range(20)])
+        try:
+            table = tree._writer.key_table
+            slots = len(table.keys)
+            previous = None
+            for _ in range(1000):
+                key = tuple(["again", int("7")])  # a new object each time
+                assert key is not previous
+                v = PFV([0.3] * 3, [0.2] * 3, key=key)
+                tree.insert(v)
+                assert tree.delete(v)
+                previous = key
+            assert len(table.keys) == slots + 1
+            assert len(table._slot_of_id) == len(table.keys)
+            assert table.keys[-1] is previous
+        finally:
+            tree.close()
+
+    def test_slots_match_a_probe_only_table_for_mixed_fresh_objects(self):
+        import json
+
+        from repro.gausstree.persist import _KeyTable, _encode_key
+
+        def fresh(i):  # equal values as new objects, types mixed
+            kind = i % 8
+            if kind == 0:
+                return int(str(i % 7))
+            if kind == 1:
+                return float(str(i % 7))
+            if kind == 2:
+                return bool(i % 2)
+            if kind == 3:
+                return "".join(["k\u00e9", str(i % 5)])
+            if kind == 4:
+                return tuple([int(str(i % 3)), "".join(["t"])])
+            if kind == 5:
+                return float(["nan", "inf", "-inf"][i % 3])
+            if kind == 6:
+                return None
+            return float("-0.0") if i % 4 else float("0.0")
+
+        table = _KeyTable()
+        probe_only: dict[str, int] = {}
+        for i in range(600):
+            key = fresh(i)
+            want = probe_only.setdefault(
+                json.dumps(_encode_key(key)), len(probe_only)
+            )
+            assert table.slot(key) == want
+            assert table.slot(key) == want  # remembered object
+        assert len(table._slot_of_id) == len(table.keys) == len(probe_only)
+        assert table.dump() == json.dumps(
+            [json.loads(p) for p in probe_only]
+        ).encode("utf-8")
