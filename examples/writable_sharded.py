@@ -12,7 +12,8 @@ Walks the write-router lifecycle introduced with group commit:
 4. serve it over HTTP with ``POST /insert`` enabled and a second pooled
    read session, writing through the stdlib client while querying;
 5. reopen read-only and verify the grown deployment is durable (counts
-   refreshed in the manifest, answers served from the shard indexes).
+   saved in the manifest at close, answers served from the shard
+   indexes).
 
 Run:  PYTHONPATH=src python examples/writable_sharded.py
 """
@@ -95,7 +96,7 @@ def main() -> int:
 
         refreshed = load_manifest(manifest.source_path)
         print(
-            f"manifest refreshed on commit: counts "
+            f"manifest saved at close: counts "
             f"{[s.objects for s in refreshed.shards]}, epoch "
             f"{refreshed.effective_placement_epoch}"
         )

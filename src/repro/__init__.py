@@ -83,7 +83,7 @@ from repro.gausstree import GaussTree, bulk_load
 # box (the subsystem itself is stdlib-only on top of the engine).
 import repro.cluster  # noqa: E402,F401  (registration side effect)
 
-__version__ = "2.5.1"
+__version__ = "2.5.2"
 
 __all__ = [
     "PFV",

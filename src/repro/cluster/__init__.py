@@ -21,8 +21,9 @@ The lifecycle:
    session and page buffer open across batches; ``writable=True``
    additionally arms the **write router** — inserts/deletes route to
    the owning shard by the placement policy, batches group-commit per
-   shard, and the manifest's counts + placement epoch refresh on every
-   commit;
+   shard, and the manifest's counts + placement epoch are saved when
+   the session flushes or closes (every session counts from the shard
+   index headers);
 3. :func:`repro.serve.serve_async` (CLI: ``repro serve``) exposes any
    session — sharded or not — over pipelined JSONL and HTTP
    (``--sessions N`` executes concurrent batches on N pooled sessions;

@@ -66,8 +66,21 @@ partitioning stopped. Writes land on per-shard *writable* child
 sessions held by the pool — the same sessions queries fan out to, so an
 interleaved write+query workload is read-your-writes consistent and the
 parity property holds against a single writable tree. Batches
-group-commit per shard (one WAL fsync per touched shard), and every
-commit refreshes the manifest's per-shard object counts and epoch.
+group-commit per shard (one WAL fsync per touched shard). The per-shard
+object counts and the placement epoch stay in memory: the manifest is
+saved (and fsynced) only at ``flush()``, ``close()`` and the creation
+of a shard index, since each commit already logs the shard's count in
+its own header (``n_objects`` in the WAL ``META`` image).
+
+**Counts.** The manifest's per-shard ``objects`` are hints. A writable
+open counts each shard from its recovered index; a read-only session
+counts each shard from the header of the index file its fan-out reads
+(the replica it routes to, else the primary), or from the shard's
+session where a primary's WAL holds commits, and after each fan-out
+from the sessions that answered. So ``len()`` is what the fan-out can
+return: a crashed writer's WAL tail counts (the read-only open replays
+it), and a live writer's uncheckpointed writes count only where they
+were shipped to a replica the session reads.
 
 **Replicas & failover.** A v2 manifest may record replica index files
 per shard. A *writable* session ships its WAL to them after every
@@ -80,7 +93,9 @@ leave the primary's main file at its last checkpoint while replicas got
 the shipped tail) and arms the pool's retry hook: a replica that will
 not open or fails mid-batch re-targets the failed task onto the next
 replica of the same shard, so the batch completes with answers
-bit-identical to the fault-free run.
+bit-identical to the fault-free run. A replica file that would not open
+is skipped for the rest of the session, so its loss costs one retry,
+not one per batch.
 """
 
 from __future__ import annotations
@@ -137,19 +152,21 @@ class ShardReply:
     the shard-local answer list (posteriors still shard-normalised; row
     references from a Gauss-tree shard) and the shard's log Bayes
     denominator ``log Z_s`` for that query (``-inf`` for an empty shard
-    or fully underflowed densities).
+    or fully underflowed densities). ``n_objects`` is the object count
+    of the shard session that answered: what its answers range over.
 
     ``aux`` is ``None`` except for ``"ranked"`` payloads, where it
-    holds one ``(n_s, log_above)`` pair per query: the shard's object
-    count and the log density mass at-or-above the shard's own cutoff
-    (the returned candidates' logsumexp) — the per-shard sufficient
-    statistics the coordinator uses to certify that global consensus /
-    expected-rank scores are exact.
+    holds one ``log_above`` per query: the log density mass at-or-above
+    the shard's own cutoff (the returned candidates' logsumexp) — with
+    ``n_objects``, the per-shard sufficient statistics the coordinator
+    uses to certify that global consensus / expected-rank scores are
+    exact.
     """
 
     per_query: list[tuple[list[Match | RowMatch], float]]
     stats: QueryStats
-    aux: list[tuple[int, float]] | None = None
+    n_objects: int
+    aux: list[float] | None = None
 
 
 class _ShardOpener:
@@ -161,7 +178,8 @@ class _ShardOpener:
     task key is an ``int`` shard id (the primary) or ``(shard_id,
     replica_idx)`` with ``replica_idx >= 1`` naming one of the shard's
     replica files from ``replica_sources`` — replicas always open
-    read-only (the primary is sole writer).
+    read-only (the primary is sole writer). ``lost`` collects the
+    replica keys whose open failed; the backend routes around them.
     """
 
     def __init__(
@@ -177,29 +195,30 @@ class _ShardOpener:
         self.inner_options = dict(inner_options)
         self.writable = writable
         self.replica_sources = replica_sources
+        self.lost: set[tuple[int, int]] = set()
+
+    def source_of(self, key):
+        """The index source a task key names (``None`` for a shard
+        without one)."""
+        shard_id, replica_idx = _split_key(key)
+        if replica_idx == 0:
+            return self.sources[shard_id]
+        replicas = (
+            self.replica_sources[shard_id]
+            if self.replica_sources is not None
+            else []
+        )
+        return (
+            replicas[replica_idx - 1]
+            if replica_idx - 1 < len(replicas)
+            else None
+        )
 
     def __call__(self, key) -> Session:
         """Open one task key's session (writable only for a primary key
         of a writable deployment)."""
-        if isinstance(key, tuple):
-            shard_id, replica_idx = key
-        else:
-            shard_id, replica_idx = key, 0
-        if replica_idx == 0:
-            source = self.sources[shard_id]
-            writable = self.writable
-        else:
-            replicas = (
-                self.replica_sources[shard_id]
-                if self.replica_sources is not None
-                else []
-            )
-            source = (
-                replicas[replica_idx - 1]
-                if replica_idx - 1 < len(replicas)
-                else None
-            )
-            writable = False
+        replica = _split_key(key)[1] > 0
+        source = self.source_of(key)
         if source is None:
             raise ClusterError(
                 f"shard {_shard_label(key)} is empty and has no index "
@@ -209,18 +228,25 @@ class _ShardOpener:
             backend = create_backend(
                 self.inner,
                 source,
-                writable=writable,
+                writable=self.writable and not replica,
                 options=dict(self.inner_options),
             )
-        except ClusterError:
-            raise
         except Exception as exc:
+            if replica:
+                self.lost.add(key)
+            if isinstance(exc, ClusterError):
+                raise
             raise ClusterError(
                 f"cannot open shard {_shard_label(key)} "
                 f"({source if isinstance(source, str) else 'in-memory'}) "
                 f"with inner backend {self.inner!r}: {exc}"
             ) from exc
         return Session(backend)
+
+
+def _split_key(key) -> tuple[int, int]:
+    """A task key as ``(shard_id, replica_idx)``; 0 is the primary."""
+    return key if isinstance(key, tuple) else (key, 0)
 
 
 def _shard_log_total(matches: list[Match | RowMatch]) -> float:
@@ -254,26 +280,25 @@ def _run_shard_payload(session: Session, payload) -> ShardReply:
     ``session.execute`` and ``run.query`` spans).
     """
     kind, items = payload
+    n_objects = len(session)
     if kind == "mliq":
         specs = [MLIQ(q, k) for q, k in items]
         rs = session._execute_many(specs, build=False)
         per = [(list(matches), _shard_log_total(matches)) for matches in rs]
-        return ShardReply(per, rs.stats)
+        return ShardReply(per, rs.stats, n_objects)
     if kind == "ranked":
         specs = [MLIQ(q, k) for q, k in items]
         rs = session._execute_many(specs, build=False)
         per, aux = [], []
-        n_s = len(session)
         for matches in rs:
             matches = list(matches)
             per.append((matches, _shard_log_total(matches)))
-            log_above = (
+            aux.append(
                 logsumexp([m.log_density for m in matches])
                 if matches
                 else -math.inf
             )
-            aux.append((n_s, log_above))
-        return ShardReply(per, rs.stats, aux)
+        return ShardReply(per, rs.stats, n_objects, aux)
     if kind == "tiq":
         tiqs = [TIQ(q, tau, eps) for q, tau, eps in items]
         probes = [MLIQ(q, 1) for q, _, _ in items]
@@ -283,7 +308,7 @@ def _run_shard_payload(session: Session, payload) -> ShardReply:
             matches = list(rs[i])
             probe = rs[len(items) + i]
             per.append((matches, _shard_log_total(probe)))
-        return ShardReply(per, rs.stats)
+        return ShardReply(per, rs.stats, n_objects)
     raise ClusterError(f"unknown shard payload kind {kind!r}")
 
 
@@ -320,9 +345,16 @@ class ShardedBackend(BackendAdapter):
     With ``connect(..., writable=True)`` the deployment also routes
     writes: inserts land on the shard the placement policy owns them to
     (round-robin continues from the manifest's recorded placement
-    epoch), batches group-commit per shard, and every commit refreshes
-    the manifest counts. Writable sessions hold writable child sessions
-    in the pool, so queries read their own writes.
+    epoch) and batches group-commit per shard. Writable sessions hold
+    writable child sessions in the pool, so queries read their own
+    writes. They keep the per-shard counts and the placement epoch in
+    memory and save the manifest only at ``flush()``, ``close()`` and
+    when a write creates a shard's index file.
+
+    A read-only session never trusts the manifest's counts: it reads
+    each shard's count from the header of the index file it routes to
+    (see :meth:`_header_count`) and, once the shard answers, from the
+    shard session, so ``len()`` is what the fan-out can return.
     """
 
     def __init__(
@@ -398,6 +430,10 @@ class ShardedBackend(BackendAdapter):
             self._placement_epoch = max(
                 self._placement_epoch, sum(self._counts)
             )
+        else:
+            for i, source in enumerate(self._sources):
+                if isinstance(source, str):
+                    self._counts[i] = self._header_count(i)
         #: Shards that hold at least one object; empty shards never get
         #: tasks (an empty shard's denominator contribution is zero).
         self._active = [i for i, c in enumerate(self._counts) if c > 0]
@@ -436,25 +472,69 @@ class ShardedBackend(BackendAdapter):
         an external writer may leave the primary's main file at its
         last checkpoint while the replicas carry the shipped WAL tail,
         so replicas are the *fresher* read targets, not just spares.
+        A replica whose file would not open is skipped for the rest of
+        the session; with none left, the primary is read.
         """
-        replicas = self._replicas[shard_id]
-        if self._writable or not replicas:
+        if self._writable or not self._replicas[shard_id]:
             return shard_id
-        return (shard_id, 1 + self._rotation % len(replicas))
+        live = self._live_replicas(shard_id)
+        if not live:
+            return (shard_id, 0)
+        return (shard_id, live[self._rotation % len(live)])
+
+    def _live_replicas(self, shard_id: int) -> list[int]:
+        """The shard's replica indexes, minus those that failed to open."""
+        lost = self._opener.lost
+        return [
+            r
+            for r in range(1, len(self._replicas[shard_id]) + 1)
+            if (shard_id, r) not in lost
+        ]
 
     def _failover_target(self, key, attempt: int):
         """Pool retry hook: the next replica of the failed task's shard
-        (cycling through every replica, then the primary)."""
-        if isinstance(key, tuple):
-            shard_id, replica_idx = key
-        else:
-            shard_id, replica_idx = key, 0
-        n = len(self._replicas[shard_id])
-        if n == 0:
+        (cycling through every replica that has not failed to open,
+        then the primary)."""
+        shard_id, replica_idx = _split_key(key)
+        if not self._replicas[shard_id]:
             return None
-        order = [*range(1, n + 1), 0]  # primary is the last resort
+        order = [*self._live_replicas(shard_id), 0]  # primary last
         position = order.index(replica_idx) if replica_idx in order else -1
         return (shard_id, order[(position + 1) % len(order)])
+
+    def _header_count(self, shard_id: int) -> int:
+        """A read-only session's count of one shard, read at open.
+
+        ``n_objects`` from the header of the index file the shard's
+        fan-out reads first; a file whose header does not read falls
+        through the failover order (the next replica, the primary
+        last) without counting a retry. Replica headers are current:
+        shipping republishes them after every write. A primary whose
+        WAL holds commits opens at once and counts from its session,
+        which replays a crashed writer's tail and skips a live
+        writer's; every other shard opens lazily. The manifest's count
+        stands when no header reads, and the shard's lazy open then
+        reports the failure.
+        """
+        from repro.gausstree.persist import read_header, wal_path_for
+        from repro.storage.wal import WriteAheadLog
+
+        key = self._task_key(shard_id)
+        for attempt in range(1, len(self._replicas[shard_id]) + 2):
+            path = self._opener.source_of(key)
+            try:
+                count = read_header(path)["n_objects"]
+            except (OSError, ValueError):
+                key = self._failover_target(key, attempt)
+                if key is None:
+                    break
+                continue
+            if _split_key(key)[1] == 0 and WriteAheadLog.has_committed(
+                wal_path_for(path)
+            ):
+                return len(self._pool.session(key))
+            return count
+        return self._counts[shard_id]
 
     def _shipper(self, shard_id: int):
         """The shard's lazily built WAL shipper (None without replicas).
@@ -484,7 +564,8 @@ class ShardedBackend(BackendAdapter):
                 shipper.ship()
 
     def _fan_out(self, payload) -> list[tuple[int, ShardReply]]:
-        tasks = [(self._task_key(i), payload) for i in self._active]
+        active = list(self._active)
+        tasks = [(self._task_key(i), payload) for i in active]
         self._rotation += 1
         active_trace = _obs_trace.current_trace()
         started = time.perf_counter()
@@ -498,7 +579,7 @@ class ShardedBackend(BackendAdapter):
                 # spans nest beside them, in shard order, since the pool
                 # runs in the calling thread.
                 done = active_trace.now()
-                for shard_id, reply in zip(self._active, replies):
+                for shard_id, reply in zip(active, replies):
                     active_trace.add(
                         "shard",
                         start=fanout_span.start,
@@ -517,11 +598,14 @@ class ShardedBackend(BackendAdapter):
             "repro_cluster_fanout_seconds",
             "Wall time of one whole-cluster fan-out (all shards).",
         ).observe(elapsed)
-        for shard_id, reply in zip(self._active, replies):
+        for shard_id, reply in zip(active, replies):
             self._pending_provenance.append(
                 (f"shard-{shard_id:02d}:{self.inner}", reply.stats)
             )
-        return list(zip(self._active, replies))
+            # The session that answered knows the shard's true count
+            # (its open may have replayed a WAL tail the header lacks).
+            self._set_count(shard_id, reply.n_objects)
+        return list(zip(active, replies))
 
     def take_provenance(self) -> tuple[tuple[str, QueryStats], ...]:
         """Per-shard (name, stats) pairs accumulated since the last take
@@ -625,7 +709,7 @@ class ShardedBackend(BackendAdapter):
                     "its sufficient statistics"
                 )
             matches, log_total = reply.per_query[j]
-            n_s, log_above = reply.aux[j]
+            n_s, log_above = reply.n_objects, reply.aux[j]
             if log_above > log_total + 1e-6:
                 raise ClusterError(
                     f"shard {shard_id} reports more at-cutoff candidate "
@@ -687,7 +771,8 @@ class ShardedBackend(BackendAdapter):
         supplies it. The file is named exactly as ``build_shards`` would
         have named it (``<prefix>.shard-NN.gauss``, next to the
         manifest, default page size) and the manifest entry gains the
-        path, so later sessions open the shard like any other.
+        path, saved at once, so later sessions open the shard like any
+        other.
         """
         from repro.cluster.partition import MANIFEST_SUFFIX, ShardInfo
         from repro.core.joint import SigmaRule
@@ -713,6 +798,7 @@ class ShardedBackend(BackendAdapter):
             path=os.path.basename(shard_path), objects=0
         )
         self.manifest = dataclasses.replace(manifest, shards=tuple(shards))
+        self._refresh_manifest()
 
     def _writable_session(
         self, shard_id: int, dims: int | None = None
@@ -746,13 +832,13 @@ class ShardedBackend(BackendAdapter):
             )
         return session
 
-    def _note_count_change(self, shard_id: int, delta: int) -> None:
+    def _set_count(self, shard_id: int, count: int) -> None:
         """Track a shard's object count and its active/empty status."""
         before = self._counts[shard_id]
-        self._counts[shard_id] = before + delta
-        if before == 0 and self._counts[shard_id] > 0:
+        self._counts[shard_id] = count
+        if before == 0 and count > 0:
             bisect.insort(self._active, shard_id)
-        elif before > 0 and self._counts[shard_id] == 0:
+        elif before > 0 and count == 0:
             self._active.remove(shard_id)
 
     def insert_many(self, vectors) -> int:
@@ -760,10 +846,11 @@ class ShardedBackend(BackendAdapter):
         group-commit transaction on disk-backed shards.
 
         Placement follows the deployment's policy: the stable key hash
-        directly, round-robin by the persisted placement epoch (each
-        insert consumes one position, continuing the sequence the
-        original partitioning started). The manifest's counts and epoch
-        refresh after the batch commits.
+        directly, round-robin by the placement epoch (each insert
+        consumes one position, continuing the sequence the original
+        partitioning started). The counts and the epoch advance in
+        memory only; the shard commits log each shard's count in its
+        header, and ``flush()``/``close()`` save the manifest.
         """
         self._require("writable")
         batch = list(vectors)
@@ -789,13 +876,14 @@ class ShardedBackend(BackendAdapter):
         try:
             for shard_id, session in sessions.items():
                 session.insert_many(by_shard[shard_id])
-                self._note_count_change(shard_id, len(by_shard[shard_id]))
+                self._set_count(
+                    shard_id, self._counts[shard_id] + len(by_shard[shard_id])
+                )
                 committed += len(by_shard[shard_id])
         except Exception as exc:
             # A mid-batch IO failure is partial by nature (per-shard
-            # WALs are independent); persist what landed and say so.
+            # WALs are independent); ship what landed and say so.
             self._ship_replicas(sessions)
-            self._refresh_manifest()
             raise ClusterError(
                 f"insert batch failed after {committed} of {len(batch)} "
                 f"vectors committed (per-shard transactions are "
@@ -805,7 +893,6 @@ class ShardedBackend(BackendAdapter):
         # so replica-routed readers (other read-only sessions) observe
         # this batch without waiting for a checkpoint.
         self._ship_replicas(sessions)
-        self._refresh_manifest()
         return len(batch)
 
     def delete(self, v: PFV) -> bool:
@@ -820,8 +907,8 @@ class ShardedBackend(BackendAdapter):
         without touching any WAL (a tree-level miss never commits), a
         shard with no index file yet is skipped instead of failing the
         routing (a stale manifest can record a positive count for a
-        never-materialised shard), and neither the manifest nor the
-        replicas are refreshed.
+        never-materialised shard), and the replicas are not shipped to.
+        A hit, like an insert, changes the counts in memory only.
         """
         self._require("writable")
         if self.policy == "hash":
@@ -836,14 +923,13 @@ class ShardedBackend(BackendAdapter):
                 # for the missing index file.
                 continue
             if self._writable_session(shard_id).delete(v):
-                self._note_count_change(shard_id, -1)
+                self._set_count(shard_id, self._counts[shard_id] - 1)
                 self._ship_replicas([shard_id])
-                self._refresh_manifest()
                 return True
         return False
 
     def flush(self) -> None:
-        """Checkpoint every writable shard session and refresh the
+        """Checkpoint every writable shard session and save the
         manifest (no-op on read-only sessions).
 
         Replicas ship *before* each shard's checkpoint (the checkpoint
@@ -865,8 +951,11 @@ class ShardedBackend(BackendAdapter):
 
     def _refresh_manifest(self) -> None:
         """Persist the current per-shard counts and placement epoch back
-        into the ``.shards.json`` manifest (manifest-backed deployments
-        only; in-memory partitionings have nothing to refresh)."""
+        into the ``.shards.json`` manifest (writable manifest-backed
+        deployments only; in-memory partitionings have nothing to
+        refresh). Runs at ``flush()``, ``close()`` and shard index
+        creation, never per write: the counts are hints for the next
+        open, and the shard headers are the truth."""
         if (
             not self._writable
             or self.manifest is None
@@ -892,7 +981,9 @@ class ShardedBackend(BackendAdapter):
     # -- metadata ------------------------------------------------------------
 
     def count(self) -> int:
-        """Objects across all shards."""
+        """Objects across all shards: a writer's own counts, or a
+        reader's header counts, each replaced by the shard session's
+        count once the shard has answered (no file IO)."""
         return sum(self._counts)
 
     def estimate(self, kind: str, specs) -> PlanEstimate:
@@ -969,8 +1060,9 @@ class ShardedBackend(BackendAdapter):
             self._pool.session(shard_id).cold_start()
 
     def close(self) -> None:
-        """Release every shard session (writable ones checkpoint) and
-        persist the final manifest counts."""
+        """Persist the final manifest counts and epoch (writable
+        sessions), then release every shard session (writable ones
+        checkpoint)."""
         if self._closed:
             return
         self._closed = True

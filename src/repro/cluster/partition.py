@@ -22,7 +22,7 @@ Two placement policies:
     writes keep routing deterministically, the manifest records a
     **placement epoch** — the number of objects ever placed — and a
     writable sharded session continues the sequence from there
-    (persisting the advanced epoch on every commit).
+    (persisting the advanced epoch when it flushes or closes).
 
 Both policies assign every object to exactly one shard — the global
 Bayes denominator is then the sum of the per-shard denominators, which
@@ -131,10 +131,13 @@ class ShardInfo:
 
     ``path`` is ``None`` for an empty shard (an empty Gauss-tree has no
     dimensionality to serialize); the backend skips opening it but still
-    counts it in the layout. ``replicas`` lists the shard's replica
-    index files (relative to the manifest, like ``path``); WAL shipping
-    keeps them a committed prefix of the primary and readers may be
-    routed to any of them.
+    counts it in the layout. ``objects`` is a hint, current as of the
+    last save: a writer saves the manifest only when it flushes or
+    closes, and every session counts from the shard index headers
+    instead (``n_objects``, committed in the shard's own WAL).
+    ``replicas`` lists the shard's replica index files (relative to the
+    manifest, like ``path``); WAL shipping keeps them a committed prefix
+    of the primary and readers may be routed to any of them.
     """
 
     path: str | None
@@ -168,7 +171,8 @@ class ShardManifest:
 
     @property
     def total_objects(self) -> int:
-        """Objects across all shards (sum of the recorded counts)."""
+        """Objects across all shards (sum of the recorded counts, which
+        are hints as of the last save; see :class:`ShardInfo`)."""
         return sum(s.objects for s in self.shards)
 
     @property
@@ -229,10 +233,13 @@ class ShardManifest:
     def save(self, path) -> str:
         """Write the manifest JSON to ``path``; returns the path.
 
-        Atomic (write-to-sibling + rename): writable sharded sessions
-        rewrite the manifest on *every* commit, so a crash mid-rewrite
-        must never leave a torn manifest behind — the shard indexes
-        would be intact but the deployment unopenable.
+        Atomic and durable: the JSON goes to a sibling temp file, which
+        is fsynced, renamed over ``path``, and then the directory is
+        fsynced, so a crash leaves either the old manifest or the new
+        one, never a torn one. Saves happen only at lifecycle events —
+        ``build_shards``, a writable session's ``flush()``/``close()``
+        and its creation of a shard index, the reshard cutover — never
+        per write commit.
         """
         path = os.fspath(path)
         directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -243,12 +250,28 @@ class ShardManifest:
             with open(tmp_path, "w", encoding="utf-8") as f:
                 json.dump(self.to_json(), f, indent=2)
                 f.write("\n")
+                f.flush()
+                os.fsync(f.fileno())
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
+        _fsync_directory(directory)
         return path
+
+
+def _fsync_directory(directory: str) -> None:
+    """Make a rename inside ``directory`` durable (a no-op where
+    directories cannot be opened, as on Windows)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_manifest(path) -> ShardManifest:

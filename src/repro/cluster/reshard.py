@@ -10,7 +10,9 @@ different shard count while queries keep flowing:
    :class:`~repro.cluster.backend.ClusterError` before anything is
    written. Under those locks it replays each shard's committed WAL
    tail (a crashed writer's last batches), then reads every object
-   back through a read-only sharded session over the current manifest.
+   back through a read-only sharded session over the recovered
+   primaries and checks the count against their headers (the
+   manifest's counts date from its writer's last flush or close).
 2. **Repartition & bulk-load.** The objects are re-placed under the
    (possibly new) policy and each new shard is STR bulk-loaded into a
    fresh index file of the *next generation* —
@@ -82,9 +84,9 @@ def reshard(
     Raises :class:`~repro.cluster.backend.ClusterError`, leaving the
     manifest untouched, while any shard is open writable: the writer's
     uncheckpointed commits are invisible to the materializing read, and
-    its next manifest refresh would undo the cutover.
+    its next manifest save would undo the cutover.
     """
-    from repro.gausstree.persist import _IndexLock, recover_index
+    from repro.gausstree.persist import _IndexLock, read_header, recover_index
 
     if new_n_shards < 1:
         raise ValueError(f"new_n_shards must be >= 1, got {new_n_shards}")
@@ -100,6 +102,7 @@ def reshard(
         replicas = max((len(s.replicas) for s in old.shards), default=0)
 
     locks: list[_IndexLock] = []
+    recovered = 0  # objects the recovered primaries' headers count
     try:
         for shard_id, path in enumerate(old.shard_paths()):
             if path is None:
@@ -110,14 +113,21 @@ def reshard(
                     f"shard {shard_id} ({os.path.basename(path)}) is open "
                     "writable; close its writer before resharding (its "
                     "unflushed writes would be lost and its next manifest "
-                    "refresh would undo the cutover)"
+                    "save would undo the cutover)"
                 )
             locks.append(lock)
             # A read-only open replays a crashed writer's committed tail
             # only if it can take this lock, which is now ours.
             recover_index(path, _lock=lock)
+            recovered += read_header(path)["n_objects"]
         return _reshard_locked(
-            manifest_path, old, new_n_shards, new_policy, page_size, replicas
+            manifest_path,
+            old,
+            recovered,
+            new_n_shards,
+            new_policy,
+            page_size,
+            replicas,
         )
     finally:
         for lock in locks:
@@ -127,6 +137,7 @@ def reshard(
 def _reshard_locked(
     manifest_path: str,
     old: ShardManifest,
+    recovered: int,
     new_n_shards: int,
     new_policy: str,
     page_size: int,
@@ -138,16 +149,23 @@ def _reshard_locked(
     from repro.storage.ship import create_replica, replica_path
 
     # 1. Materialize through a read-only sharded session over the
-    # recovered primaries, exactly what queries would answer from.
-    backend = create_backend("sharded", manifest_path, options={})
+    # recovered primaries (a replica may lag a writer that died before
+    # shipping), and check it against their headers.
+    primaries = dataclasses.replace(
+        old,
+        shards=tuple(
+            dataclasses.replace(info, replicas=()) for info in old.shards
+        ),
+    )
+    backend = create_backend("sharded", primaries, options={})
     try:
         db: PFVDatabase = backend.database()
     finally:
         backend.close()
-    if old.total_objects and len(db) != old.total_objects:
+    if len(db) != recovered:
         raise ClusterError(
-            f"reshard materialized {len(db)} objects but the manifest "
-            f"records {old.total_objects} — refusing to cut over"
+            f"reshard materialized {len(db)} objects but the recovered "
+            f"shard headers count {recovered} — refusing to cut over"
         )
 
     # 2. Build the next generation beside the old files.

@@ -440,7 +440,7 @@ def _count_map(manifest_path):
 
 
 def test_hash_routed_insert_lands_on_its_owning_shard(tmp_path):
-    from repro.cluster import load_manifest, shard_of
+    from repro.cluster import shard_of
 
     db = make_random_db(n=24, seed=60)
     manifest = build_shards(db, 3, str(tmp_path / "w"), policy="hash")
@@ -449,14 +449,53 @@ def test_hash_routed_insert_lands_on_its_owning_shard(tmp_path):
     before = [s.objects for s in manifest.shards]
     with connect(manifest.source_path, backend="sharded", writable=True) as s:
         s.insert(new)
-        after, _ = _count_map(manifest.source_path)
+        # The session counts per shard; the manifest waits for close.
+        after = list(s._backend._counts)
         assert after[owner] == before[owner] + 1
         assert sum(after) == sum(before) + 1
         # The hash names the shard for the delete too: one probe.
         assert s.delete(new)
         assert not s.delete(new)
+        assert s._backend._counts == before
+        s.insert(new)
     final, _ = _count_map(manifest.source_path)
-    assert final == before
+    assert final[owner] == before[owner] + 1
+    assert sum(final) == sum(before) + 1
+
+
+def test_writes_save_the_manifest_only_at_close(tmp_path, monkeypatch):
+    """Inserts and deletes keep the counts and the epoch in memory (the
+    shard commits log each count in the shard's header); the manifest
+    is saved once, at close, with the final counts and epoch."""
+    from repro.cluster.partition import ShardManifest
+
+    db = make_random_db(n=12, seed=68)
+    manifest = build_shards(
+        db, 2, str(tmp_path / "quiet"), policy="round-robin"
+    )
+    saves = []
+    save = ShardManifest.save
+
+    def counting_save(self, path):
+        saves.append(self)
+        return save(self, path)
+
+    monkeypatch.setattr(ShardManifest, "save", counting_save)
+    fresh = [
+        PFV([0.1 * i, 0.3, 0.4], [0.1, 0.1, 0.1], key=("q", i))
+        for i in range(4)
+    ]
+    s = connect(manifest.source_path, backend="sharded", writable=True)
+    s.insert_many(fresh[:3])
+    s.insert(fresh[3])
+    assert s.delete(list(db)[2])
+    assert not s.delete(PFV([0.9, 0.8, 0.7], [0.1] * 3, key="ghost"))
+    assert saves == []
+    s.close()
+    assert len(saves) == 1
+    counts, epoch = _count_map(manifest.source_path)
+    assert sum(counts) == 15
+    assert epoch == 16
 
 
 def test_round_robin_routing_continues_from_the_recorded_epoch(tmp_path):

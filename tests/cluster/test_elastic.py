@@ -181,21 +181,24 @@ def test_lost_replica_answers_bit_identical(tmp_path):
     """Shard 0's read routes to its lost replica file: the retry lands
     on the shard's primary and the merged answers are bit-identical to
     the fault-free run — same keys, same probability and log-density
-    floats — at exactly one retry and one failover for the batch."""
+    floats — at exactly one retry and one failover for the batch. The
+    session remembers the lost file and reads the primary from then on,
+    so 11 more batches cost no further retry or failover."""
     manifest, specs, expected = _lost_replica_deployment(tmp_path)
     retries = counter("repro_cluster_retry_total")
     failovers = counter("repro_cluster_failover_total")
     retries_before, failovers_before = retries.value, failovers.value
     with connect(manifest.source_path, backend="sharded") as session:
-        got = [list(matches) for matches in session.execute_many(specs)]
-    assert retries.value - retries_before == 1
-    assert failovers.value - failovers_before == 1
-    assert len(got) == len(expected) == 64
-    for exp, act in zip(expected, got):
-        assert [m.key for m in exp] == [m.key for m in act]
-        for a, b in zip(exp, act):
-            assert b.probability == a.probability  # bit-identical
-            assert b.log_density == a.log_density
+        for _ in range(12):
+            got = [list(matches) for matches in session.execute_many(specs)]
+            assert retries.value - retries_before == 1
+            assert failovers.value - failovers_before == 1
+            assert len(got) == len(expected) == 64
+            for exp, act in zip(expected, got):
+                assert [m.key for m in exp] == [m.key for m in act]
+                for a, b in zip(exp, act):
+                    assert b.probability == a.probability  # bit-identical
+                    assert b.log_density == a.log_density
 
 
 def test_lost_replica_retries_without_sleeping(tmp_path, monkeypatch):
@@ -279,6 +282,89 @@ def test_writes_reach_replicas_without_a_checkpoint(tmp_path):
             assert {("live", i) for i in range(5)} <= got
     finally:
         writer.close()
+
+
+def test_reader_counts_what_it_answers_beside_a_live_writer(tmp_path):
+    """Without replicas a reader skips a live writer's WAL, so the
+    writer's 5 uncheckpointed inserts are neither answered nor counted:
+    ``len()`` is what the fan-out can return, before and after a
+    query. Once the writer closes, a new reader counts them."""
+    db = make_random_db(n=16, seed=95)
+    manifest = build_shards(db, 2, str(tmp_path / "live"))
+    fresh = [
+        PFV([0.45, 0.45, 0.45 + 0.01 * i], [0.1] * 3, key=("live", i))
+        for i in range(5)
+    ]
+    writer = connect(manifest.source_path, backend="sharded", writable=True)
+    try:
+        writer.insert_many(fresh)
+        with connect(manifest.source_path, backend="sharded") as reader:
+            assert len(reader) == 16
+            got = reader.execute(MLIQ(fresh[0], 30)).matches
+            assert len(got) == 16
+            assert len(reader) == 16
+    finally:
+        writer.close()
+    with connect(manifest.source_path, backend="sharded") as reader:
+        assert len(reader) == 21
+        assert len(reader.execute(MLIQ(fresh[0], 30)).matches) == 21
+
+
+def _run_killed_writer(
+    manifest_path, statements: str, *, die_at_manifest_save: bool = False
+) -> None:
+    """Run ``statements`` in a child process on a writable sharded
+    session ``s`` over ``manifest_path``, then kill the child without a
+    checkpoint or a close. With ``die_at_manifest_save`` the child dies
+    at its first manifest save instead, if it makes one, so the
+    manifest's counts predate every write it committed."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    script = (
+        "import os\n"
+        "from repro.cluster.partition import ShardManifest\n"
+        "from repro.core.pfv import PFV\n"
+        "from repro.engine import connect\n"
+        + (
+            "ShardManifest.save = lambda self, path: os._exit(0)\n"
+            if die_at_manifest_save
+            else ""
+        )
+        + f"s = connect({manifest_path!r}, backend='sharded', writable=True)\n"
+        f"{statements}\n"
+        "os._exit(0)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        check=True,
+        timeout=120,
+    )
+
+
+def test_reader_counts_a_crashed_writers_tail_at_open(tmp_path):
+    """A writer killed after committing leaves its inserts in the shard
+    WALs, two of them in shards it created (empty at build time). A
+    reader opened next replays them: ``len()`` counts all of them at
+    once, and the fan-out returns them."""
+    db = PFVDatabase(
+        [PFV([0.2] * 3, [0.1] * 3, key=0), PFV([0.8] * 3, [0.1] * 3, key=1)]
+    )
+    manifest = build_shards(
+        db, 4, str(tmp_path / "tail"), policy="round-robin"
+    )
+    _run_killed_writer(
+        manifest.source_path,
+        "s.insert_many([PFV([0.5] * 3, [0.1] * 3, key=k) "
+        "for k in range(2, 8)])",
+    )
+    with connect(manifest.source_path, backend="sharded") as reader:
+        assert len(reader) == 8
+        got = reader.execute(MLIQ(PFV([0.5] * 3, [0.3] * 3), 8)).matches
+        assert {m.key for m in got} == set(range(8))
+        assert len(reader) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +455,41 @@ def test_reshard_preserves_replica_count_and_serves_writes_after(tmp_path):
     assert "post-reshard" in got
 
 
-def test_reshard_refuses_cutover_on_count_mismatch(tmp_path):
+def test_reshard_refuses_cutover_on_count_mismatch(tmp_path, monkeypatch):
+    """The materialized objects must match what the recovered shard
+    headers count: a read that comes back short refuses the cutover."""
+    db = make_random_db(n=10, seed=99)
+    manifest = build_shards(db, 2, str(tmp_path / "bad"))
+    materialize = ShardedBackend.database
+
+    def short_read(self):
+        return PFVDatabase(list(materialize(self))[1:])
+
+    monkeypatch.setattr(ShardedBackend, "database", short_read)
+    with pytest.raises(ClusterError, match="refusing to cut over"):
+        reshard(manifest.source_path, 4)
+    # The manifest was not replaced (no cutover happened).
+    assert load_manifest(manifest.source_path).generation == 0
+
+
+def test_reshard_cuts_over_past_stale_manifest_counts(tmp_path):
+    """The manifest's counts are hints (a writer saves them only when
+    it flushes or closes): a manifest whose counts disagree with the
+    shard headers still cuts over, with every object the headers
+    count."""
     import json
 
     db = make_random_db(n=10, seed=99)
-    manifest = build_shards(db, 2, str(tmp_path / "bad"))
+    manifest = build_shards(db, 2, str(tmp_path / "stale"))
     with open(manifest.source_path) as f:
         doc = json.load(f)
-    doc["shards"][0]["objects"] += 3  # lie about the count
+    doc["shards"][0]["objects"] += 3
     with open(manifest.source_path, "w") as f:
         json.dump(doc, f)
-    with pytest.raises(ClusterError, match="refusing to cut over"):
-        reshard(manifest.source_path, 4)
-    # The sabotaged manifest was not replaced (no cutover happened).
-    assert load_manifest(manifest.source_path).generation == 0
+    new_manifest = reshard(manifest.source_path, 4)
+    assert new_manifest.generation == 1
+    assert new_manifest.total_objects == 10
+    assert _deployment_keys(manifest.source_path) == {v.key for v in db}
 
 
 def _deployment_keys(manifest_path) -> set:
@@ -432,29 +539,14 @@ def test_reshard_keeps_a_crashed_writers_committed_tail(tmp_path):
     the shard WALs. reshard holds the writer locks, so the reader it
     materializes through cannot replay them; it must replay them
     itself."""
-    import subprocess
-    import sys
-
     db = make_random_db(n=40, seed=5)
     manifest = build_shards(db, 2, str(tmp_path / "crash"))
     gone = list(db)[7]
-    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    script = (
-        "import os, sys; "
-        "from repro.core.pfv import PFV; "
-        "from repro.engine import connect; "
-        f"s = connect({manifest.source_path!r}, backend='sharded', "
-        "writable=True); "
-        "s.insert(PFV([0.5] * 3, [0.1] * 3, key='x')); "
-        f"assert s.delete(PFV({gone.mu.tolist()!r}, {gone.sigma.tolist()!r}, "
-        f"key={gone.key!r})); "
-        "sys.stdout.flush(); os._exit(0)"  # no checkpoint, no close
-    )
-    subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
-        check=True,
-        timeout=120,
+    _run_killed_writer(
+        manifest.source_path,
+        "s.insert(PFV([0.5] * 3, [0.1] * 3, key='x'))\n"
+        f"assert s.delete(PFV({gone.mu.tolist()!r}, "
+        f"{gone.sigma.tolist()!r}, key={gone.key!r}))",
     )
     assert any(
         WriteAheadLog.has_committed(path + ".wal")
@@ -465,6 +557,28 @@ def test_reshard_keeps_a_crashed_writers_committed_tail(tmp_path):
     assert "x" in keys
     assert gone.key not in keys
     assert len(keys) == 40
+
+
+def test_reshard_after_a_killed_writer_cuts_over_with_every_object(
+    tmp_path,
+):
+    """A writer that committed inserts and died without closing leaves
+    manifest counts from before them; reshard counts from the recovered
+    shard headers and cuts over with every object."""
+    db = make_random_db(n=40, seed=5)
+    manifest = build_shards(db, 2, str(tmp_path / "killed"), replicas=1)
+    _run_killed_writer(
+        manifest.source_path,
+        "s.insert_many([PFV([0.5] * 3, [0.1] * 3, key=('k', i)) "
+        "for i in range(6)])",
+        die_at_manifest_save=True,
+    )
+    assert load_manifest(manifest.source_path).total_objects == 40
+    new_manifest = reshard(manifest.source_path, 3)
+    assert new_manifest.generation == 1
+    assert new_manifest.total_objects == 46
+    keys = _deployment_keys(manifest.source_path)
+    assert keys == {v.key for v in db} | {("k", i) for i in range(6)}
 
 
 def test_reshard_validates_arguments(tmp_path):

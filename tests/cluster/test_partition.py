@@ -8,8 +8,10 @@ is tested for real: a subprocess with a different hash seed must compute
 identical assignments.
 """
 
+import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -173,6 +175,30 @@ def test_more_shards_than_objects_leaves_empty_shards(tmp_path):
         assert len(session) == 2
         rs = session.execute(MLIQ(make_random_query(seed=5), 10))
         assert len(rs.matches) == 2
+
+
+def test_manifest_save_fsyncs_the_file_then_its_directory(
+    tmp_path, monkeypatch
+):
+    """A save is durable: the new JSON is fsynced before the rename
+    publishes it, and the directory after, so the rename survives a
+    crash."""
+    manifest = build_shards(make_random_db(n=6, seed=4), 2, tmp_path / "d")
+    path = manifest.source_path
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        with open(path) as f:
+            published = json.load(f)["placement_epoch"] == 7
+        synced.append((is_dir, published))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    dataclasses.replace(manifest, placement_epoch=7).save(path)
+    assert synced == [(False, False), (True, True)]
+    assert load_manifest(path).placement_epoch == 7
 
 
 def test_build_shards_accepts_prefix_with_manifest_suffix(tmp_path):
