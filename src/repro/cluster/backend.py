@@ -354,7 +354,9 @@ class ShardedBackend(BackendAdapter):
     A read-only session never trusts the manifest's counts: it reads
     each shard's count from the header of the index file it routes to
     (see :meth:`_header_count`) and, once the shard answers, from the
-    shard session, so ``len()`` is what the fan-out can return.
+    shard session, so ``len()`` is what the fan-out can return;
+    ``database()``, ``explain()`` and ``cold_start()`` read the sessions
+    the fan-out reads (:meth:`_session_for`).
     """
 
     def __init__(
@@ -535,6 +537,21 @@ class ShardedBackend(BackendAdapter):
                 return len(self._pool.session(key))
             return count
         return self._counts[shard_id]
+
+    def _session_for(self, shard_id: int) -> Session:
+        """The session a shard's metadata reads (:meth:`database`,
+        :meth:`estimate`, :meth:`cold_start`): the one its fan-out
+        reads (:meth:`_task_key`), and for a file that does not open the
+        next in :meth:`_header_count`'s failover order (the next replica,
+        the primary last), so metadata describes what queries answer
+        from and opens no second session per shard."""
+        key = self._task_key(shard_id)
+        for attempt in range(1, len(self._replicas[shard_id]) + 1):
+            try:
+                return self._pool.session(key)
+            except ClusterError:
+                key = self._failover_target(key, attempt)
+        return self._pool.session(key)
 
     def _shipper(self, shard_id: int):
         """The shard's lazily built WAL shipper (None without replicas).
@@ -1001,7 +1018,7 @@ class ShardedBackend(BackendAdapter):
         branch_seconds: list[float] = []
         cost_model = None
         for shard_id in self._active:
-            session = self._pool.session(shard_id)
+            session = self._session_for(shard_id)
             estimates = [session._backend.estimate(kind, specs)]
             if probes:
                 estimates.append(session._backend.estimate("mliq", probes))
@@ -1048,16 +1065,17 @@ class ShardedBackend(BackendAdapter):
         """Materialise every shard's objects as one database."""
         merged: PFVDatabase | None = None
         for shard_id in self._active:
-            shard_db = self._pool.session(shard_id).database()
+            shard_db = self._session_for(shard_id).database()
             if merged is None:
                 merged = PFVDatabase(sigma_rule=shard_db.sigma_rule)
             merged.extend(shard_db)
         return merged if merged is not None else PFVDatabase()
 
     def cold_start(self) -> None:
-        """Drop every open shard session's page cache."""
+        """Drop the page cache of every shard session the fan-out
+        reads."""
         for shard_id in self._active:
-            self._pool.session(shard_id).cold_start()
+            self._session_for(shard_id).cold_start()
 
     def close(self) -> None:
         """Persist the final manifest counts and epoch (writable

@@ -302,50 +302,86 @@ class GaussTreeBackend(BackendAdapter):
         return len(self.tree)
 
     def estimate(self, kind: str, specs: Sequence) -> PlanEstimate:
-        from repro.gausstree.batch import sweeps_every_mliq
+        """Price what runs: a k-MLIQ on a root leaf or a two-level tree
+        sweeps by shape, and on a deeper tree at a finite tolerance the
+        leaf-hull census (:func:`~repro.gausstree.mliq.census_sweeps`)
+        picks the sweep or the traversal, asked here as the query will
+        ask it, without touching the page accounting. A sweep reads every
+        node page and refines every row; a traversal is priced as a
+        best-first descent."""
+        from repro.gausstree.batch import BatchRefiner, sweeps_every_mliq
+        from repro.gausstree.mliq import census_sweeps
 
         tree = self.tree
         n = len(tree)
         if n == 0 or not specs:
             return PlanEstimate(0, 0.0, "empty index: no pages touched")
-        if kind != "tiq" and sweeps_every_mliq(tree):
-            pages = (1 + len(tree.root.children)) * len(specs)  # type: ignore[attr-defined]
-            cost = self.store.cost_model
-            return PlanEstimate(
-                pages,
-                cost.random_read_seconds(pages),
-                "two-level tree: every query sweeps the leaf stack, "
-                "reading every node page and refining every row at the "
-                "vectorized rate",
-                cost.modeled_cpu_seconds(n * len(specs), pages, vectorized=True),
-            )
-        height = tree.height
-        leaves = max(1, math.ceil(n / max(1, tree.leaf_min)))
-        if kind == "tiq":
-            leaf_reads = max(1, math.ceil(0.1 * leaves))
-            note = (
-                "best-first traversal pruned by denominator bounds; "
-                "~10% of leaves is a coarse prior, selectivity decides"
-            )
-        else:
-            k = max(getattr(s, "k", 1) for s in specs)
-            leaf_reads = max(1, math.ceil(k / max(1, tree.leaf_min)))
-            note = (
-                "best-first descent: inner path plus ~k/M leaves; "
-                "actual pages depend on how well MBRs separate, and a "
-                "query they do not separate sweeps every leaf row"
-            )
-        per_query = (height - 1) + leaf_reads
-        pages = per_query * len(specs)
+        # Who decides the path: the tree's shape, the census, or no one
+        # (a TIQ, or a rank-only MLIQ, always traverses).
+        path = None
+        swept = 0
+        if kind != "tiq":
+            if sweeps_every_mliq(tree):
+                path = "one-page tree" if tree.root.is_leaf else (
+                    "two-level tree"
+                )
+                swept = len(specs)
+            elif math.isfinite(self.mliq_tolerance):
+                path = "leaf-hull census"
+                refiner = BatchRefiner(tree, [spec.q for spec in specs])
+                swept = sum(
+                    census_sweeps(
+                        refiner, i, max(1, spec.k), self.mliq_tolerance
+                    )
+                    for i, spec in enumerate(specs)
+                )
         cost = self.store.cost_model
-        # Refinement CPU: every visited leaf refines its whole page with
-        # the columnar kernel, priced at the vectorized per-object rate.
-        objects = leaf_reads * max(1, math.ceil(n / leaves)) * len(specs)
-        note += "; columnar leaves: refinement priced at vectorized rate"
+        traversed = len(specs) - swept
+        pages = objects = 0
+        notes = []
+        if swept:
+            pages = tree.leaf_hulls().pages * swept
+            objects = n * swept
+            who = (
+                f"{swept} of {len(specs)} queries sweep"
+                if traversed
+                else "every query sweeps"
+            )
+            notes.append(
+                f"{path}: {who} the leaf stack, reading every node page "
+                "and refining every row"
+            )
+        if traversed:
+            height = tree.height
+            leaves = max(1, math.ceil(n / max(1, tree.leaf_min)))
+            if kind == "tiq":
+                leaf_reads = max(1, math.ceil(0.1 * leaves))
+                notes.append(
+                    "best-first traversal pruned by denominator bounds; "
+                    "~10% of leaves is a coarse prior, selectivity decides"
+                )
+            else:
+                k = max(getattr(s, "k", 1) for s in specs)
+                leaf_reads = max(1, math.ceil(k / max(1, tree.leaf_min)))
+                traversal = (
+                    "best-first traversal: inner path plus ~k/M leaves; "
+                    "actual pages depend on how well MBRs separate, and a "
+                    "query they stop separating sweeps every leaf row"
+                )
+                if swept:
+                    traversal = f"the other {traversed} take a {traversal}"
+                elif path is not None:
+                    traversal = f"{path}: every query takes a {traversal}"
+                notes.append(traversal)
+            pages += ((height - 1) + leaf_reads) * traversed
+            # Every visited leaf refines its whole page with the
+            # columnar kernel.
+            objects += leaf_reads * max(1, math.ceil(n / leaves)) * traversed
         return PlanEstimate(
             pages,
             cost.random_read_seconds(pages),
-            note,
+            "; ".join(notes) + "; columnar leaves: refinement priced at "
+            "the vectorized rate",
             cost.modeled_cpu_seconds(objects, pages, vectorized=True),
         )
 

@@ -23,8 +23,12 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
 * a k-MLIQ whose hulls stop pruning sweeps the tree's leaf stack
   (:mod:`repro.gausstree.mliq`): the refiner evaluates the stack once
   for the whole batch, and the pages later queries pop are slices of
-  that evaluation. On a two-level tree, a root over leaves, every
-  k-MLIQ sweeps without a traversal (:func:`gausstree_mliq_many`);
+  that evaluation. On a tree of three or more levels a finite-tolerance
+  query decides after the root's expansion, from a census of the leaf
+  hulls that the refiner bounds once for the whole batch; the leaf
+  parents' child bounds of later traversals are slices of it. On a root
+  leaf or a two-level tree, a root over leaves, every k-MLIQ sweeps
+  without a traversal (:func:`gausstree_mliq_many`);
 * for every leaf (all leaves are columnar) the refiner additionally
   precomputes, per page, every query's row maximum and scaled
   denominator mass — so a leaf expansion costs a dictionary lookup and
@@ -35,11 +39,11 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
 
 Every query, a singleton included (``gausstree_mliq``/``gausstree_tiq``
 are one-query batches), runs through a refiner and, unless it sweeps a
-two-level tree, owns its best-first traversal
+tree of one or two levels, owns its best-first traversal
 (:class:`~repro.gausstree.search.SearchState`). Whether it sweeps
-depends only on the tree's shape, so answer sets, posterior guarantees
-and per-query logical page accounting do not depend on the batch — the
-tests assert match-for-match equality.
+depends only on the query, its tolerance and the tree, so answer sets,
+posterior guarantees and per-query logical page accounting do not
+depend on the batch — the tests assert match-for-match equality.
 
 The batch calls answer with row references
 (:class:`~repro.core.queries.RowMatch`), valid until the tree next
@@ -173,6 +177,9 @@ class BatchRefiner:
         # span in them, mapped when a later query first needs one.
         self._stack_rows: np.ndarray | None = None
         self._stack_spans: dict[int, tuple[int, int]] | None = None
+        # Every query's hull bounds over the tree's leaf hulls once a
+        # query of the batch takes the census (see leaf_hull_bounds).
+        self._census: tuple[np.ndarray, np.ndarray] | None = None
 
     def register_shift(self, query_index: int, shift: float) -> None:
         """Record a query's scale shift so per-page denominator masses can
@@ -309,13 +316,57 @@ class BatchRefiner:
             }
         return self._stack_spans.get(leaf.page_id)
 
+    def leaf_hull_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` Lemma 2-3 bounds of every leaf's rectangle
+        (:meth:`~repro.gausstree.tree.GaussTree.leaf_hulls`), each of
+        shape ``(m, leaves)``: what a k-MLIQ's census reads
+        (:func:`~repro.gausstree.mliq.census_share`).
+
+        Computed for every query of the batch the first time any query
+        asks, in ``node_log_bounds_multi`` calls of as many queries as
+        keep ``queries * leaves * d`` within ``_GROUP_ELEMENTS``, and at
+        least one (identify-disk's 512 leaves x 10-d take one call per
+        six queries). The kernel is rowwise independent, so each query's
+        bounds are the bits a one-query call gives.
+        """
+        if self._census is None:
+            hulls = self.tree.leaf_hulls()
+            step = max(1, _GROUP_ELEMENTS // max(1, hulls.mu_lo.size))
+            parts = [
+                node_log_bounds_multi(
+                    hulls.mu_lo,
+                    hulls.mu_hi,
+                    hulls.sigma_lo,
+                    hulls.sigma_hi,
+                    self.q_mu[start : start + step],
+                    self.q_sigma[start : start + step],
+                    self.rule,
+                )
+                for start in range(0, len(self.q_mu), step)
+            ]
+            lowers, uppers = zip(*parts)
+            self._census = (np.vstack(lowers), np.vstack(uppers))
+        return self._census
+
     def child_log_bounds(
         self, inner: InnerNode
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` hull bounds of the node's children, each of
         shape ``(m, k)``; computed once per inner node per batch, together
-        with the node's sibling group."""
+        with the node's sibling group, or sliced from the census's
+        bounds (:meth:`leaf_hull_bounds`) for a leaf parent once a query
+        of the batch has taken the census."""
         cached = self._bounds_cache.get(inner.page_id)
+        if cached is None and self._census is not None:
+            # A census has bounded every leaf for the batch: a leaf
+            # parent's children are a slice of that.
+            span = self.tree.leaf_hulls().spans.get(inner.page_id)
+            if span is not None:
+                lower, upper = self._census
+                cached = self._bounds_cache[inner.page_id] = (
+                    lower[:, span[0] : span[1]],
+                    upper[:, span[0] : span[1]],
+                )
         if cached is None:
             group = self._sibling_group(inner, self._bounds_cache)
             stacks = [member.stacked_child_bounds() for member in group]  # type: ignore[attr-defined]
@@ -360,11 +411,18 @@ def _run_many(
     return results, total
 
 
-# A two-level tree sweeps every k-MLIQ. Calibrated on a 2-vCPU host
-# (Python 3.11.7, numpy 2.4.6), swept against traversed wall p50 in ms
-# per call, configurations interleaved round by round in one process,
-# 4 rounds of 48 identification queries, as singletons and as 16-query
-# batches (per batch), for a rank-only 1-MLIQ / MLIQ(q, 5) at 1e-9:
+# A root leaf that holds rows, or a two-level tree, sweeps every k-MLIQ.
+# Root leaves, on a 2-vCPU host (Python 3.11.7, numpy 2.4.6), swept
+# against traversed wall p50 in us per call, the two rules interleaved
+# round by round in one process, 8 rounds of 48 MLIQ(q, 3) at 1e-9:
+#   reid-churn shard shape (a 100-row 4-d root leaf on disk): singletons
+#     110 vs 228; 16-query batches 756 vs 1,602; opened writable, one
+#     insert and one delete before every call, so every call rebuilds
+#     the stack: singletons 194 vs 357.
+# Two-level trees, swept against traversed wall p50 in ms per call,
+# configurations interleaved round by round in one process, 4 rounds
+# of 48 identification queries, as singletons and as 16-query batches
+# (per batch), for a rank-only 1-MLIQ / MLIQ(q, 5) at 1e-9:
 #   identify-sharded shard shape (2,090 x 6-d disk tree, a root over 32
 #     leaves): singletons 0.29 vs 0.88 / 0.36 vs 1.08; batches 3.83 vs
 #     6.75 / 4.70 vs 9.75.
@@ -378,16 +436,22 @@ def _run_many(
 # alone and no query builds a SearchState. The per-query alternative,
 # mliq._pruning_failed right after the root's expansion with the k-th
 # best guaranteed lower bound standing in for the k-th candidate,
-# flagged every query of all twelve configurations, and it would pay
-# for the root bound, the expansion and the heap that the sweep saves.
+# flagged every query of all twelve two-level configurations, and it
+# would pay for the root bound, the expansion and the heap that the
+# sweep saves. Deeper trees take that alternative's successor, the
+# leaf-hull census (mliq.census_share), after the root's expansion.
 def sweeps_every_mliq(tree) -> bool:
     """Whether :func:`gausstree_mliq_many` sweeps every query: the tree
-    is two levels deep, a root over leaves, so it could prune only among
-    its leaves, and a traversal pays a root bound, a heap and a pop per
-    leaf for that chance. Reads only the root's child list, so on a
-    deeper disk tree it decodes no stub."""
+    is a root leaf that holds rows, or two levels deep, a root over
+    leaves, so it could prune only among its leaves, and a traversal
+    pays a root bound, a heap and a pop per leaf for that chance. An
+    empty tree keeps its traversal, which answers nothing. Reads only
+    the root's child list, so on a deeper disk tree it decodes no
+    stub."""
     root = tree.root
-    return not root.is_leaf and root.children[0].is_leaf  # type: ignore[attr-defined]
+    if root.is_leaf:
+        return root.count > 0
+    return root.children[0].is_leaf  # type: ignore[attr-defined]
 
 
 def _sweep_many(
@@ -397,15 +461,18 @@ def _sweep_many(
     of the leaf stack (:meth:`BatchRefiner.stack_log_densities`).
 
     Each query reads every node page through the store (one
-    ``read_many``, in the order its pops would have read them), counts
-    the root as its one expanded node and every row as refined, and
+    ``read_many``, in the order its pops would have read them; a root
+    leaf is the one page), counts the root as its one expanded node and
+    every row as refined, and
     finishes as a traversal's sweep does
     (:func:`~repro.gausstree.mliq.sweep_matches`), so its answer and
     counters do not depend on the batch.
     """
     refiner = BatchRefiner(tree, [query.q for query in queries])
     root = tree.root
-    pages = [root.page_id, *(leaf.page_id for leaf in root.children)]  # type: ignore[attr-defined]
+    pages = [root.page_id]
+    if not root.is_leaf:
+        pages.extend(leaf.page_id for leaf in root.children)  # type: ignore[attr-defined]
     store = tree.store
     rows = len(tree)
     results: list[list[RowMatch]] = []

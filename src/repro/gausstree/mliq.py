@@ -21,19 +21,35 @@ against the sequential scan.
 **The sweep.** Where the hulls do not separate the data (low-dimensional
 uniform data, a ranked top-5, a 1e-9 posterior tolerance) the traversal
 pops nearly every page, one page at a time, and costs a multiple of a
-sequential scan of the same rows. So at pop checkpoints it asks, from
-what it already knows, whether it is still pruning: while at least
-three quarters of the tree's rows are still queued, it measures the
-share of the queued rows that sit under nodes it must still expand —
-nodes whose upper bound beats the current k-th density, or whose upper
-mass is above the tolerance times the denominator's lower bound. When
-that share reaches
-``_SWEEP_SHARE`` the query gives up on the traversal and answers as the
-scan does: one row of Lemma-1 densities over the tree's contiguous leaf
+sequential scan of the same rows. Such a query answers as the scan does
+instead: one row of Lemma-1 densities over the tree's contiguous leaf
 stack (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`), the top k
 from it and one exact denominator. The answer is exact; every page still
 under the queue counts as accessed and every row as refined, and
-``QueryStats.swept`` counts the query.
+``QueryStats.swept`` counts the query. Two decisions lead there, both
+asking whether nodes must still be expanded: a node must be while its
+upper bound beats the current k-th density, or while its upper mass is
+above the tolerance times the denominator's lower bound.
+
+* **The census**, before the traversal pops. A query with a finite
+  tolerance on a tree of three or more levels expands the root, then
+  asks the leaf hulls (:func:`census_share`): Lemmas 2-3 bound every
+  leaf's rectangle (:meth:`~repro.gausstree.tree.GaussTree.leaf_hulls`,
+  bounded once per batch), and the exact densities of the leaf with the
+  highest upper bound give a k-th density and, with every other leaf's
+  lower mass, the denominator's lower bound. When the rows under leaves
+  that must be popped reach ``_CENSUS_SHARE`` of the tree's, the query
+  sweeps at once; otherwise its traversal finds that leaf's densities
+  and every leaf parent's child bounds already computed.
+* **The checkpoints**, as the traversal pops: after ``_FIRST_CHECK``
+  pops and each doubling, while at least three quarters of the tree's
+  rows are still queued, it sweeps once ``_SWEEP_SHARE`` of the queued
+  rows sit under nodes it must still expand. They catch a traversal the
+  census kept that stops pruning, and they are the only decision of a
+  rank-only query (infinite tolerance), which never takes the census.
+
+A tree of one or two levels sweeps every k-MLIQ by its shape and never
+builds a traversal (:func:`~repro.gausstree.batch.sweeps_every_mliq`).
 """
 
 from __future__ import annotations
@@ -49,7 +65,7 @@ from repro.core.queries import Match, MLIQuery, QueryStats, RowMatch, built
 from repro.core.scan import top_k_order
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
 
-__all__ = ["gausstree_mliq", "search_mliq"]
+__all__ = ["census_share", "census_sweeps", "gausstree_mliq", "search_mliq"]
 
 # The traversal asks whether it still prunes after this many pops, then
 # after each doubling (32, 64, 128, ...), while at least _QUEUED_SHARE
@@ -82,6 +98,35 @@ __all__ = ["gausstree_mliq", "search_mliq"]
 _FIRST_CHECK = 32
 _QUEUED_SHARE = 0.75
 _SWEEP_SHARE = 0.95
+
+# A query whose census share (census_share) reaches this sweeps right
+# after the root's expansion; a share above 1 (math.inf) switches the
+# census off. Chosen on a 2-vCPU host (Python 3.11.7, numpy 2.4.6) over
+# in-memory trees, 40 identification queries MLIQ(q, 5) at 1e-9 unless
+# stated. Census shares, median [min]: 20,000 x 10-d uniform 0.998
+# [0.990], data set 2 0.998 [0.984], 2,000 x 10-d uniform 1.000
+# [0.969]; data set 1 0.855 [0.383], and MLIQ(q, 1) 0.417 [0.011];
+# clustered defaults (20,000 x 10-d) 0.875 [0.448]; tight clusters
+# (cluster std 0.02, sigmas 0.003-0.01) 0.053 [0.051]. Singleton wall
+# p50 in ms, median of 6 rounds, the census off (math.inf: checkpoints
+# only) and each threshold interleaved round by round in one process
+# (swept queries of 40):
+#   data set 1: off 7.95 (40); 0.3: 6.49, 0.5: 6.55, 0.7: 6.65, 0.9:
+#     7.10 (40 each).
+#   data set 1 MLIQ(q, 1): off 9.84 (3); 0.3: 6.25 (29), 0.5: 6.48 (18),
+#     0.7: 6.30 (7), 0.9: 8.07 (5).
+#   clustered: off 4.44 (32); 0.3: 3.55 (40), 0.5: 3.21 (38), 0.7: 3.48
+#     (37), 0.9: 3.94 (33).
+#   data set 2: off 5.57; 0.3 to 0.9: 3.71-3.88 (40 each).
+#   2,000 x 10-d: off 2.00 (0, the queued-rows guard); 0.3 to 0.9:
+#     1.10-1.19 (40 each).
+#   tight clusters: off 1.53; 0.3 to 0.9: 1.52-2.03 (0 each, within the
+#     rounds' noise: the census costs its bounds, and the traversal
+#     reuses them for the leaf parents it pops).
+# Thresholds from 0.3 to 0.7 read alike; 0.5 is the middle of that flat
+# stretch. At 0.9 and above (the checkpoints' 0.95) data set 1 keeps
+# queries on traversals that the checkpoints then sweep anyway.
+_CENSUS_SHARE = 0.5
 
 
 def gausstree_mliq(
@@ -136,7 +181,21 @@ def search_mliq(
     heap = state._heap  # the queue list itself: stable across pops
     check_at = _FIRST_CHECK
     swept = False
-    while heap:
+    root = state.tree.root
+    if (
+        heap
+        and math.isfinite(tolerance)
+        and _CENSUS_SHARE <= 1.0
+        and not root.is_leaf
+    ):
+        # The census (module docstring): expand the root, then let the
+        # leaf hulls decide on a tree of three or more levels.
+        state.pop_and_expand()
+        if not root.children[0].is_leaf:  # type: ignore[attr-defined]
+            swept = census_sweeps(
+                state.refiner, state.query_index, k, tolerance
+            )
+    while heap and not swept:
         if len(candidates) >= k:
             kth_log_density = candidates[0][0]
             if kth_log_density >= -heap[0][0]:
@@ -199,6 +258,59 @@ def search_mliq(
     stats = state.query_stats(started)
     stats.swept = int(swept)
     return matches, stats
+
+
+def census_sweeps(
+    refiner, query_index: int, k: int, tolerance: float
+) -> bool:
+    """Whether the census sends one k-MLIQ on a tree of three or more
+    levels to the sweep: its :func:`census_share` reaches
+    ``_CENSUS_SHARE``. What a query runs and what ``explain()`` prices
+    (``GaussTreeBackend.estimate``) both ask this."""
+    return census_share(refiner, query_index, k, tolerance) >= _CENSUS_SHARE
+
+
+def census_share(refiner, query_index: int, k: int, tolerance: float) -> float:
+    """The share of the tree's rows under leaves that one k-MLIQ's
+    traversal would have to pop, as far as the leaf hulls tell.
+
+    Reads the batch's bounds over every leaf's rectangle
+    (:meth:`~repro.gausstree.batch.BatchRefiner.leaf_hull_bounds`) and
+    refines the leaf with the highest upper bound, the first leaf a
+    traversal pops, through ``leaf_extras``, so a traversal finds its
+    densities cached. Its k-th density stands in for the k-th
+    candidate's (every leaf must be popped while it holds fewer than k
+    rows), and its exact terms plus every other leaf's ``count * N_``
+    bound the denominator from below (Section 5.2). A leaf must be popped
+    under :func:`_pruning_failed`'s two criteria: its upper bound beats
+    the k-th density, or its upper mass ``count * N^`` is above
+    ``tolerance`` times that lower bound. Sums are taken in log space,
+    so the share does not depend on a state's scale shift, and
+    everything read is the query's own row, so it does not depend on the
+    batch either.
+    """
+    hulls = refiner.tree.leaf_hulls()
+    lower, upper = refiner.leaf_hull_bounds()
+    lower = lower[query_index]
+    upper = upper[query_index]
+    best = int(np.argmax(upper))
+    row = refiner.leaf_extras(hulls.leaves[best])[0][query_index]
+    kth = float(np.partition(row, -k)[-k]) if len(row) >= k else -math.inf
+    log_counts = hulls.log_counts
+    terms = log_counts + lower
+    terms[best] = -math.inf  # the refined leaf adds its exact terms
+    terms = np.concatenate((terms, row))
+    top = float(terms.max())
+    if math.isfinite(top):
+        terms -= top
+        np.exp(terms, out=terms)
+        log_low = top + math.log(float(terms.sum()))
+    else:
+        log_low = top
+    log_floor = math.log(tolerance) + log_low if tolerance > 0.0 else -math.inf
+    must = upper > kth
+    must |= log_counts + upper > log_floor
+    return int(hulls.counts[must].sum()) / len(refiner.tree)
 
 
 def _pruning_failed(

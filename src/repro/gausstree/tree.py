@@ -44,7 +44,7 @@ from repro.gausstree.split import split_children, split_entries
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
-__all__ = ["GaussTree", "LeafStack"]
+__all__ = ["GaussTree", "LeafHulls", "LeafStack"]
 
 
 class LeafStack(NamedTuple):
@@ -67,6 +67,29 @@ class LeafStack(NamedTuple):
         offsets = (rows - self.starts[owners]).tolist()
         leaves = self.leaves
         return [(leaves[j], i) for j, i in zip(owners.tolist(), offsets)]
+
+
+class LeafHulls(NamedTuple):
+    """Every leaf's parameter rectangle as ``(leaves, d)`` bound stacks:
+    what a k-MLIQ's leaf-hull census bounds (see
+    :mod:`repro.gausstree.mliq`).
+
+    The leaves come parent by parent, in :meth:`GaussTree.nodes` order
+    of their parents and each parent's child order, so ``spans`` maps
+    each leaf parent's page id to its children's ``(start, stop)``;
+    ``counts`` holds each leaf's rows, ``log_counts`` their logs and
+    ``pages`` the tree's node pages, leaves and inner nodes.
+    """
+
+    mu_lo: np.ndarray
+    mu_hi: np.ndarray
+    sigma_lo: np.ndarray
+    sigma_hi: np.ndarray
+    leaves: list[LeafNode]
+    counts: np.ndarray
+    log_counts: np.ndarray
+    spans: dict[int, tuple[int, int]]
+    pages: int
 
 
 class GaussTree:
@@ -135,8 +158,10 @@ class GaussTree:
         # `repro reshard-gc` can see live readers; set by open_tree,
         # released in close().
         self._reader_lock = None
-        # Built by leaf_stack() on first use; every mutation drops it.
+        # Built by leaf_stack() and leaf_hulls() on first use; every
+        # mutation drops both (_drop_leaf_stacks).
         self._leaf_stack: LeafStack | None = None
+        self._leaf_hulls: LeafHulls | None = None
         # The height a read-only disk tree's header records (set by
         # open_tree); a writable tree's writer keeps its own current.
         self._header_height: int | None = None
@@ -234,6 +259,54 @@ class GaussTree:
             stack = self._leaf_stack = LeafStack(mu, sigma, leaves, starts)
         return stack
 
+    def leaf_hulls(self) -> LeafHulls:
+        """Every leaf's rectangle as one :class:`LeafHulls`, stacked from
+        the leaf parents' ``stacked_child_bounds()``.
+
+        Built on first use and dropped with :meth:`leaf_stack`. On a
+        disk-opened tree the build decodes every inner page outside the
+        counted access path, as the leaf stack's does, and no leaf page:
+        a leaf's rectangle lives in its parent's page. A root leaf has no
+        parent, so its tree's stack is empty.
+        """
+        hulls = self._leaf_hulls
+        if hulls is None:
+            leaves: list[LeafNode] = []
+            stacks = []
+            spans = {}
+            pages = 0
+            for node in self.nodes():
+                pages += 1
+                if node.is_leaf:
+                    continue
+                children = node.children  # type: ignore[attr-defined]
+                if not children[0].is_leaf:
+                    continue
+                spans[node.page_id] = (len(leaves), len(leaves) + len(children))
+                leaves.extend(children)
+                stacks.append(node.stacked_child_bounds())  # type: ignore[attr-defined]
+            bounds = (
+                [np.concatenate(column) for column in zip(*stacks)]
+                if stacks
+                else [np.empty((0, self.dims))] * 4
+            )
+            counts = np.array([leaf.count for leaf in leaves], dtype=np.intp)
+            hulls = self._leaf_hulls = LeafHulls(
+                *bounds,
+                leaves,
+                counts,
+                np.log(counts),
+                spans,
+                pages,
+            )
+        return hulls
+
+    def _drop_leaf_stacks(self) -> None:
+        """Forget :meth:`leaf_stack` and :meth:`leaf_hulls`: the rows or
+        the rectangles are about to change."""
+        self._leaf_stack = None
+        self._leaf_hulls = None
+
     # -- write-path bookkeeping ----------------------------------------------
 
     def attach_writer(self, writer) -> None:
@@ -320,7 +393,7 @@ class GaussTree:
 
             for v in batch:
                 _encode_key(v.key)
-        self._leaf_stack = None
+        self._drop_leaf_stacks()
         for v in batch:
             self._insert_impl(v)
         # One commit for the whole batch: the dirty-node union reaches
@@ -432,7 +505,7 @@ class GaussTree:
         found = self._find_entry(self.root, v)
         if found is None:
             return False
-        self._leaf_stack = None
+        self._drop_leaf_stacks()
         leaf, index = found
         leaf.remove_at(index)
         self._note_dirty(leaf)
@@ -638,7 +711,7 @@ class GaussTree:
         replayed on the next open — the crash-recovery path, which the
         recovery benchmark and tests exercise deliberately).
         """
-        self._leaf_stack = None
+        self._drop_leaf_stacks()
         try:
             if self._writer is not None:
                 self._writer.close(checkpoint=checkpoint)

@@ -18,8 +18,8 @@ reached the main file yet live in the store, not here.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable
+from collections import OrderedDict, deque
+from typing import Callable, Sequence
 
 from repro.obs import metrics as _obs_metrics
 
@@ -126,6 +126,22 @@ class BufferManager:
             self._notify_evict(victim)
         self._resident[page_id] = None
         return False
+
+    def access_resident(self, page_ids: Sequence[int]) -> bool:
+        """Touch a run of pages in one step if every one is resident.
+
+        No page of such a run can fault, so none can evict a later one:
+        the run is all hits, and the LRU order and counters end as after
+        one :meth:`access` per page. Returns ``False``, touching nothing,
+        if some page is not resident.
+        """
+        resident = self._resident
+        if not all(map(resident.__contains__, page_ids)):
+            return False
+        deque(map(resident.move_to_end, page_ids), maxlen=0)
+        self.stats.accesses += len(page_ids)
+        self.stats.hits += len(page_ids)
+        return True
 
     def add_evict_listener(self, listener: Callable[[int], None]) -> None:
         """Register an additional page-departure callback."""

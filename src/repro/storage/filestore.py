@@ -150,10 +150,10 @@ class FilePageStore(PageStore):
         additionally fetches the page from the file on a miss and serves
         the bytes from the resident frame on a hit.
         """
-        # The accounting is read_many's; the frame is filled here, which
-        # keeps a traversal's one-page reads at about half the cost of
-        # a trip through this class's read_many.
-        super().read_many((page_id,))
+        # The accounting is the base class's; the frame is filled here,
+        # which keeps a traversal's one-page reads at about half the
+        # cost of a trip through this class's read_many.
+        self._read_each((page_id,))
         data = self._frames.get(page_id)
         if data is None:
             data = self._read_from_file(page_id)

@@ -106,13 +106,23 @@ class PageStore:
 
     def read(self, page_id: int) -> None:
         """One random page read through the buffer."""
-        self.read_many((page_id,))
+        self._read_each((page_id,))
 
     def read_many(self, page_ids: Sequence[int]) -> None:
         """Random page reads through the buffer, in order: the counters,
         the buffer's LRU order and its faults are those of one
-        :meth:`read` per page (which is this call with one page), paid
-        in one call."""
+        :meth:`read` per page, paid in one call. A run whose pages are
+        all resident, every page of a warm tree's sweep, is counted in
+        one step (:meth:`BufferManager.access_resident`)."""
+        if self._allocated.issuperset(page_ids) and (
+            self.buffer.access_resident(page_ids)
+        ):
+            self.log.pages_accessed += len(page_ids)
+        else:
+            self._read_each(page_ids)
+
+    def _read_each(self, page_ids: Sequence[int]) -> None:
+        """:meth:`read_many`, one buffer access per page."""
         allocated = self._allocated
         log = self.log
         access = self.buffer.access

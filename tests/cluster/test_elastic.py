@@ -201,6 +201,16 @@ def test_lost_replica_answers_bit_identical(tmp_path):
                     assert b.log_density == a.log_density
 
 
+def test_metadata_fails_over_from_a_lost_replica_file(tmp_path):
+    """``database()`` before any query: shard 0's routed replica file is
+    gone, so its metadata session falls to the primary in the failover
+    order, as a fan-out's retry would, and every object is there."""
+    manifest, _, _ = _lost_replica_deployment(tmp_path)
+    with connect(manifest.source_path, backend="sharded") as session:
+        assert len(session.database()) == 60
+        assert set(session._backend._pool._sessions) == {(0, 0), (1, 1)}
+
+
 def test_lost_replica_retries_without_sleeping(tmp_path, monkeypatch):
     """A failover retry goes to another file, so nothing transient needs
     waiting out: the batch must answer without ever sleeping."""
@@ -280,6 +290,32 @@ def test_writes_reach_replicas_without_a_checkpoint(tmp_path):
                 m.key for m in reader.execute(MLIQ(fresh[0], 21)).matches
             }
             assert {("live", i) for i in range(5)} <= got
+    finally:
+        writer.close()
+
+
+def test_reader_metadata_reads_the_replicas_it_answers_from(tmp_path):
+    """A read-only session with replicas answers from the replicas,
+    which carry a live writer's 5 shipped inserts. ``database()``,
+    ``explain()`` and ``cold_start()`` read the same replica sessions:
+    ``database()`` holds the 21 objects the queries see, and no shard
+    opens a second session."""
+    db = make_random_db(n=16, seed=95)
+    manifest = build_shards(db, 2, str(tmp_path / "meta"), replicas=1)
+    fresh = [
+        PFV([0.45, 0.45, 0.45 + 0.01 * i], [0.1] * 3, key=("live", i))
+        for i in range(5)
+    ]
+    writer = connect(manifest.source_path, backend="sharded", writable=True)
+    try:
+        writer.insert_many(fresh)
+        with connect(manifest.source_path, backend="sharded") as reader:
+            assert len(reader) == 21
+            assert len(reader.execute(MLIQ(fresh[0], 30)).matches) == 21
+            assert len(reader.database()) == 21
+            reader.explain(MLIQ(fresh[0], 3))
+            reader.cold_start()
+            assert set(reader._backend._pool._sessions) == {(0, 1), (1, 1)}
     finally:
         writer.close()
 

@@ -339,6 +339,64 @@ class TestExplain:
         )
         assert any("sweeps the leaf stack" in note for note in plan.notes)
 
+    @pytest.mark.parametrize("backend", ["tree", "disk"])
+    def test_census_swept_tree_estimate_is_the_sweep_that_runs(
+        self, backend, tmp_path
+    ):
+        # On a uniform three-level tree the leaf-hull census sends every
+        # k-MLIQ at 1e-9 to the sweep; explain() asks the same census,
+        # so it prices every node page and every row, and counts none.
+        from repro.data.synthetic import uniform_pfv_dataset
+        from repro.data.workload import identification_workload
+
+        data = uniform_pfv_dataset(n=5000, d=8, seed=12)
+        tree = bulk_load(data.vectors, sigma_rule=data.sigma_rule)
+        assert tree.height == 3
+        source = tree
+        if backend == "disk":
+            source = str(tmp_path / "three-level.gauss")
+            tree.save(source)
+        specs = [
+            MLIQ(w.q, k)
+            for w, k in zip(identification_workload(data, 3, seed=3), (5, 1, 3))
+        ]
+        with (connect(source) if backend == "disk" else session_for(tree)) as s:
+            store = s._backend.store
+            store.begin_query()
+            plan = s.explain(specs)
+            assert store.log.pages_accessed == 0
+            rs = s.execute_many(specs)
+        node_pages = sum(1 for _ in tree.nodes())
+        assert rs.stats.swept == len(specs)
+        assert rs.stats.nodes_expanded == len(specs)
+        assert plan.estimated_pages == rs.stats.pages_accessed
+        assert plan.estimated_pages == node_pages * len(specs)
+        assert plan.estimated_cpu_seconds == pytest.approx(
+            rs.stats.modeled_cpu_seconds
+        )
+        assert any(
+            "leaf-hull census: every query sweeps the leaf stack" in note
+            for note in plan.notes
+        )
+
+    def test_tight_clusters_explain_names_the_traversal(self):
+        from repro.data.synthetic import clustered_pfv_dataset
+        from repro.data.workload import identification_workload
+
+        data = clustered_pfv_dataset(
+            n=3000, d=10, cluster_std=0.02, sigma_low=0.003,
+            sigma_high=0.01, seed=14,
+        )
+        tree = bulk_load(data.vectors, sigma_rule=data.sigma_rule)
+        specs = [MLIQ(w.q, 5) for w in identification_workload(data, 4, seed=15)]
+        s = session_for(tree)
+        plan = s.explain(specs)
+        rs = s.execute_many(specs)
+        assert rs.stats.swept == 0
+        assert plan.estimated_pages < sum(1 for _ in tree.nodes()) * len(specs)
+        (note,) = [n for n in plan.notes if "traversal" in n]
+        assert "sweep" not in note.split(";")[0]
+
     def test_explain_accepts_any_iterable_like_execute_many(self, db, q):
         with connect(db, backend="seqscan") as s:
             from_list = s.explain([MLIQ(q, 2), MLIQ(q, 3)])

@@ -272,8 +272,9 @@ class TestSiblingGroups:
     @pytest.mark.parametrize("d", [4, 10, 27])
     @pytest.mark.parametrize("m", [1, 16])
     @pytest.mark.parametrize("rule", list(SigmaRule))
+    @pytest.mark.parametrize("census", [False, True])
     def test_group_kernels_match_per_node_kernels_bit_for_bit(
-        self, kind, d, m, rule, group_tree, monkeypatch
+        self, kind, d, m, rule, census, group_tree, monkeypatch
     ):
         db, tree, leaves, inners = group_tree(kind, d, rule)
         qs = [w.q for w in identification_workload(db, m, seed=m)]
@@ -308,6 +309,10 @@ class TestSiblingGroups:
         refiner = BatchRefiner(tree, qs)
         for i, shift in enumerate(shifts.tolist()):
             refiner.register_shift(i, shift)
+        if census:
+            # Every leaf parent's child bounds then come from the
+            # census's bounds over the leaf hull stack.
+            refiner.leaf_hull_bounds()
         # Request pages in a shuffled order, so groups start anywhere in
         # their parent's child list.
         order = np.random.default_rng(d * m).permutation(len(leaves))
@@ -356,7 +361,9 @@ class TestSiblingGroups:
 
         tree.store.read = recording_read
         q = identification_workload(db, 1, seed=3)[0].q
-        session_for(tree).execute(MLIQ(q, 5))
+        # Rank-only, as in Figure 7: at a finite tolerance the leaf-hull
+        # census sends this query to the sweep, which pops nothing.
+        session_for(tree, mliq_tolerance=math.inf).execute(MLIQ(q, 5))
 
         materialized, stubs = [], []
 
@@ -402,9 +409,12 @@ class TestSiblingGroups:
 
             return wrapper
 
-        # Sweeps off: once a query sweeps, the batch's later leaves are
-        # slices of its one leaf-stack evaluation, and no group forms.
+        # Sweeps and the census off: once a query sweeps, the batch's
+        # later leaves are slices of its one leaf-stack evaluation, and
+        # once a query takes the census, every leaf parent's child
+        # bounds are slices of the census's; no group forms for them.
         monkeypatch.setattr(mliq, "_FIRST_CHECK", math.inf)
+        monkeypatch.setattr(mliq, "_CENSUS_SHARE", math.inf)
         monkeypatch.setattr(BatchRefiner, "_sibling_group", recording_group)
         monkeypatch.setattr(
             batch, "log_joint_density_multi",

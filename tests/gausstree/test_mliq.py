@@ -16,11 +16,17 @@ from repro import MLIQ, session_for
 from repro.core.database import PFVDatabase
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery
+from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.scan import scan_mliq
-from repro.data.synthetic import uniform_pfv_dataset
+from repro.data.synthetic import clustered_pfv_dataset, uniform_pfv_dataset
 from repro.data.workload import identification_workload
-from repro.gausstree import gausstree_mliq, gausstree_mliq_many
+from repro.gausstree import (
+    gausstree_mliq,
+    gausstree_mliq_many,
+    gausstree_tiq_many,
+    mliq,
+)
+from repro.gausstree.batch import BatchRefiner
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
 
@@ -202,18 +208,11 @@ class TestSweep:
             assert abs(m.probability - by_key[m.key]) <= 1e-12
 
     def test_batch_answers_equal_singletons_when_some_queries_sweep(self):
-        db = uniform_pfv_dataset(n=3000, d=8, seed=4)
-        tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
-        # At a 1e-3 tolerance most re-observations ranked 1-best prune;
-        # broad queries asking for a top-6 do not, and sweep.
-        queries = []
-        for i, w in enumerate(identification_workload(db, 8, seed=5)):
-            queries.append(MLIQuery(w.q, 1))
-            queries.append(MLIQuery(make_random_query(d=8, seed=i), 6))
-        batched, total = gausstree_mliq_many(tree, queries, tolerance=1e-3)
+        tree, queries = _mixed_batch()
+        batched, total = gausstree_mliq_many(tree, queries)
         assert 0 < total.swept < len(queries)
         for query, many in zip(queries, batched):
-            single, _ = gausstree_mliq(tree, query, tolerance=1e-3)
+            single, _ = gausstree_mliq(tree, query)
             assert [(m.key, m.log_density, m.probability) for m in many] == [
                 (m.key, m.log_density, m.probability) for m in single
             ]
@@ -287,3 +286,176 @@ class TestSweep:
         rs = session_for(tree).execute_many(specs)
         assert rs.stats.swept == 3
         assert result_to_json(rs)["stats"]["swept"] == 3
+
+
+def _mixed_batch():
+    """Tight clusters, 8-d: the leaf-hull census keeps re-observations
+    ranked 1-best on their traversal and sends most broad queries asking
+    for a top-6 to the sweep."""
+    db = clustered_pfv_dataset(
+        n=3000, d=8, cluster_std=0.02, sigma_low=0.003, sigma_high=0.01,
+        seed=4,
+    )
+    tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
+    queries = []
+    for i, w in enumerate(identification_workload(db, 8, seed=5)):
+        queries.append(MLIQuery(w.q, 1))
+        queries.append(MLIQuery(make_random_query(d=8, seed=i), 6))
+    return tree, queries
+
+
+def _tight_clusters(n=3000):
+    db = clustered_pfv_dataset(
+        n=n, d=10, cluster_std=0.02, sigma_low=0.003, sigma_high=0.01,
+        seed=14,
+    )
+    return db, bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+
+
+def _bits(matches):
+    return [(m.key, m.log_density, m.probability) for m in matches]
+
+
+class TestCensus:
+    """A finite-tolerance k-MLIQ on a tree of three or more levels asks
+    the leaf hulls, right after the root's expansion, whether its
+    traversal would pop most rows; if so it sweeps at once."""
+
+    def test_uniform_three_level_tree_sweeps_after_one_expansion(
+        self, monkeypatch
+    ):
+        db = uniform_pfv_dataset(n=5000, d=8, seed=12)
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        assert tree.height == 3
+        queries = [
+            MLIQuery(w.q, 5) for w in identification_workload(db, 8, seed=13)
+        ]
+        got = [gausstree_mliq(tree, query) for query in queries]
+        # With the census off, the pop-32 checkpoint sweeps them all.
+        monkeypatch.setattr(mliq, "_CENSUS_SHARE", math.inf)
+        reference = [gausstree_mliq(tree, query) for query in queries]
+        for query, (matches, stats), (want, want_stats) in zip(
+            queries, got, reference
+        ):
+            assert (stats.swept, stats.nodes_expanded) == (1, 1)
+            assert (want_stats.swept, want_stats.nodes_expanded) == (
+                1, mliq._FIRST_CHECK
+            )
+            assert stats.pages_accessed == want_stats.pages_accessed
+            assert stats.pages_accessed == node_pages(tree)
+            assert stats.objects_refined == len(db)
+            assert _bits(matches) == _bits(want)
+            expected = scan_mliq(db, query)
+            assert [m.key for m in matches] == [m.key for m in expected]
+            for a, b in zip(matches, expected):
+                assert abs(a.probability - b.probability) <= 1e-12
+
+    def test_tight_clusters_keep_their_traversal(self, monkeypatch):
+        db, tree = _tight_clusters()
+        assert tree.height == 3
+        queries = [
+            MLIQuery(w.q, 5) for w in identification_workload(db, 8, seed=15)
+        ]
+        got = []
+        for query in queries:
+            share = mliq.census_share(BatchRefiner(tree, [query.q]), 0, 5, 1e-9)
+            assert share < mliq._CENSUS_SHARE
+            matches, stats = gausstree_mliq(tree, query)
+            got.append((_bits(matches), stats))
+            assert stats.swept == 0
+            assert 1 < stats.pages_accessed < node_pages(tree) / 2
+            expected = scan_mliq(db, query)
+            assert [m.key for m in matches] == [m.key for m in expected]
+            for a, b in zip(matches, expected):
+                assert abs(a.probability - b.probability) <= 1e-9
+        # The traversal reuses the census's leaf bounds, bit for bit: with
+        # the census off it pops the same pages and answers the same bits.
+        monkeypatch.setattr(mliq, "_CENSUS_SHARE", math.inf)
+        for query, (bits, stats) in zip(queries, got):
+            matches, plain = gausstree_mliq(tree, query)
+            assert _bits(matches) == bits
+            assert (plain.pages_accessed, plain.nodes_expanded) == (
+                stats.pages_accessed, stats.nodes_expanded
+            )
+
+    def test_rank_only_queries_never_take_the_census(self, monkeypatch):
+        db = uniform_pfv_dataset(n=5000, d=8, seed=12)
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+
+        def refuse(self):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(BatchRefiner, "leaf_hull_bounds", refuse)
+        queries = [
+            MLIQuery(w.q, 3) for w in identification_workload(db, 6, seed=16)
+        ]
+        answers, _ = gausstree_mliq_many(tree, queries, tolerance=math.inf)
+        for query, matches in zip(queries, answers):
+            assert [m.key for m in matches] == [
+                m.key for m in scan_mliq(db, query)
+            ]
+        gausstree_tiq_many(tree, [ThresholdQuery(q.q, 0.2) for q in queries])
+        session_for(tree, mliq_tolerance=math.inf).explain(
+            [MLIQ(q.q, 3) for q in queries]
+        )
+
+    def test_a_batch_decides_as_its_singletons_do(self, monkeypatch):
+        tree, queries = _mixed_batch()
+        shares = []
+        census_share = mliq.census_share
+
+        def recording(refiner, query_index, k, tolerance):
+            share = census_share(refiner, query_index, k, tolerance)
+            shares.append((refiner.q_mu[query_index].tobytes(), k, share))
+            return share
+
+        monkeypatch.setattr(mliq, "census_share", recording)
+        batched, total = gausstree_mliq_many(tree, queries)
+        in_batch = list(shares)
+        shares.clear()
+        singles = [gausstree_mliq_many(tree, [query]) for query in queries]
+        assert in_batch == shares
+        assert len(shares) == len(queries)
+        # Some queries sweep at once, and some traverse.
+        swept = [stats.swept for _, stats in singles]
+        assert 0 < sum(swept) < len(queries)
+        assert total.swept == sum(swept)
+        assert total.nodes_expanded == sum(
+            stats.nodes_expanded for _, stats in singles
+        )
+        assert total.pages_accessed == sum(
+            stats.pages_accessed for _, stats in singles
+        )
+        for many, (single, _) in zip(batched, singles):
+            assert _bits(many) == _bits(single[0])
+
+
+class TestRootLeaf:
+    """A tree whose root is a leaf answers every k-MLIQ by one sweep of
+    its one page; an empty tree answers nothing."""
+
+    @pytest.mark.parametrize("tolerance", [1e-9, math.inf])
+    def test_root_leaf_sweeps_its_one_page(self, tolerance):
+        db = make_random_db(n=12, d=3, seed=30)
+        tree = build_tree(db, degree=8)
+        assert tree.root.is_leaf
+        query = MLIQuery(make_random_query(d=3, seed=31), 4)
+        matches, stats = gausstree_mliq(tree, query, tolerance=tolerance)
+        assert (stats.swept, stats.nodes_expanded) == (1, 1)
+        assert stats.pages_accessed == 1
+        assert stats.objects_refined == len(db)
+        expected = scan_mliq(db, query)
+        assert [m.key for m in matches] == [m.key for m in expected]
+        for a, b in zip(matches, expected):
+            assert abs(a.probability - b.probability) <= 1e-12
+        plan = session_for(tree).explain([MLIQ(query.q, 4)] * 3)
+        assert plan.estimated_pages == 3
+        assert any("sweeps the leaf stack" in note for note in plan.notes)
+
+    def test_empty_tree_keeps_its_traversal(self):
+        tree = GaussTree(dims=2, degree=3)
+        answers, stats = gausstree_mliq_many(
+            tree, [MLIQuery(make_random_query(d=2), 3)]
+        )
+        assert answers == [[]]
+        assert (stats.swept, stats.pages_accessed) == (0, 0)

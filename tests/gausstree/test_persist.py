@@ -265,7 +265,9 @@ def _materialized(tree) -> int:
 
 
 class TestHeight:
-    def test_explain_on_a_fresh_open_decodes_no_stub(self, tmp_path):
+    def test_explain_on_a_fresh_open_decodes_only_what_the_census_reads(
+        self, tmp_path
+    ):
         # The height of a disk tree comes from its header: walking the
         # left spine would decode the inner stubs on it.
         path = str(tmp_path / "tall.gauss")
@@ -278,8 +280,21 @@ class TestHeight:
             assert _materialized(reopened) == 1  # the root
             assert reopened.height == tree.height
             q = make_random_query(d=2, seed=18)
-            session_for(reopened).explain([MLIQ(q, 3), TIQ(q, 0.2)])
+            session_for(reopened).explain(TIQ(q, 0.2))
             assert _materialized(reopened) == 1
+            # A k-MLIQ's explain takes the leaf-hull census the query
+            # will take: it decodes the inner pages, which hold the leaf
+            # rectangles, and the one leaf it refines, and it counts no
+            # page access.
+            reopened.store.begin_query()
+            session_for(reopened).explain(MLIQ(q, 3))
+            assert reopened.store.log.pages_accessed == 0
+            leaves = [
+                node
+                for node in _iter_shallow(reopened.root)
+                if node.is_leaf and node.is_materialized
+            ]
+            assert len(leaves) == 1
         finally:
             reopened.close()
 

@@ -1,10 +1,12 @@
 """Unit tests for the page store and its access accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import DiskCostModel
-from repro.storage.pagestore import PageStore
+from repro.storage.filestore import FilePageStore
+from repro.storage.pagestore import AccessLog, PageStore
 
 from tests.conftest import lru_reference
 
@@ -141,3 +143,66 @@ class TestReadMany:
         with pytest.raises(KeyError):
             store.read_many([pid, 42])
         assert store.log.pages_accessed == 1
+
+    @given(
+        capacity=st.integers(1, 5),
+        runs=st.lists(
+            st.lists(st.integers(1, 8), max_size=7), min_size=1, max_size=12
+        ),
+        query_starts=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_runs_count_as_one_read_per_page(
+        self, capacity, runs, query_starts, tmp_path_factory
+    ):
+        # A small buffer over 8 pages faults and evicts, and runs drawn
+        # from 8 pages are often all resident: the one-step count of an
+        # all-hit run must leave the LRU order, every counter and a file
+        # store's frames exactly as one read per page does.
+        path = tmp_path_factory.mktemp("runs") / "pages.bin"
+        path.write_bytes(bytes(i // 256 for i in range(9 * 256)))
+        cost = DiskCostModel()
+        stores = [
+            make(capacity, cost, str(path))
+            for _ in range(2)
+            for make in (_memory_store, _file_store)
+        ]
+        batched, single = stores[:2], stores[2:]
+        try:
+            for run, new_query in zip(runs, query_starts):
+                for store in batched:
+                    if new_query:
+                        store.begin_query()
+                    store.read_many(run)
+                for store in single:
+                    if new_query:
+                        store.begin_query()
+                    for page_id in run:
+                        store.read(page_id)
+                for a, b in zip(batched, single):
+                    assert list(a.buffer._resident) == list(b.buffer._resident)
+                    assert a.buffer.stats.snapshot() == b.buffer.stats.snapshot()
+                    for field in AccessLog.__slots__:
+                        assert getattr(a.log, field) == getattr(b.log, field)
+            assert batched[1]._frames == single[1]._frames
+        finally:
+            for store in stores:
+                if isinstance(store, FilePageStore):
+                    store.close()
+
+
+def _memory_store(capacity, cost, path):
+    store = PageStore(buffer=BufferManager(capacity), cost_model=cost)
+    for _ in range(9):
+        store.allocate()
+    return store
+
+
+def _file_store(capacity, cost, path):
+    return FilePageStore(
+        path,
+        256,
+        allocated_pages=8,
+        buffer=BufferManager(capacity),
+        cost_model=cost,
+    )
