@@ -9,13 +9,13 @@ repeated queries run almost IO-free.
 
 import pytest
 
-from repro.core.queries import MLIQuery
+from repro.core.queries import MLIQuery, QueryStats
 from repro.data.histograms import color_histogram_dataset
 from repro.data.workload import identification_workload
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.mliq import gausstree_mliq
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import DiskCostModel
+from repro.storage.costmodel import PAPER_TESTBED
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
@@ -32,17 +32,16 @@ def dataset():
 def _run(db, workload, cache_bytes):
     layout = PageLayout(dims=db.dims)
     store = PageStore(
-        buffer=BufferManager.from_bytes(cache_bytes, layout.page_size),
-        cost_model=DiskCostModel(page_size=layout.page_size),
+        buffer=BufferManager.from_bytes(cache_bytes, layout.page_size)
     )
     tree = bulk_load(db.vectors, page_store=store, sigma_rule=db.sigma_rule)
     store.cold_start()
-    io = faults = 0
+    total = QueryStats()
     for item in workload:
         _, stats = gausstree_mliq(tree, MLIQuery(item.q, 1), tolerance=0.05)
-        io += stats.io_seconds
-        faults += stats.page_faults
-    return io / len(workload), faults / len(workload)
+        total.merge(stats)
+    io, _ = PAPER_TESTBED.price(total, vectorized=True)
+    return io / len(workload), total.page_faults / len(workload)
 
 
 @pytest.mark.parametrize("label", list(CACHE_BUDGETS))

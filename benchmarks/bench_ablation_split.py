@@ -1,10 +1,10 @@
 """Ablation: the Section-5.3 hull-integral split versus a naive volume split.
 
-DESIGN.md calls out the split criterion as the Gauss-tree's key design
-choice. This ablation builds two insertion-based trees over the same
-heteroscedastic data — one splitting by the paper's hull-integral score,
-one by plain parameter-space volume — and compares page accesses for the
-same MLIQ workload. The quality-vs-spread *bulk-loading* counterpart
+The split criterion is the Gauss-tree's key design choice. This ablation
+builds two insertion-based trees over the same heteroscedastic data — one
+splitting by the paper's hull-integral score, one by plain
+parameter-space volume — and compares page accesses for the same MLIQ
+workload. The quality-vs-spread *bulk-loading* counterpart
 lives in bench_ablation_bulkload.py.
 """
 
@@ -72,7 +72,7 @@ def test_split_volume(benchmark, dataset):
 
 
 def test_split_criteria_comparison(dataset):
-    """Finding (recorded in EXPERIMENTS.md): for *insertion-built* trees
+    """Finding: for *insertion-built* trees
     on our generators the two split criteria land within ~10% of each
     other — the path-selection rules dominate node quality. The
     hull-integral criterion's large win (5x page accesses) appears when

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import shutil
 import statistics
 import sys
@@ -40,8 +39,8 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-import numpy as np  # noqa: E402
 
+from _bench import environment  # noqa: E402
 from repro.cluster import build_shards  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.data.workload import identification_workload  # noqa: E402
@@ -128,17 +127,12 @@ def run(
             "shard_build_seconds": round(build_s, 3),
             "shard_objects": [s.objects for s in multi.shards],
         },
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "note": (
-                "wall_seconds_per_batch is the median of the timed "
-                "batches after one warmup batch; the sharded backend "
-                "fans a batch out to its shards one after another in "
-                "the calling thread"
-            ),
-        },
+        "environment": environment(
+            "wall_seconds_per_batch is the median of the timed "
+            "batches after one warmup batch; the sharded backend "
+            "fans a batch out to its shards one after another in "
+            "the calling thread"
+        ),
         "configs": configs,
         "answers_agree_across_configs": answers_agree,
     }

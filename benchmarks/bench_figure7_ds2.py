@@ -4,7 +4,7 @@ Default scale is 20,000 objects (REPRO_FULL_SCALE=1 for the paper's
 100,000). Paper reference: Gauss-tree 4.3x fewer pages for MLIQ and
 35.7-43.2x for TIQ; overall time 3.1-7.5x better. Our reproduction keeps
 the ordering (TIQ cheaper than MLIQ, both cheaper than the scan) at
-smaller factors — see EXPERIMENTS.md for the analysis of the gap.
+smaller factors.
 """
 
 from repro.eval.figures import figure7

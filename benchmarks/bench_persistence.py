@@ -39,7 +39,6 @@ import argparse
 import json
 import math
 import os
-import platform
 import shutil
 import sys
 import tempfile
@@ -51,6 +50,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from _bench import environment  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.data.workload import identification_workload  # noqa: E402
 from repro.engine import MLIQ, connect, session_for  # noqa: E402
@@ -238,15 +238,10 @@ def run(n: int, d: int, n_queries: int, k: int, seed: int) -> dict:
             "k": k,
             "seed": seed,
         },
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "note": (
-                "wall-clock ratios are host-bound; docs/benchmarks.md "
-                "reads the format_v3_vs_v2 bar against this core count"
-            ),
-        },
+        "environment": environment(
+            "wall-clock ratios are host-bound; docs/benchmarks.md "
+            "reads the format_v3_vs_v2 bar against this core count"
+        ),
         "index": {
             "build_seconds": round(build_s, 4),
             "save_seconds": round(save_s, 4),

@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import shutil
 import sys
 import tempfile
@@ -53,20 +52,13 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
+from _bench import environment, percentile  # noqa: E402
 from repro.cluster.partition import build_shards  # noqa: E402
 from repro.core.database import PFVDatabase  # noqa: E402
 from repro.core.pfv import PFV  # noqa: E402
 from repro.engine import ConsensusTopK, connect  # noqa: E402
 from repro.obs.metrics import counter  # noqa: E402
 from repro.serve import JsonlClient, serve_async  # noqa: E402
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def make_stream(
@@ -127,9 +119,9 @@ def churn(
     return {
         "observations": len(stream),
         "window": window_size,
-        "identify_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-        "identify_p95_ms": round(_percentile(latencies, 0.95) * 1e3, 3),
-        "identify_p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
+        "identify_p50_ms": round(percentile(latencies, 0.50) * 1e3, 3),
+        "identify_p95_ms": round(percentile(latencies, 0.95) * 1e3, 3),
+        "identify_p99_ms": round(percentile(latencies, 0.99) * 1e3, 3),
         "churn_per_second": round(len(stream) / elapsed, 1),
         "elapsed_seconds": round(elapsed, 3),
         "reid_hits": hits,
@@ -314,18 +306,13 @@ def run(
             "seed": seed,
             "smoke": smoke,
         },
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "note": (
-                "identify-then-insert with sliding-window expiry; sync "
-                "is one in-process writable sharded session, serve is "
-                "one pipelined JSONL client against a writable async "
-                "server (writes serialize on the primary, so serve "
-                "churn tracks per-request wire overhead, not cores)"
-            ),
-        },
+        "environment": environment(
+            "identify-then-insert with sliding-window expiry; sync "
+            "is one in-process writable sharded session, serve is "
+            "one pipelined JSONL client against a writable async "
+            "server (writes serialize on the primary, so serve "
+            "churn tracks per-request wire overhead, not cores)"
+        ),
         "sync": sync,
         "serve": serve,
         "failover": failover,

@@ -51,6 +51,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from _bench import environment, percentile  # noqa: E402
 from repro.cluster.wire import spec_to_json  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.data.workload import identification_workload  # noqa: E402
@@ -64,14 +65,6 @@ from repro.serve import (  # noqa: E402
     serve_async,
 )
 from repro.storage.layout import PageLayout  # noqa: E402
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _drive(
@@ -149,9 +142,9 @@ def _drive(
         "depth": depth,
         "completed": len(latencies),
         "queries_per_second": round(len(latencies) / elapsed, 1),
-        "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 2),
-        "p95_ms": round(_percentile(latencies, 0.95) * 1e3, 2),
-        "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 2),
+        "p50_ms": round(percentile(latencies, 0.50) * 1e3, 2),
+        "p95_ms": round(percentile(latencies, 0.95) * 1e3, 2),
+        "p99_ms": round(percentile(latencies, 0.99) * 1e3, 2),
         "shed_429": sum(r["shed"] for r in results),
         "errors": sum(r["errors"] for r in results),
     }
@@ -307,16 +300,14 @@ def run(
             "seed": seed,
             "smoke": smoke,
         },
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "note": (
-                "closed-loop JSONL clients over real sockets against one "
-                "disk session (pool_size=1); coalescing recovers the "
-                "execute_many batch amortization for singleton clients, "
-                "so its speedup tracks BENCH_persistence's batch-vs-"
-                "singleton ratio, not core count"
-            ),
-        },
+        "environment": environment(
+            "closed-loop JSONL clients over real sockets against one "
+            "disk session (pool_size=1); coalescing recovers the "
+            "execute_many batch amortization for singleton clients, "
+            "so its speedup tracks BENCH_persistence's batch-vs-"
+            "singleton ratio, not core count",
+            with_platform=True,
+        ),
         "coalescing": {
             "baseline": baseline,
             "coalesced": coalesced,

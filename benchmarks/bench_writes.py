@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import shutil
 import sys
 import tempfile
@@ -51,6 +50,7 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
+from _bench import environment  # noqa: E402
 from repro.core.pfv import PFV  # noqa: E402
 from repro.core.queries import MLIQuery  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
@@ -244,12 +244,7 @@ def run(n: int, d: int, n_inserts: int, seed: int) -> dict:
             "n_inserts_per_mode": n_inserts,
             "seed": seed,
         },
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "environment": environment(with_platform=True),
         "conventions": (
             "modeled_* prices durable commits on the repo's 2006-era "
             "DiskCostModel (sequential WAL transfer + one positioning "

@@ -4,8 +4,7 @@ Scales: data set 1 always runs at the paper's size (10,987 x 27). Data
 set 2 defaults to 20% of the paper's 100,000 objects because building a
 100k-object index in pure Python takes minutes; set ``REPRO_FULL_SCALE=1``
 to run the paper's size. Query counts default to 50 per batch (the paper
-uses 100/500); EXPERIMENTS.md records the scales behind the committed
-numbers.
+uses 100/500).
 """
 
 import os

@@ -47,8 +47,8 @@ Data / evaluation:
     :mod:`repro.data` (datasets and ground-truthed workloads) and
     :mod:`repro.eval` (the figure-by-figure experiment harness).
 
-See ``examples/quickstart.py`` for a five-minute tour and DESIGN.md for
-the full system inventory.
+See ``examples/quickstart.py`` for a five-minute tour and
+``docs/architecture.md`` for the full system inventory.
 """
 
 from repro.core import (
@@ -83,7 +83,7 @@ from repro.gausstree import GaussTree, bulk_load
 # box (the subsystem itself is stdlib-only on top of the engine).
 import repro.cluster  # noqa: E402,F401  (registration side effect)
 
-__version__ = "2.5.3"
+__version__ = "2.6.0"
 
 __all__ = [
     "PFV",

@@ -4,9 +4,10 @@ The general solution of Section 4 run "on top of a sequential scan of the
 complete database": the pfv live in a flat paged file; an MLIQ reads every
 page once (accumulating the denominator on the way); a TIQ reads the file
 twice — one scan to determine the total probability, a second to report
-the qualifying objects, exactly as the paper describes. Sequential runs
-are charged streaming IO by the disk model, which is what makes the scan
-harder to beat on *overall* time than on page counts.
+the qualifying objects, exactly as the paper describes. Its passes are
+counted as sequential runs, which the disk model prices as streaming IO;
+that is what makes the scan harder to beat on *overall* time than on
+page counts.
 
 Queries reach the scan through the engine: connect with
 ``repro.connect(db, backend="seqscan")`` (or adopt a built index with
@@ -137,18 +138,7 @@ class SequentialScanIndex:
         return results, self._stats(len(self.db) * len(queries), started)
 
     def _stats(self, refined: int, started: float) -> QueryStats:
-        return QueryStats(
-            pages_accessed=self.store.log.pages_accessed,
-            page_faults=self.store.log.page_faults,
-            objects_refined=refined,
-            nodes_expanded=0,
-            cpu_seconds=time.perf_counter() - started,
-            io_seconds=self.store.log.io_seconds,
-            modeled_cpu_seconds=self.store.cost_model.modeled_cpu_seconds(
-                refined, self.store.log.pages_accessed
-            ),
-            buffer_evictions=self.store.log.evictions,
-        )
+        return QueryStats.from_log(self.store.log, started, refined)
 
     def __repr__(self) -> str:
         return f"SequentialScanIndex(n={len(self.db)}, pages={self.file_pages})"

@@ -24,8 +24,8 @@ policy:
 The full X-tree also tracks a split history to find overlap-free splits;
 that refinement mainly postpones supernode creation and is irrelevant for
 the phenomenon the reproduction needs (X-tree ~ no win over the scan for
-MLIQ in 27 dimensions), so we document the simplification here and in
-DESIGN.md rather than modelling it.
+MLIQ in 27 dimensions), so we document the simplification here rather
+than modelling it.
 """
 
 from __future__ import annotations

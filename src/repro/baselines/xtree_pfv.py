@@ -166,18 +166,7 @@ class XTreePFVIndex:
         return matches, stats
 
     def _stats(self, refined: int, started: float) -> QueryStats:
-        return QueryStats(
-            pages_accessed=self.store.log.pages_accessed,
-            page_faults=self.store.log.page_faults,
-            objects_refined=refined,
-            nodes_expanded=0,
-            cpu_seconds=time.perf_counter() - started,
-            io_seconds=self.store.log.io_seconds,
-            modeled_cpu_seconds=self.store.cost_model.modeled_cpu_seconds(
-                refined, self.store.log.pages_accessed
-            ),
-            buffer_evictions=self.store.log.evictions,
-        )
+        return QueryStats.from_log(self.store.log, started, refined)
 
     def __repr__(self) -> str:
         supernodes = 0 if self.tree is None else self.tree.supernode_count

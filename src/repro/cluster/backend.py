@@ -121,6 +121,7 @@ from repro.engine.backends import (
 )
 from repro.engine.session import Session
 from repro.engine.spec import MLIQ, TIQ
+from repro.storage.costmodel import PAPER_TESTBED
 from repro.cluster.partition import (
     MANIFEST_SUFFIX,
     ShardInfo,
@@ -1016,7 +1017,6 @@ class ShardedBackend(BackendAdapter):
         pages = 0
         cpu_seconds = 0.0
         branch_seconds: list[float] = []
-        cost_model = None
         for shard_id in self._active:
             session = self._session_for(shard_id)
             estimates = [session._backend.estimate(kind, specs)]
@@ -1025,16 +1025,9 @@ class ShardedBackend(BackendAdapter):
             pages += sum(est.pages for est in estimates)
             cpu_seconds += sum(est.cpu_seconds for est in estimates)
             branch_seconds.append(sum(est.io_seconds for est in estimates))
-            store = getattr(session._backend, "store", None)
-            if cost_model is None and store is not None:
-                cost_model = store.cost_model
-        if cost_model is None:
-            from repro.storage.costmodel import DiskCostModel
-
-            cost_model = DiskCostModel()
         return PlanEstimate(
             pages,
-            cost_model.fan_out_seconds(branch_seconds),
+            PAPER_TESTBED.fan_out_seconds(branch_seconds),
             f"fan-out to {len(self._active)} shard(s); latency priced as "
             "sum over shards (serial fan-out) plus per-shard dispatch",
             cpu_seconds,

@@ -241,12 +241,12 @@ def result_to_json(rs: ResultSet) -> dict:
         "stats": {
             "pages_accessed": stats.pages_accessed,
             "page_faults": stats.page_faults,
+            "faulted_runs": stats.faulted_runs,
+            "faulted_run_pages": stats.faulted_run_pages,
             "objects_refined": stats.objects_refined,
             "swept": stats.swept,
             "nodes_expanded": stats.nodes_expanded,
             "cpu_seconds": stats.cpu_seconds,
-            "io_seconds": stats.io_seconds,
-            "modeled_cpu_seconds": stats.modeled_cpu_seconds,
             "buffer_evictions": stats.buffer_evictions,
             "buffer_hit_ratio": round(stats.buffer_hit_ratio, 6),
         },

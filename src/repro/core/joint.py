@@ -10,8 +10,8 @@ Gaussians:
 Lemma 1 collapses this to a single Gaussian evaluation
 ``N_{mu_v, sigma_c}(mu_q)`` with a combined uncertainty ``sigma_c``. The
 paper prints ``sigma_c = sigma_v + sigma_q``; the mathematically exact
-convolution adds *variances*, ``sigma_c = sqrt(sigma_v^2 + sigma_q^2)``
-(see DESIGN.md, "Known notational slip"). Both rules are implemented as
+convolution adds *variances*, ``sigma_c = sqrt(sigma_v^2 + sigma_q^2)``,
+so the printed sum is a notational slip. Both rules are implemented as
 :class:`SigmaRule`; the exact rule is the default and is verified against
 numerical quadrature in the test suite. Every index bound in the Gauss-tree
 stays conservative under either rule because both are strictly increasing

@@ -22,6 +22,7 @@ which the engine builds into matches before any caller sees them.
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Hashable
 
 from repro.core.pfv import PFV
@@ -160,8 +161,10 @@ class QueryStats:
     """Work counters filled in by the executing access method.
 
     ``pages_accessed`` counts *logical* page reads (buffer hits included);
-    ``page_faults`` counts the subset that missed the buffer and paid
-    simulated disk IO. ``objects_refined`` counts exact Lemma-1 density
+    ``page_faults`` counts the subset that missed the buffer. Of those,
+    ``faulted_run_pages`` were faulted by the ``faulted_runs`` sequential
+    runs that faulted at all (the sequential scan's passes); the rest
+    were random reads. ``objects_refined`` counts exact Lemma-1 density
     evaluations; ``nodes_expanded`` counts index nodes popped from the
     priority queue (0 for the sequential scan), and a k-MLIQ that sweeps
     a two-level tree counts the root it expands, 1. ``swept`` counts the
@@ -171,12 +174,9 @@ class QueryStats:
     one whose hulls stopped pruning (see :mod:`repro.gausstree.mliq`);
     the sweep's pages count as accessed and its rows as refined.
 
-    Two time columns coexist (see ``repro.storage.costmodel``):
-    ``cpu_seconds`` is *measured* Python wall time, while
-    ``modeled_cpu_seconds`` prices the work counters at the paper's
-    2006-testbed rates — the figure-7 harness reports the modeled
-    numbers because numpy's vectorisation advantage for the sequential
-    scan would otherwise invert the paper's CPU ratios.
+    ``cpu_seconds`` is the one time column: *measured* wall time. The
+    2006 testbed of :mod:`repro.storage.costmodel` prices the counters
+    where a price is wanted, in Figure 7 and ``explain()``.
     """
 
     pages_accessed: int = 0
@@ -184,29 +184,42 @@ class QueryStats:
     objects_refined: int = 0
     nodes_expanded: int = 0
     cpu_seconds: float = 0.0
-    io_seconds: float = 0.0
-    modeled_cpu_seconds: float = 0.0
     buffer_evictions: int = 0
     swept: int = 0
+    faulted_runs: int = 0
+    faulted_run_pages: int = 0
 
-    @property
-    def total_seconds(self) -> float:
-        """Measured CPU plus modelled disk IO."""
-        return self.cpu_seconds + self.io_seconds
+    @classmethod
+    def from_log(
+        cls,
+        log,
+        started: float,
+        objects_refined: int,
+        nodes_expanded: int = 0,
+    ) -> "QueryStats":
+        """A query's stats: the page counters of a store's
+        :class:`~repro.storage.pagestore.AccessLog` since
+        ``begin_query``, the given refinement and expansion counts, and
+        the wall time since ``started``."""
+        return cls(
+            pages_accessed=log.pages_accessed,
+            page_faults=log.page_faults,
+            objects_refined=objects_refined,
+            nodes_expanded=nodes_expanded,
+            cpu_seconds=time.perf_counter() - started,
+            buffer_evictions=log.evictions,
+            faulted_runs=log.faulted_runs,
+            faulted_run_pages=log.faulted_run_pages,
+        )
 
     @property
     def buffer_hit_ratio(self) -> float:
         """Observed buffer hit ratio for this query (0 when no pages
-        were accessed) — comparable against ``explain()``'s estimate
-        in the slow-query log."""
+        were accessed), recorded in the slow-query log beside the
+        ``explain()`` plan's page estimate."""
         if not self.pages_accessed:
             return 0.0
         return (self.pages_accessed - self.page_faults) / self.pages_accessed
-
-    @property
-    def modeled_total_seconds(self) -> float:
-        """Fully modeled overall time (2006 CPU + 2006 disk)."""
-        return self.modeled_cpu_seconds + self.io_seconds
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another query's counters into this one (for batches)."""
@@ -215,7 +228,7 @@ class QueryStats:
         self.objects_refined += other.objects_refined
         self.nodes_expanded += other.nodes_expanded
         self.cpu_seconds += other.cpu_seconds
-        self.io_seconds += other.io_seconds
-        self.modeled_cpu_seconds += other.modeled_cpu_seconds
         self.buffer_evictions += other.buffer_evictions
         self.swept += other.swept
+        self.faulted_runs += other.faulted_runs
+        self.faulted_run_pages += other.faulted_run_pages

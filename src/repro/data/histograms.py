@@ -2,8 +2,7 @@
 
 The paper's data set 1 is "10,987 27-dimensional color histograms of an
 image database" — a private collection we cannot obtain. The substitution
-(documented in DESIGN.md) generates data with the same statistical
-character histograms have:
+generates data with the same statistical character histograms have:
 
 * vectors live on the probability simplex (non-negative, L1-normalised);
 * mass concentrates in a few bins per image (real colour histograms are
@@ -28,7 +27,7 @@ from repro.data.uncertainty import mixed_precision_sigmas
 
 __all__ = ["color_histogram_matrix", "color_histogram_dataset", "DS1_SIGMA_BANDS"]
 
-#: Calibrated sigma bands of the data set 1 substitute (see EXPERIMENTS.md):
+#: Calibrated sigma bands of the data set 1 substitute:
 #: 20% badly-measured cells with sigmas at 0.5-3 histogram bins, the rest
 #: precise at 1/200 - 1/20 of a bin.
 DS1_SIGMA_BANDS = {"p_bad": 0.2, "good": (2e-4, 2e-3), "bad": (0.02, 0.1)}

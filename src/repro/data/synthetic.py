@@ -24,8 +24,8 @@ __all__ = [
     "DS2_SIGMA_BANDS",
 ]
 
-#: Calibrated sigma bands of data set 2 (see EXPERIMENTS.md): 30% of the
-#: cells badly measured relative to the unit cube, the rest precise.
+#: Calibrated sigma bands of data set 2: 30% of the cells badly measured
+#: relative to the unit cube, the rest precise.
 DS2_SIGMA_BANDS = {"p_bad": 0.3, "good": (0.003, 0.02), "bad": (0.1, 0.25)}
 
 
@@ -57,7 +57,8 @@ def uniform_pfv_dataset(
 
     Defaults reproduce the paper's scale (100,000 x 10) with
     mixed-precision sigmas calibrated at that scale; the benchmarks scale
-    ``n`` down unless full-scale mode is requested (see EXPERIMENTS.md).
+    ``n`` down unless full-scale mode is requested (``REPRO_FULL_SCALE=1``,
+    see :func:`repro.eval.figures.dataset2`).
     Override any of ``p_bad`` / ``good`` / ``bad`` to move off the
     calibration.
     """

@@ -10,7 +10,9 @@ The heterogeneity knobs matter for the effectiveness experiment: the wider
 the spread between well- and badly-measured features/objects, the harder
 plain Euclidean NN fails while the probabilistic model keeps working
 (Figure 6's 42% vs 98%). The defaults were calibrated so the reproduction
-lands in the paper's regime; EXPERIMENTS.md records the values used.
+lands in the paper's regime; ``DS1_SIGMA_BANDS``
+(:mod:`repro.data.histograms`) and ``DS2_SIGMA_BANDS``
+(:mod:`repro.data.synthetic`) record the values used.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def mixed_precision_sigmas(
     Euclidean NN gets dominated by the badly-measured features (it weights
     every dimension equally), while the probabilistic model discounts them
     through the sigmas and identifies objects from the precise features.
-    The defaults are the calibration of our data set 1 substitute; see
-    EXPERIMENTS.md for the calibration record.
+    The defaults are the calibration of our data set 1 substitute
+    (:data:`repro.data.histograms.DS1_SIGMA_BANDS`).
     """
     _validate(n, d)
     if not 0.0 <= p_bad <= 1.0:

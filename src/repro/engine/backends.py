@@ -40,6 +40,7 @@ from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.engine.spec import MLIQ, TIQ
+from repro.storage.costmodel import PAPER_TESTBED
 
 __all__ = [
     "Backend",
@@ -60,11 +61,12 @@ class CapabilityError(RuntimeError):
 class PlanEstimate:
     """Planner-facing cost guess: pages, modeled IO/CPU seconds, one note.
 
-    Estimates are order-of-magnitude planning hints derived from the
-    storage cost model (:mod:`repro.storage.costmodel`); the
-    :class:`~repro.core.queries.QueryStats` of an actual execution are
-    the ground truth. ``cpu_seconds`` prices the expected refinement work
-    — the Gauss-tree, whose leaves are all columnar, at the cost model's
+    Estimates are order-of-magnitude planning hints: a backend predicts
+    the counters a batch will report and :meth:`priced` prices them on
+    the paper's 2006 testbed; the counters of an actual execution's
+    :class:`~repro.core.queries.QueryStats` are the ground truth.
+    ``cpu_seconds`` prices the expected refinement work — the
+    Gauss-tree, whose leaves are all columnar, at the cost model's
     vectorized rate, so ``explain()`` reflects the columnar kernel.
     """
 
@@ -81,6 +83,19 @@ class PlanEstimate:
         self.io_seconds = io_seconds
         self.note = note
         self.cpu_seconds = cpu_seconds
+
+    @classmethod
+    def priced(
+        cls, stats: QueryStats, note: str, *, vectorized: bool
+    ) -> "PlanEstimate":
+        """The estimate of the predicted counters ``stats``, priced by
+        :meth:`~repro.storage.costmodel.DiskCostModel.price` on
+        :data:`~repro.storage.costmodel.PAPER_TESTBED` (the ruler Figure
+        7 prices on)."""
+        io_seconds, cpu_seconds = PAPER_TESTBED.price(
+            stats, vectorized=vectorized
+        )
+        return cls(stats.pages_accessed, io_seconds, note, cpu_seconds)
 
 
 @runtime_checkable
@@ -335,7 +350,6 @@ class GaussTreeBackend(BackendAdapter):
                     )
                     for i, spec in enumerate(specs)
                 )
-        cost = self.store.cost_model
         traversed = len(specs) - swept
         pages = objects = 0
         notes = []
@@ -377,12 +391,16 @@ class GaussTreeBackend(BackendAdapter):
             # Every visited leaf refines its whole page with the
             # columnar kernel.
             objects += leaf_reads * max(1, math.ceil(n / leaves)) * traversed
-        return PlanEstimate(
-            pages,
-            cost.random_read_seconds(pages),
+        # Every page is priced as a cold random read.
+        return PlanEstimate.priced(
+            QueryStats(
+                pages_accessed=pages,
+                page_faults=pages,
+                objects_refined=objects,
+            ),
             "; ".join(notes) + "; columnar leaves: refinement priced at "
             "the vectorized rate",
-            cost.modeled_cpu_seconds(objects, pages, vectorized=True),
+            vectorized=True,
         )
 
     # -- writes --------------------------------------------------------------
@@ -504,13 +522,17 @@ class SeqScanBackend(BackendAdapter):
             return PlanEstimate(0, 0.0, "empty file: no pages touched")
         passes = 2 if kind == "tiq" else 1
         total = passes * pages
-        cost = self.store.cost_model
-        return PlanEstimate(
-            total,
-            passes * cost.sequential_read_seconds(pages),
+        return PlanEstimate.priced(
+            QueryStats(
+                pages_accessed=total,
+                page_faults=total,
+                faulted_runs=passes,
+                faulted_run_pages=total,
+                objects_refined=self.count() * len(specs),
+            ),
             "full sequential pass(es) shared by the whole batch; "
             "streaming IO, one positioning delay per pass",
-            cost.modeled_cpu_seconds(self.count() * len(specs), total),
+            vectorized=False,
         )
 
     def database(self) -> PFVDatabase:
@@ -564,15 +586,15 @@ class XTreeBackend(BackendAdapter):
             1, math.ceil(0.1 * base_pages)
         )
         pages = per_query * len(specs)
-        cost = self.store.cost_model
-        return PlanEstimate(
-            pages,
-            cost.random_read_seconds(pages),
+        return PlanEstimate.priced(
+            QueryStats(
+                pages_accessed=pages,
+                page_faults=pages,
+                objects_refined=max(1, math.ceil(0.1 * n)) * len(specs),
+            ),
             "rectangle filter + random base-table refinement fetches; "
             "approximate answers (false dismissals possible)",
-            cost.modeled_cpu_seconds(
-                max(1, math.ceil(0.1 * n)) * len(specs), pages
-            ),
+            vectorized=False,
         )
 
     def database(self) -> PFVDatabase:
@@ -739,7 +761,7 @@ def _make_disk(source, *, writable: bool, options: dict) -> Backend:
 
     open_kwargs = {
         key: options.pop(key)
-        for key in ("buffer", "cost_model", "fsync", "auto_checkpoint_bytes")
+        for key in ("buffer", "fsync", "auto_checkpoint_bytes")
         if key in options
     }
     tree = GaussTree.open(source, writable=writable, **open_kwargs)

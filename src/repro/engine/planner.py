@@ -3,7 +3,7 @@
 ``Session.explain(query)`` returns a :class:`Plan` — which backend will
 serve the query, whether the batch runs through a native shared-pass
 entry point or a per-query loop, how rank queries are lowered, and an
-order-of-magnitude page/IO estimate priced by the backend's
+order-of-magnitude page/IO estimate priced on the 2006 testbed of
 :mod:`~repro.storage.costmodel`. Plans are descriptive, not binding
 optimizer output: with one backend per session there is no join search,
 but the seam is where a future cost-based backend *chooser* (or a
@@ -17,7 +17,6 @@ from typing import Sequence
 
 from repro.engine.backends import Backend
 from repro.engine.spec import Query, query_kind
-from repro.storage.costmodel import DiskCostModel
 
 __all__ = ["Plan", "build_plan"]
 
@@ -44,7 +43,8 @@ class Plan:
     estimated_pages:
         Order-of-magnitude page-access guess for the whole batch.
     estimated_io_seconds:
-        The estimate priced by the backend's disk cost model.
+        The page estimate priced on the 2006 disk of
+        :class:`~repro.storage.costmodel.DiskCostModel`.
     estimated_cpu_seconds:
         Modeled refinement CPU for the batch. Gauss-tree leaves are
         all columnar, so their refinements are priced at the cost
@@ -52,15 +52,6 @@ class Plan:
         at the scalar rate.
     notes:
         Backend-provided caveats (accuracy, what drives the estimate).
-    estimated_queue_seconds:
-        Expected queueing delay added by the serving tier's batching
-        window (zero for a plain in-process plan).
-    coalesce_batch:
-        Expected fused-batch size the plan was priced for (1 = no
-        coalescing).
-    coalesce_amortization:
-        Per-query speedup factor the fused batch is expected to yield;
-        the IO/CPU estimates are already divided by it.
     """
 
     backend: str
@@ -72,9 +63,6 @@ class Plan:
     estimated_io_seconds: float
     notes: tuple[str, ...]
     estimated_cpu_seconds: float = 0.0
-    estimated_queue_seconds: float = 0.0
-    coalesce_batch: int = 1
-    coalesce_amortization: float = 1.0
 
     def describe(self) -> str:
         """Multi-line human-readable rendering (the CLI's --explain)."""
@@ -91,38 +79,13 @@ class Plan:
             f"~{self.estimated_io_seconds * 1e3:.1f} ms modeled IO, "
             f"~{self.estimated_cpu_seconds * 1e3:.1f} ms modeled CPU"
         )
-        if self.coalesce_batch > 1:
-            lines.append(
-                f"  coalesce: batch of ~{self.coalesce_batch} -> "
-                f"{self.coalesce_amortization:.2f}x per-query "
-                f"amortization, "
-                f"+{self.estimated_queue_seconds * 1e3:.1f} ms expected "
-                "queue wait"
-            )
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
 
 
-def build_plan(
-    backend: Backend,
-    queries: Sequence[Query],
-    *,
-    coalesce: object | None = None,
-) -> Plan:
-    """Describe how ``backend`` will execute ``queries``.
-
-    ``coalesce`` prices the plan as if it were served through the async
-    serving tier's batching window: pass a
-    :class:`~repro.serve.coalesce.CoalesceConfig` (or any object with
-    ``max_batch``/``max_delay_seconds``, or a ``(max_batch,
-    max_delay_seconds)`` tuple). The per-query IO/CPU estimates are
-    divided by the cost model's expected batch amortization, one
-    dispatcher overhead per query is added, and
-    ``estimated_queue_seconds`` carries the expected wait inside the
-    batching window — so an explain shows both what coalescing buys
-    (amortization) and what it costs (queue delay).
-    """
+def build_plan(backend: Backend, queries: Sequence[Query]) -> Plan:
+    """Describe how ``backend`` will execute ``queries``."""
     if not queries:
         return Plan(
             backend=backend.name,
@@ -162,7 +125,7 @@ def build_plan(
     io_seconds = 0.0
     cpu_seconds = 0.0
     notes: list[str] = []
-    # Price each kind's sub-batch with the backend's own cost model;
+    # Each kind's sub-batch is priced by the backend's estimate;
     # rank/consensus/erank are priced as the mliq they lower to.
     by_kind: dict[str, list[Query]] = {}
     for q, k in zip(queries, kinds):
@@ -178,34 +141,6 @@ def build_plan(
     if "exact" not in backend.capabilities:
         notes.append("backend is approximate: answer sets may miss objects")
 
-    queue_seconds = 0.0
-    coalesce_batch = 1
-    amortization = 1.0
-    if coalesce is not None:
-        if isinstance(coalesce, tuple):
-            max_batch, max_delay = coalesce
-        else:
-            max_batch = coalesce.max_batch
-            max_delay = coalesce.max_delay_seconds
-        max_batch = int(max_batch)
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        cost_model = getattr(backend, "cost_model", None) or DiskCostModel()
-        coalesce_batch = max_batch
-        amortization = cost_model.coalesce_amortization(max_batch)
-        io_seconds /= amortization
-        cpu_seconds = (
-            cpu_seconds / amortization
-            + cost_model.coalesce_dispatch_seconds * len(queries)
-        )
-        queue_seconds = cost_model.expected_coalesce_wait_seconds(
-            float(max_delay)
-        )
-        if max_batch > 1:
-            lowering.append(
-                f"serving-tier coalescing fuses up to {max_batch} "
-                "concurrent requests into one batched call"
-            )
     return Plan(
         backend=backend.name,
         query_kind=kind,
@@ -216,7 +151,4 @@ def build_plan(
         estimated_io_seconds=io_seconds,
         estimated_cpu_seconds=cpu_seconds,
         notes=tuple(notes),
-        estimated_queue_seconds=queue_seconds,
-        coalesce_batch=coalesce_batch,
-        coalesce_amortization=amortization,
     )

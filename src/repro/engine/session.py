@@ -226,23 +226,13 @@ class Session:
             per_query[i] = []
         flush_inserts()
 
-    def explain(
-        self,
-        query: Query | Sequence[Query],
-        *,
-        coalesce: object | None = None,
-    ) -> Plan:
+    def explain(self, query: Query | Sequence[Query]) -> Plan:
         """Describe the execution of a spec (or batch) without running it.
 
         Accepts the same input shapes as :meth:`execute` /
         :meth:`execute_many`: one spec, or any iterable of specs.
         Read specs only — write specs execute as direct routed
-        mutations and have no query plan. ``coalesce`` (a
-        :class:`~repro.serve.coalesce.CoalesceConfig` or a
-        ``(max_batch, max_delay_seconds)`` tuple) prices the plan as if
-        served through the async tier's batching window: expected batch
-        amortization divides the IO/CPU estimates and the expected
-        queue wait is reported alongside.
+        mutations and have no query plan.
         """
         self._check_open()
         if hasattr(query, "kind"):  # a single spec (specs are not iterable)
@@ -254,7 +244,7 @@ class Session:
                 "explain() describes read queries; Insert/Delete specs "
                 "execute as direct routed mutations and have no plan"
             )
-        return build_plan(self._backend, queries, coalesce=coalesce)
+        return build_plan(self._backend, queries)
 
     # -- data access ---------------------------------------------------------
 

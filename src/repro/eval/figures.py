@@ -12,8 +12,9 @@ Each function here regenerates the data behind one figure:
 The datasets are built by :func:`dataset1` (the 10,987x27 colour-histogram
 substitute) and :func:`dataset2` (the paper's own synthetic 100,000x10
 generator). Both accept a scale factor because building a 100k-object
-index in pure Python is slow; EXPERIMENTS.md records the scales used for
-the committed numbers, and ``REPRO_FULL_SCALE=1`` runs the paper's sizes.
+index in pure Python is slow: data set 1 runs at the paper's size by
+default, data set 2 at 20% of it, and ``REPRO_FULL_SCALE=1`` runs the
+paper's sizes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.engine import connect
 from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.eval.runner import BatchResult, run_mliq_batch, run_tiq_batch
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import DiskCostModel
+from repro.storage.costmodel import PAPER_TESTBED
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
@@ -77,8 +78,7 @@ def make_page_store(dims: int, cache_bytes: int = CACHE_BYTES) -> PageStore:
     """A page store sized like the paper's testbed (50 MB LRU cache)."""
     layout = PageLayout(dims=dims)
     return PageStore(
-        buffer=BufferManager.from_bytes(cache_bytes, layout.page_size),
-        cost_model=DiskCostModel(page_size=layout.page_size),
+        buffer=BufferManager.from_bytes(cache_bytes, layout.page_size)
     )
 
 
@@ -145,9 +145,10 @@ def figure6(
 class Figure7Cell:
     """One bar of Figure 7: a method under one query type.
 
-    ``cpu_percent`` and ``overall_percent`` use the 2006 cost model
-    (see ``repro.storage.costmodel``); ``wall_cpu_percent`` is the
-    measured Python time, reported for transparency.
+    ``cpu_percent`` and ``overall_percent`` price the batch's counters
+    on the 2006 testbed (``repro.storage.costmodel.PAPER_TESTBED``);
+    ``wall_cpu_percent`` is the measured Python time, reported for
+    transparency.
     """
 
     method: str
@@ -169,7 +170,7 @@ def _gausstree_session(db: PFVDatabase, mliq_tolerance: float):
     subtree can qualify — which can keep borderline candidates the exact
     variant would still resolve). The library's stricter defaults
     (``tolerance=1e-9`` / ``0.0``) buy provably exact posteriors/answer
-    sets for extra page reads; EXPERIMENTS.md reports both settings.
+    sets for extra page reads; :func:`figure7` measures either setting.
     """
     return connect(
         db,
@@ -195,8 +196,7 @@ def figure7(
     user-specified posterior accuracy of Section 5.2.2; the default
     ``inf`` benchmarks the paper's Figure-4 k-MLIQ algorithm itself
     (ranking without posterior refinement — Section 5.2.2 is an optional
-    extension on top of it). Pass e.g. ``0.01`` for two-digit posteriors;
-    EXPERIMENTS.md reports both settings.
+    extension on top of it). Pass e.g. ``0.01`` for two-digit posteriors.
     """
     if workload is None:
         workload = identification_workload(db, n_queries, seed=seed)
@@ -210,6 +210,9 @@ def figure7(
             db, backend="seqscan", page_store=make_page_store(db.dims)
         ),
     }
+    # Every Gauss-tree leaf is columnar, so its refinements are priced at
+    # the vectorized rate; the X-tree and the scan at the scalar rate.
+    vectorized = {"G-Tree": True, "X-Tree": False, "Seq.File": False}
 
     batches: dict[tuple[str, str], BatchResult] = {}
     for name, method in methods.items():
@@ -223,8 +226,12 @@ def figure7(
     query_kinds = ["1-MLIQ"] + [f"TIQ(P={p:g})" for p in thresholds]
     for query_kind in query_kinds:
         base = batches[("Seq.File", query_kind)].totals
+        base_io, base_cpu = PAPER_TESTBED.price(base, vectorized=False)
         for name in methods:
             b = batches[(name, query_kind)]
+            io, cpu = PAPER_TESTBED.price(
+                b.totals, vectorized=vectorized[name]
+            )
             cells.append(
                 Figure7Cell(
                     method=name,
@@ -232,13 +239,8 @@ def figure7(
                     pages_percent=_percent(
                         b.totals.pages_accessed, base.pages_accessed
                     ),
-                    cpu_percent=_percent(
-                        b.totals.modeled_cpu_seconds, base.modeled_cpu_seconds
-                    ),
-                    overall_percent=_percent(
-                        b.totals.modeled_total_seconds,
-                        base.modeled_total_seconds,
-                    ),
+                    cpu_percent=_percent(cpu, base_cpu),
+                    overall_percent=_percent(cpu + io, base_cpu + base_io),
                     wall_cpu_percent=_percent(
                         b.totals.cpu_seconds, base.cpu_seconds
                     ),

@@ -1,8 +1,8 @@
 """Plain-text tables for the reproduced figures.
 
 Formats the outputs of :mod:`repro.eval.figures` into the same rows/series
-the paper reports, so benchmark logs and EXPERIMENTS.md can show
-paper-vs-measured side by side.
+the paper reports, so benchmark logs can show paper-vs-measured side by
+side.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ def format_figure7(cells: Sequence[Figure7Cell], title: str = "Figure 7") -> str
     """Efficiency grid, all values as % of the sequential scan.
 
     ``cpu`` and ``overall`` use the 2006 cost model; ``wall cpu`` is the
-    measured Python time (see DESIGN.md on why both are shown).
+    measured Python time, shown beside them because numpy's vectorised
+    scan inverts the CPU ratio the paper measured (see
+    :mod:`repro.storage.costmodel`).
     """
     table_rows = [
         [

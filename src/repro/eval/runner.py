@@ -50,8 +50,6 @@ class BatchResult:
             "page_faults": float(self.totals.page_faults),
             "objects_refined": float(self.totals.objects_refined),
             "cpu_seconds": self.totals.cpu_seconds,
-            "io_seconds": self.totals.io_seconds,
-            "total_seconds": self.totals.total_seconds,
         }
         if self.effectiveness is not None:
             out["precision"] = self.effectiveness.precision

@@ -76,7 +76,6 @@ from repro.core.joint import SigmaRule
 from repro.gausstree.bounds import ParameterRect
 from repro.gausstree.node import InnerNode, LeafNode, Node
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import DiskCostModel
 from repro.storage.filestore import FilePageStore, publish_generation
 from repro.storage.layout import PageLayout
 from repro.storage.serializer import (
@@ -1185,7 +1184,6 @@ class _NodeLoader:
 def open_tree(
     path: str | os.PathLike,
     buffer: BufferManager | None = None,
-    cost_model: DiskCostModel | None = None,
     *,
     writable: bool = False,
     fsync: bool = True,
@@ -1227,7 +1225,6 @@ def open_tree(
         return _open_tree_locked(
             path,
             buffer,
-            cost_model,
             writable=writable,
             fsync=fsync,
             auto_checkpoint_bytes=auto_checkpoint_bytes,
@@ -1245,7 +1242,6 @@ def open_tree(
 def _open_tree_locked(
     path,
     buffer,
-    cost_model,
     *,
     writable: bool,
     fsync: bool,
@@ -1277,7 +1273,6 @@ def _open_tree_locked(
             free_pages=meta["free_pages"],
             writable=writable,
             buffer=buffer,
-            cost_model=cost_model,
             file_factory=file_factory,
         )
         if writable or os.stat(path).st_ino == generation:

@@ -386,21 +386,8 @@ class SearchState:
 def query_stats(
     tree, started: float, objects_refined: int, nodes_expanded: int
 ) -> QueryStats:
-    """A query's work counters: its page accesses from the store's log
-    since ``begin_query``, the given refinement and expansion counts, its
-    wall time since ``started`` and its modeled CPU. Every leaf page is
-    refined by the one columnar kernel, so all refinements are priced at
-    the cost model's vectorized rate."""
-    log = tree.store.log
-    return QueryStats(
-        pages_accessed=log.pages_accessed,
-        page_faults=log.page_faults,
-        objects_refined=objects_refined,
-        nodes_expanded=nodes_expanded,
-        cpu_seconds=time.perf_counter() - started,
-        io_seconds=log.io_seconds,
-        modeled_cpu_seconds=tree.store.cost_model.modeled_cpu_seconds(
-            objects_refined, log.pages_accessed, vectorized=True
-        ),
-        buffer_evictions=log.evictions,
+    """A query's work counters: :meth:`QueryStats.from_log` of the
+    tree's store."""
+    return QueryStats.from_log(
+        tree.store.log, started, objects_refined, nodes_expanded
     )

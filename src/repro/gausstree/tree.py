@@ -654,7 +654,6 @@ class GaussTree:
         cls,
         path,
         buffer=None,
-        cost_model=None,
         *,
         writable: bool = False,
         fsync: bool = True,
@@ -685,7 +684,6 @@ class GaussTree:
         return open_tree(
             path,
             buffer=buffer,
-            cost_model=cost_model,
             writable=writable,
             fsync=fsync,
             auto_checkpoint_bytes=auto_checkpoint_bytes,

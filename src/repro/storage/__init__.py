@@ -6,7 +6,8 @@ simulation equivalents:
 
 ``layout``     — byte-level page layout; derives node capacities / degree M.
 ``buffer``     — LRU buffer manager with hit/fault accounting.
-``costmodel``  — random vs sequential disk read cost model.
+``costmodel``  — the 2006 testbed that prices work counters (random vs
+                 sequential reads, CPU) for Figure 7 and ``explain()``.
 ``pagestore``  — page allocation + per-query access logs.
 ``serializer`` — byte encoding of leaf/inner pages (round-trip tested).
 ``filestore``  — file-backed page store serving real bytes through the

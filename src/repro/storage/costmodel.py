@@ -1,4 +1,4 @@
-"""Cost model: turning work counters into simulated 2006-era time.
+"""Cost model: pricing work counters in simulated 2006-era time.
 
 The paper's Figure 7 reports three efficiency metrics: page accesses, CPU
 time and *overall* time. The interesting phenomenon is that the Gauss-tree
@@ -19,19 +19,27 @@ testbed:
   *modeled* CPU exists because our Python substrate is the wrong ruler:
   numpy makes the sequential scan one perfectly vectorised pass while the
   index pays Python per-node overhead, inverting the CPU ratio the paper
-  measured. The wall-clock CPU is still recorded alongside; EXPERIMENTS.md
-  reports both.
+  measured. The measured wall-clock CPU is still recorded alongside, as
+  ``QueryStats.cpu_seconds``, and Figure 7 prints it as its ``wall cpu %``
+  column.
 
-All constants are plain dataclass fields, so experiments can sweep them
-(see the buffer/cost ablation benchmark).
+Queries only count their work (:class:`~repro.core.queries.QueryStats`);
+:meth:`DiskCostModel.price` turns counters into modeled seconds at the
+edge, for two users: Figure 7 prices each batch's counters
+(:func:`repro.eval.figures.figure7`), and ``explain()`` prices the
+counters its backends predict
+(:meth:`repro.engine.backends.PlanEstimate.priced`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-__all__ = ["DiskCostModel"]
+if TYPE_CHECKING:
+    from repro.core.queries import QueryStats
+
+__all__ = ["DiskCostModel", "PAPER_TESTBED"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,16 +74,6 @@ class DiskCostModel:
         Modeled per-branch cost of fanning a batch out to one shard of a
         sharded deployment (serialize the sub-batch, enqueue, collect —
         default 500 us, roughly one small RPC).
-    coalesce_dispatch_seconds:
-        Modeled per-request cost of the async serving tier's coalescing
-        dispatcher (admission, demultiplexing one request's slice of a
-        fused batch — default 200 us).
-    batch_shared_fraction:
-        Fraction of a query's engine work that batch execution shares
-        across a fused batch (root descent, common node expansions).
-        The default 0.5 reproduces the ~2x ``execute_many``
-        amortization the engine benchmarks measure; see
-        :meth:`coalesce_amortization`.
     """
 
     seek_seconds: float = 0.008
@@ -86,8 +84,6 @@ class DiskCostModel:
     cpu_per_vectorized_refinement_seconds: float = 1e-6
     cpu_per_page_seconds: float = 100e-6
     fanout_dispatch_seconds: float = 500e-6
-    coalesce_dispatch_seconds: float = 200e-6
-    batch_shared_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.seek_seconds < 0 or self.rotational_seconds < 0:
@@ -104,13 +100,34 @@ class DiskCostModel:
             raise ValueError("CPU costs must be non-negative")
         if self.fanout_dispatch_seconds < 0:
             raise ValueError("fan-out dispatch cost must be non-negative")
-        if self.coalesce_dispatch_seconds < 0:
-            raise ValueError("coalesce dispatch cost must be non-negative")
-        if not 0.0 <= self.batch_shared_fraction < 1.0:
-            raise ValueError(
-                "batch_shared_fraction must be in [0, 1), got "
-                f"{self.batch_shared_fraction}"
-            )
+
+    def price(
+        self, stats: QueryStats, *, vectorized: bool
+    ) -> tuple[float, float]:
+        """Modeled ``(io_seconds, cpu_seconds)`` of the work ``stats``
+        counts.
+
+        A page fault outside a sequential run is a random read (seek,
+        rotation and transfer); each sequential run that faulted pays
+        one positioning delay, and each page it faulted one transfer
+        (``faulted_runs``, ``faulted_run_pages``). The CPU is
+        :meth:`modeled_cpu_seconds` of the refinements and page
+        accesses, at the columnar-kernel rate when ``vectorized`` (the
+        Gauss-tree, whose leaves are all columnar; the scan and the
+        X-tree pass ``False``). Pricing depends on the counters alone,
+        so a batch's merged stats price as the sum of its queries'
+        prices, up to rounding.
+        """
+        random_faults = stats.page_faults - stats.faulted_run_pages
+        positioning = self.seek_seconds + self.rotational_seconds
+        io_seconds = (
+            self.random_read_seconds(random_faults)
+            + stats.faulted_runs * positioning
+            + stats.faulted_run_pages * self.page_transfer_seconds
+        )
+        return io_seconds, self.modeled_cpu_seconds(
+            stats.objects_refined, stats.pages_accessed, vectorized=vectorized
+        )
 
     def modeled_cpu_seconds(
         self,
@@ -186,37 +203,6 @@ class DiskCostModel:
             + wal_bytes / self.transfer_bytes_per_second
         )
 
-    def coalesce_amortization(self, batch: int) -> float:
-        """Per-query speedup from fusing ``batch`` queries into one call.
-
-        A fraction ``f = batch_shared_fraction`` of each query's work is
-        shared across the batch (paid once), the rest is per-query, so
-        the per-query cost shrinks by ``batch / (f + (1 - f) * batch)``
-        — an Amdahl curve rising from 1 (no batch) toward ``1 / f``
-        asymptotically. The default ``f = 0.5`` saturates at 2x, which
-        is what the engine's ``execute_many`` benchmarks measure.
-        """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        f = self.batch_shared_fraction
-        return batch / (f + (1.0 - f) * batch)
-
-    def coalesced_batch_seconds(
-        self, single_seconds: float, batch: int
-    ) -> float:
-        """Per-query seconds when ``batch`` queries fuse into one call
-        (``single_seconds`` divided by :meth:`coalesce_amortization`)."""
-        if single_seconds < 0:
-            raise ValueError("single_seconds must be non-negative")
-        return single_seconds / self.coalesce_amortization(batch)
-
-    def expected_coalesce_wait_seconds(self, window_seconds: float) -> float:
-        """Expected queueing delay a request pays inside one batching
-        window (arrivals uniform over the window → half of it)."""
-        if window_seconds < 0:
-            raise ValueError("window_seconds must be non-negative")
-        return window_seconds / 2.0
-
     def sequential_read_seconds(self, pages: int) -> float:
         """Cost of one sequential run over ``pages`` contiguous pages.
 
@@ -232,3 +218,8 @@ class DiskCostModel:
             + self.rotational_seconds
             + pages * self.page_transfer_seconds
         )
+
+
+#: The paper's 2006 testbed at the defaults above: the one ruler that
+#: Figure 7 and ``explain()`` price their counters on.
+PAPER_TESTBED = DiskCostModel()

@@ -3,8 +3,7 @@
 :class:`FilePageStore` upgrades the simulated accounting of
 :class:`~repro.storage.pagestore.PageStore` to an actual storage path: a
 :meth:`read` still routes through the LRU
-:class:`~repro.storage.buffer.BufferManager` and the
-:class:`~repro.storage.costmodel.DiskCostModel` exactly like the base
+:class:`~repro.storage.buffer.BufferManager` exactly like the base
 class — same logical page-access counts, same fault accounting — but it
 additionally *returns the page's bytes*, fetched from the file on a fault
 and served from an in-memory frame cache on a hit. The frame cache mirrors
@@ -45,7 +44,6 @@ import uuid
 from typing import BinaryIO, Callable, Mapping, Sequence
 
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import DiskCostModel
 from repro.storage.pagestore import PageStore
 
 __all__ = ["FilePageStore", "publish_generation"]
@@ -66,7 +64,7 @@ class FilePageStore(PageStore):
         index stored in the file.
     allocated_pages:
         How many node pages (ids ``1..n``) the file holds.
-    buffer, cost_model:
+    buffer:
         Forwarded to :class:`~repro.storage.pagestore.PageStore`. The
         store registers an eviction listener on the buffer and detaches
         it on :meth:`close`. Buffer residency is keyed by *store-local*
@@ -86,10 +84,9 @@ class FilePageStore(PageStore):
         free_pages: tuple[int, ...] = (),
         writable: bool = False,
         buffer: BufferManager | None = None,
-        cost_model: DiskCostModel | None = None,
         file_factory: Callable = open,
     ) -> None:
-        super().__init__(buffer=buffer, cost_model=cost_model)
+        super().__init__(buffer=buffer)
         if page_size < 256:
             raise ValueError(f"page_size too small: {page_size}")
         self.path = os.fspath(path)
@@ -146,7 +143,7 @@ class FilePageStore(PageStore):
         """One random page read through the buffer; returns the bytes.
 
         Accounting is the base class's, verbatim (a logical access always
-        counts, only a buffer miss pays modeled IO) — but the read
+        counts, only a buffer miss counts a fault) — but the read
         additionally fetches the page from the file on a miss and serves
         the bytes from the resident frame on a hit.
         """

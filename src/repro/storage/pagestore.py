@@ -2,8 +2,9 @@
 
 A :class:`PageStore` plays the role of the disk file an index lives in. It
 allocates page ids, routes every logical page access through an LRU
-:class:`~repro.storage.buffer.BufferManager`, and converts faults into
-simulated IO seconds via a :class:`~repro.storage.costmodel.DiskCostModel`.
+:class:`~repro.storage.buffer.BufferManager`, and counts accesses and
+faults, random and sequential apart, in its :class:`AccessLog`. Where
+a price is wanted, :mod:`repro.storage.costmodel` prices the counts.
 
 In-memory access methods (Gauss-tree, X-tree, sequential scan) do not
 serialise their nodes on every visit — that would only burn Python CPU
@@ -21,7 +22,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import DiskCostModel
 
 __all__ = ["PageStore", "AccessLog"]
 
@@ -29,6 +29,11 @@ __all__ = ["PageStore", "AccessLog"]
 class AccessLog:
     """Per-query access counters, reset by the caller between queries.
 
+    ``page_faults`` counts every access that missed the buffer;
+    ``faulted_runs`` counts the sequential runs
+    (:meth:`PageStore.read_sequential_run`) that faulted at least one
+    page and ``faulted_run_pages`` the pages they faulted, so the
+    remaining ``page_faults - faulted_run_pages`` were random reads.
     ``pages_written`` counts page-image installs on the writable storage
     path; it is kept separate from ``pages_accessed`` because the
     paper's page-access metric is defined over query reads only.
@@ -38,21 +43,18 @@ class AccessLog:
     """
 
     __slots__ = (
-        "pages_accessed", "page_faults", "io_seconds", "pages_written",
-        "evictions",
+        "pages_accessed", "page_faults", "faulted_runs", "faulted_run_pages",
+        "pages_written", "evictions",
     )
 
     def __init__(self) -> None:
-        self.pages_accessed = 0
-        self.page_faults = 0
-        self.io_seconds = 0.0
-        self.pages_written = 0
-        self.evictions = 0
+        self.reset()
 
     def reset(self) -> None:
         self.pages_accessed = 0
         self.page_faults = 0
-        self.io_seconds = 0.0
+        self.faulted_runs = 0
+        self.faulted_run_pages = 0
         self.pages_written = 0
         self.evictions = 0
 
@@ -65,17 +67,10 @@ class PageStore:
     buffer:
         The LRU buffer in front of the simulated disk. Defaults to an
         unbounded-feeling large cache; experiments pass a sized one.
-    cost_model:
-        Converts page faults into simulated seconds.
     """
 
-    def __init__(
-        self,
-        buffer: BufferManager | None = None,
-        cost_model: DiskCostModel | None = None,
-    ) -> None:
+    def __init__(self, buffer: BufferManager | None = None) -> None:
         self.buffer = buffer if buffer is not None else BufferManager(1 << 20)
-        self.cost_model = cost_model if cost_model is not None else DiskCostModel()
         self._next_page_id = 0
         self._allocated: set[int] = set()
         self.log = AccessLog()
@@ -132,17 +127,19 @@ class PageStore:
             log.pages_accessed += 1
             if not access(page_id):
                 log.page_faults += 1
-                log.io_seconds += self.cost_model.random_read_seconds(1)
                 log.evictions = max(
                     0, self.buffer.stats.evictions - self._evictions_base
                 )
 
     def read_sequential_run(self, page_ids: list[int]) -> None:
-        """Read a contiguous run of pages at streaming cost.
+        """Read a contiguous run of pages, as a sequential scan streams
+        them.
 
         Pages already resident are still *accessed* (the paper counts
-        logical accesses); only the faulted ones contribute transfer time,
-        and the run pays a single positioning delay if it faults at all.
+        logical accesses); a run that faults counts once in
+        ``faulted_runs`` and its faulted pages in ``faulted_run_pages``
+        (the cost model charges it one positioning delay and a transfer
+        per faulted page).
         """
         faulted = 0
         for pid in page_ids:
@@ -153,7 +150,8 @@ class PageStore:
                 self.log.page_faults += 1
                 faulted += 1
         if faulted:
-            self.log.io_seconds += self.cost_model.sequential_read_seconds(faulted)
+            self.log.faulted_runs += 1
+            self.log.faulted_run_pages += faulted
             self.log.evictions = max(
                 0, self.buffer.stats.evictions - self._evictions_base
             )

@@ -7,6 +7,7 @@ from repro.core.database import PFVDatabase
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.scan import scan_mliq, scan_tiq
 from repro.storage.buffer import BufferManager
+from repro.storage.costmodel import PAPER_TESTBED
 from repro.storage.pagestore import PageStore
 
 from tests.conftest import make_random_db, make_random_query
@@ -104,10 +105,12 @@ class TestAccounting:
         idx.store.cold_start()
         idx.store.buffer.reset_stats()
         _, stats = idx._mliq_many_impl([MLIQuery(q, 1)])
-        random_cost = idx.store.cost_model.random_read_seconds(
-            stats.page_faults
+        assert (stats.faulted_runs, stats.faulted_run_pages) == (
+            1,
+            stats.page_faults,
         )
-        assert stats.io_seconds < random_cost
+        io, _ = PAPER_TESTBED.price(stats, vectorized=False)
+        assert io < PAPER_TESTBED.random_read_seconds(stats.page_faults)
 
     def test_warm_cache_second_query_free_io(self):
         db = make_random_db(n=100, d=2, seed=7)
@@ -116,15 +119,14 @@ class TestAccounting:
         q = make_random_query(d=2, seed=8)
         _, first = idx._mliq_many_impl([MLIQuery(q, 1)])
         _, second = idx._mliq_many_impl([MLIQuery(q, 1)])
-        assert first.io_seconds > 0.0
-        assert second.io_seconds == 0.0
+        assert PAPER_TESTBED.price(first, vectorized=False)[0] > 0.0
+        assert PAPER_TESTBED.price(second, vectorized=False)[0] == 0.0
         assert second.pages_accessed == first.pages_accessed
 
     def test_modeled_cpu_populated(self, scan_index):
         db, idx = scan_index
         q = make_random_query(d=3, seed=9)
         _, stats = idx._mliq_many_impl([MLIQuery(q, 1)])
-        expected = idx.store.cost_model.modeled_cpu_seconds(
-            len(db), idx.file_pages
-        )
-        assert stats.modeled_cpu_seconds == pytest.approx(expected)
+        expected = PAPER_TESTBED.modeled_cpu_seconds(len(db), idx.file_pages)
+        _, cpu = PAPER_TESTBED.price(stats, vectorized=False)
+        assert cpu == pytest.approx(expected)

@@ -30,6 +30,7 @@ from repro.engine import (
 from repro.gausstree.node import LeafNode
 from repro.gausstree.persist import read_header
 from repro.gausstree.tree import GaussTree
+from repro.storage.costmodel import PAPER_TESTBED
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -194,10 +195,9 @@ def test_estimate_prices_the_serial_fan_out_as_a_sum(tmp_path):
             .io_seconds
             for i in backend._active
         ]
-        cost_model = backend._pool.session(0)._backend.store.cost_model
     assert len(shard_io) == 4
     assert plan.estimated_io_seconds == pytest.approx(
-        sum(shard_io) + 4 * cost_model.fanout_dispatch_seconds, rel=1e-12
+        sum(shard_io) + 4 * PAPER_TESTBED.fanout_dispatch_seconds, rel=1e-12
     )
     assert any(
         "fan-out" in step and "serial fan-out" in step

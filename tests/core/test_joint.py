@@ -4,7 +4,7 @@ The central check integrates the product of two Gaussian pdfs numerically
 (scipy.quad) and compares it with the closed form — under the exact
 CONVOLUTION rule the two must agree to quadrature precision, which is the
 strongest validation of the lemma (and pins down the paper's sigma-vs-
-variance notational slip documented in DESIGN.md).
+variance notational slip documented in ``repro.core.joint``).
 """
 
 import math

@@ -1,5 +1,7 @@
 """Unit tests for query specs and stats records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.queries import (
     built,
 )
 from repro.gausstree.node import LeafNode
+from repro.storage.costmodel import PAPER_TESTBED
 
 
 class TestSpecs:
@@ -79,19 +82,25 @@ class TestRowMatch:
 
 class TestQueryStats:
     def test_totals(self):
-        s = QueryStats(cpu_seconds=1.0, io_seconds=2.0, modeled_cpu_seconds=0.5)
-        assert s.total_seconds == pytest.approx(3.0)
-        assert s.modeled_total_seconds == pytest.approx(2.5)
+        # The record holds counters and the measured time; the modeled
+        # IO and CPU are the cost model's price of the counters.
+        s = QueryStats(
+            pages_accessed=3, page_faults=2, objects_refined=5, cpu_seconds=1.0
+        )
+        io, cpu = PAPER_TESTBED.price(s, vectorized=False)
+        assert io == pytest.approx(PAPER_TESTBED.random_read_seconds(2))
+        assert cpu == pytest.approx(PAPER_TESTBED.modeled_cpu_seconds(5, 3))
+        assert not {"io_seconds", "modeled_cpu_seconds"} & {
+            f.name for f in dataclasses.fields(QueryStats)
+        }
 
     def test_merge_accumulates_everything(self):
-        a = QueryStats(1, 2, 3, 4, 5.0, 6.0, 7.0)
-        b = QueryStats(10, 20, 30, 40, 50.0, 60.0, 70.0)
+        fields = [f.name for f in dataclasses.fields(QueryStats)]
+        a = QueryStats(*range(1, len(fields) + 1))
+        b = QueryStats(*range(10, 10 * len(fields) + 1, 10))
         a.merge(b)
-        assert (a.pages_accessed, a.page_faults) == (11, 22)
-        assert (a.objects_refined, a.nodes_expanded) == (33, 44)
-        assert a.cpu_seconds == pytest.approx(55.0)
-        assert a.io_seconds == pytest.approx(66.0)
-        assert a.modeled_cpu_seconds == pytest.approx(77.0)
+        for i, name in enumerate(fields, 1):
+            assert getattr(a, name) == pytest.approx(11 * i), name
 
     def test_merge_counts_sweeps(self):
         total = QueryStats()

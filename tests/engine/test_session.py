@@ -7,6 +7,7 @@ describe execution without running it, and ``session_for`` adopts only
 the built-in indexes and ready adapters.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.engine import (
     session_for,
 )
 from repro.gausstree.bulkload import bulk_load
+from repro.storage.costmodel import PAPER_TESTBED
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -309,7 +311,7 @@ class TestExplain:
             pages = backend.index.file_pages
             assert plan.estimated_pages == pages
             assert plan.estimated_io_seconds == pytest.approx(
-                backend.store.cost_model.sequential_read_seconds(pages)
+                PAPER_TESTBED.sequential_read_seconds(pages)
             )
 
     @pytest.mark.parametrize("backend", ["tree", "disk"])
@@ -335,7 +337,7 @@ class TestExplain:
         assert rs.stats.swept == len(specs)
         assert rs.stats.objects_refined == len(db) * len(specs)
         assert plan.estimated_cpu_seconds == pytest.approx(
-            rs.stats.modeled_cpu_seconds
+            PAPER_TESTBED.price(rs.stats, vectorized=True)[1]
         )
         assert any("sweeps the leaf stack" in note for note in plan.notes)
 
@@ -372,7 +374,7 @@ class TestExplain:
         assert plan.estimated_pages == rs.stats.pages_accessed
         assert plan.estimated_pages == node_pages * len(specs)
         assert plan.estimated_cpu_seconds == pytest.approx(
-            rs.stats.modeled_cpu_seconds
+            PAPER_TESTBED.price(rs.stats, vectorized=True)[1]
         )
         assert any(
             "leaf-hull census: every query sweeps the leaf stack" in note
@@ -412,6 +414,85 @@ class TestExplain:
         with connect(db, backend="xtree") as s:
             plan = s.explain(MLIQ(q, 3))
         assert any("approximate" in note for note in plan.notes)
+
+
+@pytest.fixture(scope="module")
+def explain_sources(tmp_path_factory):
+    """Data set 1 at scale 0.05 (in memory and saved) with three of its
+    workload queries, and four hash shards of data set 2 at scale 0.02
+    with three of theirs."""
+    from repro.cluster.partition import build_shards
+    from repro.data.workload import identification_workload
+    from repro.eval.figures import dataset1, dataset2
+
+    directory = tmp_path_factory.mktemp("explain")
+    ds1 = dataset1(scale=0.05)
+    path = str(directory / "ds1.gauss")
+    bulk_load(ds1.vectors, sigma_rule=ds1.sigma_rule).save(path)
+    ds2 = dataset2(scale=0.02)
+    manifest = build_shards(ds2, 4, directory / "ds2")
+    return {
+        "ds1": ds1,
+        "ds1.gauss": path,
+        "ds1 queries": [w.q for w in identification_workload(ds1, 3, seed=1)],
+        "ds2.shards": manifest.source_path,
+        "ds2 queries": [w.q for w in identification_workload(ds2, 3, seed=1)],
+    }
+
+
+class TestExplainEstimates:
+    """The ``estimate:`` line of ``explain()`` on every backend, as
+    printed: the page guesses and their prices on the 2006 testbed."""
+
+    @pytest.mark.parametrize(
+        "backend, spec, n_queries, estimate",
+        [
+            ("tree", "MLIQ", 3, "~114 page accesses, ~1402.9 ms modeled IO, "
+             "~13.0 ms modeled CPU"),
+            ("tree", "TIQ", 3, "~27 page accesses, ~332.3 ms modeled IO, "
+             "~2.9 ms modeled CPU"),
+            ("disk", "MLIQ", 1, "~38 page accesses, ~467.6 ms modeled IO, "
+             "~4.3 ms modeled CPU"),
+            ("disk rank-only", "MLIQ", 1, "~3 page accesses, ~36.9 ms "
+             "modeled IO, ~0.3 ms modeled CPU"),
+            ("disk", "TIQ", 3, "~27 page accesses, ~332.3 ms modeled IO, "
+             "~2.9 ms modeled CPU"),
+            ("seqscan", "MLIQ", 3, "~31 page accesses, ~16.4 ms modeled IO, "
+             "~52.5 ms modeled CPU"),
+            ("seqscan", "TIQ", 3, "~62 page accesses, ~32.8 ms modeled IO, "
+             "~55.6 ms modeled CPU"),
+            ("xtree", "MLIQ", 3, "~27 page accesses, ~332.3 ms modeled IO, "
+             "~7.7 ms modeled CPU"),
+            ("xtree", "TIQ", 3, "~27 page accesses, ~332.3 ms modeled IO, "
+             "~7.7 ms modeled CPU"),
+            ("sharded", "MLIQ", 3, "~204 page accesses, ~2512.5 ms modeled "
+             "IO, ~26.4 ms modeled CPU"),
+            ("sharded", "TIQ", 3, "~249 page accesses, ~3066.3 ms modeled "
+             "IO, ~31.7 ms modeled CPU"),
+        ],
+    )
+    def test_estimate_line(
+        self, explain_sources, backend, spec, n_queries, estimate
+    ):
+        src = explain_sources
+        if backend == "sharded":
+            session = connect(src["ds2.shards"], backend="sharded")
+            queries = src["ds2 queries"]
+        else:
+            queries = src["ds1 queries"]
+            if backend == "disk":
+                session = connect(src["ds1.gauss"])
+            elif backend == "disk rank-only":
+                session = connect(src["ds1.gauss"], mliq_tolerance=math.inf)
+            else:
+                session = connect(src["ds1"], backend=backend)
+        specs = [
+            MLIQ(q, 5) if spec == "MLIQ" else TIQ(q, 0.2)
+            for q in queries[:n_queries]
+        ]
+        with session:
+            lines = session.explain(specs).describe().splitlines()
+        assert f"  estimate: {estimate}" in lines
 
 
 class TestSessionLifecycle:

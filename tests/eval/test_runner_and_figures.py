@@ -59,6 +59,9 @@ class TestRunner:
         summary = batch.summary()
         for key in ("pages_accessed", "cpu_seconds", "precision", "recall"):
             assert key in summary
+        # Counters and the measured time only: modeled seconds are
+        # Figure 7's to price.
+        assert not {"io_seconds", "total_seconds"} & set(summary)
 
     def test_empty_workload_rejected(self, mini_db):
         idx = SequentialScanIndex(mini_db, page_store=make_page_store(27))
@@ -85,16 +88,31 @@ class TestFigure6:
 
 
 class TestFigure7:
+    # pages % / cpu % / overall % of every cell, as printed. The columns
+    # depend only on counted pages, faults and refinements priced on the
+    # 2006 testbed, so any change to traversal, pruning, accounting or
+    # pricing moves them; the measured wall cpu % is not pinned.
+    MINI_DS1_GRID = {
+        ("G-Tree", "1-MLIQ"): ("27.6", "4.5", "109.9"),
+        ("X-Tree", "1-MLIQ"): ("30.8", "5.0", "183.3"),
+        ("Seq.File", "1-MLIQ"): ("100.0", "100.0", "100.0"),
+        ("G-Tree", "TIQ(P=0.8)"): ("13.9", "3.9", "98.7"),
+        ("X-Tree", "TIQ(P=0.8)"): ("15.4", "4.3", "159.2"),
+        ("Seq.File", "TIQ(P=0.8)"): ("100.0", "100.0", "100.0"),
+    }
+
     def test_grid_on_mini_ds1(self, mini_db, mini_workload):
         cells = figure7(mini_db, mini_workload, thresholds=(0.8,))
-        methods = {c.method for c in cells}
-        assert methods == {"G-Tree", "X-Tree", "Seq.File"}
-        by = {(c.method, c.query_kind): c for c in cells}
-        base = by[("Seq.File", "1-MLIQ")]
-        assert base.pages_percent == pytest.approx(100.0)
-        assert base.overall_percent == pytest.approx(100.0)
-        # The headline of the paper: the Gauss-tree reads fewer pages.
-        assert by[("G-Tree", "TIQ(P=0.8)")].pages_percent < 100.0
+        got = {
+            (c.method, c.query_kind): tuple(
+                f"{value:.1f}"
+                for value in (
+                    c.pages_percent, c.cpu_percent, c.overall_percent
+                )
+            )
+            for c in cells
+        }
+        assert got == self.MINI_DS1_GRID
 
     def test_report_formatting(self, mini_db, mini_workload):
         cells = figure7(mini_db, mini_workload, thresholds=(0.8,))

@@ -29,6 +29,7 @@ from repro.gausstree import (
 from repro.gausstree.batch import BatchRefiner
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
+from repro.storage.costmodel import PAPER_TESTBED
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -158,9 +159,9 @@ class TestEfficiency:
             assert stats.nodes_expanded > 0
             assert stats.objects_refined > 0
             assert stats.cpu_seconds > 0.0
-            assert stats.modeled_cpu_seconds > 0.0
-            cost = tree.store.cost_model
-            assert stats.modeled_cpu_seconds == cost.modeled_cpu_seconds(
+            _, cpu = PAPER_TESTBED.price(stats, vectorized=True)
+            assert cpu > 0.0
+            assert cpu == PAPER_TESTBED.modeled_cpu_seconds(
                 stats.objects_refined, stats.pages_accessed, vectorized=True
             )
             plan = session_for(tree).explain(MLIQ(q, 2))

@@ -16,6 +16,7 @@ from repro.core.scan import scan_tiq
 from repro.gausstree import gausstree_tiq
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
+from repro.storage.costmodel import PAPER_TESTBED
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -208,8 +209,8 @@ class TestEfficiencyAndTolerance:
             _, stats = gausstree_tiq(tree, ThresholdQuery(q, 0.5))
             assert stats.nodes_expanded > 0
             assert stats.pages_accessed == stats.nodes_expanded
-            assert stats.modeled_cpu_seconds > 0.0
-            cost = tree.store.cost_model
-            assert stats.modeled_cpu_seconds == cost.modeled_cpu_seconds(
+            _, cpu = PAPER_TESTBED.price(stats, vectorized=True)
+            assert cpu > 0.0
+            assert cpu == PAPER_TESTBED.modeled_cpu_seconds(
                 stats.objects_refined, stats.pages_accessed, vectorized=True
             )

@@ -64,6 +64,13 @@ def test_query_answers_match_direct_session(served, client):
     # Sharded sessions expose the per-shard breakdown over the wire.
     assert len(answer.provenance) > 0
     assert answer.stats["pages_accessed"] >= 0
+    # The stats are work counters plus the measured time (the shape
+    # docs/wire-protocol.md shows); modeled seconds are not on the wire.
+    assert set(answer.stats) == {
+        "pages_accessed", "page_faults", "faulted_runs",
+        "faulted_run_pages", "objects_refined", "swept", "nodes_expanded",
+        "cpu_seconds", "buffer_evictions", "buffer_hit_ratio",
+    }
 
 
 def test_single_bare_spec_body_is_accepted(served):

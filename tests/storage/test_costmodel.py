@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.storage.costmodel import DiskCostModel
+from repro.core.queries import QueryStats
+from repro.storage.costmodel import PAPER_TESTBED, DiskCostModel
 
 
 class TestDiskTimes:
@@ -86,3 +87,62 @@ class TestFanOut:
     def test_negative_branch_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             DiskCostModel().fan_out_seconds([0.01, -0.001])
+
+
+class TestPrice:
+    def test_random_faults_runs_and_run_pages(self):
+        m = DiskCostModel()
+        # 7 faults: 4 random, 3 in the two runs that faulted.
+        stats = QueryStats(
+            pages_accessed=12,
+            page_faults=7,
+            faulted_runs=2,
+            faulted_run_pages=3,
+            objects_refined=40,
+        )
+        io, cpu = m.price(stats, vectorized=False)
+        assert io == pytest.approx(
+            m.random_read_seconds(4)
+            + m.sequential_read_seconds(1)
+            + m.sequential_read_seconds(2),
+            rel=1e-12,
+        )
+        assert cpu == m.modeled_cpu_seconds(40, 12)
+
+    def test_vectorized_prices_refinements_at_the_kernel_rate(self):
+        m = DiskCostModel()
+        stats = QueryStats(pages_accessed=3, objects_refined=1000)
+        _, scalar = m.price(stats, vectorized=False)
+        _, vectorized = m.price(stats, vectorized=True)
+        assert vectorized == m.modeled_cpu_seconds(1000, 3, vectorized=True)
+        assert vectorized < scalar
+
+    def test_no_work_is_free(self):
+        assert DiskCostModel().price(QueryStats(), vectorized=True) == (
+            0.0,
+            0.0,
+        )
+
+    def test_a_merged_batch_prices_as_its_queries(self):
+        m = DiskCostModel()
+        queries = [
+            QueryStats(pages_accessed=5, page_faults=2, objects_refined=9),
+            QueryStats(
+                pages_accessed=8,
+                page_faults=8,
+                faulted_runs=1,
+                faulted_run_pages=8,
+                objects_refined=30,
+            ),
+            QueryStats(pages_accessed=4, objects_refined=1),
+        ]
+        total = QueryStats()
+        for stats in queries:
+            total.merge(stats)
+        priced = [m.price(stats, vectorized=True) for stats in queries]
+        io, cpu = m.price(total, vectorized=True)
+        assert io == pytest.approx(sum(p[0] for p in priced), rel=1e-12)
+        assert cpu == pytest.approx(sum(p[1] for p in priced), rel=1e-12)
+
+    def test_paper_testbed_is_the_default_model(self):
+        assert PAPER_TESTBED == DiskCostModel()

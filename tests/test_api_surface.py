@@ -68,8 +68,7 @@ EXPECTED_SIGNATURES = {
 EXPECTED_SESSION_METHODS = {
     "execute": "(self, query: 'Spec') -> 'ResultSet'",
     "execute_many": "(self, queries: 'Iterable[Spec]') -> 'ResultSet'",
-    "explain": "(self, query: 'Query | Sequence[Query]', *, "
-    "coalesce: 'object | None' = None) -> 'Plan'",
+    "explain": "(self, query: 'Query | Sequence[Query]') -> 'Plan'",
     "insert": "(self, v: 'PFV') -> 'None'",
     "insert_many": "(self, vectors: 'Iterable[PFV]') -> 'int'",
     "delete": "(self, v: 'PFV') -> 'bool'",
@@ -260,7 +259,6 @@ def test_plan_exposes_estimated_cpu_seconds():
 
     fields = {f.name for f in dataclasses.fields(engine.Plan)}
     assert "estimated_cpu_seconds" in fields
-    assert "modeled CPU" in engine.Plan.describe.__doc__ or True
     # describe() renders the CPU estimate for the CLI's --explain.
     plan = engine.Plan(
         backend="tree",
@@ -290,19 +288,13 @@ def test_cost_model_prices_vectorized_refinement():
     assert vectorized == 1000 * model.cpu_per_vectorized_refinement_seconds
 
 
-def test_cost_model_prices_coalesced_batches():
-    # The serving tier's explain() pricing: amortization is an Amdahl
-    # curve in the shared fraction, saturating at 1/f (2x by default —
-    # what execute_many measures).
+def test_cost_model_prices_counters():
     from repro.storage.costmodel import DiskCostModel
 
-    model = DiskCostModel()
-    assert model.coalesce_amortization(1) == 1.0
-    a16 = model.coalesce_amortization(16)
-    assert 1.0 < a16 < 1.0 / model.batch_shared_fraction
-    assert model.coalesce_amortization(256) > a16  # monotone in batch
-    assert model.coalesced_batch_seconds(1.0, 16) == 1.0 / a16
-    assert model.expected_coalesce_wait_seconds(0.004) == 0.002
+    assert sig(DiskCostModel.price) == (
+        "(self, stats: 'QueryStats', *, vectorized: 'bool') "
+        "-> 'tuple[float, float]'"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +408,41 @@ def test_serve_config_defaults_are_pinned():
     }
 
 
-def test_plan_exposes_coalesce_pricing_fields():
+def test_removed_2_6_modeled_seconds_are_absent():
+    # 2.6.0: queries count their work and the cost model prices the
+    # counters at the edge, so no record on the query path holds modeled
+    # seconds, storage takes no cost model, and the modeled coalescing
+    # of explain() is gone.
     import dataclasses
 
+    from repro.core.queries import QueryStats
+    from repro.engine.planner import build_plan
+    from repro.gausstree.persist import open_tree
+    from repro.gausstree.tree import GaussTree
+    from repro.storage.costmodel import DiskCostModel
+    from repro.storage.filestore import FilePageStore
+    from repro.storage.pagestore import AccessLog, PageStore
+
+    for name in (
+        "io_seconds", "modeled_cpu_seconds", "total_seconds",
+        "modeled_total_seconds",
+    ):
+        assert not hasattr(QueryStats(), name), name
+    assert "io_seconds" not in AccessLog.__slots__
+    for fn in (PageStore, FilePageStore, GaussTree.open, open_tree):
+        assert "cost_model" not in inspect.signature(fn).parameters, fn
+    with pytest.raises(TypeError, match="cost_model"):
+        engine.connect(
+            [repro.PFV([0.5], [0.1], key=0)], cost_model=DiskCostModel()
+        )
+    assert "coalesce" not in inspect.signature(build_plan).parameters
     fields = {f.name for f in dataclasses.fields(engine.Plan)}
-    assert {
-        "estimated_queue_seconds",
-        "coalesce_batch",
-        "coalesce_amortization",
-    } <= fields
-    plan = engine.Plan(
-        backend="tree",
-        query_kind="mliq",
-        n_queries=1,
-        strategy="batched",
-        lowering=(),
-        estimated_pages=4,
-        estimated_io_seconds=0.01,
-        estimated_cpu_seconds=0.002,
-        notes=(),
-        estimated_queue_seconds=0.001,
-        coalesce_batch=16,
-        coalesce_amortization=1.88,
-    )
-    assert "coalesce" in plan.describe()
+    assert not {
+        "estimated_queue_seconds", "coalesce_batch", "coalesce_amortization",
+    } & fields
+    for name in (
+        "coalesce_amortization", "coalesced_batch_seconds",
+        "expected_coalesce_wait_seconds", "coalesce_dispatch_seconds",
+        "batch_shared_fraction",
+    ):
+        assert not hasattr(DiskCostModel(), name), name
