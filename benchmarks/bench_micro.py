@@ -4,7 +4,9 @@ These are the kernels whose cost the 2006 cost model abstracts: hull
 bound evaluation, batched Lemma-1 refinement, tree insertion, bulk
 loading and the two query algorithms on a mid-sized tree. The two
 ``*_multi`` kernels also run at the shapes the end-to-end benchmark
-feeds them, ``(m queries, rows, d)``.
+feeds them, ``(m queries, rows, d)``, and the Lemma-1 kernel over
+prepared columns at the shapes of the leaf stacks that sweeping queries
+evaluate.
 
     python -m pytest benchmarks/bench_micro.py -q --benchmark-only
 """
@@ -12,7 +14,11 @@ feeds them, ``(m queries, rows, d)``.
 import numpy as np
 import pytest
 
-from repro.core.joint import log_joint_density_batch, log_joint_density_multi
+from repro.core.joint import (
+    PreparedColumns,
+    log_joint_density_batch,
+    log_joint_density_multi,
+)
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.data.synthetic import uniform_pfv_dataset
@@ -76,6 +82,17 @@ def test_joint_density_multi(benchmark, m, n, d):
     mu, sigma = _uniform_pfv_stack(rng, n, d)
     q_mu, q_sigma = _uniform_pfv_stack(rng, m, d)
     benchmark(lambda: log_joint_density_multi(mu, sigma, q_mu, q_sigma))
+
+
+# Leaf stacks, which a sweeping k-MLIQ evaluates whole: (1, 20000, 10)
+# identify-disk's; (16, 2000, 6) one identify-sharded shard's under a
+# full coalesced batch; (1, 10987, 27) data set 1's.
+@pytest.mark.parametrize("m, n, d", [(1, 20000, 10), (16, 2000, 6), (1, 10987, 27)])
+def test_joint_density_prepared(benchmark, m, n, d):
+    rng = np.random.default_rng(0)
+    columns = PreparedColumns.stack([_uniform_pfv_stack(rng, n, d)], n, d)
+    q_mu, q_sigma = _uniform_pfv_stack(rng, m, d)
+    benchmark(lambda: columns.log_densities(q_mu, q_sigma))
 
 
 # (1, 190, 10): an inner-node group on identify-disk; (16, 32, 6): the

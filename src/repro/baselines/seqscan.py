@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.bayes import posteriors_from_log_densities
 from repro.core.database import PFVDatabase
-from repro.core.joint import log_joint_density_multi
+from repro.core.joint import PreparedColumns
 from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.core.scan import top_k_order
 from repro.storage.layout import PageLayout
@@ -47,6 +47,9 @@ class SequentialScanIndex:
     ) -> None:
         self.db = db
         self.store = page_store if page_store is not None else PageStore()
+        # The database's mu matrix and the kernel columns prepared from
+        # it (see _columns).
+        self._prepared: tuple[np.ndarray, PreparedColumns] | None = None
         if len(db) == 0:
             # Normalised empty-database semantics: a zero-page file whose
             # queries all answer with the empty match list. The layout
@@ -70,16 +73,26 @@ class SequentialScanIndex:
 
     # -- implementations (the engine's seqscan backend calls these) ----------
 
+    def _columns(self) -> PreparedColumns:
+        """The file's rows in the Lemma-1 kernel's layout, prepared once
+        from the database's matrices and again when they change
+        (``PFVDatabase.add`` drops them): the layout the Gauss-tree's
+        leaf stack keeps, for ``2 * n * d`` more floats."""
+        mu = self.db.mu_matrix
+        if self._prepared is None or self._prepared[0] is not mu:
+            columns = PreparedColumns.stack(
+                [(mu, self.db.sigma_matrix)], *mu.shape, self.db.sigma_rule
+            )
+            self._prepared = (mu, columns)
+        return self._prepared[1]
+
     def _scan_once_multi(self, queries: Sequence) -> np.ndarray:
         """One sequential pass shared by a whole batch: every page is read
         once, densities for all m queries come from one ``(m, n)`` kernel."""
         self.store.read_sequential_run(self._pages)
         q_mu = np.vstack([q.mu for q in queries])
         q_sigma = np.vstack([q.sigma for q in queries])
-        return log_joint_density_multi(
-            self.db.mu_matrix, self.db.sigma_matrix, q_mu, q_sigma,
-            self.db.sigma_rule,
-        )
+        return self._columns().log_densities(q_mu, q_sigma)
 
     def _mliq_many_impl(
         self, queries: Sequence[MLIQuery]

@@ -22,13 +22,19 @@ map to interval bounds on ``sigma_c``.
 evaluates through one vectorised kernel, :func:`log_joint_density_multi`
 (``m`` queries against ``n`` stored pfv), which works dimension-major
 and in variance form; its docstring and helpers give the layout, the
-summation order and the chunk budget.
+summation order and the chunk budget. Rows that many queries evaluate,
+a Gauss-tree's leaf stack and the sequential scan's file, are kept in
+that layout as :class:`PreparedColumns`, so the kernel's one chunk loop
+slices them instead of transposing and powering every chunk on every
+call; ad-hoc arrays, such as a sibling group's, are transposed chunk by
+chunk. Both forms give the same bits and refuse the same inputs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +50,7 @@ __all__ = [
     "joint_density",
     "log_joint_density_batch",
     "log_joint_density_multi",
+    "PreparedColumns",
 ]
 
 
@@ -147,20 +154,29 @@ def log_joint_density_batch(
 # row each, so only a query stack whose m * d alone exceeds the budget
 # exceeds it. Each chunk's two temporaries then take 512 KiB together,
 # inside the 2 MiB per-core L2 of the host below; at 131,072 they leave
-# it, and the scan shapes slow down. Median us per call over 15 rounds
-# interleaved in one process on a 2-vCPU Xeon, numpy 2.4: the replaced
-# (m, rows, d) kernel, then this one at each budget.
-#   (m, rows, d)     replaced   8192  16384  32768  65536  131072
-#   (1, 20000, 10)       4760   2270   1954   1900   1727    2814
-#   (1, 16000, 6)        2431   1053    922    747   1144    2035
-#   (16, 16000, 6)      27510  17701  14177  12697  12196   14032
-#   (1, 740, 10)          112     92     92     91     91      92
-#   (16, 341, 6)          583    413    345    239    237     237
+# it, and the raw 20,000-row shape slows down. Median us per call over
+# 15 rounds interleaved in one process on a 2-vCPU Xeon, numpy 2.4, over
+# prepared columns (leaf stacks) and raw (n, d) arrays:
+#   form      (m, rows, d)     8192  16384  32768  65536  131072
+#   prepared  (1, 20000, 10)   1779   1673   1129   1163    1160
+#   prepared  (16, 2000, 6)    2168   1777   1644   1603    1595
+#   prepared  (1, 10987, 27)   3105   2731   2455   2340    1770
+#   raw       (1, 20000, 10)   2295   2121   2042   1778    4229
+#   raw       (1, 16000, 6)    1035    933    801    832     857
+#   raw       (16, 16000, 6)  19150  16168  14056  12960   14236
+#   raw       (1, 740, 10)       89    102    102    105     105
+#   raw       (16, 341, 6)      468    372    257    252     250
+# Only data set 1's 27-d stack runs clearly faster at a larger budget.
+# The (m, rows, d) kernel this one replaced took 4760 us at
+# (1, 20000, 10) and 27510 us at (16, 16000, 6).
 _CHUNK_ELEMENTS = 32_768
 
 
-def _powered(values: np.ndarray, rule: SigmaRule) -> np.ndarray:
-    """``values ** p`` as a C-ordered array, for the rule's power ``p``.
+def _powered(
+    values: np.ndarray, rule: SigmaRule, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``values ** p`` for the rule's power ``p``, as a new C-ordered
+    array or into ``out``, which may be ``values`` itself.
 
     Both rules combine p-th powers, ``sigma_c**p = sigma_v**p + sigma_q**p``:
     ``p = 2`` under CONVOLUTION (variances add) and ``p = 1`` under PAPER.
@@ -168,10 +184,37 @@ def _powered(values: np.ndarray, rule: SigmaRule) -> np.ndarray:
     needs no ``sqrt`` and PAPER never squares a spread.
     """
     if rule is SigmaRule.CONVOLUTION:
-        return np.square(values, order="C")
+        return np.square(values, out=out, order="C")
     if rule is SigmaRule.PAPER:
-        return np.ascontiguousarray(values)
+        if out is None:
+            return np.ascontiguousarray(values)
+        np.copyto(out, values)
+        return out
     raise ValueError(f"unknown sigma rule: {rule!r}")
+
+
+def _smallest(power: np.ndarray) -> np.ndarray:
+    """Each dimension's smallest entry of a ``(d, rows)`` power array,
+    NaN skipped (``inf`` where none is left): what
+    :func:`_check_spreads` reads."""
+    return np.fmin.reduce(power, axis=1, initial=np.inf)
+
+
+def _check_spreads(smallest: np.ndarray, q_power: np.ndarray) -> None:
+    """Raise unless every ``sigma_c**p`` the kernel forms is positive.
+
+    ``sigma_c**p <= 0`` iff ``sigma_c <= 0`` (CONVOLUTION) or
+    ``sigma_v + sigma_q <= 0`` (PAPER, tested before any squaring). A
+    query's spreads in dimension ``k`` add its power to each stack power
+    of ``k``. Rounding is monotone, so the smallest such sum adds the
+    smallest stack power, and a NaN stack power only makes NaN sums,
+    which pass. One ``(d, m)`` test therefore raises exactly where a
+    test of every ``(d, m, rows)`` spread would. Where its sum is
+    ``-inf + inf``, the ``+inf`` is the query's power or every stack
+    power of the dimension, and no spread it stands for is ``<= 0``.
+    """
+    if ((smallest[:, np.newaxis] + q_power) <= 0.0).any():
+        raise ValueError("all sigma values must be positive")
 
 
 def _log_terms(
@@ -214,6 +257,125 @@ def _log_density_accumulator(d: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.full(shape, 2.0 * d * gaussian.LOG_SQRT_TWO_PI)
 
 
+class PreparedColumns(NamedTuple):
+    """Stored pfv in the layout the Lemma-1 kernel reads, for rows that
+    many queries evaluate: a tree's leaf stack, the sequential scan's
+    file. Build it with :meth:`stack`; :meth:`log_densities` evaluates
+    it.
+
+    ``mu`` holds the ``(d, n)`` means and ``power`` the ``(d, n)`` sigmas
+    raised to ``rule``'s power (see :func:`_powered`), so a call slices
+    both and transposes and powers nothing; ``smallest`` holds each
+    dimension's smallest power, all the input check reads (see
+    :func:`_check_spreads`). It holds ``2 * n * d`` floats, as many as
+    the ``(n, d)`` means and sigmas it is built from.
+    """
+
+    mu: np.ndarray
+    power: np.ndarray
+    smallest: np.ndarray
+    rule: SigmaRule
+
+    @classmethod
+    def stack(
+        cls,
+        blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+        n: int,
+        d: int,
+        rule: SigmaRule = SigmaRule.CONVOLUTION,
+    ) -> "PreparedColumns":
+        """The ``n`` rows that ``blocks`` yields, ``(mu, sigma)`` pairs
+        of ``(rows, d)`` arrays, one after the other. Each block is
+        written into place, so a build holds no more than its result
+        and the block at hand (a tree passes its leaves one by one)."""
+        mu_t = np.empty((d, n))
+        power = np.empty((d, n))
+        start = 0
+        for mu, sigma in blocks:
+            if mu.shape != sigma.shape or mu.shape[1:] != (d,):
+                raise ValueError(
+                    f"blocks must be pairs of (rows, {d}) arrays; got "
+                    f"{mu.shape} and {sigma.shape}"
+                )
+            stop = start + len(mu)
+            mu_t[:, start:stop] = mu.T
+            power[:, start:stop] = sigma.T
+            start = stop
+        if start != n:
+            raise ValueError(f"blocks hold {start} rows, not {n}")
+        _powered(power, rule, out=power)
+        smallest = _smallest(power)
+        for array in (mu_t, power, smallest):
+            array.flags.writeable = False
+        return cls(mu_t, power, smallest, rule)
+
+    @property
+    def rows(self) -> int:
+        """How many pfv the columns hold."""
+        return self.mu.shape[1]
+
+    def log_densities(
+        self, q_mu: np.ndarray, q_sigma: np.ndarray
+    ) -> np.ndarray:
+        """``(m, n)`` log joint densities of ``m`` queries over the rows:
+        bit for bit what :func:`log_joint_density_multi` returns for the
+        same rows as ``(n, d)`` arrays, and it raises where that does."""
+        mu, power = self.mu, self.power
+        return _kernel(
+            lambda chunk: (mu[:, chunk], power[:, chunk], self.smallest),
+            self.rows, mu.shape[0], q_mu, q_sigma, self.rule,
+        )
+
+
+def _kernel(
+    columns: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    n: int,
+    d: int,
+    q_mu: np.ndarray,
+    q_sigma: np.ndarray,
+    rule: SigmaRule,
+) -> np.ndarray:
+    """The one Lemma-1 chunk loop behind both forms.
+
+    ``columns(chunk)`` returns the chunk's ``(d, rows)`` means and
+    powers and the smallest powers of rows that include the chunk's:
+    prepared columns return the whole stack's for every chunk, checked
+    once, and raw arrays each chunk's own.
+    """
+    q_mu = np.asarray(q_mu, dtype=np.float64)
+    q_sigma = np.asarray(q_sigma, dtype=np.float64)
+    if q_mu.ndim != 2 or q_mu.shape != q_sigma.shape:
+        raise ValueError(
+            f"q_mu and q_sigma must both have shape (m, d); got "
+            f"{q_mu.shape} and {q_sigma.shape}"
+        )
+    if q_mu.shape[1] != d:
+        raise ValueError(
+            f"dimension mismatch: batch has d={d}, queries have "
+            f"d={q_mu.shape[1]}"
+        )
+    m = q_mu.shape[0]
+    q_mu_t = np.ascontiguousarray(q_mu.T)[:, :, np.newaxis]
+    q_power = _powered(q_sigma.T, rule)
+    q_part = q_power[:, :, np.newaxis]
+    out = _log_density_accumulator(d, (m, n))
+    rows = max(1, _CHUNK_ELEMENTS // max(1, m * d))
+    checked = None
+    for start in range(0, n, rows):
+        chunk = slice(start, start + rows)
+        mu_t, power_t, smallest = columns(chunk)
+        if smallest is not checked:
+            _check_spreads(smallest, q_power)
+            checked = smallest
+        dist = np.subtract(mu_t[:, np.newaxis, :], q_mu_t)
+        if rule is SigmaRule.CONVOLUTION:
+            np.square(dist, out=dist)
+        spread = np.add(power_t[:, np.newaxis, :], q_part)
+        _add_planes(_log_terms(dist, spread, rule), out[:, chunk])
+    out *= -0.5
+    return out
+
+
 def log_joint_density_multi(
     mu: np.ndarray,
     sigma: np.ndarray,
@@ -234,55 +396,34 @@ def log_joint_density_multi(
     -------
     ``(m, n)`` array of log joint densities — row ``i`` is what
     :func:`log_joint_density_batch` returns for query ``i``. This is the
-    one Lemma-1 kernel: the sequential scan, leaf refinement in the
-    Gauss-tree (per page or per sibling group), the X-tree baseline and
-    :mod:`repro.core.bayes` all evaluate through it.
+    one Lemma-1 kernel: the sequential scan and the Gauss-tree's leaf
+    stack (through :class:`PreparedColumns`, which give the same bits),
+    leaf refinement in the Gauss-tree (per page or per sibling group),
+    the X-tree baseline and :mod:`repro.core.bayes` all evaluate
+    through it.
 
     The kernel is *dimension-major*: it transposes the queries once and
-    each chunk of columns once, builds each temporary as
-    ``(d, m, rows)`` and works in place, because numpy broadcasts into and sums over a short trailing
-    ``d`` axis several times slower than over long contiguous rows. Per
+    each chunk of columns once (prepared columns are stored transposed),
+    builds each temporary as ``(d, m, rows)`` and works in place,
+    because numpy broadcasts into and sums over a short trailing ``d``
+    axis several times slower than over long contiguous rows. Per
     dimension it evaluates ``-(z**2 + log sigma_c**2) / 2`` from p-th
     powers (see :func:`_powered`) and adds the ``d`` planes one at a
     time, so every entry depends on its own row and query only: the same
-    pfv gets the same bits in any call, chunk or group.
+    pfv gets the same bits in any call, chunk or group. It raises
+    ``ValueError`` if any combined ``sigma_c`` is not positive, tested
+    per dimension (see :func:`_check_spreads`).
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    q_mu = np.asarray(q_mu, dtype=np.float64)
-    q_sigma = np.asarray(q_sigma, dtype=np.float64)
     if mu.ndim != 2 or mu.shape != sigma.shape:
         raise ValueError(
             f"mu and sigma must both have shape (n, d); got {mu.shape} and "
             f"{sigma.shape}"
         )
-    if q_mu.ndim != 2 or q_mu.shape != q_sigma.shape:
-        raise ValueError(
-            f"q_mu and q_sigma must both have shape (m, d); got "
-            f"{q_mu.shape} and {q_sigma.shape}"
-        )
-    if mu.shape[1] != q_mu.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: batch has d={mu.shape[1]}, queries have "
-            f"d={q_mu.shape[1]}"
-        )
-    n, d = mu.shape
-    m = q_mu.shape[0]
-    q_mu_t = np.ascontiguousarray(q_mu.T)[:, :, np.newaxis]
-    q_part = _powered(q_sigma.T, rule)[:, :, np.newaxis]
-    out = _log_density_accumulator(d, (m, n))
-    rows = max(1, _CHUNK_ELEMENTS // max(1, m * d))
-    for start in range(0, n, rows):
-        chunk = slice(start, start + rows)
-        mu_t = np.ascontiguousarray(mu[chunk].T)
-        dist = np.subtract(mu_t[:, np.newaxis, :], q_mu_t)
-        if rule is SigmaRule.CONVOLUTION:
-            np.square(dist, out=dist)
-        spread = np.add(_powered(sigma[chunk].T, rule)[:, np.newaxis, :], q_part)
-        # sigma_c**p <= 0 iff sigma_c <= 0 (CONVOLUTION) or
-        # sigma_v + sigma_q <= 0 (PAPER, tested before any squaring).
-        if (spread <= 0.0).any():
-            raise ValueError("all sigma values must be positive")
-        _add_planes(_log_terms(dist, spread, rule), out[:, chunk])
-    out *= -0.5
-    return out
+
+    def columns(chunk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        power_t = _powered(sigma[chunk].T, rule)
+        return np.ascontiguousarray(mu[chunk].T), power_t, _smallest(power_t)
+
+    return _kernel(columns, *mu.shape, q_mu, q_sigma, rule)

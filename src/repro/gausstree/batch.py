@@ -290,16 +290,17 @@ class BatchRefiner:
         in stack order: what a k-MLIQ sweep ranks.
 
         The first call evaluates the stack for every query of the batch
-        in one ``log_joint_density_multi`` call; later calls, and
+        in one kernel call over its prepared columns
+        (:meth:`~repro.core.joint.PreparedColumns.log_densities`, the
+        bits ``log_joint_density_multi`` gives); later calls, and
         :meth:`leaf_extras` for pages no query has evaluated yet, slice
         that result. The kernel is rowwise independent, so each row
         holds the bits a one-query call gives and no answer depends on
         its batch.
         """
         if self._stack_rows is None:
-            stack = self.tree.leaf_stack()
-            self._stack_rows = log_joint_density_multi(
-                stack.mu, stack.sigma, self.q_mu, self.q_sigma, self.rule
+            self._stack_rows = self.tree.leaf_stack().columns.log_densities(
+                self.q_mu, self.q_sigma
             )
         return self._stack_rows[query_index]
 
@@ -307,7 +308,7 @@ class BatchRefiner:
         """The leaf's ``(start, stop)`` columns in the stack rows."""
         if self._stack_spans is None:
             stack = self.tree.leaf_stack()
-            stops = [*stack.starts[1:].tolist(), len(stack.mu)]
+            stops = [*stack.starts[1:].tolist(), stack.columns.rows]
             self._stack_spans = {
                 member.page_id: (start, stop)
                 for member, start, stop in zip(

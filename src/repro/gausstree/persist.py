@@ -68,7 +68,7 @@ import json
 import os
 import struct
 import time
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -324,7 +324,9 @@ class _KeyTable:
     The tagged JSON encoding of a key decides its slot. A writer's
     commit re-encodes whole leaves, so the table also remembers one key
     *object* per slot and answers it by identity without encoding it
-    again: only keys new to the table pay the JSON probe.
+    again: only keys new to the table pay the JSON probe. A batch's
+    keys are encoded once, by :meth:`check`; the probe and the commit's
+    ``KEYS`` record reuse those encodings.
     """
 
     def __init__(self) -> None:
@@ -342,6 +344,10 @@ class _KeyTable:
         # needs the serialized table size for the header (not the bytes),
         # and re-encoding the whole table would make inserts O(n^2).
         self._dump_len = 2  # "[]"
+        # id(key) -> (key, tagged encoding) for the batch check() last
+        # encoded. Each entry holds its key alive, so the id names no
+        # other object meanwhile.
+        self._checked: dict[int, tuple[Hashable, list]] = {}
 
     @classmethod
     def from_keys(cls, keys: list[Hashable]) -> "_KeyTable":
@@ -350,11 +356,29 @@ class _KeyTable:
             table.slot(key)
         return table
 
+    def check(self, keys: Iterable[Hashable]) -> None:
+        """Encode the keys a batch is about to insert: raises
+        ``TypeError`` for a key no file can store while nothing is
+        mutated yet. :meth:`slot` and :meth:`encodings` reuse these
+        encodings until the next call."""
+        self._checked = {id(key): (key, _encode_key(key)) for key in keys}
+
+    def _encoding(self, key: Hashable) -> list:
+        checked = self._checked.get(id(key))
+        return _encode_key(key) if checked is None else checked[1]
+
+    def encodings(self, keys: list[Hashable]) -> list[list]:
+        """The tagged encodings of ``keys`` for a ``KEYS`` record, the
+        last use of :meth:`check`'s, which the table then forgets."""
+        encoded = [self._encoding(key) for key in keys]
+        self._checked = {}
+        return encoded
+
     def slot(self, key: Hashable) -> int:
         idx = self._slot_of_id.get(id(key))
         if idx is not None:
             return idx
-        probe = _json_encode(_encode_key(key))
+        probe = _json_encode(self._encoding(key))
         idx = self._index.get(probe)
         if idx is None:
             idx = len(self.keys)
@@ -1010,7 +1034,7 @@ class TreeWriter:
         for pid, image in images:
             group.add_page(pid, image)
         if new_keys:
-            group.add_keys([_encode_key(k) for k in new_keys])
+            group.add_keys(self.key_table.encodings(new_keys))
         group.set_meta(self.header_page_image())
         self._ensure_clean_tail()
         start = self.wal.tell()

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.joint import SigmaRule
+from repro.core.joint import PreparedColumns, SigmaRule
 from repro.core.pfv import PFV
 from repro.gausstree.bounds import ParameterRect
 from repro.gausstree.integral import log_split_quality
@@ -48,16 +48,17 @@ __all__ = ["GaussTree", "LeafHulls", "LeafStack"]
 
 
 class LeafStack(NamedTuple):
-    """Every row of a tree's leaves as one contiguous pair of ``(n, d)``
-    ``mu``/``sigma`` stacks, in :meth:`GaussTree.leaves` order.
+    """Every row of a tree's leaves as one
+    :class:`~repro.core.joint.PreparedColumns`, in :meth:`GaussTree.leaves`
+    order: the layout the Lemma-1 kernel reads, under the tree's sigma
+    rule, so a sweep evaluates it without transposing or powering a row.
 
     ``leaves`` lists the leaves that hold rows and ``starts`` their first
     stack row, so stack row ``i`` is row ``i - starts[j]`` of
     ``leaves[j]`` for the last ``j`` with ``starts[j] <= i``.
     """
 
-    mu: np.ndarray
-    sigma: np.ndarray
+    columns: PreparedColumns
     leaves: list[LeafNode]
     starts: np.ndarray
 
@@ -235,28 +236,34 @@ class GaussTree:
             yield from leaf.entries
 
     def leaf_stack(self) -> LeafStack:
-        """Every stored row as one contiguous :class:`LeafStack`.
+        """Every stored row as one :class:`LeafStack`, in the layout the
+        Lemma-1 kernel reads (:class:`~repro.core.joint.PreparedColumns`
+        under the tree's sigma rule).
 
         Built on first use and kept until :meth:`insert_many` or
         :meth:`delete` changes the rows, or :meth:`close`. On a
         disk-opened tree the build reads the pages of leaves no query
         has materialized outside the counted access path (like any
-        offline walk) and leaves them stubs, so the stack costs its own
-        ``2 * n * d`` floats and no more. A k-MLIQ whose hulls stop
-        pruning finishes with one kernel call over it (see
-        :mod:`repro.gausstree.mliq`).
+        offline walk) and leaves them stubs; it writes each leaf's rows
+        into place, so the stack costs its own ``2 * n * d`` floats and
+        no more. A k-MLIQ whose hulls stop pruning finishes with one
+        kernel call over it (see :mod:`repro.gausstree.mliq`), which
+        transposes and powers no row.
         """
         stack = self._leaf_stack
         if stack is None:
             leaves = [leaf for leaf in self.leaves() if leaf.count]
-            sizes = np.array([leaf.count for leaf in leaves], dtype=np.intp)
-            starts = np.cumsum(sizes) - sizes
-            mu = np.empty((int(sizes.sum()), self.dims))
-            sigma = np.empty_like(mu)
-            for leaf, start, stop in zip(leaves, starts, starts + sizes):
-                mu[start:stop], sigma[start:stop] = leaf.peek_arrays()
-            mu.flags.writeable = sigma.flags.writeable = False
-            stack = self._leaf_stack = LeafStack(mu, sigma, leaves, starts)
+            counts = [leaf.count for leaf in leaves]
+            columns = PreparedColumns.stack(
+                (leaf.peek_arrays() for leaf in leaves),
+                sum(counts),
+                self.dims,
+                self.sigma_rule,
+            )
+            sizes = np.array(counts, dtype=np.intp)
+            stack = self._leaf_stack = LeafStack(
+                columns, leaves, np.cumsum(sizes) - sizes
+            )
         return stack
 
     def leaf_hulls(self) -> LeafHulls:
@@ -388,11 +395,9 @@ class GaussTree:
                 )
         if self._writer is not None:
             # Fail unsupported key types *before* mutating anything, so
-            # a bad key cannot wedge every later commit.
-            from repro.gausstree.persist import _encode_key
-
-            for v in batch:
-                _encode_key(v.key)
+            # a bad key cannot wedge every later commit; the commit
+            # reuses these encodings.
+            self._writer.key_table.check(v.key for v in batch)
         self._drop_leaf_stacks()
         for v in batch:
             self._insert_impl(v)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.seqscan import SequentialScanIndex
 from repro.core.database import PFVDatabase
+from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.scan import scan_mliq, scan_tiq
 from repro.storage.buffer import BufferManager
@@ -48,6 +49,25 @@ class TestCorrectness:
         assert matches == []
         batches, _ = idx._mliq_many_impl([MLIQuery(q, 2)] * 3)
         assert batches == [[], [], []]
+
+    def test_rows_added_to_the_database_are_scanned(self, scan_index):
+        # The scan keeps its rows in the kernel's layout, prepared once;
+        # PFVDatabase.add drops the matrices they came from, and the
+        # next scan prepares them again.
+        db, idx = scan_index
+        q = make_random_query(d=3, seed=4)
+        (before,), _ = idx._mliq_many_impl([MLIQuery(q, 3)])
+        prepared = idx._columns()
+        assert idx._columns() is prepared
+        db.add(PFV(q.mu, q.sigma, key="twin"))
+        (after,), _ = idx._mliq_many_impl([MLIQuery(q, 3)])
+        assert idx._columns() is not prepared
+        assert idx._columns().rows == len(db)
+        assert after[0].key == "twin"
+        assert [m.key for m in after] == [
+            m.key for m in scan_mliq(db, MLIQuery(q, 3))
+        ]
+        assert [m.key for m in after[1:]] == [m.key for m in before[:2]]
 
     def test_mliq_many_matches_singles(self, scan_index):
         db, idx = scan_index

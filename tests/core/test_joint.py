@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from repro.core import joint
 from repro.core.gaussian import log_pdf_array
 from repro.core.joint import (
+    PreparedColumns,
     SigmaRule,
     combine_sigma,
     joint_density,
@@ -213,18 +215,25 @@ class TestMultiKernelInputChecks:
 
     def check(self, rule, rejected):
         args = (self.mu, self.sigma, self.q_mu, self.q_sigma, rule)
+        prepared = PreparedColumns.stack(
+            [(self.mu, self.sigma)], *self.mu.shape, rule
+        )
         if rejected:
             with pytest.raises(ValueError, match="positive"):
                 log_joint_density_multi(*args)
+            with pytest.raises(ValueError, match="positive"):
+                prepared.log_densities(self.q_mu, self.q_sigma)
             with pytest.raises(ValueError, match="positive"):
                 log_joint_density_batch(
                     self.mu, self.sigma, PFV(self.q_mu[1], self.q_sigma[1]), rule
                 )
         else:
+            got = log_joint_density_multi(*args)
             np.testing.assert_allclose(
-                log_joint_density_multi(*args),
-                per_dimension_reference(*args),
-                rtol=1e-12,
+                got, per_dimension_reference(*args), rtol=1e-12
+            )
+            assert np.array_equal(
+                prepared.log_densities(self.q_mu, self.q_sigma), got
             )
 
     def test_convolution_rejects_zero_sigma_on_both_sides(self):
@@ -232,6 +241,13 @@ class TestMultiKernelInputChecks:
         self.check(SigmaRule.CONVOLUTION, rejected=False)
         self.q_sigma[1, 1] = 0.0
         self.check(SigmaRule.CONVOLUTION, rejected=True)
+
+    def test_convolution_accepts_zero_sigmas_in_different_dimensions(self):
+        # Each combined sigma pairs a stored and a query sigma of the same
+        # dimension, so these two zeros never meet.
+        self.sigma[2, 1] = 0.0
+        self.q_sigma[1, 2] = 0.0
+        self.check(SigmaRule.CONVOLUTION, rejected=False)
 
     def test_convolution_accepts_a_negative_sigma(self):
         # sigma_c = sqrt(sigma_v**2 + sigma_q**2) stays positive.
@@ -245,3 +261,98 @@ class TestMultiKernelInputChecks:
         self.check(SigmaRule.PAPER, rejected=True)
         self.sigma[2, 1] = -0.5  # exactly 0
         self.check(SigmaRule.PAPER, rejected=True)
+
+
+# Sigmas the kernel must either evaluate or refuse like any other:
+# signed zeros, NaN, infinities, negatives, and 1e-170, whose square
+# underflows to 0.
+_ODD_SIGMAS = [0.0, -0.0, math.nan, math.inf, -math.inf, -0.3, -2.0, 1e-170]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """Random stacks and queries with odd sigmas in random cells, under a
+    chunk budget that cuts the stack into chunks of a few rows, and the
+    row numbers where the prepared form's blocks start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, d = draw(st.integers(1, 16)), draw(st.integers(0, 40)), draw(
+        st.integers(1, 5)
+    )
+    share = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+
+    def sigmas(rows):
+        values = rng.uniform(0.05, 0.5, (rows, d))
+        odd = rng.random((rows, d)) < share
+        values[odd] = rng.choice(_ODD_SIGMAS, size=int(odd.sum()))
+        return values
+
+    return (
+        draw(st.sampled_from(list(SigmaRule))),
+        draw(st.sampled_from([1, 7, 50, 32_768])),
+        sorted(draw(st.lists(st.integers(0, n), max_size=3))),
+        rng.uniform(-1, 1, (n, d)),
+        sigmas(n),
+        rng.uniform(-1, 1, (m, d)),
+        sigmas(m),
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError:
+        return ValueError
+
+
+class TestPreparedColumns:
+    """The prepared form (:class:`PreparedColumns`) against the raw
+    ``(n, d)`` form of the one kernel."""
+
+    @given(_kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_both_forms_give_the_same_bits_or_both_refuse(self, inputs):
+        rule, budget, starts, mu, sigma, q_mu, q_sigma = inputs
+        n, d = mu.shape
+        bounds = [0, *starts, n]
+        columns = PreparedColumns.stack(
+            [(mu[a:b], sigma[a:b]) for a, b in zip(bounds, bounds[1:])],
+            n, d, rule,
+        )
+        assert not columns.mu.flags.writeable
+        assert not columns.power.flags.writeable
+        # The refusal rule as a test of every (query, row, dimension)
+        # spread sigma_c**p: p = 2 under CONVOLUTION, 1 under PAPER.
+        p = 2 if rule is SigmaRule.CONVOLUTION else 1
+        with np.errstate(all="ignore"):
+            spreads = sigma[np.newaxis] ** p + q_sigma[:, np.newaxis] ** p
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(joint, "_CHUNK_ELEMENTS", budget)
+                raw = _outcome(
+                    lambda: log_joint_density_multi(
+                        mu, sigma, q_mu, q_sigma, rule
+                    )
+                )
+                prepared = _outcome(
+                    lambda: columns.log_densities(q_mu, q_sigma)
+                )
+        if (spreads <= 0.0).any():
+            assert raw is ValueError and prepared is ValueError
+            return
+        assert raw is not ValueError and prepared is not ValueError
+        nan = np.isnan(raw)
+        assert np.array_equal(nan, np.isnan(prepared))
+        assert np.array_equal(
+            raw[~nan].view(np.int64), prepared[~nan].view(np.int64)
+        )
+
+    def test_stack_refuses_blocks_that_do_not_fit(self):
+        mu = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="rows"):
+            PreparedColumns.stack([(mu, mu)], 4, 4)
+        with pytest.raises(ValueError, match="pairs"):
+            PreparedColumns.stack([(mu, np.zeros((3, 1)))], 3, 4)
+        with pytest.raises(ValueError, match="pairs"):
+            PreparedColumns.stack([(mu[:, :1], mu[:, :1])], 3, 4)
+        columns = PreparedColumns.stack([(mu, mu + 1.0)], 3, 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            columns.log_densities(np.zeros((1, 3)), np.ones((1, 3)))

@@ -82,26 +82,28 @@ class TestMultiKernels:
             )
             assert np.array_equal(multi[i], row)
 
+    @pytest.mark.parametrize("prepared", [False, True])
     @pytest.mark.parametrize("budget", [1, 40, 700])
     @pytest.mark.parametrize("rule", list(SigmaRule))
     def test_density_multi_equal_across_chunk_borders(
-        self, budget, rule, monkeypatch
+        self, budget, rule, prepared, monkeypatch
     ):
         # Budgets of 1 and 40 elements cut every row apart (a chunk holds
         # at least one row, with all 3 queries); 700 cuts the 50 rows
-        # into chunks of 23, 23 and 4.
+        # into chunks of 23, 23 and 4. The prepared form (a leaf stack's
+        # or the scan's) slices its columns at the same borders.
         rng = np.random.default_rng(budget)
         m, n, d = 3, 50, 10
-        args = (
-            rng.uniform(0, 1, (n, d)),
-            rng.uniform(0.05, 0.4, (n, d)),
-            rng.uniform(0, 1, (m, d)),
-            rng.uniform(0.05, 0.4, (m, d)),
-            rule,
-        )
-        whole = log_joint_density_multi(*args)
+        mu, sigma = rng.uniform(0, 1, (n, d)), rng.uniform(0.05, 0.4, (n, d))
+        q_mu, q_sigma = rng.uniform(0, 1, (m, d)), rng.uniform(0.05, 0.4, (m, d))
+        whole = log_joint_density_multi(mu, sigma, q_mu, q_sigma, rule)
         monkeypatch.setattr(joint, "_CHUNK_ELEMENTS", budget)
-        assert np.array_equal(log_joint_density_multi(*args), whole)
+        if prepared:
+            columns = joint.PreparedColumns.stack([(mu, sigma)], n, d, rule)
+            got = columns.log_densities(q_mu, q_sigma)
+        else:
+            got = log_joint_density_multi(mu, sigma, q_mu, q_sigma, rule)
+        assert np.array_equal(got, whole)
 
     @pytest.mark.parametrize("d", [4, 10, 27])
     @pytest.mark.parametrize("rule", list(SigmaRule))
