@@ -4,9 +4,9 @@ These are the kernels whose cost the 2006 cost model abstracts: hull
 bound evaluation, batched Lemma-1 refinement, tree insertion, bulk
 loading and the two query algorithms on a mid-sized tree. The two
 ``*_multi`` kernels also run at the shapes the end-to-end benchmark
-feeds them, ``(m queries, rows, d)``, and the Lemma-1 kernel over
-prepared columns at the shapes of the leaf stacks that sweeping queries
-evaluate.
+feeds them, ``(m queries, rows, d)``, the Lemma-1 kernel over prepared
+columns at the shapes of the leaf stacks that sweeping queries evaluate,
+and the finish of a swept shard batch.
 
     python -m pytest benchmarks/bench_micro.py -q --benchmark-only
 """
@@ -29,6 +29,7 @@ from repro.gausstree.hull import (
     node_log_bounds_batch,
     node_log_bounds_multi,
 )
+from repro.gausstree.mliq import sweep_matches
 from repro.gausstree.tree import GaussTree
 
 D = 10
@@ -86,13 +87,32 @@ def test_joint_density_multi(benchmark, m, n, d):
 
 # Leaf stacks, which a sweeping k-MLIQ evaluates whole: (1, 20000, 10)
 # identify-disk's; (16, 2000, 6) one identify-sharded shard's under a
-# full coalesced batch; (1, 10987, 27) data set 1's.
-@pytest.mark.parametrize("m, n, d", [(1, 20000, 10), (16, 2000, 6), (1, 10987, 27)])
+# full coalesced batch; (1, 10987, 27) data set 1's; (100, 20000, 10) a
+# 100-query batch over identify-disk's, which the kernel runs in blocks
+# of one query.
+@pytest.mark.parametrize(
+    "m, n, d",
+    [(1, 20000, 10), (16, 2000, 6), (1, 10987, 27), (100, 20000, 10)],
+)
 def test_joint_density_prepared(benchmark, m, n, d):
     rng = np.random.default_rng(0)
     columns = PreparedColumns.stack([_uniform_pfv_stack(rng, n, d)], n, d)
     q_mu, q_sigma = _uniform_pfv_stack(rng, m, d)
     benchmark(lambda: columns.log_densities(q_mu, q_sigma))
+
+
+def test_sweep_finish(benchmark):
+    """The finish of a 16-query MLIQ(q, 5) batch swept over one
+    identify-sharded shard's stack (2,090 x 6-d, a root over its
+    leaves): top 5, denominators and row references for every query."""
+    shard = uniform_pfv_dataset(n=2_090, d=6, seed=1)
+    tree = bulk_load(shard.vectors, sigma_rule=shard.sigma_rule)
+    queries = [w.q for w in identification_workload(shard, 16, seed=2)]
+    rows = tree.leaf_stack().columns.log_densities(
+        np.vstack([q.mu for q in queries]),
+        np.vstack([q.sigma for q in queries]),
+    )
+    benchmark(lambda: sweep_matches(tree, rows, [5] * len(queries)))
 
 
 # (1, 190, 10): an inner-node group on identify-disk; (16, 32, 6): the

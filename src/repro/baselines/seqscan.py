@@ -50,26 +50,31 @@ class SequentialScanIndex:
         # The database's mu matrix and the kernel columns prepared from
         # it (see _columns).
         self._prepared: tuple[np.ndarray, PreparedColumns] | None = None
-        if len(db) == 0:
-            # Normalised empty-database semantics: a zero-page file whose
-            # queries all answer with the empty match list. The layout
-            # stays as given (possibly None: an empty db has no dims yet).
-            self.layout = layout
-            self._pages: list[int] = []
-            self._rows_per_page = 0
-            return
-        self.layout = layout if layout is not None else PageLayout(dims=db.dims)
-        per_page = self.layout.leaf_capacity
-        self._pages = [
-            self.store.allocate()
-            for _ in range(self.layout.pages_for_sequential_file(len(db)))
-        ]
-        self._rows_per_page = per_page
+        # Normalised empty-database semantics: a zero-page file whose
+        # queries all answer with the empty match list. The layout stays
+        # as given (possibly None: an empty db has no dims yet) until the
+        # file first holds rows (see _file).
+        self.layout = layout
+        self._pages: list[int] = []
+        self._file()
+
+    def _file(self) -> list[int]:
+        """The flat file's pages, grown first to hold the database's
+        current rows (``PFVDatabase.add`` may have added some since the
+        last pass); the layout comes from the rows' dims if none was
+        given."""
+        if len(self.db):
+            if self.layout is None:
+                self.layout = PageLayout(dims=self.db.dims)
+            wanted = self.layout.pages_for_sequential_file(len(self.db))
+            while len(self._pages) < wanted:
+                self._pages.append(self.store.allocate())
+        return self._pages
 
     @property
     def file_pages(self) -> int:
         """Pages the flat file occupies."""
-        return len(self._pages)
+        return len(self._file())
 
     # -- implementations (the engine's seqscan backend calls these) ----------
 
@@ -88,7 +93,8 @@ class SequentialScanIndex:
 
     def _scan_once_multi(self, queries: Sequence) -> np.ndarray:
         """One sequential pass shared by a whole batch: every page is read
-        once, densities for all m queries come from one ``(m, n)`` kernel."""
+        once, densities for all m queries come from one ``(m, n)`` kernel.
+        The callers have grown the file (``_file``) first."""
         self.store.read_sequential_run(self._pages)
         q_mu = np.vstack([q.mu for q in queries])
         q_sigma = np.vstack([q.sigma for q in queries])
@@ -109,7 +115,7 @@ class SequentialScanIndex:
             return [], QueryStats()
         self.store.begin_query()
         started = time.perf_counter()
-        if not self._pages:
+        if not self._file():
             return [[] for _ in queries], self._stats(0, started)
         log_dens = self._scan_once_multi([query.q for query in queries])
         results: list[list[Match]] = []
@@ -133,7 +139,7 @@ class SequentialScanIndex:
             return [], QueryStats()
         self.store.begin_query()
         started = time.perf_counter()
-        if not self._pages:
+        if not self._file():
             return [[] for _ in queries], self._stats(0, started)
         log_dens = self._scan_once_multi([query.q for query in queries])
         self.store.read_sequential_run(self._pages)  # report pass

@@ -22,12 +22,13 @@ map to interval bounds on ``sigma_c``.
 evaluates through one vectorised kernel, :func:`log_joint_density_multi`
 (``m`` queries against ``n`` stored pfv), which works dimension-major
 and in variance form; its docstring and helpers give the layout, the
-summation order and the chunk budget. Rows that many queries evaluate,
-a Gauss-tree's leaf stack and the sequential scan's file, are kept in
-that layout as :class:`PreparedColumns`, so the kernel's one chunk loop
-slices them instead of transposing and powering every chunk on every
-call; ad-hoc arrays, such as a sibling group's, are transposed chunk by
-chunk. Both forms give the same bits and refuse the same inputs.
+summation order and the budget that cuts a call into chunks of rows and
+blocks of queries. Rows that many queries evaluate, a Gauss-tree's leaf
+stack and the sequential scan's file, are kept in that layout as
+:class:`PreparedColumns`, so the kernel's one chunk loop slices them
+instead of transposing and powering every chunk on every call; ad-hoc
+arrays, such as a sibling group's, are transposed chunk by chunk. Both
+forms give the same bits and refuse the same inputs.
 """
 
 from __future__ import annotations
@@ -149,26 +150,30 @@ def log_joint_density_batch(
     )[0]
 
 
-# The most float64 elements one (d, m, rows) temporary of the Lemma-1
-# kernel holds. A larger call is cut into chunks of rows, at least one
-# row each, so only a query stack whose m * d alone exceeds the budget
-# exceeds it. Each chunk's two temporaries then take 512 KiB together,
-# inside the 2 MiB per-core L2 of the host below; at 131,072 they leave
-# it, and the raw 20,000-row shape slows down. Median us per call over
-# 15 rounds interleaved in one process on a 2-vCPU Xeon, numpy 2.4, over
-# prepared columns (leaf stacks) and raw (n, d) arrays:
-#   form      (m, rows, d)     8192  16384  32768  65536  131072
-#   prepared  (1, 20000, 10)   1779   1673   1129   1163    1160
-#   prepared  (16, 2000, 6)    2168   1777   1644   1603    1595
-#   prepared  (1, 10987, 27)   3105   2731   2455   2340    1770
-#   raw       (1, 20000, 10)   2295   2121   2042   1778    4229
-#   raw       (1, 16000, 6)    1035    933    801    832     857
-#   raw       (16, 16000, 6)  19150  16168  14056  12960   14236
-#   raw       (1, 740, 10)       89    102    102    105     105
-#   raw       (16, 341, 6)      468    372    257    252     250
-# Only data set 1's 27-d stack runs clearly faster at a larger budget.
-# The (m, rows, d) kernel this one replaced took 4760 us at
-# (1, 20000, 10) and 27510 us at (16, 16000, 6).
+# The most float64 elements one (d, queries, rows) temporary of the
+# Lemma-1 kernel holds. A chunk takes budget // d rows (at least one, at
+# most all), and a block as many queries as fit beside them (at least
+# one), so only a call with d alone above the budget exceeds it. Each
+# temporary pair then takes at most 512 KiB, inside the 2 MiB per-core
+# L2 of the host below. Median us per call over 15 rounds, the budgets
+# interleaved in one process on a 2-vCPU Xeon, numpy 2.4, over prepared
+# columns (leaf stacks) and raw (n, d) arrays:
+#   form      (m, rows, d)       8192  16384  32768  65536 131072
+#   prepared  (1, 20000, 10)    2039   1622   1212   1173   1298
+#   prepared  (16, 2000, 6)     1791   1309   1360   1323   1547
+#   prepared  (1, 10987, 27)    3325   2672   2379   2492   2010
+#   prepared  (16, 16000, 6)   12805  11413   7929   8238   9029
+#   prepared  (100, 20000, 10) 169892 155203 108809 117771 120192
+#   raw       (1, 20000, 10)    2746   2333   2244   1847   1963
+#   raw       (1, 16000, 6)     1243   1157    870    881    904
+#   raw       (16, 16000, 6)   12699  11186   8260   8629   9168
+#   raw       (1, 740, 10)       104    100    103    103     96
+#   raw       (16, 341, 6)       297    265    256    264    260
+# 32,768 is fastest or within noise of it everywhere but data set 1's
+# 27-d stack. The loop this one replaced gave a chunk budget // (m * d)
+# rows and all m queries; timed beside this one it took 1.8x as long at
+# (100, 20000, 10) (32 rows a chunk), 1.7x at (16, 16000, 6) (341 rows)
+# and 1.2x at (16, 2000, 6).
 _CHUNK_ELEMENTS = 32_768
 
 
@@ -337,6 +342,15 @@ def _kernel(
 ) -> np.ndarray:
     """The one Lemma-1 chunk loop behind both forms.
 
+    A chunk takes the rows a one-query call gets from the budget
+    (``_CHUNK_ELEMENTS // d``, or all ``n`` when fewer), and each chunk
+    is evaluated for blocks of as many queries as fit the budget beside
+    those rows, at least one: a call of ``m * n * d`` within the budget
+    runs as one chunk and one block, and a large batch over a whole
+    stack in blocks of a few queries over long rows instead of in short
+    chunks of all its queries. Every entry is its own plane-by-plane
+    sum, so neither border changes a bit.
+
     ``columns(chunk)`` returns the chunk's ``(d, rows)`` means and
     powers and the smallest powers of rows that include the chunk's:
     prepared columns return the whole stack's for every chunk, checked
@@ -359,7 +373,15 @@ def _kernel(
     q_power = _powered(q_sigma.T, rule)
     q_part = q_power[:, :, np.newaxis]
     out = _log_density_accumulator(d, (m, n))
-    rows = max(1, _CHUNK_ELEMENTS // max(1, m * d))
+    rows = max(1, min(n, _CHUNK_ELEMENTS // max(1, d)))
+    step = max(1, _CHUNK_ELEMENTS // (rows * max(1, d)))
+    if step >= m:  # one block: the call's own query arrays
+        blocks = [(slice(None), q_mu_t, q_part)]
+    else:
+        blocks = [
+            (block, q_mu_t[:, block], q_part[:, block])
+            for block in (slice(first, first + step) for first in range(0, m, step))
+        ]
     checked = None
     for start in range(0, n, rows):
         chunk = slice(start, start + rows)
@@ -367,11 +389,12 @@ def _kernel(
         if smallest is not checked:
             _check_spreads(smallest, q_power)
             checked = smallest
-        dist = np.subtract(mu_t[:, np.newaxis, :], q_mu_t)
-        if rule is SigmaRule.CONVOLUTION:
-            np.square(dist, out=dist)
-        spread = np.add(power_t[:, np.newaxis, :], q_part)
-        _add_planes(_log_terms(dist, spread, rule), out[:, chunk])
+        for block, block_mu, block_part in blocks:
+            dist = np.subtract(mu_t[:, np.newaxis, :], block_mu)
+            if rule is SigmaRule.CONVOLUTION:
+                np.square(dist, out=dist)
+            spread = np.add(power_t[:, np.newaxis, :], block_part)
+            _add_planes(_log_terms(dist, spread, rule), out[block, chunk])
     out *= -0.5
     return out
 
@@ -404,9 +427,10 @@ def log_joint_density_multi(
 
     The kernel is *dimension-major*: it transposes the queries once and
     each chunk of columns once (prepared columns are stored transposed),
-    builds each temporary as ``(d, m, rows)`` and works in place,
-    because numpy broadcasts into and sums over a short trailing ``d``
-    axis several times slower than over long contiguous rows. Per
+    builds each temporary as ``(d, queries, rows)`` for a block of the
+    queries over a chunk of the rows (see :func:`_kernel`) and works in
+    place, because numpy broadcasts into and sums over a short trailing
+    ``d`` axis several times slower than over long contiguous rows. Per
     dimension it evaluates ``-(z**2 + log sigma_c**2) / 2`` from p-th
     powers (see :func:`_powered`) and adds the ``d`` planes one at a
     time, so every entry depends on its own row and query only: the same

@@ -76,9 +76,11 @@ __all__ = [
 
 # The most float64 elements, m * rows * d, that one sibling-group kernel
 # may broadcast (m queries, rows leaf rows or child rectangles, d
-# dimensions); its (d, m, rows) temporaries then stay at 256 KiB each,
-# and the Lemma-1 kernel's own chunk budget (_CHUNK_ELEMENTS in
-# repro.core.joint, also 32,768) never cuts a group of several nodes.
+# dimensions); its (d, m, rows) temporaries then stay at 256 KiB each.
+# The Lemma-1 kernel's budget (_CHUNK_ELEMENTS in repro.core.joint, also
+# 32,768) gives a chunk budget // d rows, at least the group's, and a
+# block the queries that fit beside them, at least the group's m, so it
+# evaluates a group of several nodes in one chunk and one block.
 # Chosen on the end-to-end identify-sharded workload (16-query batches
 # over 6-d shards of one root and 32 leaves), runs alternated with the
 # 2.3.0 code on a 2-vCPU host, seeds 310-313, queries/s at peak RSS:
@@ -284,17 +286,18 @@ class BatchRefiner:
             extras = self._leaf_extras[leaf.page_id]
         return extras
 
-    def stack_log_densities(self, query_index: int) -> np.ndarray:
-        """One query's Lemma-1 log densities over every row of the tree's
-        leaf stack (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`),
-        in stack order: what a k-MLIQ sweep ranks.
+    def stack_log_densities(self) -> np.ndarray:
+        """``(m, n)`` Lemma-1 log densities of the batch's queries over
+        every row of the tree's leaf stack
+        (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`), in stack
+        order: what a k-MLIQ sweep ranks, one row per query.
 
         The first call evaluates the stack for every query of the batch
         in one kernel call over its prepared columns
         (:meth:`~repro.core.joint.PreparedColumns.log_densities`, the
-        bits ``log_joint_density_multi`` gives); later calls, and
-        :meth:`leaf_extras` for pages no query has evaluated yet, slice
-        that result. The kernel is rowwise independent, so each row
+        bits ``log_joint_density_multi`` gives); later calls return that
+        result, and :meth:`leaf_extras` slices it for pages no query has
+        evaluated yet. The kernel is rowwise independent, so each row
         holds the bits a one-query call gives and no answer depends on
         its batch.
         """
@@ -302,7 +305,7 @@ class BatchRefiner:
             self._stack_rows = self.tree.leaf_stack().columns.log_densities(
                 self.q_mu, self.q_sigma
             )
-        return self._stack_rows[query_index]
+        return self._stack_rows
 
     def _stack_span(self, leaf: LeafNode) -> tuple[int, int] | None:
         """The leaf's ``(start, stop)`` columns in the stack rows."""
@@ -458,18 +461,17 @@ def sweeps_every_mliq(tree) -> bool:
 def _sweep_many(
     tree, queries: Sequence[MLIQuery]
 ) -> tuple[list[list[RowMatch]], QueryStats]:
-    """Answer every k-MLIQ of the batch from one ``(m, n)`` evaluation
-    of the leaf stack (:meth:`BatchRefiner.stack_log_densities`).
+    """Answer every k-MLIQ of the batch from one ``(m, n)`` kernel call
+    over the leaf stack's prepared columns and one finish over its
+    result (:func:`~repro.gausstree.mliq.sweep_matches`).
 
     Each query reads every node page through the store (one
     ``read_many``, in the order its pops would have read them; a root
     leaf is the one page), counts the root as its one expanded node and
-    every row as refined, and
-    finishes as a traversal's sweep does
-    (:func:`~repro.gausstree.mliq.sweep_matches`), so its answer and
-    counters do not depend on the batch.
+    every row as refined, so its answer and counters do not depend on
+    the batch. The first query's time covers the batch's kernel and
+    finish.
     """
-    refiner = BatchRefiner(tree, [query.q for query in queries])
     root = tree.root
     pages = [root.page_id]
     if not root.is_leaf:
@@ -478,13 +480,18 @@ def _sweep_many(
     rows = len(tree)
     results: list[list[RowMatch]] = []
     total = QueryStats()
-    for index, query in enumerate(queries):
+    for query in queries:
         store.begin_query()
         started = time.perf_counter()
         store.read_many(pages)
-        results.append(
-            sweep_matches(tree, refiner.stack_log_densities(index), query.k)
-        )
+        if not results:
+            densities = tree.leaf_stack().columns.log_densities(
+                np.array([each.q.mu for each in queries]),
+                np.array([each.q.sigma for each in queries]),
+            )
+            results = sweep_matches(
+                tree, densities, [each.k for each in queries]
+            )
         stats = query_stats(
             tree, started, objects_refined=rows, nodes_expanded=1
         )

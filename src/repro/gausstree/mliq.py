@@ -58,11 +58,11 @@ import heapq
 import itertools
 import math
 import time
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.queries import Match, MLIQuery, QueryStats, RowMatch, built
-from repro.core.scan import top_k_order
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
 
 __all__ = ["census_share", "census_sweeps", "gausstree_mliq", "search_mliq"]
@@ -371,39 +371,76 @@ def _sweep(state: SearchState, k: int) -> list[RowMatch]:
             pending.extend(node.children)  # type: ignore[attr-defined]
     read_many(run)
     state.objects_refined = len(state.tree)
-    return sweep_matches(
-        state.tree, state.refiner.stack_log_densities(state.query_index), k
-    )
+    index = state.query_index
+    rows = state.refiner.stack_log_densities()[index : index + 1]
+    return sweep_matches(state.tree, rows, [k])[0]
 
 
-def sweep_matches(tree, row: np.ndarray, k: int) -> list[RowMatch]:
-    """The k-MLIQ answer from one query's density row over the tree's
-    leaf stack: the top k of it and one exact denominator. The finish of
-    both sweeps, a traversal's (:func:`_sweep`) and a two-level tree's
-    (:func:`~repro.gausstree.batch.gausstree_mliq_many`)."""
-    order = top_k_order(row, k)
-    top = row[order[0]]
-    if top == -math.inf:
-        # Degenerate: every density underflowed — the scan's uniform
-        # posterior (Property 3).
-        probabilities = [1.0 / len(row)] * len(order)
-    else:
-        # Terms below exp(_UNDERFLOW) cannot move a sum that holds
-        # exp(0) = 1; flooring them keeps exp out of subnormal range.
-        scaled = row - top
-        np.maximum(scaled, _UNDERFLOW, out=scaled)
-        np.exp(scaled, out=scaled)
-        probabilities = (
-            np.exp(row[order] - top) / float(np.sum(scaled))
-        ).tolist()
-    return [
+def sweep_matches(
+    tree, rows: np.ndarray, ks: Sequence[int]
+) -> list[list[RowMatch]]:
+    """The k-MLIQ answers from ``(m, n)`` density rows over the tree's
+    leaf stack, one row per query with its k in ``ks``: each the top k
+    of its row and one exact denominator, found in one array pass for
+    the rows that share a k (a batch of mixed k takes one pass per k).
+    The finish of both sweeps: a two-level tree's batch
+    (:func:`~repro.gausstree.batch.gausstree_mliq_many`) and, as its
+    one-row case, a traversal's (:func:`_sweep`). Every step works row
+    by row, so an answer has the bits its one-row call gives.
+
+    The top k are :func:`~repro.core.scan.top_k_order`'s: a row-wise
+    partition finds each row's k-th largest density, and one ``lexsort``
+    orders the entries at least that dense by row, by descending density
+    and then by position, so ties keep the full sort's order.
+    """
+    if len(set(ks)) > 1:
+        answers: list[list[RowMatch]] = [[] for _ in ks]
+        for k in set(ks):
+            members = [i for i, each in enumerate(ks) if each == k]
+            for i, matches in zip(
+                members, sweep_matches(tree, rows[members], [k] * len(members))
+            ):
+                answers[i] = matches
+        return answers
+    m, n = rows.shape
+    k = min(ks[0], n)  # k = n: the whole row, in the full sort's order
+    parted = np.partition(rows, n - k, axis=1)
+    flat = (rows >= parted[:, n - k, np.newaxis]).ravel().nonzero()[0]
+    values = rows.take(flat)
+    owner = flat // n
+    order = np.lexsort((flat, -values, owner))
+    flat, values = flat[order], values[order]
+    if flat.size > m * k:
+        # Ties at some row's k-th density: keep each row's first k.
+        keep = np.arange(flat.size) - np.searchsorted(owner, owner) < k
+        flat, values = flat[keep], values[keep]
+    values = values.reshape(m, k)
+    top = values[:, :1]
+    # A row whose every density underflowed answers with the scan's
+    # uniform posterior (Property 3); a zero shift keeps it finite.
+    uniform = None
+    if -math.inf in top.ravel().tolist():
+        uniform = top[:, 0] == -math.inf
+        top = np.where(uniform[:, np.newaxis], 0.0, top)
+    terms = np.exp(values - top)
+    # Terms below exp(_UNDERFLOW) cannot move a sum that holds
+    # exp(0) = 1; flooring them keeps exp out of subnormal range. The
+    # partition's buffer, still hot in cache, takes them.
+    scaled = np.subtract(rows, top, out=parted)
+    np.maximum(scaled, _UNDERFLOW, out=scaled)
+    np.exp(scaled, out=scaled)
+    probabilities = terms / scaled.sum(axis=1, keepdims=True)
+    if uniform is not None:
+        probabilities[uniform] = 1.0 / n
+    matches = [
         RowMatch(leaf, i, log_density, probability)
         for (leaf, i), log_density, probability in zip(
-            tree.leaf_stack().locate(order),
-            row[order].tolist(),
-            probabilities,
+            tree.leaf_stack().locate(flat % n),
+            values.ravel().tolist(),
+            probabilities.ravel().tolist(),
         )
     ]
+    return [matches[start : start + k] for start in range(0, m * k, k)]
 
 
 def _assemble(

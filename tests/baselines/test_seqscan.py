@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MLIQ, connect
 from repro.baselines.seqscan import SequentialScanIndex
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
@@ -68,6 +69,34 @@ class TestCorrectness:
             m.key for m in scan_mliq(db, MLIQuery(q, 3))
         ]
         assert [m.key for m in after[1:]] == [m.key for m in before[:2]]
+
+    def test_rows_added_to_an_empty_database_are_answered(self):
+        # An index built over an empty database has no layout and no
+        # pages; its first pass over added rows grows the file.
+        db = PFVDatabase()
+        q = make_random_query(d=3, seed=10)
+        with connect(db, backend="seqscan") as session:
+            db.add(PFV(q.mu, q.sigma, key="first"))
+            assert len(session) == 1
+            result = session.execute(MLIQ(q, 1))
+            (match,) = result.matches
+            assert match.key == "first" and match.probability == 1.0
+            assert result.stats.pages_accessed == 1
+
+    def test_the_file_grows_a_page_when_rows_spill_over(self):
+        # 292 rows of 3-d pfv fill two pages of 146; the 293rd needs a
+        # third, which the next pass reads and counts.
+        db = make_random_db(n=292, d=3, seed=11)
+        idx = SequentialScanIndex(db)
+        assert idx.layout.leaf_capacity == 146 and idx.file_pages == 2
+        q = make_random_query(d=3, seed=12)
+        db.add(PFV(q.mu, q.sigma, key="spill"))
+        (matches,), stats = idx._mliq_many_impl([MLIQuery(q, 1)])
+        assert matches[0].key == "spill"
+        assert (stats.objects_refined, stats.pages_accessed) == (293, 3)
+        assert idx.file_pages == 3
+        _, stats = idx._tiq_many_impl([ThresholdQuery(q, 0.5)])
+        assert stats.pages_accessed == 6
 
     def test_mliq_many_matches_singles(self, scan_index):
         db, idx = scan_index

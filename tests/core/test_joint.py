@@ -272,11 +272,12 @@ _ODD_SIGMAS = [0.0, -0.0, math.nan, math.inf, -math.inf, -0.3, -2.0, 1e-170]
 @st.composite
 def _kernel_inputs(draw):
     """Random stacks and queries with odd sigmas in random cells, under a
-    chunk budget that cuts the stack into chunks of a few rows, and the
-    row numbers where the prepared form's blocks start."""
+    budget that cuts the stack into chunks of a few rows or its queries
+    into blocks of a few queries, and the row numbers where the prepared
+    form's blocks start."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, n, d = draw(st.integers(1, 16)), draw(st.integers(0, 40)), draw(
-        st.integers(1, 5)
+    m, n, d = draw(st.integers(1, 40)), draw(st.integers(0, 40)), draw(
+        st.integers(1, 10)
     )
     share = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
 
@@ -288,7 +289,7 @@ def _kernel_inputs(draw):
 
     return (
         draw(st.sampled_from(list(SigmaRule))),
-        draw(st.sampled_from([1, 7, 50, 32_768])),
+        draw(st.sampled_from([1, 7, 50, 300, 2_000, 32_768])),
         sorted(draw(st.lists(st.integers(0, n), max_size=3))),
         rng.uniform(-1, 1, (n, d)),
         sigmas(n),
@@ -305,8 +306,8 @@ def _outcome(call):
 
 
 class TestPreparedColumns:
-    """The prepared form (:class:`PreparedColumns`) against the raw
-    ``(n, d)`` form of the one kernel."""
+    """The prepared form (:class:`PreparedColumns`) and the raw ``(n, d)``
+    form of the one kernel, against one-query calls."""
 
     @given(_kernel_inputs())
     @settings(max_examples=300, deadline=None)
@@ -335,15 +336,29 @@ class TestPreparedColumns:
                 prepared = _outcome(
                     lambda: columns.log_densities(q_mu, q_sigma)
                 )
-        if (spreads <= 0.0).any():
+            # Each query alone at the default budget: one chunk of every
+            # row, in a block of its own.
+            singles = [
+                _outcome(
+                    lambda: log_joint_density_multi(
+                        mu, sigma, q_mu[i : i + 1], q_sigma[i : i + 1], rule
+                    )
+                )
+                for i in range(len(q_mu))
+            ]
+        refused = (spreads <= 0.0).any(axis=(1, 2))
+        assert [single is ValueError for single in singles] == refused.tolist()
+        if refused.any():
             assert raw is ValueError and prepared is ValueError
             return
         assert raw is not ValueError and prepared is not ValueError
-        nan = np.isnan(raw)
-        assert np.array_equal(nan, np.isnan(prepared))
-        assert np.array_equal(
-            raw[~nan].view(np.int64), prepared[~nan].view(np.int64)
-        )
+        want = np.vstack(singles)
+        nan = np.isnan(want)
+        for got in (raw, prepared):
+            assert np.array_equal(nan, np.isnan(got))
+            assert np.array_equal(
+                got[~nan].view(np.int64), want[~nan].view(np.int64)
+            )
 
     def test_stack_refuses_blocks_that_do_not_fit(self):
         mu = np.zeros((3, 4))

@@ -1,5 +1,6 @@
 """Batch query APIs must answer exactly like the one-at-a-time APIs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.gausstree import (
     gausstree_tiq,
     gausstree_tiq_many,
 )
+from repro.gausstree.batch import _sweep_many
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import node_log_bounds_batch, node_log_bounds_multi
 from repro.gausstree.node import InnerNode, LeafNode
@@ -83,15 +85,18 @@ class TestMultiKernels:
             assert np.array_equal(multi[i], row)
 
     @pytest.mark.parametrize("prepared", [False, True])
-    @pytest.mark.parametrize("budget", [1, 40, 700])
+    @pytest.mark.parametrize("budget", [1, 40, 700, 1000])
     @pytest.mark.parametrize("rule", list(SigmaRule))
     def test_density_multi_equal_across_chunk_borders(
         self, budget, rule, prepared, monkeypatch
     ):
-        # Budgets of 1 and 40 elements cut every row apart (a chunk holds
-        # at least one row, with all 3 queries); 700 cuts the 50 rows
-        # into chunks of 23, 23 and 4. The prepared form (a leaf stack's
-        # or the scan's) slices its columns at the same borders.
+        # A chunk holds the rows a one-query call gets (budget // d, at
+        # least one, at most all 50) and a block the queries that fit
+        # beside them (at least one): a budget of 1 element cuts chunks
+        # of 1 row, 40 chunks of 4 rows, each in blocks of 1 query; 700
+        # keeps the 50 rows in one chunk in blocks of 1 query, 1000 in
+        # blocks of 2 and 1. The prepared form (a leaf stack's or the
+        # scan's) slices its columns at the same borders.
         rng = np.random.default_rng(budget)
         m, n, d = 3, 50, 10
         mu, sigma = rng.uniform(0, 1, (n, d)), rng.uniform(0.05, 0.4, (n, d))
@@ -195,6 +200,67 @@ class TestGaussTreeBatch:
     def test_dimension_mismatch_rejected(self, tree):
         with pytest.raises(ValueError):
             gausstree_mliq_many(tree, [MLIQuery(make_random_query(d=2), 1)])
+
+
+class TestSweepFinish:
+    """A two-level tree's swept batch (``_sweep_many``) finishes every
+    query in one array pass over its ``(m, n)`` density matrix."""
+
+    def test_batch_finish_equals_one_query_batches(self):
+        db = make_random_db(n=300, d=4, seed=21)
+        # Four equal rows, sharper than any other: the densest four for
+        # a query at their mean, tied.
+        twin = PFV(db.vectors[7].mu, np.full(4, 0.01))
+        for copy in range(4):
+            db.add(PFV(twin.mu, twin.sigma, key=f"twin-{copy}"))
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        assert tree.height == 2
+        n = len(tree)
+        # Every density of this query overflows z**2 to inf: -inf.
+        far = PFV(np.full(4, 1e160), np.full(4, 0.1))
+        batch = [
+            MLIQuery(twin, 2),  # the k-th density ties with 3 others
+            MLIQuery(make_random_query(d=4, seed=22), 5),
+            MLIQuery(far, 3),
+            MLIQuery(twin, n),
+            MLIQuery(make_random_query(d=4, seed=23), n + 3),
+            MLIQuery(far, n),
+            MLIQuery(make_random_query(d=4, seed=24), 1),
+        ]
+
+        def answer(queries):
+            results, stats = _sweep_many(tree, queries)
+            counters = dataclasses.asdict(stats)
+            del counters["cpu_seconds"]
+            return [
+                [
+                    (m.leaf.page_id, m.row, m.log_density.hex(),
+                     m.probability.hex())
+                    for m in matches
+                ]
+                for matches in results
+            ], counters
+
+        # Both runs start cold, so only their first query faults.
+        with np.errstate(over="ignore"):
+            tree.store.cold_start()
+            got, counters = answer(batch)
+            tree.store.cold_start()
+            singles = [answer([query]) for query in batch]
+        assert got == [matches for (matches,), _ in singles]
+        assert counters == {
+            key: sum(single[key] for _, single in singles) for key in counters
+        }
+        assert counters["swept"] == len(batch)
+        assert len({entry[2] for entry in got[3][:4]}) == 1
+        assert got[3][4][2] != got[3][3][2]
+        assert got[0] == got[3][:2]
+        assert [len(matches) for matches in got] == [2, 5, 3, n, n, n, 1]
+        for matches in (got[2], got[5]):
+            assert {(m[2], m[3]) for m in matches} == {
+                ((-math.inf).hex(), (1.0 / n).hex())
+            }
+        assert [m[:2] for m in got[5][:3]] == [m[:2] for m in got[2]]
 
 
 # -- sibling groups -------------------------------------------------------------
