@@ -6,14 +6,19 @@ loading and the two query algorithms on a mid-sized tree. The two
 ``*_multi`` kernels also run at the shapes the end-to-end benchmark
 feeds them, ``(m queries, rows, d)``, the Lemma-1 kernel over prepared
 columns at the shapes of the leaf stacks that sweeping queries evaluate,
-and the finish of a swept shard batch.
+and the finish of a swept shard batch. An identify-disk singleton, which
+the leaf-hull census sweeps, runs beside a sequential scan of the same
+rows.
 
     python -m pytest benchmarks/bench_micro.py -q --benchmark-only
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro import MLIQ, connect
 from repro.core.joint import (
     PreparedColumns,
     log_joint_density_batch,
@@ -113,6 +118,42 @@ def test_sweep_finish(benchmark):
         np.vstack([q.sigma for q in queries]),
     )
     benchmark(lambda: sweep_matches(tree, rows, [5] * len(queries)))
+
+
+@pytest.fixture(scope="module")
+def identify_disk(tmp_path_factory):
+    """identify-disk's index, a warm 20,000 x 10-d disk tree, and a
+    sequential scan over the same rows, each as a session, with 16
+    identification queries."""
+    rows = uniform_pfv_dataset(n=20_000, d=10, seed=4)
+    path = tmp_path_factory.mktemp("identify") / "index.gauss"
+    bulk_load(rows.vectors, sigma_rule=rows.sigma_rule).save(path)
+    tree = connect(path)
+    scan = connect(rows, backend="seqscan")
+    specs = [MLIQ(w.q, 5) for w in identification_workload(rows, 16, seed=5)]
+    for spec in specs:  # every page resident, both stacks built
+        tree.execute(spec)
+        scan.execute(spec)
+    yield tree, scan, specs
+    tree.close()
+    scan.close()
+
+
+def test_census_swept_singleton(benchmark, identify_disk):
+    """identify-disk's query, MLIQ(q, 5) at 1e-9: the leaf-hull census
+    sends it to the sweep right after the root's expansion."""
+    tree, _, specs = identify_disk
+    stats = tree.execute(specs[0]).stats
+    assert (stats.swept, stats.nodes_expanded) == (1, 1)
+    cycle = itertools.cycle(specs)
+    benchmark(lambda: tree.execute(next(cycle)))
+
+
+def test_seqscan_singleton(benchmark, identify_disk):
+    """The same queries answered by a sequential scan of the same rows."""
+    _, scan, specs = identify_disk
+    cycle = itertools.cycle(specs)
+    benchmark(lambda: scan.execute(next(cycle)))
 
 
 # (1, 190, 10): an inner-node group on identify-disk; (16, 32, 6): the

@@ -83,7 +83,7 @@ from repro.gausstree import GaussTree, bulk_load
 # box (the subsystem itself is stdlib-only on top of the engine).
 import repro.cluster  # noqa: E402,F401  (registration side effect)
 
-__version__ = "2.6.2"
+__version__ = "2.6.3"
 
 __all__ = [
     "PFV",

@@ -218,14 +218,15 @@ class BatchRefiner:
         return np.vstack(self.leaf_extras(leaf)[0])
 
     def leaf_extras(
-        self, leaf: LeafNode
+        self, leaf: LeafNode, siblings: bool = True
     ) -> tuple[list[np.ndarray], list[float], list[float], list[float]]:
         """Per-query expansion data for a leaf, one list entry per batch
         query: ``(log_density_rows, row_maxima, scaled_masses,
         shifts_used)``.
 
         Computed for *all* queries, and for the leaf's whole sibling
-        group, in a handful of array operations the first time any query
+        group (the leaf alone with ``siblings=False``, as the census
+        asks), in a handful of array operations the first time any query
         touches the page; ``SearchState`` indexes the lists directly on
         every later expansion. Each scaled mass is bit-identical to
         ``np.sum(np.exp(np.clip(row - shift, _UNDERFLOW, _CAP)))`` for
@@ -245,7 +246,11 @@ class BatchRefiner:
                 group = [leaf]
                 matrix = self._stack_rows[:, span[0] : span[1]]  # type: ignore[index]
             else:
-                group = self._sibling_group(leaf, self._leaf_extras)
+                group = (
+                    self._sibling_group(leaf, self._leaf_extras)
+                    if siblings
+                    else [leaf]
+                )
                 if len(group) == 1:
                     mu, sigma = leaf.arrays()
                 else:

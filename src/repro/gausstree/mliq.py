@@ -25,22 +25,24 @@ sequential scan of the same rows. Such a query answers as the scan does
 instead: one row of Lemma-1 densities over the tree's contiguous leaf
 stack (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`), the top k
 from it and one exact denominator. The answer is exact; every page still
-under the queue counts as accessed and every row as refined, and
-``QueryStats.swept`` counts the query. Two decisions lead there, both
-asking whether nodes must still be expanded: a node must be while its
-upper bound beats the current k-th density, or while its upper mass is
-above the tolerance times the denominator's lower bound.
+under the queue counts as accessed (one read of slices of the tree's
+pre-order page ids, kept with the leaf hulls) and every row as refined,
+and ``QueryStats.swept`` counts the query. Two decisions lead there,
+both asking whether nodes must still be expanded: a node must be while
+its upper bound beats the current k-th density, or while its upper mass
+is above the tolerance times the denominator's lower bound.
 
 * **The census**, before the traversal pops. A query with a finite
   tolerance on a tree of three or more levels expands the root, then
   asks the leaf hulls (:func:`census_share`): Lemmas 2-3 bound every
   leaf's rectangle (:meth:`~repro.gausstree.tree.GaussTree.leaf_hulls`,
   bounded once per batch), and the exact densities of the leaf with the
-  highest upper bound give a k-th density and, with every other leaf's
-  lower mass, the denominator's lower bound. When the rows under leaves
-  that must be popped reach ``_CENSUS_SHARE`` of the tree's, the query
-  sweeps at once; otherwise its traversal finds that leaf's densities
-  and every leaf parent's child bounds already computed.
+  highest upper bound, refined alone, give a k-th density and, with
+  every other leaf's lower mass, the denominator's lower bound. When the
+  rows under leaves that must be popped reach ``_CENSUS_SHARE`` of the
+  tree's, the query sweeps at once; otherwise its traversal finds that
+  leaf's densities and every leaf parent's child bounds already
+  computed.
 * **The checkpoints**, as the traversal pops: after ``_FIRST_CHECK``
   pops and each doubling, while at least three quarters of the tree's
   rows are still queued, it sweeps once ``_SWEEP_SHARE`` of the queued
@@ -277,24 +279,28 @@ def census_share(refiner, query_index: int, k: int, tolerance: float) -> float:
     Reads the batch's bounds over every leaf's rectangle
     (:meth:`~repro.gausstree.batch.BatchRefiner.leaf_hull_bounds`) and
     refines the leaf with the highest upper bound, the first leaf a
-    traversal pops, through ``leaf_extras``, so a traversal finds its
-    densities cached. Its k-th density stands in for the k-th
-    candidate's (every leaf must be popped while it holds fewer than k
-    rows), and its exact terms plus every other leaf's ``count * N_``
-    bound the denominator from below (Section 5.2). A leaf must be popped
-    under :func:`_pruning_failed`'s two criteria: its upper bound beats
-    the k-th density, or its upper mass ``count * N^`` is above
-    ``tolerance`` times that lower bound. Sums are taken in log space,
-    so the share does not depend on a state's scale shift, and
-    everything read is the query's own row, so it does not depend on the
-    batch either.
+    traversal pops, through ``leaf_extras`` as a group of one: a sweep
+    reads none of its siblings, and a traversal finds its densities
+    cached and refines the siblings it pops as a group of their own (a
+    row's bits do not depend on its group). Its k-th density stands in
+    for the k-th candidate's (every leaf must be popped while it holds
+    fewer than k rows), and its exact terms plus every other leaf's
+    ``count * N_`` bound the denominator from below (Section 5.2). A
+    leaf must be popped under :func:`_pruning_failed`'s two criteria:
+    its upper bound beats the k-th density, or its upper mass
+    ``count * N^`` is above ``tolerance`` times that lower bound. Sums
+    are taken in log space, so the share does not depend on a state's
+    scale shift, and everything read is the query's own row, so it does
+    not depend on the batch either.
     """
     hulls = refiner.tree.leaf_hulls()
     lower, upper = refiner.leaf_hull_bounds()
     lower = lower[query_index]
     upper = upper[query_index]
     best = int(np.argmax(upper))
-    row = refiner.leaf_extras(hulls.leaves[best])[0][query_index]
+    row = refiner.leaf_extras(hulls.leaves[best], siblings=False)[0][
+        query_index
+    ]
     kth = float(np.partition(row, -k)[-k]) if len(row) >= k else -math.inf
     log_counts = hulls.log_counts
     terms = log_counts + lower
@@ -352,24 +358,21 @@ def _sweep(state: SearchState, k: int) -> list[RowMatch]:
     """Answer the query as the scan does, from one density row over the
     tree's leaf stack (:func:`sweep_matches`).
 
-    Every page still under the queue is read through the store, in the
-    order the pops it replaces would have read them, so the query's page
-    accesses are the tree's node pages; every row counts as refined. The
-    reads go in runs, one ``read_many`` per inner node: the leaves popped
-    before it, then the node itself, which must be read before its
-    children are listed (listing decodes a stub).
+    Every page still under the queue is read through the store in one
+    ``read_many``, in the order the pops it replaces would have read
+    them: the queued nodes from the last heap entry to the first, each
+    with its subtree in :meth:`~repro.gausstree.tree.GaussTree.nodes`
+    pre-order, one slice of the hull stack's page ids
+    (:class:`~repro.gausstree.tree.LeafHulls`). So the query's page
+    accesses are the tree's node pages, and every row counts as refined.
     """
-    read_many = state.tree.store.read_many
-    pending = [item[3] for item in state._heap]
-    run: list[int] = []
-    while pending:
-        node = pending.pop()
-        run.append(node.page_id)
-        if not node.is_leaf:
-            read_many(run)
-            run = []
-            pending.extend(node.children)  # type: ignore[attr-defined]
-    read_many(run)
+    hulls = state.tree.leaf_hulls()
+    page_ids, subtrees = hulls.page_ids, hulls.subtrees
+    pages: list[int] = []
+    for item in reversed(state._heap):
+        start, stop = subtrees[item[3].page_id]
+        pages += page_ids[start:stop]
+    state.tree.store.read_many(pages)
     state.objects_refined = len(state.tree)
     index = state.query_index
     rows = state.refiner.stack_log_densities()[index : index + 1]

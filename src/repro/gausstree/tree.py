@@ -73,13 +73,17 @@ class LeafStack(NamedTuple):
 class LeafHulls(NamedTuple):
     """Every leaf's parameter rectangle as ``(leaves, d)`` bound stacks:
     what a k-MLIQ's leaf-hull census bounds (see
-    :mod:`repro.gausstree.mliq`).
+    :mod:`repro.gausstree.mliq`), and the tree's node pages in the order
+    a swept query reads them.
 
     The leaves come parent by parent, in :meth:`GaussTree.nodes` order
     of their parents and each parent's child order, so ``spans`` maps
     each leaf parent's page id to its children's ``(start, stop)``;
-    ``counts`` holds each leaf's rows, ``log_counts`` their logs and
-    ``pages`` the tree's node pages, leaves and inner nodes.
+    ``counts`` holds each leaf's rows and ``log_counts`` their logs.
+    ``page_ids`` lists every node page, leaves and inner nodes, in
+    :meth:`GaussTree.nodes` pre-order (a node, then its children's
+    subtrees, last child first), and ``subtrees`` maps each node's page
+    id to the ``(start, stop)`` of its subtree's pages in that list.
     """
 
     mu_lo: np.ndarray
@@ -90,7 +94,8 @@ class LeafHulls(NamedTuple):
     counts: np.ndarray
     log_counts: np.ndarray
     spans: dict[int, tuple[int, int]]
-    pages: int
+    page_ids: list[int]
+    subtrees: dict[int, tuple[int, int]]
 
 
 class GaussTree:
@@ -268,22 +273,23 @@ class GaussTree:
 
     def leaf_hulls(self) -> LeafHulls:
         """Every leaf's rectangle as one :class:`LeafHulls`, stacked from
-        the leaf parents' ``stacked_child_bounds()``.
+        the leaf parents' ``stacked_child_bounds()``, with the tree's
+        node pages in pre-order.
 
-        Built on first use and dropped with :meth:`leaf_stack`. On a
-        disk-opened tree the build decodes every inner page outside the
-        counted access path, as the leaf stack's does, and no leaf page:
-        a leaf's rectangle lives in its parent's page. A root leaf has no
-        parent, so its tree's stack is empty.
+        Built on first use and dropped with :meth:`leaf_stack`, and by
+        an in-place :meth:`save` of a writable tree, which renumbers the
+        pages. On a disk-opened tree the build decodes every inner page
+        outside the counted access path, as the leaf stack's does, and no
+        leaf page: a leaf's rectangle lives in its parent's page. A root
+        leaf has no parent, so its tree's stack is empty.
         """
         hulls = self._leaf_hulls
         if hulls is None:
+            nodes = list(self.nodes())
             leaves: list[LeafNode] = []
             stacks = []
             spans = {}
-            pages = 0
-            for node in self.nodes():
-                pages += 1
+            for node in nodes:
                 if node.is_leaf:
                     continue
                 children = node.children  # type: ignore[attr-defined]
@@ -298,13 +304,25 @@ class GaussTree:
                 else [np.empty((0, self.dims))] * 4
             )
             counts = np.array([leaf.count for leaf in leaves], dtype=np.intp)
+            # Children follow their parent last first, so a subtree ends
+            # where its first child's does.
+            subtrees: dict[int, tuple[int, int]] = {}
+            for start in range(len(nodes) - 1, -1, -1):
+                node = nodes[start]
+                stop = (
+                    start + 1
+                    if node.is_leaf
+                    else subtrees[node.children[0].page_id][1]  # type: ignore[attr-defined]
+                )
+                subtrees[node.page_id] = (start, stop)
             hulls = self._leaf_hulls = LeafHulls(
                 *bounds,
                 leaves,
                 counts,
                 np.log(counts),
                 spans,
-                pages,
+                [node.page_id for node in nodes],
+                subtrees,
             )
         return hulls
 
@@ -653,6 +671,8 @@ class GaussTree:
             _os.fspath(path)
         ) == _os.path.realpath(self.store.path):
             self._writer.rebind_after_save(saved)
+            # The hull stack names nodes by their old page ids.
+            self._leaf_hulls = None
 
     @classmethod
     def open(

@@ -6,7 +6,10 @@ scan's and the reported posteriors must agree within the requested
 tolerance (Sections 5.2.1-5.2.2).
 """
 
+import dataclasses
 import math
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import MLIQ, session_for
 from repro.core.database import PFVDatabase
-from repro.core.joint import SigmaRule
+from repro.core.joint import SigmaRule, log_joint_density_multi
 from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.scan import scan_mliq
 from repro.data.synthetic import clustered_pfv_dataset, uniform_pfv_dataset
 from repro.data.workload import identification_workload
 from repro.gausstree import (
+    batch,
     gausstree_mliq,
     gausstree_mliq_many,
     gausstree_tiq_many,
@@ -29,7 +33,9 @@ from repro.gausstree import (
 from repro.gausstree.batch import BatchRefiner
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.tree import GaussTree
+from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import PAPER_TESTBED
+from repro.storage.pagestore import PageStore
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -287,6 +293,182 @@ class TestSweep:
         rs = session_for(tree).execute_many(specs)
         assert rs.stats.swept == 3
         assert result_to_json(rs)["stats"]["swept"] == 3
+
+
+def _walk_sweep(state, k):
+    """The sweep as it read its pages before the hull stack kept them in
+    pre-order: a depth-first walk from the last heap entry to the first,
+    one ``read_many`` per inner node (the leaves before it, then the
+    node), listing each inner node's children as it goes. Kept as the
+    reference whose reads the pre-order slices must repeat."""
+    read_many = state.tree.store.read_many
+    pending = [item[3] for item in state._heap]
+    run = []
+    while pending:
+        node = pending.pop()
+        run.append(node.page_id)
+        if not node.is_leaf:
+            read_many(run)
+            run = []
+            pending.extend(node.children)
+    read_many(run)
+    state.objects_refined = len(state.tree)
+    rows = state.refiner.stack_log_densities()[
+        state.query_index : state.query_index + 1
+    ]
+    return mliq.sweep_matches(state.tree, rows, [k])[0]
+
+
+def _recorded_reads(tree):
+    """Every page id the tree's store reads through its counted path,
+    in order."""
+    pages = []
+    store = tree.store
+    read, read_many = store.read, store.read_many
+
+    def one(page_id):
+        pages.append(page_id)
+        return read(page_id)
+
+    def many(page_ids):
+        pages.extend(page_ids)
+        return read_many(page_ids)
+
+    store.read, store.read_many = one, many
+    return pages
+
+
+class TestSweepPages:
+    """A swept k-MLIQ reads the pages under its queue as slices of the
+    hull stack's pre-order page ids: the pages, the order, the counters
+    and the buffer's LRU order of the depth-first walk it replaces."""
+
+    @given(
+        n=st.integers(40, 200),
+        d=st.integers(2, 6),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["memory", "disk", "writable"]),
+        census=st.booleans(),
+        first_check=st.integers(1, 6),
+        k=st.integers(1, 6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sweeps_read_the_pages_of_the_walk(
+        self, tmp_path_factory, n, d, seed, kind, census, first_check, k
+    ):
+        db = uniform_pfv_dataset(n=n, d=d, seed=seed)
+        base = bulk_load(db.vectors, degree=4, sigma_rule=db.sigma_rule)
+        assert base.height in (3, 4)
+        # A buffer of half the tree's pages, so sweeps evict.
+        capacity = max(2, node_pages(base) // 2)
+        if kind != "memory":
+            folder = tmp_path_factory.mktemp("sweep-pages")
+            base.save(folder / "base.gauss")
+        extra = [
+            PFV(v.mu, v.sigma, key=("extra", v.key))
+            for v in uniform_pfv_dataset(n=n, d=d, seed=seed + 1).vectors
+        ]
+
+        def make(name):
+            buffer = BufferManager(capacity)
+            if kind == "memory":
+                return bulk_load(
+                    db.vectors,
+                    degree=4,
+                    sigma_rule=db.sigma_rule,
+                    page_store=PageStore(buffer),
+                )
+            path = folder / f"{name}.gauss"
+            shutil.copy(folder / "base.gauss", path)
+            tree = GaussTree.open(
+                path, buffer=buffer, writable=kind == "writable"
+            )
+            if kind == "writable":
+                pages = node_pages(tree)
+                tree.insert_many(extra)
+                assert node_pages(tree) > pages  # the inserts split
+                leaf = next(tree.leaves())
+                for v in leaf.entries[: leaf.count - tree.leaf_min + 1]:
+                    assert tree.delete(v)
+                assert leaf.parent is None  # its deletes condensed it
+            return tree
+
+        queries = [
+            MLIQuery(make_random_query(d=d, seed=seed + 2 + i), k)
+            for i in range(3)
+        ]
+        tolerance = 1e-9 if census else math.inf
+        runs = []
+        for sweep in (mliq._sweep, _walk_sweep):
+            tree = make("walk" if sweep is _walk_sweep else "slices")
+            pages = _recorded_reads(tree)
+            calls = []
+            with mock.patch.object(mliq, "_sweep", sweep), mock.patch.object(
+                mliq, "_CENSUS_SHARE", 0.0 if census else math.inf
+            ), mock.patch.object(
+                mliq, "_FIRST_CHECK", first_check
+            ), mock.patch.object(
+                mliq, "_QUEUED_SHARE", 0.0
+            ), mock.patch.object(mliq, "_SWEEP_SHARE", 0.0):
+                # Singletons, then the three as one batch.
+                for batch_queries in [[q] for q in queries] + [queries]:
+                    start = len(pages)
+                    answers, stats = gausstree_mliq_many(
+                        tree, batch_queries, tolerance
+                    )
+                    counters = dataclasses.asdict(stats)
+                    del counters["cpu_seconds"]
+                    calls.append((
+                        [
+                            [
+                                (m.leaf.page_id, m.row, m.log_density.hex(),
+                                 m.probability.hex())
+                                for m in matches
+                            ]
+                            for matches in answers
+                        ],
+                        counters,
+                        pages[start:],
+                    ))
+            runs.append((calls, list(tree.store.buffer._resident)))
+            tree.close()
+        (got, got_lru), (want, want_lru) = runs
+        assert got == want
+        assert got_lru == want_lru
+        swept = [counters["swept"] for _, counters, _ in got]
+        if census or first_check == 1:
+            # The census, or a checkpoint before any leaf, always sweeps.
+            assert swept == [1, 1, 1, 3]
+        for _, counters, read in got:
+            assert counters["pages_accessed"] == len(read)
+
+
+class TestCensusRefinesOneLeaf:
+    def test_the_census_passes_its_best_leaf_alone_to_the_kernel(
+        self, monkeypatch
+    ):
+        # An in-memory tree: every sibling of the best leaf is
+        # materialized, so a sibling group would join the census's call.
+        db = uniform_pfv_dataset(n=5000, d=8, seed=12)
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        assert tree.height == 3
+        shapes = []
+
+        def recording(mu, *args):
+            shapes.append(mu.shape)
+            return log_joint_density_multi(mu, *args)
+
+        monkeypatch.setattr(batch, "log_joint_density_multi", recording)
+        hulls = tree.leaf_hulls()
+        for w in identification_workload(db, 4, seed=13):
+            _, upper = BatchRefiner(tree, [w.q]).leaf_hull_bounds()
+            best = hulls.leaves[int(np.argmax(upper[0]))]
+            assert len(best.parent.children) > 1
+            shapes.clear()
+            _, stats = gausstree_mliq(tree, MLIQuery(w.q, 5))
+            assert (stats.swept, stats.nodes_expanded) == (1, 1)
+            # The sweep evaluates the leaf stack's prepared columns.
+            assert shapes == [(best.count, 8)]
 
 
 def _mixed_batch():

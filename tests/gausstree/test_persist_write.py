@@ -634,6 +634,36 @@ class TestSaveFlushesWal:
         finally:
             reopened.close()
 
+    def test_in_place_save_drops_the_stale_hull_stack(self, tmp_path):
+        # The hull stack names leaf parents and node pages by page id. A
+        # compacting in-place save renumbers the pages, so a stack kept
+        # across it would hand a traversal another node's child bounds
+        # and a sweep another tree's pages.
+        path = str(tmp_path / "hulls.gauss")
+        rng = np.random.default_rng(13)
+        base = make_vectors(rng, 120, 2, "b")
+        build_saved(path, base, 2)
+        tree = GaussTree.open(path, writable=True)
+        try:
+            extra = make_vectors(rng, 80, 2, "x")
+            tree.insert_many(extra)
+            before = tree.leaf_hulls()
+            tree.save(path)
+            parents = {
+                node.page_id
+                for node in tree.nodes()
+                if not node.is_leaf and node.children[0].is_leaf
+            }
+            assert set(before.spans) != parents  # the save renumbered
+            hulls = tree.leaf_hulls()
+            assert set(hulls.spans) == parents
+            assert hulls.page_ids == [node.page_id for node in tree.nodes()]
+            reference = GaussTree(dims=2, degree=3)
+            reference.extend(base + extra)
+            assert_same_answers(reference, tree, 2, seed=14)
+        finally:
+            tree.close()
+
     def test_plain_save_tree_clears_a_stale_foreign_wal(self, tmp_path):
         """Rebuilding an index over a path whose previous writable
         session left a WAL behind (e.g. `repro insert --no-flush` then
