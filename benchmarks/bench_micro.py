@@ -5,10 +5,12 @@ bound evaluation, batched Lemma-1 refinement, tree insertion, bulk
 loading and the two query algorithms on a mid-sized tree. The two
 ``*_multi`` kernels also run at the shapes the end-to-end benchmark
 feeds them, ``(m queries, rows, d)``, the Lemma-1 kernel over prepared
-columns at the shapes of the leaf stacks that sweeping queries evaluate,
-and the finish of a swept shard batch. An identify-disk singleton, which
-the leaf-hull census sweeps, runs beside a sequential scan of the same
-rows.
+columns at the shapes of the leaf directories that sweeping queries
+evaluate, and the finish of a swept shard batch. An identify-disk
+singleton, which the leaf-hull census sweeps, runs beside a sequential
+scan of the same rows. The leaf directory's builds run at the two shapes
+where a write makes the next query rebuild it: identify-disk's tree and
+a reid-churn shard's 100-row root leaf.
 
     python -m pytest benchmarks/bench_micro.py -q --benchmark-only
 """
@@ -34,7 +36,7 @@ from repro.gausstree.hull import (
     node_log_bounds_batch,
     node_log_bounds_multi,
 )
-from repro.gausstree.mliq import sweep_matches
+from repro.gausstree.mliq import gausstree_mliq, sweep_matches
 from repro.gausstree.tree import GaussTree
 
 D = 10
@@ -90,7 +92,7 @@ def test_joint_density_multi(benchmark, m, n, d):
     benchmark(lambda: log_joint_density_multi(mu, sigma, q_mu, q_sigma))
 
 
-# Leaf stacks, which a sweeping k-MLIQ evaluates whole: (1, 20000, 10)
+# Leaf directory rows, which a sweeping k-MLIQ evaluates whole: (1, 20000, 10)
 # identify-disk's; (16, 2000, 6) one identify-sharded shard's under a
 # full coalesced batch; (1, 10987, 27) data set 1's; (100, 20000, 10) a
 # 100-query batch over identify-disk's, which the kernel runs in blocks
@@ -113,7 +115,7 @@ def test_sweep_finish(benchmark):
     shard = uniform_pfv_dataset(n=2_090, d=6, seed=1)
     tree = bulk_load(shard.vectors, sigma_rule=shard.sigma_rule)
     queries = [w.q for w in identification_workload(shard, 16, seed=2)]
-    rows = tree.leaf_stack().columns.log_densities(
+    rows = tree.leaf_directory().columns.log_densities(
         np.vstack([q.mu for q in queries]),
         np.vstack([q.sigma for q in queries]),
     )
@@ -121,17 +123,24 @@ def test_sweep_finish(benchmark):
 
 
 @pytest.fixture(scope="module")
-def identify_disk(tmp_path_factory):
-    """identify-disk's index, a warm 20,000 x 10-d disk tree, and a
-    sequential scan over the same rows, each as a session, with 16
-    identification queries."""
+def identify_index(tmp_path_factory):
+    """identify-disk's rows, 20,000 x 10-d, and their saved index."""
     rows = uniform_pfv_dataset(n=20_000, d=10, seed=4)
     path = tmp_path_factory.mktemp("identify") / "index.gauss"
     bulk_load(rows.vectors, sigma_rule=rows.sigma_rule).save(path)
+    return rows, path
+
+
+@pytest.fixture(scope="module")
+def identify_disk(identify_index):
+    """identify-disk's index, a warm 20,000 x 10-d disk tree, and a
+    sequential scan over the same rows, each as a session, with 16
+    identification queries."""
+    rows, path = identify_index
     tree = connect(path)
     scan = connect(rows, backend="seqscan")
     specs = [MLIQ(w.q, 5) for w in identification_workload(rows, 16, seed=5)]
-    for spec in specs:  # every page resident, both stacks built
+    for spec in specs:  # every page resident, the leaf directory built
         tree.execute(spec)
         scan.execute(spec)
     yield tree, scan, specs
@@ -154,6 +163,42 @@ def test_seqscan_singleton(benchmark, identify_disk):
     _, scan, specs = identify_disk
     cycle = itertools.cycle(specs)
     benchmark(lambda: scan.execute(next(cycle)))
+
+
+def _rebuilt_directory(tree, parts):
+    """Drop the tree's leaf directory, as a write does, and build it and
+    the named parts again."""
+    tree._leaf_directory = None
+    directory = tree.leaf_directory()
+    return [getattr(directory, part) for part in parts]
+
+
+@pytest.mark.parametrize("part", ["columns", "bounds"])
+def test_leaf_directory_identify_disk(benchmark, identify_index, part):
+    """The leaf directory's rows (every leaf page decoded into prepared
+    columns) or its rectangles (the leaf parents' bounds) on a warm
+    identify-disk tree: what the first swept query after a write pays,
+    besides the walk over the tree's 543 nodes."""
+    rows, path = identify_index
+    tree = GaussTree.open(path)
+    query = identification_workload(rows, 1, seed=5)[0].q
+    _, stats = gausstree_mliq(tree, MLIQuery(query, 5))
+    assert stats.swept == 1  # every page resident, every inner node decoded
+    benchmark(lambda: _rebuilt_directory(tree, [part]))
+    tree.close()
+
+
+def test_leaf_directory_root_leaf(benchmark, tmp_path):
+    """A whole leaf directory of a reid-churn shard, a 100-row 4-d root
+    leaf on disk, which that workload rebuilds after every write."""
+    shard = uniform_pfv_dataset(n=100, d=4, seed=6)
+    path = tmp_path / "shard.gauss"
+    bulk_load(shard.vectors, sigma_rule=shard.sigma_rule).save(path)
+    tree = GaussTree.open(path)
+    assert tree.root.is_leaf
+    parts = ["columns", "bounds", "spans", "page_ids", "subtrees", "index"]
+    benchmark(lambda: _rebuilt_directory(tree, parts))
+    tree.close()
 
 
 # (1, 190, 10): an inner-node group on identify-disk; (16, 32, 6): the
@@ -190,8 +235,6 @@ def test_bulk_load(benchmark, db):
 
 
 def test_mliq_query(benchmark, tree, query):
-    from repro.gausstree.mliq import gausstree_mliq
-
     benchmark(lambda: gausstree_mliq(tree, MLIQuery(query, 1), tolerance=0.01))
 
 

@@ -82,7 +82,7 @@ class SequentialScanIndex:
         """The file's rows in the Lemma-1 kernel's layout, prepared once
         from the database's matrices and again when they change
         (``PFVDatabase.add`` drops them): the layout the Gauss-tree's
-        leaf stack keeps, for ``2 * n * d`` more floats."""
+        leaf directory keeps, for ``2 * n * d`` more floats."""
         mu = self.db.mu_matrix
         if self._prepared is None or self._prepared[0] is not mu:
             columns = PreparedColumns.stack(

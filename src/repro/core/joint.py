@@ -264,7 +264,7 @@ def _log_density_accumulator(d: int, shape: tuple[int, ...]) -> np.ndarray:
 
 class PreparedColumns(NamedTuple):
     """Stored pfv in the layout the Lemma-1 kernel reads, for rows that
-    many queries evaluate: a tree's leaf stack, the sequential scan's
+    many queries evaluate: a tree's leaf directory, the sequential scan's
     file. Build it with :meth:`stack`; :meth:`log_densities` evaluates
     it.
 

@@ -354,7 +354,7 @@ class GaussTreeBackend(BackendAdapter):
         pages = objects = 0
         notes = []
         if swept:
-            pages = len(tree.leaf_hulls().page_ids) * swept
+            pages = len(tree.leaf_directory().page_ids) * swept
             objects = n * swept
             who = (
                 f"{swept} of {len(specs)} queries sweep"

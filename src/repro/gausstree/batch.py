@@ -20,12 +20,12 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
   evaluation also covers the node's siblings that are already in memory,
   so one kernel call fills the cache entries of a whole group of pages
   (see :class:`BatchRefiner` for the group rule);
-* a k-MLIQ whose hulls stop pruning sweeps the tree's leaf stack
-  (:mod:`repro.gausstree.mliq`): the refiner evaluates the stack once
+* a k-MLIQ whose hulls stop pruning sweeps the tree's leaf directory
+  (:mod:`repro.gausstree.mliq`): the refiner evaluates its rows once
   for the whole batch, and the pages later queries pop are slices of
   that evaluation. On a tree of three or more levels a finite-tolerance
-  query decides after the root's expansion, from a census of the leaf
-  hulls that the refiner bounds once for the whole batch; the leaf
+  query decides after the root's expansion, from a census of its leaf
+  rectangles that the refiner bounds once for the whole batch; the leaf
   parents' child bounds of later traversals are slices of it. On a root
   leaf or a two-level tree, a root over leaves, every k-MLIQ sweeps
   without a traversal (:func:`gausstree_mliq_many`);
@@ -174,13 +174,11 @@ class BatchRefiner:
             int,
             tuple[list[np.ndarray], list[float], list[float], list[float]],
         ] = {}
-        # Every query's densities over the leaf stack once a query of the
-        # batch sweeps (see stack_log_densities), and each leaf's column
-        # span in them, mapped when a later query first needs one.
+        # Every query's densities over the leaf directory's rows once a
+        # query of the batch sweeps (see stack_log_densities).
         self._stack_rows: np.ndarray | None = None
-        self._stack_spans: dict[int, tuple[int, int]] | None = None
-        # Every query's hull bounds over the tree's leaf hulls once a
-        # query of the batch takes the census (see leaf_hull_bounds).
+        # Every query's bounds over the directory's leaf rectangles once
+        # a query of the batch takes the census (see leaf_hull_bounds).
         self._census: tuple[np.ndarray, np.ndarray] | None = None
 
     def register_shift(self, query_index: int, shift: float) -> None:
@@ -239,10 +237,14 @@ class BatchRefiner:
         """
         extras = self._leaf_extras.get(leaf.page_id)
         if extras is None:
-            span = None if self._stack_rows is None else self._stack_span(leaf)
+            span = (
+                None
+                if self._stack_rows is None
+                else self.tree.leaf_directory().row_span(leaf)
+            )
             if span is not None:
-                # A sweep has evaluated the whole leaf stack for the
-                # batch: the leaf's densities are a slice of that.
+                # A sweep has evaluated every row for the batch: the
+                # leaf's densities are a slice of that.
                 group = [leaf]
                 matrix = self._stack_rows[:, span[0] : span[1]]  # type: ignore[index]
             else:
@@ -293,43 +295,32 @@ class BatchRefiner:
 
     def stack_log_densities(self) -> np.ndarray:
         """``(m, n)`` Lemma-1 log densities of the batch's queries over
-        every row of the tree's leaf stack
-        (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`), in stack
+        every row of the tree's leaf directory
+        (:attr:`~repro.gausstree.tree.LeafDirectory.columns`), in its
         order: what a k-MLIQ sweep ranks, one row per query.
 
-        The first call evaluates the stack for every query of the batch
-        in one kernel call over its prepared columns
+        The first call evaluates the rows for every query of the batch
+        in one kernel call over the prepared columns
         (:meth:`~repro.core.joint.PreparedColumns.log_densities`, the
         bits ``log_joint_density_multi`` gives); later calls return that
-        result, and :meth:`leaf_extras` slices it for pages no query has
-        evaluated yet. The kernel is rowwise independent, so each row
-        holds the bits a one-query call gives and no answer depends on
-        its batch.
+        result, and :meth:`leaf_extras` slices it, through the
+        directory's row spans, for pages no query has evaluated yet. The
+        kernel is rowwise independent, so each row holds the bits a
+        one-query call gives and no answer depends on its batch.
         """
         if self._stack_rows is None:
-            self._stack_rows = self.tree.leaf_stack().columns.log_densities(
-                self.q_mu, self.q_sigma
+            self._stack_rows = (
+                self.tree.leaf_directory().columns.log_densities(
+                    self.q_mu, self.q_sigma
+                )
             )
         return self._stack_rows
 
-    def _stack_span(self, leaf: LeafNode) -> tuple[int, int] | None:
-        """The leaf's ``(start, stop)`` columns in the stack rows."""
-        if self._stack_spans is None:
-            stack = self.tree.leaf_stack()
-            stops = [*stack.starts[1:].tolist(), stack.columns.rows]
-            self._stack_spans = {
-                member.page_id: (start, stop)
-                for member, start, stop in zip(
-                    stack.leaves, stack.starts.tolist(), stops
-                )
-            }
-        return self._stack_spans.get(leaf.page_id)
-
     def leaf_hull_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` Lemma 2-3 bounds of every leaf's rectangle
-        (:meth:`~repro.gausstree.tree.GaussTree.leaf_hulls`), each of
-        shape ``(m, leaves)``: what a k-MLIQ's census reads
-        (:func:`~repro.gausstree.mliq.census_share`).
+        (:attr:`~repro.gausstree.tree.LeafDirectory.bounds`), each of
+        shape ``(m, leaves)`` in the directory's leaf order: what a
+        k-MLIQ's census reads (:func:`~repro.gausstree.mliq.census_share`).
 
         Computed for every query of the batch the first time any query
         asks, in ``node_log_bounds_multi`` calls of as many queries as
@@ -339,14 +330,11 @@ class BatchRefiner:
         bounds are the bits a one-query call gives.
         """
         if self._census is None:
-            hulls = self.tree.leaf_hulls()
-            step = max(1, _GROUP_ELEMENTS // max(1, hulls.mu_lo.size))
+            bounds = self.tree.leaf_directory().bounds
+            step = max(1, _GROUP_ELEMENTS // max(1, bounds[0].size))
             parts = [
                 node_log_bounds_multi(
-                    hulls.mu_lo,
-                    hulls.mu_hi,
-                    hulls.sigma_lo,
-                    hulls.sigma_hi,
+                    *bounds,
                     self.q_mu[start : start + step],
                     self.q_sigma[start : start + step],
                     self.rule,
@@ -368,13 +356,14 @@ class BatchRefiner:
         cached = self._bounds_cache.get(inner.page_id)
         if cached is None and self._census is not None:
             # A census has bounded every leaf for the batch: a leaf
-            # parent's children are a slice of that.
-            span = self.tree.leaf_hulls().spans.get(inner.page_id)
+            # parent's children are a slice of that, which the directory
+            # lists last first.
+            span = self.tree.leaf_directory().spans.get(inner.page_id)
             if span is not None:
                 lower, upper = self._census
                 cached = self._bounds_cache[inner.page_id] = (
-                    lower[:, span[0] : span[1]],
-                    upper[:, span[0] : span[1]],
+                    lower[:, span[0] : span[1]][:, ::-1],
+                    upper[:, span[0] : span[1]][:, ::-1],
                 )
         if cached is None:
             group = self._sibling_group(inner, self._bounds_cache)
@@ -427,7 +416,7 @@ def _run_many(
 #   reid-churn shard shape (a 100-row 4-d root leaf on disk): singletons
 #     110 vs 228; 16-query batches 756 vs 1,602; opened writable, one
 #     insert and one delete before every call, so every call rebuilds
-#     the stack: singletons 194 vs 357.
+#     the swept rows: singletons 194 vs 357.
 # Two-level trees, swept against traversed wall p50 in ms per call,
 # configurations interleaved round by round in one process, 4 rounds
 # of 48 identification queries, as singletons and as 16-query batches
@@ -438,9 +427,9 @@ def _run_many(
 #   700 x 10-d uniform disk tree (a root over 16 leaves): singletons
 #     0.21 vs 0.63 / 0.27 vs 0.78; batches 2.35 vs 4.88 / 3.61 vs 6.86.
 #   the same tree opened writable, one insert (and, past 8 live rows,
-#     one delete) before every call, so every call rebuilds the stack:
-#     singletons 0.39 vs 0.84 / 0.46 vs 0.96; batches 2.64 vs 5.29 /
-#     3.57 vs 7.24.
+#     one delete) before every call, so every call rebuilds the swept
+#     rows: singletons 0.39 vs 0.84 / 0.46 vs 0.96; batches 2.64 vs
+#     5.29 / 3.57 vs 7.24.
 # No configuration was slower swept, so the rule is the tree's shape
 # alone and no query builds a SearchState. The per-query alternative,
 # mliq._pruning_failed right after the root's expansion with the k-th
@@ -467,20 +456,17 @@ def _sweep_many(
     tree, queries: Sequence[MLIQuery]
 ) -> tuple[list[list[RowMatch]], QueryStats]:
     """Answer every k-MLIQ of the batch from one ``(m, n)`` kernel call
-    over the leaf stack's prepared columns and one finish over its
+    over the leaf directory's prepared columns and one finish over its
     result (:func:`~repro.gausstree.mliq.sweep_matches`).
 
     Each query reads every node page through the store (one
-    ``read_many``, in the order its pops would have read them; a root
-    leaf is the one page), counts the root as its one expanded node and
-    every row as refined, so its answer and counters do not depend on
-    the batch. The first query's time covers the batch's kernel and
-    finish.
+    ``read_many``: the root, then its leaves in child order; a root leaf
+    is the one page), counts the root as its one expanded node and every
+    row as refined, so its answer and counters do not depend on the
+    batch. The first query's time covers the batch's kernel and finish.
     """
-    root = tree.root
-    pages = [root.page_id]
-    if not root.is_leaf:
-        pages.extend(leaf.page_id for leaf in root.children)  # type: ignore[attr-defined]
+    page_ids = tree.leaf_directory().page_ids
+    pages = [page_ids[0], *page_ids[:0:-1]]  # leaves back in child order
     store = tree.store
     rows = len(tree)
     results: list[list[RowMatch]] = []
@@ -490,7 +476,7 @@ def _sweep_many(
         started = time.perf_counter()
         store.read_many(pages)
         if not results:
-            densities = tree.leaf_stack().columns.log_densities(
+            densities = tree.leaf_directory().columns.log_densities(
                 np.array([each.q.mu for each in queries]),
                 np.array([each.q.sigma for each in queries]),
             )
@@ -515,8 +501,8 @@ def gausstree_mliq_many(
     the tree next changes. Results do not depend on the batch: each
     query's matches are those of a one-query batch (``gausstree_mliq``);
     only the wall time changes (shared page cache, shared vectorized
-    refinement). On a two-level tree every query sweeps the leaf stack
-    instead of traversing (see :func:`sweeps_every_mliq`); its
+    refinement). On a root leaf or a two-level tree every query sweeps
+    the leaf directory's rows instead of traversing (see :func:`sweeps_every_mliq`); its
     posteriors are then exact whatever the ``tolerance``.
     """
     if queries and sweeps_every_mliq(tree):

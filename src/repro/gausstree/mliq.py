@@ -22,12 +22,12 @@ against the sequential scan.
 uniform data, a ranked top-5, a 1e-9 posterior tolerance) the traversal
 pops nearly every page, one page at a time, and costs a multiple of a
 sequential scan of the same rows. Such a query answers as the scan does
-instead: one row of Lemma-1 densities over the tree's contiguous leaf
-stack (:meth:`~repro.gausstree.tree.GaussTree.leaf_stack`), the top k
-from it and one exact denominator. The answer is exact; every page still
-under the queue counts as accessed (one read of slices of the tree's
-pre-order page ids, kept with the leaf hulls) and every row as refined,
-and ``QueryStats.swept`` counts the query. Two decisions lead there,
+instead: one row of Lemma-1 densities over the rows of the tree's leaf
+directory (:meth:`~repro.gausstree.tree.GaussTree.leaf_directory`), the
+top k from it and one exact denominator. The answer is exact; every page
+still under the queue counts as accessed (one read of slices of the
+directory's pre-order page ids) and every row as refined, and
+``QueryStats.swept`` counts the query. Two decisions lead there,
 both asking whether nodes must still be expanded: a node must be while
 its upper bound beats the current k-th density, or while its upper mass
 is above the tolerance times the denominator's lower bound.
@@ -35,14 +35,13 @@ is above the tolerance times the denominator's lower bound.
 * **The census**, before the traversal pops. A query with a finite
   tolerance on a tree of three or more levels expands the root, then
   asks the leaf hulls (:func:`census_share`): Lemmas 2-3 bound every
-  leaf's rectangle (:meth:`~repro.gausstree.tree.GaussTree.leaf_hulls`,
-  bounded once per batch), and the exact densities of the leaf with the
-  highest upper bound, refined alone, give a k-th density and, with
-  every other leaf's lower mass, the denominator's lower bound. When the
-  rows under leaves that must be popped reach ``_CENSUS_SHARE`` of the
-  tree's, the query sweeps at once; otherwise its traversal finds that
-  leaf's densities and every leaf parent's child bounds already
-  computed.
+  rectangle of the directory (once per batch), and the exact densities
+  of the leaf with the highest upper bound, refined alone, give a k-th
+  density and, with every other leaf's lower mass, the denominator's
+  lower bound. When the rows under leaves that must be popped reach
+  ``_CENSUS_SHARE`` of the tree's, the query sweeps at once; otherwise
+  its traversal finds that leaf's densities and every leaf parent's
+  child bounds already computed.
 * **The checkpoints**, as the traversal pops: after ``_FIRST_CHECK``
   pops and each doubling, while at least three quarters of the tree's
   rows are still queued, it sweeps once ``_SWEEP_SHARE`` of the queued
@@ -293,16 +292,16 @@ def census_share(refiner, query_index: int, k: int, tolerance: float) -> float:
     scale shift, and everything read is the query's own row, so it does
     not depend on the batch either.
     """
-    hulls = refiner.tree.leaf_hulls()
+    directory = refiner.tree.leaf_directory()
     lower, upper = refiner.leaf_hull_bounds()
     lower = lower[query_index]
     upper = upper[query_index]
     best = int(np.argmax(upper))
-    row = refiner.leaf_extras(hulls.leaves[best], siblings=False)[0][
+    row = refiner.leaf_extras(directory.leaves[best], siblings=False)[0][
         query_index
     ]
     kth = float(np.partition(row, -k)[-k]) if len(row) >= k else -math.inf
-    log_counts = hulls.log_counts
+    log_counts = directory.log_counts
     terms = log_counts + lower
     terms[best] = -math.inf  # the refined leaf adds its exact terms
     terms = np.concatenate((terms, row))
@@ -316,7 +315,7 @@ def census_share(refiner, query_index: int, k: int, tolerance: float) -> float:
     log_floor = math.log(tolerance) + log_low if tolerance > 0.0 else -math.inf
     must = upper > kth
     must |= log_counts + upper > log_floor
-    return int(hulls.counts[must].sum()) / len(refiner.tree)
+    return int(directory.counts[must].sum()) / len(refiner.tree)
 
 
 def _pruning_failed(
@@ -356,18 +355,18 @@ def _pruning_failed(
 
 def _sweep(state: SearchState, k: int) -> list[RowMatch]:
     """Answer the query as the scan does, from one density row over the
-    tree's leaf stack (:func:`sweep_matches`).
+    leaf directory's rows (:func:`sweep_matches`).
 
     Every page still under the queue is read through the store in one
     ``read_many``, in the order the pops it replaces would have read
     them: the queued nodes from the last heap entry to the first, each
     with its subtree in :meth:`~repro.gausstree.tree.GaussTree.nodes`
-    pre-order, one slice of the hull stack's page ids
-    (:class:`~repro.gausstree.tree.LeafHulls`). So the query's page
+    pre-order, one slice of the directory's page ids
+    (:class:`~repro.gausstree.tree.LeafDirectory`). So the query's page
     accesses are the tree's node pages, and every row counts as refined.
     """
-    hulls = state.tree.leaf_hulls()
-    page_ids, subtrees = hulls.page_ids, hulls.subtrees
+    directory = state.tree.leaf_directory()
+    page_ids, subtrees = directory.page_ids, directory.subtrees
     pages: list[int] = []
     for item in reversed(state._heap):
         start, stop = subtrees[item[3].page_id]
@@ -383,7 +382,7 @@ def sweep_matches(
     tree, rows: np.ndarray, ks: Sequence[int]
 ) -> list[list[RowMatch]]:
     """The k-MLIQ answers from ``(m, n)`` density rows over the tree's
-    leaf stack, one row per query with its k in ``ks``: each the top k
+    leaf directory, one row per query with its k in ``ks``: each the top k
     of its row and one exact denominator, found in one array pass for
     the rows that share a k (a batch of mixed k takes one pass per k).
     The finish of both sweeps: a two-level tree's batch
@@ -438,7 +437,7 @@ def sweep_matches(
     matches = [
         RowMatch(leaf, i, log_density, probability)
         for (leaf, i), log_density, probability in zip(
-            tree.leaf_stack().locate(flat % n),
+            tree.leaf_directory().locate(flat % n),
             values.ravel().tolist(),
             probabilities.ravel().tolist(),
         )

@@ -161,9 +161,10 @@ class _IndexLock:
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
+        self.index = os.fspath(path)
         # realpath: opening/saving the same index through a symlink must
         # contend on the same lock file.
-        self.path = os.path.realpath(os.fspath(path)) + ".lock"
+        self.path = os.path.realpath(self.index) + ".lock"
         self._fd: int | None = None
 
     def acquire(self) -> bool:
@@ -177,6 +178,26 @@ class _IndexLock:
             return False
         self._fd = fd
         return True
+
+    def wait(self) -> "_IndexLock":
+        """:meth:`acquire`, retried for ``_LOCK_RETRY_SECONDS``: the
+        holder may be a *reader* replaying a crashed writer's WAL, which
+        takes seconds at most, rather than the genuine writer conflict
+        the error describes."""
+        deadline = time.monotonic() + _LOCK_RETRY_SECONDS
+        while not self.acquire():
+            if time.monotonic() >= deadline:
+                raise RuntimeError(
+                    f"{self.index!r} is already open writable in "
+                    "another process (single-writer index)"
+                )
+            time.sleep(0.05)
+        return self
+
+    __enter__ = wait
+
+    def __exit__(self, *exc: object) -> None:
+        self.release()
 
     def release(self) -> None:
         if self._fd is not None:
@@ -1233,18 +1254,7 @@ def open_tree(
         )
     lock: _IndexLock | None = None
     if writable:
-        lock = _IndexLock(path)
-        # Retry briefly: the holder may be a *reader* replaying a
-        # crashed writer's WAL (bounded, seconds at most), which is not
-        # the genuine writer conflict the error below describes.
-        deadline = time.monotonic() + _LOCK_RETRY_SECONDS
-        while not lock.acquire():
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"{os.fspath(path)!r} is already open writable in "
-                    "another process (single-writer index)"
-                )
-            time.sleep(0.05)
+        lock = _IndexLock(path).wait()
     try:
         return _open_tree_locked(
             path,

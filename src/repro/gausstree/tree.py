@@ -25,13 +25,17 @@ are dissolved and their entries reinserted.
 Query processing lives in :mod:`repro.gausstree.mliq`,
 :mod:`repro.gausstree.tiq` and :mod:`repro.gausstree.batch` as functions
 of the tree; callers reach them through the engine
-(``repro.engine.session_for(tree).execute(MLIQ(q, k))``).
+(``repro.engine.session_for(tree).execute(MLIQ(q, k))``). What those
+read beside the nodes is the tree's :class:`LeafDirectory`: every leaf's
+rows, rectangle and pages under one leaf order, built on first use and
+dropped by every change.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -44,58 +48,124 @@ from repro.gausstree.split import split_children, split_entries
 from repro.storage.layout import PageLayout
 from repro.storage.pagestore import PageStore
 
-__all__ = ["GaussTree", "LeafHulls", "LeafStack"]
+__all__ = ["GaussTree", "LeafDirectory"]
 
 
-class LeafStack(NamedTuple):
-    """Every row of a tree's leaves as one
-    :class:`~repro.core.joint.PreparedColumns`, in :meth:`GaussTree.leaves`
-    order: the layout the Lemma-1 kernel reads, under the tree's sigma
-    rule, so a sweep evaluates it without transposing or powering a row.
+class LeafDirectory:
+    """Every leaf of a tree that holds rows, with its rows, rectangle and
+    pages under one index: leaf ``i`` of ``leaves``.
 
-    ``leaves`` lists the leaves that hold rows and ``starts`` their first
-    stack row, so stack row ``i`` is row ``i - starts[j]`` of
-    ``leaves[j]`` for the last ``j`` with ``starts[j] <= i``.
+    The leaves come in :meth:`GaussTree.nodes` pre-order (a node, then
+    its children's subtrees, last child first); ``spans`` maps each leaf
+    parent's page id to its children's ``(start, stop)``. ``counts``
+    holds each leaf's rows, ``log_counts`` their logs and ``starts``
+    each leaf's first row. Built on first use: ``columns``, every row in
+    the Lemma-1 kernel's layout under the tree's sigma rule; ``bounds``,
+    the rectangles as ``(mu_lo, mu_hi, sigma_lo, sigma_hi)``, each
+    ``(leaves, d)``, which a k-MLIQ's census bounds; ``page_ids``, every
+    node page in pre-order, the order a swept query reads them, and
+    ``subtrees``, each node's page id mapped to its subtree's ``(start,
+    stop)`` there; ``index``, each leaf's page id mapped to its position.
     """
 
-    columns: PreparedColumns
-    leaves: list[LeafNode]
-    starts: np.ndarray
+    def __init__(self, tree: "GaussTree") -> None:
+        self._nodes = list(tree.nodes())
+        self._dims = tree.dims
+        self._rule = tree.sigma_rule
+        # All leaves sit on one level, so a leaf parent's children are
+        # all leaves, and they follow it in pre-order.
+        self._parents: list[InnerNode] = [
+            node
+            for node in self._nodes
+            if not node.is_leaf and node.children[0].is_leaf  # type: ignore[attr-defined]
+        ]
+        self.leaves: list[LeafNode] = []
+        self.spans: dict[int, tuple[int, int]] = {}
+        for parent in self._parents:
+            start = len(self.leaves)
+            self.leaves.extend(reversed(parent.children))  # type: ignore[arg-type]
+            self.spans[parent.page_id] = (start, len(self.leaves))
+        if not self._parents and tree.root.count:
+            self.leaves.append(tree.root)  # type: ignore[arg-type]
+        counts = [leaf.count for leaf in self.leaves]
+        self.rows = sum(counts)
+        self.counts = np.array(counts, dtype=np.intp)
+        self.log_counts = np.log(self.counts)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    @cached_property
+    def columns(self) -> PreparedColumns:
+        """On a disk-opened tree the build reads the pages of leaves no
+        query has materialized, outside the counted access path, and
+        leaves them stubs (:meth:`~repro.gausstree.node.LeafNode.peek_arrays`),
+        so the columns cost their own ``2 * n * d`` floats and no more."""
+        return PreparedColumns.stack(
+            (leaf.peek_arrays() for leaf in self.leaves),
+            self.rows,
+            self._dims,
+            self._rule,
+        )
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, ...]:
+        """From the leaf parents' ``stacked_child_bounds()``, each
+        reversed: a leaf's rectangle lives in its parent's page, so no
+        leaf page is decoded. A root leaf has no parent and gives its
+        own."""
+        if not self._parents:
+            return tuple(
+                np.array(
+                    [getattr(leaf.rect, name) for leaf in self.leaves]
+                ).reshape(-1, self._dims)
+                for name in ("mu_lo", "mu_hi", "sigma_lo", "sigma_hi")
+            )
+        # The parents' stacks last first, concatenated and reversed, are
+        # each parent's stack reversed in parent order.
+        stacks = [
+            parent.stacked_child_bounds() for parent in reversed(self._parents)
+        ]
+        return tuple(
+            np.concatenate(column)[::-1].copy() for column in zip(*stacks)
+        )
+
+    @cached_property
+    def page_ids(self) -> list[int]:
+        return [node.page_id for node in self._nodes]
+
+    @cached_property
+    def subtrees(self) -> dict[int, tuple[int, int]]:
+        # Children follow their parent last first, so a subtree ends
+        # where its first child's does.
+        nodes = self._nodes
+        subtrees: dict[int, tuple[int, int]] = {}
+        for start in range(len(nodes) - 1, -1, -1):
+            node = nodes[start]
+            stop = (
+                start + 1
+                if node.is_leaf
+                else subtrees[node.children[0].page_id][1]  # type: ignore[attr-defined]
+            )
+            subtrees[node.page_id] = (start, stop)
+        return subtrees
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {leaf.page_id: i for i, leaf in enumerate(self.leaves)}
+
+    def row_span(self, leaf: LeafNode) -> tuple[int, int] | None:
+        """The leaf's ``(start, stop)`` rows in ``columns``, if any."""
+        i = self.index.get(leaf.page_id)
+        if i is None:
+            return None
+        start = int(self.starts[i])
+        return start, start + int(self.counts[i])
 
     def locate(self, rows: np.ndarray) -> list[tuple[LeafNode, int]]:
-        """The ``(leaf, row)`` each given stack row is stored at."""
+        """The ``(leaf, row)`` each given row of ``columns`` is stored at."""
         owners = np.searchsorted(self.starts, rows, side="right") - 1
         offsets = (rows - self.starts[owners]).tolist()
         leaves = self.leaves
         return [(leaves[j], i) for j, i in zip(owners.tolist(), offsets)]
-
-
-class LeafHulls(NamedTuple):
-    """Every leaf's parameter rectangle as ``(leaves, d)`` bound stacks:
-    what a k-MLIQ's leaf-hull census bounds (see
-    :mod:`repro.gausstree.mliq`), and the tree's node pages in the order
-    a swept query reads them.
-
-    The leaves come parent by parent, in :meth:`GaussTree.nodes` order
-    of their parents and each parent's child order, so ``spans`` maps
-    each leaf parent's page id to its children's ``(start, stop)``;
-    ``counts`` holds each leaf's rows and ``log_counts`` their logs.
-    ``page_ids`` lists every node page, leaves and inner nodes, in
-    :meth:`GaussTree.nodes` pre-order (a node, then its children's
-    subtrees, last child first), and ``subtrees`` maps each node's page
-    id to the ``(start, stop)`` of its subtree's pages in that list.
-    """
-
-    mu_lo: np.ndarray
-    mu_hi: np.ndarray
-    sigma_lo: np.ndarray
-    sigma_hi: np.ndarray
-    leaves: list[LeafNode]
-    counts: np.ndarray
-    log_counts: np.ndarray
-    spans: dict[int, tuple[int, int]]
-    page_ids: list[int]
-    subtrees: dict[int, tuple[int, int]]
 
 
 class GaussTree:
@@ -164,10 +234,9 @@ class GaussTree:
         # `repro reshard-gc` can see live readers; set by open_tree,
         # released in close().
         self._reader_lock = None
-        # Built by leaf_stack() and leaf_hulls() on first use; every
-        # mutation drops both (_drop_leaf_stacks).
-        self._leaf_stack: LeafStack | None = None
-        self._leaf_hulls: LeafHulls | None = None
+        # Built by leaf_directory() on first use; every mutation, an
+        # in-place save and close() drop it.
+        self._leaf_directory: LeafDirectory | None = None
         # The height a read-only disk tree's header records (set by
         # open_tree); a writable tree's writer keeps its own current.
         self._header_height: int | None = None
@@ -240,97 +309,16 @@ class GaussTree:
         for leaf in self.leaves():
             yield from leaf.entries
 
-    def leaf_stack(self) -> LeafStack:
-        """Every stored row as one :class:`LeafStack`, in the layout the
-        Lemma-1 kernel reads (:class:`~repro.core.joint.PreparedColumns`
-        under the tree's sigma rule).
-
-        Built on first use and kept until :meth:`insert_many` or
-        :meth:`delete` changes the rows, or :meth:`close`. On a
-        disk-opened tree the build reads the pages of leaves no query
-        has materialized outside the counted access path (like any
-        offline walk) and leaves them stubs; it writes each leaf's rows
-        into place, so the stack costs its own ``2 * n * d`` floats and
-        no more. A k-MLIQ whose hulls stop pruning finishes with one
-        kernel call over it (see :mod:`repro.gausstree.mliq`), which
-        transposes and powers no row.
-        """
-        stack = self._leaf_stack
-        if stack is None:
-            leaves = [leaf for leaf in self.leaves() if leaf.count]
-            counts = [leaf.count for leaf in leaves]
-            columns = PreparedColumns.stack(
-                (leaf.peek_arrays() for leaf in leaves),
-                sum(counts),
-                self.dims,
-                self.sigma_rule,
-            )
-            sizes = np.array(counts, dtype=np.intp)
-            stack = self._leaf_stack = LeafStack(
-                columns, leaves, np.cumsum(sizes) - sizes
-            )
-        return stack
-
-    def leaf_hulls(self) -> LeafHulls:
-        """Every leaf's rectangle as one :class:`LeafHulls`, stacked from
-        the leaf parents' ``stacked_child_bounds()``, with the tree's
-        node pages in pre-order.
-
-        Built on first use and dropped with :meth:`leaf_stack`, and by
-        an in-place :meth:`save` of a writable tree, which renumbers the
-        pages. On a disk-opened tree the build decodes every inner page
-        outside the counted access path, as the leaf stack's does, and no
-        leaf page: a leaf's rectangle lives in its parent's page. A root
-        leaf has no parent, so its tree's stack is empty.
-        """
-        hulls = self._leaf_hulls
-        if hulls is None:
-            nodes = list(self.nodes())
-            leaves: list[LeafNode] = []
-            stacks = []
-            spans = {}
-            for node in nodes:
-                if node.is_leaf:
-                    continue
-                children = node.children  # type: ignore[attr-defined]
-                if not children[0].is_leaf:
-                    continue
-                spans[node.page_id] = (len(leaves), len(leaves) + len(children))
-                leaves.extend(children)
-                stacks.append(node.stacked_child_bounds())  # type: ignore[attr-defined]
-            bounds = (
-                [np.concatenate(column) for column in zip(*stacks)]
-                if stacks
-                else [np.empty((0, self.dims))] * 4
-            )
-            counts = np.array([leaf.count for leaf in leaves], dtype=np.intp)
-            # Children follow their parent last first, so a subtree ends
-            # where its first child's does.
-            subtrees: dict[int, tuple[int, int]] = {}
-            for start in range(len(nodes) - 1, -1, -1):
-                node = nodes[start]
-                stop = (
-                    start + 1
-                    if node.is_leaf
-                    else subtrees[node.children[0].page_id][1]  # type: ignore[attr-defined]
-                )
-                subtrees[node.page_id] = (start, stop)
-            hulls = self._leaf_hulls = LeafHulls(
-                *bounds,
-                leaves,
-                counts,
-                np.log(counts),
-                spans,
-                [node.page_id for node in nodes],
-                subtrees,
-            )
-        return hulls
-
-    def _drop_leaf_stacks(self) -> None:
-        """Forget :meth:`leaf_stack` and :meth:`leaf_hulls`: the rows or
-        the rectangles are about to change."""
-        self._leaf_stack = None
-        self._leaf_hulls = None
+    def leaf_directory(self) -> LeafDirectory:
+        """The tree's :class:`LeafDirectory`, built on first use and kept
+        until :meth:`insert_many` or :meth:`delete` changes the rows, an
+        in-place :meth:`save` renumbers the pages, or :meth:`close`. On
+        a disk-opened tree the build decodes every inner page outside
+        the counted access path, like any offline walk."""
+        directory = self._leaf_directory
+        if directory is None:
+            directory = self._leaf_directory = LeafDirectory(self)
+        return directory
 
     # -- write-path bookkeeping ----------------------------------------------
 
@@ -416,7 +404,7 @@ class GaussTree:
             # a bad key cannot wedge every later commit; the commit
             # reuses these encodings.
             self._writer.key_table.check(v.key for v in batch)
-        self._drop_leaf_stacks()
+        self._leaf_directory = None
         for v in batch:
             self._insert_impl(v)
         # One commit for the whole batch: the dirty-node union reaches
@@ -528,7 +516,7 @@ class GaussTree:
         found = self._find_entry(self.root, v)
         if found is None:
             return False
-        self._drop_leaf_stacks()
+        self._leaf_directory = None
         leaf, index = found
         leaf.remove_at(index)
         self._note_dirty(leaf)
@@ -671,8 +659,8 @@ class GaussTree:
             _os.fspath(path)
         ) == _os.path.realpath(self.store.path):
             self._writer.rebind_after_save(saved)
-            # The hull stack names nodes by their old page ids.
-            self._leaf_hulls = None
+            # The directory names nodes by their old page ids.
+            self._leaf_directory = None
 
     @classmethod
     def open(
@@ -734,7 +722,7 @@ class GaussTree:
         replayed on the next open — the crash-recovery path, which the
         recovery benchmark and tests exercise deliberately).
         """
-        self._drop_leaf_stacks()
+        self._leaf_directory = None
         try:
             if self._writer is not None:
                 self._writer.close(checkpoint=checkpoint)

@@ -158,17 +158,21 @@ class FilePageStore(PageStore):
                 self._frames[page_id] = data
         return data
 
-    def read_many(self, page_ids: Sequence[int]) -> None:
+    def read_many(self, page_ids: Sequence[int]) -> bool:
         """Random page reads through the buffer, in order, with the base
         class's accounting; afterwards every read page the buffer holds
         has its frame, as after one :meth:`read` per page (a page
-        evicted later in the same call has none either way)."""
-        super().read_many(page_ids)
+        evicted later in the same call has none either way). A run the
+        base class counted in one step needs nothing more: every
+        resident page has its frame, as the eviction listener keeps."""
+        if super().read_many(page_ids):
+            return True
         frames = self._frames
         resident = self.buffer.contains
         for page_id in page_ids:
             if page_id not in frames and resident(page_id):
                 frames[page_id] = self._read_from_file(page_id)
+        return False
 
     def fetch_page(self, page_id: int) -> bytes:
         """Fetch bytes without touching the access accounting.

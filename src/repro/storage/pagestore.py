@@ -103,18 +103,20 @@ class PageStore:
         """One random page read through the buffer."""
         self._read_each((page_id,))
 
-    def read_many(self, page_ids: Sequence[int]) -> None:
+    def read_many(self, page_ids: Sequence[int]) -> bool:
         """Random page reads through the buffer, in order: the counters,
         the buffer's LRU order and its faults are those of one
         :meth:`read` per page, paid in one call. A run whose pages are
         all resident, every page of a warm tree's sweep, is counted in
-        one step (:meth:`BufferManager.access_resident`)."""
+        one step (:meth:`BufferManager.access_resident`); returns
+        whether it was."""
         if self._allocated.issuperset(page_ids) and (
             self.buffer.access_resident(page_ids)
         ):
             self.log.pages_accessed += len(page_ids)
-        else:
-            self._read_each(page_ids)
+            return True
+        self._read_each(page_ids)
+        return False
 
     def _read_each(self, page_ids: Sequence[int]) -> None:
         """:meth:`read_many`, one buffer access per page."""

@@ -18,7 +18,9 @@ consequences fall out for free:
   replica generation by atomic rename
   (:func:`~repro.storage.filestore.publish_generation`); a server
   session already reading the replica keeps its pre-apply snapshot and
-  the next open sees the shipped state.
+  the next open sees the shipped state. A reader recovering the replica
+  resets its WAL under the replica's index lock, so a shipper holds that
+  lock from its first write to the replica until the apply publishes.
 
 A :class:`WALShipper` tracks one shipped byte offset per replica.
 When the primary checkpoints, its WAL resets and the shipped offset
@@ -66,6 +68,7 @@ def create_replica(
     mid-commit).
     """
     from repro.gausstree.persist import (
+        _IndexLock,
         read_header,
         recover_index,
         wal_path_for,
@@ -74,37 +77,37 @@ def create_replica(
     primary_path = os.fspath(primary_path)
     replica = os.fspath(replica)
     meta = read_header(primary_path)
-    with open(primary_path, "rb") as base:
-        header_page = base.read(meta["page_size"])
-        base.seek(meta["key_table_offset"])
-        table = base.read(meta["key_table_bytes"])
-        publish_generation(
-            replica,
-            base,
-            page_size=meta["page_size"],
-            page_count=meta["page_count"],
-            images={},
-            table=table,
-            header_page=header_page,
-        )
-    src_wal = wal_path_for(primary_path)
-    dst_wal = wal_path_for(replica)
-    end = WriteAheadLog.committed_length(src_wal)
-    with open(dst_wal, "wb") as out:
-        if end > len(WAL_MAGIC):
-            with open(src_wal, "rb") as src:
-                remaining = end
-                while remaining > 0:
-                    chunk = src.read(min(1 << 20, remaining))
-                    if not chunk:
-                        break
-                    out.write(chunk)
-                    remaining -= len(chunk)
-        else:
-            out.write(WAL_MAGIC)
-        out.flush()
-        os.fsync(out.fileno())
-    recover_index(replica)
+    with _IndexLock(replica) as lock:
+        with open(primary_path, "rb") as base:
+            header_page = base.read(meta["page_size"])
+            base.seek(meta["key_table_offset"])
+            table = base.read(meta["key_table_bytes"])
+            publish_generation(
+                replica,
+                base,
+                page_size=meta["page_size"],
+                page_count=meta["page_count"],
+                images={},
+                table=table,
+                header_page=header_page,
+            )
+        src_wal = wal_path_for(primary_path)
+        end = WriteAheadLog.committed_length(src_wal)
+        with open(wal_path_for(replica), "wb") as out:
+            if end > len(WAL_MAGIC):
+                with open(src_wal, "rb") as src:
+                    remaining = end
+                    while remaining > 0:
+                        chunk = src.read(min(1 << 20, remaining))
+                        if not chunk:
+                            break
+                        out.write(chunk)
+                        remaining -= len(chunk)
+            else:
+                out.write(WAL_MAGIC)
+            out.flush()
+            os.fsync(out.fileno())
+        recover_index(replica, _lock=lock)
     return replica
 
 
@@ -163,7 +166,11 @@ class WALShipper:
         publishes a new generation atomically; a reader mid-query on a
         replica keeps its snapshot.
         """
-        from repro.gausstree.persist import recover_index, wal_path_for
+        from repro.gausstree.persist import (
+            _IndexLock,
+            recover_index,
+            wal_path_for,
+        )
 
         src_wal = wal_path_for(self.primary_path)
         end = WriteAheadLog.committed_length(src_wal)
@@ -184,16 +191,19 @@ class WALShipper:
                 delta = src.read(end - offset)
             dst_wal = wal_path_for(rp)
             try:
-                with open(dst_wal, "r+b" if os.path.exists(dst_wal) else "w+b") as out:
-                    out.seek(0)
-                    if out.read(len(WAL_MAGIC)) != WAL_MAGIC:
+                with _IndexLock(rp) as lock:
+                    with open(
+                        dst_wal, "r+b" if os.path.exists(dst_wal) else "w+b"
+                    ) as out:
                         out.seek(0)
-                        out.write(WAL_MAGIC)
-                    out.seek(0, os.SEEK_END)
-                    out.write(delta)
-                    out.flush()
-                    os.fsync(out.fileno())
-                recover_index(rp)
+                        if out.read(len(WAL_MAGIC)) != WAL_MAGIC:
+                            out.seek(0)
+                            out.write(WAL_MAGIC)
+                        out.seek(0, os.SEEK_END)
+                        out.write(delta)
+                        out.flush()
+                        os.fsync(out.fileno())
+                    recover_index(rp, _lock=lock)
             except Exception:
                 # Half-applied replica: next ship() rebuilds it.
                 self._offsets[rp] = end + 1

@@ -294,6 +294,65 @@ def test_writes_reach_replicas_without_a_checkpoint(tmp_path):
         writer.close()
 
 
+def test_ship_waits_for_a_reader_recovering_the_replica(tmp_path):
+    """A read-only open that recovers a replica holds its index lock
+    while it scans the replica's WAL and then resets it. A ship that
+    lands in between must wait for the lock instead of appending a
+    batch the reset then drops and counting it as shipped. The thread
+    below stands in for such a reader: it holds the lock of every
+    replica, resets their WALs after 0.3 s and releases."""
+    from repro.gausstree.persist import _IndexLock
+
+    db = make_random_db(n=16, seed=96)
+    manifest = build_shards(db, 2, str(tmp_path / "race"), replicas=1)
+    fresh = [
+        PFV([0.1 * i, 0.45, 0.45], [0.1] * 3, key=("race", i))
+        for i in range(8)
+    ]
+    pairs = [
+        (primary, replicas[0])
+        for primary, replicas in zip(
+            manifest.shard_paths(), manifest.replica_paths()
+        )
+    ]
+    writer = connect(manifest.source_path, backend="sharded", writable=True)
+    try:
+        # Builds the shipper of the shard this lands on; a shard first
+        # written below builds its shipper, a full resync, under the lock.
+        writer.insert_many(fresh[:1])
+        locks = [_IndexLock(replica) for _, replica in pairs]
+        assert all(lock.acquire() for lock in locks)
+
+        def recovering_reader():
+            time.sleep(0.3)
+            for (_, replica), lock in zip(pairs, locks):
+                with open(replica + ".wal", "wb") as wal:
+                    wal.write(WAL_MAGIC)
+                lock.release()
+
+        reader = threading.Thread(target=recovering_reader)
+        reader.start()
+        try:
+            writer.insert_many(fresh[1:])
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        with connect(manifest.source_path, backend="sharded") as reader:
+            assert len(reader) == len(db) + len(fresh)
+    finally:
+        writer.close()
+    q = fresh[0]
+    for primary, replica in pairs:
+        with connect(primary) as want, connect(replica) as got:
+            assert len(got) == len(want)
+            assert [
+                (m.key, m.probability) for m in got.execute(MLIQ(q, 30)).matches
+            ] == [
+                (m.key, m.probability)
+                for m in want.execute(MLIQ(q, 30)).matches
+            ]
+
+
 def test_reader_metadata_reads_the_replicas_it_answers_from(tmp_path):
     """A read-only session with replicas answers from the replicas,
     which carry a live writer's 5 shipped inserts. ``database()``,

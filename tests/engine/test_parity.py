@@ -262,7 +262,7 @@ def test_registry_documents_exactness_split():
 #
 # The cases above hold at most 28 rows, so every tree they build is one
 # root leaf. These build two-level trees (a root over leaves, which
-# answer every k-MLIQ with one sweep of the leaf stack) and deeper ones
+# answer every k-MLIQ with one sweep of the leaf directory) and deeper ones
 # (a best-first traversal, which may still sweep once its hulls stop
 # pruning) by bulk loading with a small degree M: leaves hold at most
 # 2M rows, and the median packing makes a power of two leaves.

@@ -95,7 +95,7 @@ class TestMultiKernels:
         # beside them (at least one): a budget of 1 element cuts chunks
         # of 1 row, 40 chunks of 4 rows, each in blocks of 1 query; 700
         # keeps the 50 rows in one chunk in blocks of 1 query, 1000 in
-        # blocks of 2 and 1. The prepared form (a leaf stack's or the
+        # blocks of 2 and 1. The prepared form (a leaf directory's or the
         # scan's) slices its columns at the same borders.
         rng = np.random.default_rng(budget)
         m, n, d = 3, 50, 10
@@ -379,7 +379,7 @@ class TestSiblingGroups:
             refiner.register_shift(i, shift)
         if census:
             # Every leaf parent's child bounds then come from the
-            # census's bounds over the leaf hull stack.
+            # census's bounds over the leaf directory's rectangles.
             refiner.leaf_hull_bounds()
         # Request pages in a shuffled order, so groups start anywhere in
         # their parent's child list.

@@ -185,7 +185,7 @@ def ranked(matches):
 
 class TestSweep:
     """A k-MLIQ whose hulls stop pruning finishes with one exact sweep of
-    the tree's leaf stack (``QueryStats.swept``)."""
+    the rows of the tree's leaf directory (``QueryStats.swept``)."""
 
     @given(
         n=st.integers(2000, 3000),
@@ -254,7 +254,7 @@ class TestSweep:
                 disk.close()
 
     @pytest.mark.parametrize("on_disk", [False, True])
-    def test_mutations_drop_the_leaf_stack(self, tmp_path, on_disk):
+    def test_mutations_drop_the_leaf_directory(self, tmp_path, on_disk):
         db = uniform_pfv_dataset(n=2500, d=8, seed=8)
         tree = bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule)
         if on_disk:
@@ -296,7 +296,7 @@ class TestSweep:
 
 
 def _walk_sweep(state, k):
-    """The sweep as it read its pages before the hull stack kept them in
+    """The sweep as it read its pages before the tree kept them in
     pre-order: a depth-first walk from the last heap entry to the first,
     one ``read_many`` per inner node (the leaves before it, then the
     node), listing each inner node's children as it goes. Kept as the
@@ -340,7 +340,7 @@ def _recorded_reads(tree):
 
 class TestSweepPages:
     """A swept k-MLIQ reads the pages under its queue as slices of the
-    hull stack's pre-order page ids: the pages, the order, the counters
+    leaf directory's pre-order page ids: the pages, the order, the counters
     and the buffer's LRU order of the depth-first walk it replaces."""
 
     @given(
@@ -459,15 +459,15 @@ class TestCensusRefinesOneLeaf:
             return log_joint_density_multi(mu, *args)
 
         monkeypatch.setattr(batch, "log_joint_density_multi", recording)
-        hulls = tree.leaf_hulls()
+        directory = tree.leaf_directory()
         for w in identification_workload(db, 4, seed=13):
             _, upper = BatchRefiner(tree, [w.q]).leaf_hull_bounds()
-            best = hulls.leaves[int(np.argmax(upper[0]))]
+            best = directory.leaves[int(np.argmax(upper[0]))]
             assert len(best.parent.children) > 1
             shapes.clear()
             _, stats = gausstree_mliq(tree, MLIQuery(w.q, 5))
             assert (stats.swept, stats.nodes_expanded) == (1, 1)
-            # The sweep evaluates the leaf stack's prepared columns.
+            # The sweep evaluates the directory's prepared columns.
             assert shapes == [(best.count, 8)]
 
 

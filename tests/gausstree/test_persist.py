@@ -424,6 +424,60 @@ class TestFilePageStore:
         finally:
             store.close()
 
+    def test_a_warm_sweep_reads_no_page_bytes(self, tmp_path):
+        # A warm sweep's pages are all resident, so read_many counts them
+        # in one step; each already has its frame, so no page is read
+        # from the file, and the frames and the LRU order are those of
+        # one read per page of the same counted reads.
+        from repro.data.synthetic import uniform_pfv_dataset
+
+        path = str(tmp_path / "warm.gauss")
+        db = uniform_pfv_dataset(n=2500, d=8, seed=8)
+        bulk_load(db.vectors, degree=8, sigma_rule=db.sigma_rule).save(path)
+        tree = GaussTree.open(path)
+        reference = FilePageStore(
+            path,
+            tree.store.page_size,
+            allocated_pages=tree.store.page_count,
+        )
+        store = tree.store
+        counted, file_reads, one_step = [], [], []
+        read, read_many = store.read, store.read_many
+        read_from_file = store._read_from_file
+
+        def one(page_id):
+            counted.append(page_id)
+            return read(page_id)
+
+        def many(page_ids):
+            counted.extend(page_ids)
+            one_step.append(read_many(page_ids))
+            return one_step[-1]
+
+        def from_file(page_id):
+            file_reads.append(page_id)
+            return read_from_file(page_id)
+
+        store.read, store.read_many = one, many
+        store._read_from_file = from_file
+        try:
+            query = MLIQuery(make_random_query(d=8, seed=9), 3)
+            for warm in (False, True):
+                del file_reads[:]
+                _, stats = gausstree_mliq(tree, query)
+                assert (stats.swept, stats.page_faults > 0) == (1, not warm)
+            assert file_reads == []
+            assert one_step == [False, True]
+            for page_id in counted:
+                reference.read(page_id)
+            assert store._frames == reference._frames
+            assert list(store.buffer._resident) == list(
+                reference.buffer._resident
+            )
+        finally:
+            reference.close()
+            tree.close()
+
     def test_sharing_a_buffer_across_stores_is_rejected(self, tmp_path):
         # Buffer residency is keyed by file-local page ids, so one buffer
         # serving two index files would count one file's cold reads as

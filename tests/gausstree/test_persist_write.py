@@ -634,11 +634,11 @@ class TestSaveFlushesWal:
         finally:
             reopened.close()
 
-    def test_in_place_save_drops_the_stale_hull_stack(self, tmp_path):
-        # The hull stack names leaf parents and node pages by page id. A
-        # compacting in-place save renumbers the pages, so a stack kept
-        # across it would hand a traversal another node's child bounds
-        # and a sweep another tree's pages.
+    def test_in_place_save_drops_the_stale_leaf_directory(self, tmp_path):
+        # The leaf directory names leaves, leaf parents and node pages by
+        # page id. A compacting in-place save renumbers the pages, so a
+        # directory kept across it would hand a traversal another node's
+        # child bounds and a sweep another tree's pages.
         path = str(tmp_path / "hulls.gauss")
         rng = np.random.default_rng(13)
         base = make_vectors(rng, 120, 2, "b")
@@ -647,7 +647,8 @@ class TestSaveFlushesWal:
         try:
             extra = make_vectors(rng, 80, 2, "x")
             tree.insert_many(extra)
-            before = tree.leaf_hulls()
+            before = tree.leaf_directory()
+            assert before.page_ids  # built before the save renumbers
             tree.save(path)
             parents = {
                 node.page_id
@@ -655,9 +656,11 @@ class TestSaveFlushesWal:
                 if not node.is_leaf and node.children[0].is_leaf
             }
             assert set(before.spans) != parents  # the save renumbered
-            hulls = tree.leaf_hulls()
-            assert set(hulls.spans) == parents
-            assert hulls.page_ids == [node.page_id for node in tree.nodes()]
+            directory = tree.leaf_directory()
+            assert directory is not before
+            assert set(directory.spans) == parents
+            assert directory.page_ids == [node.page_id for node in tree.nodes()]
+            assert set(directory.index) == {leaf.page_id for leaf in tree.leaves()}
             reference = GaussTree(dims=2, degree=3)
             reference.extend(base + extra)
             assert_same_answers(reference, tree, 2, seed=14)
