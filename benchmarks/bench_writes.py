@@ -4,13 +4,14 @@
 Opens a saved Gauss-tree *writable* and measures durable (fsync'd)
 insert throughput two ways:
 
-* ``per_op``       — one WAL transaction + fsync per ``insert`` (the
-  PR-2 write path; every insert logs full images of the pages it
-  dirtied, ~30 KB each on the default 8 KiB layout).
+* ``per_op``       — one WAL transaction + fsync per ``insert``: the
+  leaf's new row as a ``ROWS`` record and full 8 KiB images of the
+  inner pages on its path and of any page a split touched.
 * ``group_commit`` — ``insert_many`` batches (8 / 32 / 128) coalesced
-  into one WAL transaction each: one fsync per batch and each dirtied
-  page logged once (latest image), so both the barrier count and the
-  WAL byte volume collapse.
+  into one WAL transaction each: one fsync per batch, each dirtied
+  inner page logged once (latest image) and each leaf's rows in one
+  ``ROWS`` record, so both the barrier count and the WAL byte volume
+  collapse.
 
 Both wall-clock and **modeled** numbers are reported, per the repo's
 figure-7 convention (see ``docs/benchmarks.md``): containerised hosts
@@ -58,7 +59,12 @@ from repro.gausstree.bulkload import bulk_load  # noqa: E402
 from repro.gausstree.mliq import gausstree_mliq  # noqa: E402
 from repro.gausstree.tree import GaussTree  # noqa: E402
 from repro.storage.costmodel import DiskCostModel  # noqa: E402
-from repro.storage.wal import REC_PAGE, WAL_MAGIC, WriteAheadLog  # noqa: E402
+from repro.storage.wal import (  # noqa: E402
+    REC_PAGE,
+    REC_ROWS,
+    WAL_MAGIC,
+    WriteAheadLog,
+)
 
 #: The issue's acceptance bar, on the modeled durable-commit ruler.
 TARGET_SPEEDUP = 5.0
@@ -75,15 +81,18 @@ def _fresh_vectors(rng, n, d, tag):
     ]
 
 
-def _wal_stats(wal_path: str) -> tuple[int, int, int]:
-    """(bytes, committed transactions, page images) in a WAL file."""
+def _wal_stats(wal_path: str) -> tuple[int, int, int, int]:
+    """(bytes, committed transactions, page images, row-edit records)
+    in a WAL file."""
     size = max(0, os.path.getsize(wal_path) - len(WAL_MAGIC))
     txns = 0
     pages = 0
+    rows = 0
     for records, _end in WriteAheadLog.iter_committed(wal_path):
         txns += 1
         pages += sum(1 for rtype, _ in records if rtype == REC_PAGE)
-    return size, txns, pages
+        rows += sum(1 for rtype, _ in records if rtype == REC_ROWS)
+    return size, txns, pages, rows
 
 
 def _run_mode(base_path, tmp_dir, mode, vectors, query, cost):
@@ -102,7 +111,7 @@ def _run_mode(base_path, tmp_dir, mode, vectors, query, cost):
         for i in range(0, len(vectors), batch):
             tree.insert_many(vectors[i : i + batch])
     seconds = time.perf_counter() - started
-    wal_bytes, txns, pages_logged = _wal_stats(path + ".wal")
+    wal_bytes, txns, pages_logged, rows_logged = _wal_stats(path + ".wal")
     # Die without a checkpoint: recovery must replay the WAL alone.
     tree.close(checkpoint=False)
     recovered = GaussTree.open(path)
@@ -130,6 +139,7 @@ def _run_mode(base_path, tmp_dir, mode, vectors, query, cost):
         "wal_bytes_per_insert": round(wal_bytes / n, 1),
         "fsyncs": txns,
         "page_images_logged": pages_logged,
+        "row_records_logged": rows_logged,
         "modeled_commit_seconds": round(modeled_total, 4),
         "modeled_inserts_per_second": round(n / modeled_total, 1),
     }, disk_matches

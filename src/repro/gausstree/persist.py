@@ -48,10 +48,12 @@ anything else fails the save with a ``TypeError``.
 :class:`TreeWriter` implementing a redo-only write-ahead protocol (see
 :mod:`repro.storage.wal` for the fsync ordering and
 :func:`recover_index` for the replay): every ``insert``/``delete``
-commits one WAL transaction holding the dirtied page images, appended
-keys and the new header — and ``GaussTree.insert_many`` coalesces a
-whole batch into *one* such transaction (group commit: one fsync,
-page images deduplicated, recovery all-or-nothing per batch); the main
+commits one WAL transaction holding the rows it appended to or removed
+from each leaf it did not split or dissolve, the images of the other
+pages it dirtied, the appended keys and the new header — and
+``GaussTree.insert_many`` coalesces a whole batch into *one* such
+transaction (group commit: one fsync, page images deduplicated,
+recovery all-or-nothing per batch); the main
 file is republished (a new generation, swapped in by atomic rename so
 already-open readers keep their pre-checkpoint snapshot) only at a
 checkpoint (``tree.flush()`` / ``tree.close()``). Opening a file whose
@@ -73,6 +75,7 @@ from typing import Callable, Hashable, Iterable
 import numpy as np
 
 from repro.core.joint import SigmaRule
+from repro.core.pfv import PFV
 from repro.gausstree.bounds import ParameterRect
 from repro.gausstree.node import InnerNode, LeafNode, Node
 from repro.storage.buffer import BufferManager
@@ -94,8 +97,14 @@ from repro.storage.wal import (
     REC_KEYS,
     REC_META,
     REC_PAGE,
+    REC_ROWS,
+    RECORD_OVERHEAD,
+    WAL_MAGIC,
     WALGroup,
     WriteAheadLog,
+    pack_row_append,
+    pack_row_remove,
+    unpack_rows,
 )
 
 __all__ = [
@@ -431,7 +440,7 @@ class _KeyTable:
 # -- header ------------------------------------------------------------------
 
 
-def _build_header_page(
+def _build_header(
     *,
     page_size: int,
     dims: int,
@@ -445,7 +454,9 @@ def _build_header_page(
     free_pages: tuple[int, ...] = (),
     version: int = FORMAT_VERSION,
 ) -> bytes:
-    """The complete page-0 image: fixed v2/v3 header plus the free-page list.
+    """The header's used bytes: the fixed v2/v3 header plus the free-page
+    list. A WAL ``META`` record logs exactly these; the file's page 0 is
+    them zero-padded to one page (:func:`_pad_page`).
 
     ``version`` is the format stamped into the file — a writable v2 file
     keeps committing v2 headers so its format is preserved across
@@ -470,8 +481,18 @@ def _build_header_page(
         key_table_bytes,
         len(free),
     )
-    body = fixed + struct.pack(f"<{len(free)}I", *free)
+    return fixed + struct.pack(f"<{len(free)}I", *free)
+
+
+def _pad_page(body: bytes, page_size: int) -> bytes:
+    """``body`` zero-padded to one page (a header's page-0 image)."""
     return body + b"\x00" * (page_size - len(body))
+
+
+def _free_list(header: bytes) -> tuple[int, ...]:
+    """The free-page ids a v2/v3 header's bytes list."""
+    (count,) = struct.unpack_from("<I", header, _HEADER_V2.size - 4)
+    return struct.unpack_from(f"<{count}I", header, _HEADER_V2.size)
 
 
 def _parse_fixed_header(raw: bytes) -> dict:
@@ -673,24 +694,18 @@ def _encode_leaf(
     """Encode one leaf in the requested format's page kind.
 
     The v3 path encodes the leaf's column arrays directly; the v2 path
-    keeps the interleaved per-entry codec byte-for-byte.
+    keeps the interleaved per-entry codec byte-for-byte. Recovery's
+    replay of row edits (:func:`_replay_row_edits`) calls the same two
+    codecs, so a replayed page equals the writer's image.
     """
-    if version >= 3:
-        if leaf.count:
-            mu, sigma = leaf.arrays()
-        else:  # empty tree: the root leaf encodes as a zero-entry page
-            mu = np.zeros((0, layout.dims), dtype=np.float64)
-            sigma = np.zeros((0, layout.dims), dtype=np.float64)
-        return encode_columnar_leaf_page(
-            layout,
-            pid,
-            mu,
-            sigma,
-            [key_table.slot(k) for k in leaf.keys()],
-        )
-    return encode_leaf_page(
-        layout, pid, leaf.entries, [key_table.slot(k) for k in leaf.keys()]
-    )
+    slots = [key_table.slot(k) for k in leaf.keys()]
+    if version < 3:
+        return encode_leaf_page(layout, pid, leaf.entries, slots)
+    if leaf.count:
+        mu, sigma = leaf.arrays()
+    else:  # empty tree: the root leaf encodes as a zero-entry page
+        mu = sigma = np.zeros((0, layout.dims), dtype=np.float64)
+    return encode_columnar_leaf_page(layout, pid, mu, sigma, slots)
 
 
 def _save_tree_locked(
@@ -756,7 +771,7 @@ def _save_tree_locked(
             key_table_offset = (len(nodes) + 1) * page_size
             f.seek(key_table_offset)
             f.write(table)
-            header = _build_header_page(
+            header = _build_header(
                 page_size=page_size,
                 dims=layout.dims,
                 degree=tree.degree,
@@ -809,10 +824,15 @@ def recover_index(
     1. scan the WAL, keeping the longest checksum-valid prefix of
        committed transactions (a torn tail is discarded — that is the
        not-yet-durable suffix of the workload);
-    2. fold the transactions into the latest image per page, the key
-       appends (re-based on a ``CKPT_BASE`` snapshot if a checkpoint was
-       interrupted), and the final header image;
-    3. build a *new generation* of the main file beside it (old bytes,
+    2. fold the transactions into the latest image per page plus the
+       ``ROWS`` edits logged after it, the key appends (re-based on a
+       ``CKPT_BASE`` snapshot if a checkpoint was interrupted), and the
+       final header; a record type this build does not know raises
+       ``ValueError`` before anything is written;
+    3. apply each page's edits to its image, or to the main file's page
+       (:func:`_replay_row_edits`), and seal the folded key table and
+       the pages so replayed into the WAL, as a checkpoint does;
+    4. build a *new generation* of the main file beside it (old bytes,
        folded pages, key table, patched header), fsync it, and publish
        it with an atomic rename, then truncate the WAL. Already-open
        readers of the previous generation keep their inode and are
@@ -844,21 +864,28 @@ def recover_index(
             )
         finally:
             lock.release()
-    # Re-scan under the lock, streaming: fold to latest-image-per-page
-    # instead of materializing the whole log (a killed bulk insert can
-    # leave a WAL of hundreds of MB; the fold is bounded by the number
-    # of distinct pages).
+    # Re-scan under the lock, streaming: fold to the latest image per
+    # page plus the row edits logged after it, instead of materializing
+    # the whole log (a killed bulk insert can leave a WAL of hundreds of
+    # MB; the fold holds one image per distinct page and the ROWS
+    # records since).
     pages: dict[int, bytes] = {}
+    edits: dict[int, list[bytes]] = {}
     base_entries: list | None = None
     appended: list = []
     header_image: bytes | None = None
     committed_end = None
+    offset = len(WAL_MAGIC)
     for txn, end in WriteAheadLog.iter_committed(wal_path):
         committed_end = end
         for rtype, payload in txn:
             if rtype == REC_PAGE:
                 (pid,) = struct.unpack_from("<I", payload, 0)
                 pages[pid] = payload[4:]
+                edits.pop(pid, None)  # the image holds every earlier edit
+            elif rtype == REC_ROWS:
+                (pid,) = struct.unpack_from("<I", payload, 0)
+                edits.setdefault(pid, []).append(payload)
             elif rtype == REC_KEYS:
                 appended.extend(json.loads(payload.decode("utf-8")))
             elif rtype == REC_CKPT_BASE:
@@ -868,38 +895,73 @@ def recover_index(
                 appended = []
             elif rtype == REC_META:
                 header_image = payload
+            else:
+                # Skipping it would replay a state the writer never
+                # committed (a build that does not know ROWS would drop
+                # every row edit), so nothing is written.
+                raise ValueError(
+                    f"{os.fspath(wal_path)!r} holds a committed record of "
+                    f"unknown type {rtype} at offset {offset}; this build "
+                    "cannot replay it, so the WAL and the index are left "
+                    "as they are"
+                )
+            offset += RECORD_OVERHEAD + len(payload)
+        offset = end
     if committed_end is None or header_image is None:
         return False  # no committed state transition to apply
     meta_fields = _parse_fixed_header(header_image)
     page_size = meta_fields["page_size"]
     page_count = meta_fields["page_count"]
-    if base_entries is None:
-        # No checkpoint was in flight, so the main file's key table is
-        # exactly the last-checkpoint state and its header is intact.
-        durable = read_header(path)
-        with open(path, "rb") as f:
-            f.seek(durable["key_table_offset"])
-            raw = f.read(durable["key_table_bytes"])
-        base_entries = json.loads(raw.decode("utf-8"))
-        # Seal the *folded* table (base plus the WAL's appends) into the
-        # WAL before the main file is touched: recovery itself may crash
-        # mid-replay, clobbering the tail the lines above just read, and
-        # the retry must then be as self-contained as an interrupted
-        # checkpoint. The unsealed tail past the last COMMIT is
-        # discarded first so this transaction is actually reachable by
-        # the next scan.
+    # No node references a page the final header lists free or places
+    # past its last page: its image is not written and its edits are
+    # not replayed (the page may not even hold a leaf any more).
+    dead = set(_free_list(header_image))
+    for pid in [*pages, *edits]:
+        if pid > page_count or pid in dead:
+            pages.pop(pid, None)
+            edits.pop(pid, None)
+    # A checkpoint's CKPT_BASE transaction already makes the replay
+    # independent of the main file, images included.
+    sealed = base_entries is not None
+    layout = PageLayout(dims=meta_fields["dims"], page_size=page_size)
+    with open(path, "rb") as base:
+        for pid, payloads in edits.items():
+            page = pages.get(pid)
+            if page is None:  # edits of the main file's page
+                base.seek(pid * page_size)
+                page = base.read(page_size)
+            pages[pid] = _replay_row_edits(
+                layout, pid, page, payloads, meta_fields["version"]
+            )
+        if base_entries is None:
+            # No checkpoint was in flight, so the main file's key table
+            # is exactly the last-checkpoint state and its header is
+            # intact.
+            durable = read_header(path)
+            base.seek(durable["key_table_offset"])
+            raw = base.read(durable["key_table_bytes"])
+            base_entries = json.loads(raw.decode("utf-8"))
+    table = json.dumps(base_entries + appended).encode("utf-8")
+    if not sealed or edits:
+        # Seal the *folded* table, and an image of every page replayed
+        # from row edits, into the WAL before the main file is touched:
+        # recovery itself may crash mid-replay, clobbering the tail the
+        # lines above just read (or, past the publish, the pages the
+        # edits apply to — an edit replayed twice appends its row
+        # twice), and the retry must then be as self-contained as an
+        # interrupted checkpoint. The unsealed tail past the last COMMIT
+        # is discarded first so this transaction is actually reachable
+        # by the next scan.
         wal = WriteAheadLog(wal_path, file_factory=file_factory)
         try:
             wal.truncate_to(committed_end)
-            wal.append(
-                REC_CKPT_BASE,
-                json.dumps(base_entries + appended).encode("utf-8"),
-            )
+            wal.append(REC_CKPT_BASE, table)
+            for pid in sorted(edits):
+                wal.append_page(pid, pages[pid])
             wal.append(REC_META, header_image)
             wal.commit()
         finally:
             wal.close()
-    table = json.dumps(base_entries + appended).encode("utf-8")
     kt_offset = (page_count + 1) * page_size
     patched = bytearray(header_image)
     patched[_KT_FIELDS_OFFSET : _KT_FIELDS_OFFSET + _KT_FIELDS.size] = (
@@ -917,7 +979,7 @@ def recover_index(
             page_count=page_count,
             images=pages,
             table=table,
-            header_page=bytes(patched),
+            header_page=_pad_page(bytes(patched), page_size),
             file_factory=file_factory,
         )
     # The main file now holds everything; retire the WAL.
@@ -929,6 +991,49 @@ def recover_index(
     return True
 
 
+def _replay_row_edits(
+    layout: PageLayout,
+    pid: int,
+    page: bytes,
+    payloads: list[bytes],
+    version: int,
+) -> bytes:
+    """A leaf page with its logged ``ROWS`` records applied in order.
+
+    The page decodes by its own kind (interleaved or columnar) and
+    re-encodes with the codec of the writer's format ``version``, as
+    :func:`_encode_leaf` does, so the result equals the writer's image
+    of the leaf bit for bit.
+    """
+    if page[4] == COLUMNAR_LEAF_KIND:  # header: page_id u32, kind u8
+        _, mu, sigma, slots = decode_columnar_leaf_page(layout, page)
+    else:
+        _, vectors, slots = decode_leaf_page(layout, page)
+        mu = [v.mu for v in vectors]
+        sigma = [v.sigma for v in vectors]
+    rows = [
+        (slot, np.asarray(m, "<f8").tobytes(), np.asarray(s, "<f8").tobytes())
+        for slot, m, s in zip(slots, mu, sigma)
+    ]
+    for payload in payloads:
+        for edit in unpack_rows(payload, layout.dims):
+            if isinstance(edit, int):
+                del rows[edit]
+            else:
+                rows.append(edit)
+    shape = (len(rows), layout.dims)
+    slots = [row[0] for row in rows]
+    mu = np.frombuffer(b"".join(row[1] for row in rows), "<f8").reshape(shape)
+    sigma = np.frombuffer(b"".join(row[2] for row in rows), "<f8").reshape(
+        shape
+    )
+    if version < 3:
+        return encode_leaf_page(
+            layout, pid, [PFV(m, s) for m, s in zip(mu, sigma)], slots
+        )
+    return encode_columnar_leaf_page(layout, pid, mu, sigma, slots)
+
+
 # -- the write path ----------------------------------------------------------
 
 
@@ -936,9 +1041,9 @@ class TreeWriter:
     """Per-operation WAL commits and checkpoints for a writable tree.
 
     Owned by a :class:`~repro.gausstree.tree.GaussTree` opened with
-    ``writable=True``; the tree calls :meth:`commit` with the set of
-    nodes an ``insert``/``delete`` dirtied, and :meth:`checkpoint` from
-    ``flush``/``close``.
+    ``writable=True``; the tree calls :meth:`commit` with the nodes an
+    ``insert``/``delete`` dirtied and their row edits, and
+    :meth:`checkpoint` from ``flush``/``close``.
     """
 
     def __init__(
@@ -973,6 +1078,10 @@ class TreeWriter:
         # later fsynced commit unreachable to the recovery scan, so the
         # tail must be re-truncated before the WAL accepts new records.
         self._pending_rollback: int | None = None
+        # Pages with a ROWS record in the WAL since their last image:
+        # the checkpoint's CKPT_BASE transaction logs their images, so a
+        # replay after its publish never applies their edits twice.
+        self._rows_logged: set[int] = set()
 
     # -- structure helpers ---------------------------------------------------
 
@@ -1007,9 +1116,10 @@ class TreeWriter:
             [c.count for c in inner.children],
         )
 
-    def header_page_image(self) -> bytes:
+    def header_bytes(self) -> bytes:
+        """The header's used bytes, as a ``META`` record logs them."""
         tree = self.tree
-        return _build_header_page(
+        return _build_header(
             page_size=tree.layout.page_size,
             dims=tree.layout.dims,
             degree=tree.degree,
@@ -1025,17 +1135,22 @@ class TreeWriter:
 
     # -- commit --------------------------------------------------------------
 
-    def commit(self, dirty: set[Node]) -> None:
+    def commit(self, dirty: dict[Node, list | None]) -> None:
         """Make one completed tree operation — or a whole batch of them
-        sharing one dirty set — durable: a single WAL transaction of
-        page images + appended keys + header meta (built through
-        :class:`~repro.storage.wal.WALGroup`, so a batch pays one
-        ``COMMIT`` and one fsync and each dirtied page is logged once),
-        then install the images into the store, which keeps them until
-        the next checkpoint publishes them.
+        sharing one dirty map — durable: a single WAL transaction of
+        row edits, page images, appended keys and the header (built
+        through :class:`~repro.storage.wal.WALGroup`, so a batch pays
+        one ``COMMIT`` and one fsync), then install every dirtied page's
+        image into the store, which keeps it until the next checkpoint
+        publishes it.
+
+        ``dirty`` maps each dirtied node to its row-edit journal (see
+        :meth:`~repro.gausstree.tree.GaussTree._note_row_edit`): a leaf
+        that only appended or removed rows logs those edits as one
+        ``ROWS`` record, every other node (``None``) its full image.
 
         Nodes are encoded in page-id order, so key-slot assignment and
-        the order of the PAGE records — and with them the WAL, the
+        the order of the records — and with them the WAL, the
         checkpointed file and every replica — are the same bytes for the
         same operations, whatever the nodes' memory addresses."""
         live = sorted(
@@ -1047,20 +1162,52 @@ class TreeWriter:
         else:  # pure-structural op; rare, costs a leftmost-path walk
             self.height = self.tree._spine_height()
         images: list[tuple[int, bytes]] = []
+        group = WALGroup()
         for node in live:
             level = 0 if node.is_leaf else self.height - 1 - self._depth(node)
-            images.append((node.page_id, self._encode(node, level)))
+            image = self._encode(node, level)
+            images.append((node.page_id, image))
+            edits = dirty[node]
+            if edits is None:
+                group.add_page(node.page_id, image)
+            else:
+                group.add_rows(node.page_id, self._pack_edits(edits))
         new_keys = self.key_table.keys[self._logged_keys :]
-        group = WALGroup()
-        for pid, image in images:
-            group.add_page(pid, image)
         if new_keys:
             group.add_keys(self.key_table.encodings(new_keys))
-        group.set_meta(self.header_page_image())
+        group.set_meta(self.header_bytes())
+        self._append(group.commit_to)
+        self._logged_keys = len(self.key_table.keys)
+        for node, (pid, image) in zip(live, images):
+            self.store.write(pid, image)
+            if dirty[node] is None:
+                self._rows_logged.discard(pid)
+            else:
+                self._rows_logged.add(pid)
+
+    def _pack_edits(self, edits: list) -> bytes:
+        """A leaf's journal as packed ``ROWS`` edits: an appended row
+        (its pfv) by key slot, means and sigmas, a removed row by its
+        position. The leaf's encode has already slotted every key."""
+        slot = self.key_table.slot
+        return b"".join(
+            pack_row_remove(edit)
+            if isinstance(edit, int)
+            else pack_row_append(
+                slot(edit.key),
+                np.asarray(edit.mu, "<f8").tobytes(),
+                np.asarray(edit.sigma, "<f8").tobytes(),
+            )
+            for edit in edits
+        )
+
+    def _append(self, write: Callable[[WriteAheadLog], None]) -> None:
+        """Append one transaction through ``write``, whose last call
+        commits it, and roll a torn one back."""
         self._ensure_clean_tail()
         start = self.wal.tell()
         try:
-            group.commit_to(self.wal)
+            write(self.wal)
         except BaseException:
             # A torn transaction must not be sealed by the *next* commit:
             # roll the WAL back to the transaction start. If the rollback
@@ -1073,9 +1220,6 @@ class TreeWriter:
             except Exception:
                 self._pending_rollback = start
             raise
-        self._logged_keys = len(self.key_table.keys)
-        for pid, image in images:
-            self.store.write(pid, image)
 
     def _ensure_clean_tail(self) -> None:
         """Retry a previously failed transaction rollback; raises (and
@@ -1107,8 +1251,9 @@ class TreeWriter:
         """Publish committed state as a new main-file generation; then
         empty the WAL.
 
-        fsync ordering: WAL (with a ``CKPT_BASE`` key-table snapshot
-        that makes replay independent of the main file) strictly before
+        fsync ordering: WAL (with a ``CKPT_BASE`` key-table snapshot and
+        an image of every page with row edits since its last image,
+        which make replay independent of the main file) strictly before
         the new generation's bytes, those before the atomic rename that
         publishes them, the rename before the WAL truncate. The rename
         (via :meth:`FilePageStore.publish_checkpoint`) is what seals
@@ -1128,19 +1273,29 @@ class TreeWriter:
         pending = self.tree._dirty_nodes
         if pending:
             self.commit(pending)
-            self.tree._dirty_nodes = set()
+            self.tree._dirty_nodes = {}
         images = store.dirty_images()
         if not images and wal.is_empty:
             return
-        self._ensure_clean_tail()
         table = self.key_table.dump()
-        header_page = self.header_page_image()
-        wal.append(REC_CKPT_BASE, table)
-        wal.append(REC_META, header_page)
-        wal.commit()
+        header = self.header_bytes()
+
+        def seal(wal: WriteAheadLog) -> None:
+            wal.append(REC_CKPT_BASE, table)
+            # A page freed since its edits has no image and is never
+            # read again.
+            for pid in sorted(self._rows_logged.intersection(images)):
+                wal.append_page(pid, images[pid])
+            wal.append(REC_META, header)
+            wal.commit()
+
+        self._append(seal)
+        self._rows_logged.clear()
         if not wal.fsync:
             wal.sync()  # checkpoint ordering is non-negotiable
-        store.publish_checkpoint(images, table, header_page)
+        store.publish_checkpoint(
+            images, table, _pad_page(header, self.tree.layout.page_size)
+        )
         wal.reset()
         store.mark_all_clean()
 
@@ -1158,6 +1313,7 @@ class TreeWriter:
             if not node.is_leaf:
                 stack.extend(node.children)  # type: ignore[attr-defined]
         self.store.rebind(saved.page_count)
+        self._rows_logged.clear()  # the save emptied the WAL
         self.key_table = saved.key_table
         self._logged_keys = len(saved.key_table.keys)
         self.height = saved.height

@@ -227,9 +227,13 @@ class GaussTree:
         #: mutation through the write-ahead log (see
         #: :class:`~repro.gausstree.persist.TreeWriter`).
         self._writer = None
-        # Nodes whose pages the current mutation dirtied; None when no
+        # Nodes whose pages the current mutation dirtied, each with its
+        # row-edit journal: the rows a leaf appended (their pfv) and
+        # removed (their positions) since its last committed image, in
+        # order, or None where the commit must log the full page (an
+        # inner node, a new or split leaf). None when no
         # writer is attached (in-memory trees pay one `is None` check).
-        self._dirty_nodes: set[Node] | None = None
+        self._dirty_nodes: dict[Node, list | None] | None = None
         # Reader-presence mark held by read-only opens so
         # `repro reshard-gc` can see live readers; set by open_tree,
         # released in close().
@@ -327,21 +331,32 @@ class GaussTree:
         mutation marks the nodes whose pages it touched and commits them
         as one WAL transaction when the operation completes."""
         self._writer = writer
-        self._dirty_nodes = set()
+        self._dirty_nodes = {}
         self.read_only = False
 
     def _note_dirty(self, *nodes: Node) -> None:
+        """Mark pages the commit logs as full images."""
         if self._dirty_nodes is not None:
-            self._dirty_nodes.update(nodes)
+            for node in nodes:
+                self._dirty_nodes[node] = None
+
+    def _note_row_edit(self, leaf: LeafNode, edit: PFV | int) -> None:
+        """Journal one row appended to (its pfv) or removed from (its
+        position) an existing leaf; a leaf already due a full image
+        stays so."""
+        if self._dirty_nodes is not None:
+            edits = self._dirty_nodes.setdefault(leaf, [])
+            if edits is not None:
+                edits.append(edit)
 
     def _commit_mutation(self) -> None:
         if self._writer is not None:
             # Cleared only after the commit lands: if it raises (ENOSPC,
-            # injected crash) the marks survive, so a caller that keeps
-            # the tree re-logs these pages with its next operation
-            # instead of silently never persisting them.
+            # injected crash) the marks and the row edits survive, so a
+            # caller that keeps the tree re-logs these pages with its
+            # next operation instead of silently never persisting them.
             self._writer.commit(self._dirty_nodes)
-            self._dirty_nodes = set()
+            self._dirty_nodes = {}
             # After the marks are cleared, so a WAL-size-triggered
             # checkpoint never re-commits the operation it just sealed.
             self._writer.maybe_auto_checkpoint()
@@ -362,7 +377,7 @@ class GaussTree:
             raise ValueError(f"vector is {v.dims}-d, tree is {self.dims}-d")
         leaf = self._choose_leaf(v)
         leaf.add(v)
-        self._note_dirty(leaf)
+        self._note_row_edit(leaf, v)
         node: Optional[InnerNode] = leaf.parent
         while node is not None:
             assert node.rect is not None
@@ -383,10 +398,13 @@ class GaussTree:
         """Insert a batch of pfv as **one group-commit transaction**.
 
         On a writable disk-opened tree the whole batch is sealed by a
-        single WAL ``COMMIT`` and a single fsync, and every page the
-        batch dirtied is logged once (latest image) instead of once per
-        insert — amortising the full-page-image cost that makes per-op
-        :meth:`insert` ~30 KB of WAL per call. Durability is
+        single WAL ``COMMIT`` and a single fsync: each leaf that only
+        gained rows logs them in one ``ROWS`` record, and every other
+        page the batch dirtied is logged once (latest image) instead of
+        once per insert — amortising the per-commit header and the 8 KiB
+        images of the inner pages on the insert path, which make a
+        per-op :meth:`insert` below a root leaf about 8 KiB of WAL per
+        tree level above the leaves. Durability is
         all-or-nothing: after a crash either every insert of the batch
         is recovered or none is (never a partial batch), which the
         crash-injection harness asserts. On an in-memory tree this is
@@ -519,7 +537,7 @@ class GaussTree:
         self._leaf_directory = None
         leaf, index = found
         leaf.remove_at(index)
-        self._note_dirty(leaf)
+        self._note_row_edit(leaf, index)
         if leaf.parent is not None:
             leaf.parent.invalidate_count()
         self._condense(leaf)

@@ -144,7 +144,8 @@ class WALShipper:
         # replica, so the shipped offset starts past it — restarting at
         # the magic would re-apply those txns, and replay is idempotent
         # for page images but NOT for the incremental key-table appends
-        # (a duplicated append shifts every later key slot).
+        # (a duplicated append shifts every later key slot) or for row
+        # edits (a duplicated one adds or drops a row).
         src_wal = wal_path_for(self.primary_path)
         synced = (
             WriteAheadLog.committed_length(src_wal)

@@ -1,33 +1,48 @@
 """Write-ahead log for the writable Gauss-tree storage path.
 
-Durability protocol (redo-only, physical logging):
+Durability protocol (redo-only; page images and row edits):
 
 * Between checkpoints the main index file is **never** written. Every
   mutating tree operation appends one *transaction* to the sidecar WAL
-  file: the full images of the pages it dirtied, the application keys it
-  appended to the key table, a ``META`` record carrying the complete
-  header-page image, and finally a ``COMMIT`` record — then the WAL is
-  flushed (and fsynced, unless the caller opted out).
+  file: a ``ROWS`` record per leaf whose rows it only appended or
+  removed (the page id, then each appended row's key slot, means and
+  sigmas, or each removed row's position, in order), the full image of
+  every other page it dirtied (a split leaf, a new page, an inner page),
+  the application keys it appended to the key table, a ``META`` record
+  carrying the header's used bytes (the fixed header plus the free-page
+  list, not the zero-padded page), and finally a ``COMMIT`` record —
+  then the WAL is flushed (and fsynced, unless the caller opted out).
+  A one-row insert into a leaf logs about 200 bytes, not two 8 KiB
+  pages.
 * **Group commit** batches N logical operations into *one* transaction:
-  a :class:`WALGroup` buffers the page images, key appends and header
-  meta of every operation in the batch, deduplicating page images (the
-  latest image per page id wins — a leaf dirtied by 30 inserts is
-  logged once, not 30 times) and seals everything with a single
-  ``COMMIT`` record and a single fsync. Because only the final
-  ``COMMIT`` makes any of it durable, recovery replays a batch
-  all-or-nothing: a crash anywhere inside the group's append tears the
-  whole batch away, never a partial one.
-* A checkpoint first logs a ``CKPT_BASE`` record holding the *entire*
-  key table (making replay independent of the main file), then builds a
-  new main-file generation (old bytes + dirty pages + key table +
-  header), fsyncs it and publishes it by atomic rename, and only then
-  truncates the WAL — ``fsync`` ordering *WAL before the new
-  generation before its rename before the truncate*. Already-open
-  readers keep the pre-checkpoint inode (reader snapshot isolation).
+  a :class:`WALGroup` buffers the page images, row edits, key appends
+  and header meta of every operation in the batch, deduplicating page
+  images (the latest image per page id wins — a leaf split by the
+  batch is logged once) and keeping each leaf's row edits in order in
+  one ``ROWS`` record, and seals everything with a single ``COMMIT``
+  record and a single fsync. Because only the final ``COMMIT`` makes
+  any of it durable, recovery replays a batch all-or-nothing: a crash
+  anywhere inside the group's append tears the whole batch away, never
+  a partial one.
+* Row edits do not replay idempotently the way images do: applied twice
+  to a page, an append adds its row twice. So every transaction that
+  precedes a publish logs a full image of each page with a ``ROWS``
+  record since its last image, and a replay after the publish starts
+  from those images.
+* A checkpoint first logs a ``CKPT_BASE`` transaction holding the
+  *entire* key table and those images (making replay independent of
+  the main file), then builds a new main-file generation (old bytes +
+  dirty pages + key table + header), fsyncs it and publishes it by
+  atomic rename, and only then truncates the WAL — ``fsync`` ordering
+  *WAL before the new generation before its rename before the
+  truncate*. Already-open readers keep the pre-checkpoint inode (reader
+  snapshot isolation).
 * Recovery (:func:`repro.gausstree.persist.recover_index`) scans the WAL,
   keeps the longest prefix of checksum-valid records, applies everything
   up to the last ``COMMIT`` and discards the torn tail — so a crash at
   any byte leaves the index equal to a committed prefix of the workload.
+  A committed record of a type it does not know stops it before it
+  writes anything.
 
 Record wire format (little-endian)::
 
@@ -59,22 +74,86 @@ __all__ = [
     "REC_META",
     "REC_CKPT_BASE",
     "REC_COMMIT",
+    "REC_ROWS",
+    "RECORD_OVERHEAD",
+    "pack_row_append",
+    "pack_row_remove",
+    "unpack_rows",
 ]
 
 WAL_MAGIC = b"GAUSWAL2"
 
 REC_PAGE = 1  # payload: <page_id u32> <page image>
 REC_KEYS = 2  # payload: UTF-8 JSON list of tagged keys appended this txn
-REC_META = 3  # payload: full header-page image (fixed header + free list)
+REC_META = 3  # payload: the header's used bytes (fixed header + free list)
 REC_CKPT_BASE = 4  # payload: UTF-8 JSON of the entire key table
 REC_COMMIT = 5  # payload: empty
+REC_ROWS = 6  # payload: <page_id u32> then the leaf's row edits, in order
 
 _REC_HEAD = struct.Struct("<IB")
 _CRC = struct.Struct("<I")
 
+#: Bytes a record adds to its payload: the length and type head, the CRC.
+RECORD_OVERHEAD = _REC_HEAD.size + _CRC.size
+
+# A ROWS edit: a tag, then an appended row's key slot (its means and
+# sigmas follow, d float64 each) or a removed row's position.
+_ROW_APPEND = struct.Struct("<Bq")
+_ROW_REMOVE = struct.Struct("<BI")
+_APPEND, _REMOVE = 0, 1
+_PAGE_ID = struct.Struct("<I")
+
 #: Upper bound on a single record payload; a garbage length field past
 #: this reads as a torn tail instead of a giant allocation.
 _MAX_PAYLOAD = 1 << 30
+
+
+def pack_row_append(slot: int, mu: bytes, sigma: bytes) -> bytes:
+    """One ``ROWS`` edit appending a row: its key slot, then its ``d``
+    little-endian float64 means and sigmas as raw bytes."""
+    return _ROW_APPEND.pack(_APPEND, slot) + mu + sigma
+
+
+def pack_row_remove(position: int) -> bytes:
+    """One ``ROWS`` edit removing the row at ``position``."""
+    return _ROW_REMOVE.pack(_REMOVE, position)
+
+
+def unpack_rows(payload: bytes, dims: int) -> list:
+    """The row edits of a ``ROWS`` payload, in order: ``(slot, mu,
+    sigma)`` for an appended row (``mu`` and ``sigma`` the row's raw
+    bytes), an ``int`` position for a removed one."""
+    (page_id,) = _PAGE_ID.unpack_from(payload, 0)
+    row = 8 * dims
+    edits: list = []
+    offset = _PAGE_ID.size
+    while offset < len(payload):
+        tag = payload[offset]
+        if tag == _APPEND:
+            _, slot = _ROW_APPEND.unpack_from(payload, offset)
+            offset += _ROW_APPEND.size
+            edits.append(
+                (
+                    slot,
+                    payload[offset : offset + row],
+                    payload[offset + row : offset + 2 * row],
+                )
+            )
+            offset += 2 * row
+        elif tag == _REMOVE:
+            edits.append(_ROW_REMOVE.unpack_from(payload, offset)[1])
+            offset += _ROW_REMOVE.size
+        else:
+            raise ValueError(
+                f"ROWS record of page {page_id} holds an edit of unknown "
+                f"kind {tag} at byte {offset}"
+            )
+    if offset != len(payload):
+        raise ValueError(
+            f"ROWS record of page {page_id} ends inside an edit "
+            f"({len(payload)} bytes for {dims}-d rows)"
+        )
+    return edits
 
 
 class WriteAheadLog:
@@ -121,7 +200,12 @@ class WriteAheadLog:
         self._file.write(_CRC.pack(zlib.crc32(bytes([rtype]) + payload)))
 
     def append_page(self, page_id: int, image: bytes) -> None:
-        self.append(REC_PAGE, struct.pack("<I", page_id) + image)
+        self.append(REC_PAGE, _PAGE_ID.pack(page_id) + image)
+
+    def append_rows(self, page_id: int, edits: bytes) -> None:
+        """One leaf's packed row edits (:func:`pack_row_append`,
+        :func:`pack_row_remove`), in order, as a ``ROWS`` record."""
+        self.append(REC_ROWS, _PAGE_ID.pack(page_id) + edits)
 
     def commit(self) -> None:
         """Seal the buffered records with a COMMIT and make them durable.
@@ -314,12 +398,13 @@ class WALGroup:
 
     Buffers the effects of 1..N logical operations in memory and writes
     them to a :class:`WriteAheadLog` as a *single* transaction — one run
-    of ``PAGE``/``KEYS``/``META`` records sealed by one ``COMMIT`` and
-    made durable by one fsync. Page images deduplicate as they are
-    added: :meth:`add_page` keeps only the **latest** image per page id,
-    so a page dirtied by every operation of the batch is logged once
-    (this is what collapses the ~30 KB-per-insert full-page-image cost
-    of per-operation commits).
+    of ``PAGE``/``ROWS``/``KEYS``/``META`` records sealed by one
+    ``COMMIT`` and made durable by one fsync. Page images deduplicate as
+    they are added: :meth:`add_page` keeps only the **latest** image per
+    page id, so a page dirtied by every operation of the batch is logged
+    once. Row edits accumulate: :meth:`add_rows` keeps each leaf's edits
+    in the order they were added, behind its latest image, and the
+    commit writes them as one ``ROWS`` record per leaf.
 
     Durability is all-or-nothing by construction: nothing reaches the
     log until :meth:`commit_to`, and recovery only replays record runs
@@ -329,29 +414,41 @@ class WALGroup:
 
     def __init__(self) -> None:
         #: Latest image per page id, in first-touch order (dict
-        #: preserves insertion order; re-adding only swaps the image).
-        self._pages: dict[int, bytes] = {}
+        #: preserves insertion order; re-adding only swaps the image);
+        #: None for a page the batch logged row edits of and no image.
+        self._pages: dict[int, bytes | None] = {}
+        #: Packed row edits per page id, in order, since its image.
+        self._rows: dict[int, list[bytes]] = {}
         #: Tagged-JSON key-table entries appended by the batch.
         self._keys: list = []
-        #: The final header-page image (META); last set wins.
+        #: The header's used bytes (META); last set wins.
         self._meta: bytes | None = None
 
     def add_page(self, page_id: int, image: bytes) -> None:
         """Record the latest image of one page (dedup: replaces any
-        image a previous operation of this batch logged for it)."""
+        image or row edits a previous operation of this batch logged
+        for it)."""
         self._pages[page_id] = image
+        self._rows.pop(page_id, None)
+
+    def add_rows(self, page_id: int, edits: bytes) -> None:
+        """Append packed row edits of one leaf (:func:`pack_row_append`,
+        :func:`pack_row_remove`) after those already added for it."""
+        self._pages.setdefault(page_id, None)
+        self._rows.setdefault(page_id, []).append(edits)
 
     def add_keys(self, entries: list) -> None:
         """Append tagged key-table entries (already JSON-safe encoded)."""
         self._keys.extend(entries)
 
-    def set_meta(self, image: bytes) -> None:
-        """Set the header-page image the transaction commits under."""
-        self._meta = image
+    def set_meta(self, header: bytes) -> None:
+        """Set the header bytes the transaction commits under."""
+        self._meta = header
 
     @property
     def n_pages(self) -> int:
-        """Distinct page images currently buffered (after dedup)."""
+        """Distinct pages currently buffered (after dedup): each is
+        logged once, as its latest image, its row edits or both."""
         return len(self._pages)
 
     @property
@@ -362,9 +459,10 @@ class WALGroup:
     def commit_to(self, wal: WriteAheadLog) -> None:
         """Append the buffered batch to ``wal`` as one sealed transaction.
 
-        Writes the deduplicated page images (first-touch order), one
-        ``KEYS`` record if any keys were appended, the ``META`` header
-        image, then ``COMMIT`` — flushed and fsynced once (under the
+        Writes, page by page in first-touch order, the deduplicated
+        image and then one ``ROWS`` record of the edits added after it;
+        one ``KEYS`` record if any keys were appended, the ``META``
+        header, then ``COMMIT`` — flushed and fsynced once (under the
         log's fsync setting). The caller owns rollback on failure (see
         :meth:`repro.gausstree.persist.TreeWriter.commit`): record the
         log's offset before calling and truncate back to it if this
@@ -372,15 +470,20 @@ class WALGroup:
         """
         if self._meta is None:
             raise ValueError(
-                "a WAL group needs its META header image before commit"
+                "a WAL group needs its META header before commit"
             )
         _obs_metrics.histogram(
             "repro_wal_group_pages",
-            "Deduplicated page images per group-commit transaction.",
+            "Distinct pages per group-commit transaction, each logged "
+            "once (an image or one ROWS record of row edits).",
             buckets=_obs_metrics.SIZE_BUCKETS,
         ).observe(self.n_pages)
         for page_id, image in self._pages.items():
-            wal.append_page(page_id, image)
+            if image is not None:
+                wal.append_page(page_id, image)
+            rows = self._rows.get(page_id)
+            if rows:
+                wal.append_rows(page_id, b"".join(rows))
         if self._keys:
             wal.append(
                 REC_KEYS, json.dumps(self._keys).encode("utf-8")
@@ -390,5 +493,6 @@ class WALGroup:
 
     def __repr__(self) -> str:
         return (
-            f"WALGroup(pages={len(self._pages)}, keys={len(self._keys)})"
+            f"WALGroup(pages={len(self._pages)}, rows={len(self._rows)}, "
+            f"keys={len(self._keys)})"
         )

@@ -25,7 +25,11 @@ from repro.core.pfv import PFV
 settings.register_profile("dev", max_examples=20, deadline=None)
 settings.register_profile("default", deadline=None)
 settings.register_profile("ci", max_examples=150, deadline=None)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "dev"))
+# Test modules that import helpers from this file run it again at
+# collection, after the hypothesis plugin has loaded a profile passed as
+# --hypothesis-profile; only the first run picks the profile.
+if settings.get_current_profile_name() == "default":
+    settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "dev"))
 
 
 def make_random_db(

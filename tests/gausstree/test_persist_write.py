@@ -244,6 +244,91 @@ class TestCrashRecovery:
         finally:
             recovered.close()
 
+    @given(
+        d=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        n_base=st.integers(0, 30),
+        ops=st.lists(st.integers(0, 2), min_size=1, max_size=18),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_crash_at_any_byte_the_workload_writes_recovers_a_prefix(
+        self, tmp_path_factory, d, seed, n_base, ops, data
+    ):
+        """The budget is drawn from the bytes the same workload writes
+        uncrashed, so every example dies inside it: in a WAL append (row
+        edits, page images, keys, header), in the checkpoint's
+        ``CKPT_BASE`` or in the publish of its generation. The fixed
+        budgets above were sized when every write logged two 8 KiB
+        pages; a row edit logs about 200 bytes, so more of their draws
+        outlast the whole workload."""
+        path = str(tmp_path_factory.mktemp("budget") / "t.gauss")
+        rng = np.random.default_rng(seed)
+        base = make_vectors(rng, n_base, d, "base")
+        fresh = make_vectors(rng, len(ops), d, "fresh")
+        picks = rng.integers(0, 1 << 30, len(ops)).tolist()
+        build_saved(path, base, d)
+        with open(path, "rb") as f:
+            saved = f.read()
+
+        def run(injector):
+            """The workload, then a checkpoint; the completed ops."""
+            applied: list[tuple[str, PFV]] = []
+            writable = None
+            try:
+                writable = GaussTree.open(
+                    path, writable=True, file_factory=injector.open
+                )
+                alive, unused = list(base), iter(fresh)
+                for op, pick in zip(ops, picks):
+                    if op < 2 or not alive:  # bias 2:1 toward inserts
+                        v = next(unused)
+                        writable.insert(v)
+                        applied.append(("insert", v))
+                        alive.append(v)
+                    else:
+                        victim = alive.pop(pick % len(alive))
+                        assert writable.delete(victim)
+                        applied.append(("delete", victim))
+                writable.flush()
+            except InjectedCrash:
+                pass
+            finally:
+                if writable is not None:
+                    writable.close(checkpoint=False)
+            return applied
+
+        unlimited = 1 << 40
+        dry = FaultInjector(unlimited)
+        run(dry)
+        written = unlimited - dry.remaining
+        with open(path, "wb") as f:  # back to the saved file, no WAL
+            f.write(saved)
+        os.unlink(path + ".wal")
+        injector = FaultInjector(
+            data.draw(st.integers(0, written - 1), label="budget")
+        )
+        applied = run(injector)
+        assert injector.crashed
+
+        recovered = GaussTree.open(path)
+        try:
+            recovered.check_invariants()
+            replay = GaussTree(dims=d, degree=3)
+            replay.extend(base)
+            for kind, v in applied:
+                if kind == "insert":
+                    replay.insert(v)
+                else:
+                    assert replay.delete(v)
+            assert len(recovered) == len(replay)
+            assert sorted(v.key for v in recovered) == sorted(
+                v.key for v in replay
+            )
+            assert_same_answers(replay, recovered, d, seed + 4)
+        finally:
+            recovered.close()
+
     @given(seed=st.integers(0, 10_000), budget=st.integers(1, 120_000))
     @settings(deadline=None)
     def test_crash_during_checkpoint_loses_nothing(
@@ -757,6 +842,33 @@ class TestSaveFlushesWal:
         try:
             keys = {v.key for v in recovered}
             assert "durable" in keys
+        finally:
+            recovered.close()
+
+    def test_a_torn_checkpoint_seal_is_rolled_back(self, tmp_path):
+        """A checkpoint whose ``CKPT_BASE`` transaction tears mid-append
+        must not leave the torn bytes in front of the writer's next
+        commit: recovery stops at the first torn record, so it would
+        lose an insert that had returned."""
+        from repro.storage.fault import FaultyFile
+
+        path = str(tmp_path / "torn.gauss")
+        rng = np.random.default_rng(17)
+        build_saved(path, make_vectors(rng, 10, 2, "b"), 2)
+        tree = GaussTree.open(path, writable=True)
+        tree.insert(make_vectors(rng, 1, 2, "before")[0])
+        wal = tree._writer.wal
+        real_file = wal._file
+        wal._file = FaultyFile(real_file, FaultInjector(20))
+        with pytest.raises(InjectedCrash):
+            tree.flush()
+        wal._file = real_file
+        tree.insert(make_vectors(rng, 1, 2, "after")[0])
+        tree.close(checkpoint=False)
+        recovered = GaussTree.open(path)
+        try:
+            assert len(recovered) == 12
+            assert ("after", 0) in {v.key for v in recovered}
         finally:
             recovered.close()
 
