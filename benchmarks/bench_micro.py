@@ -8,19 +8,22 @@ feeds them, ``(m queries, rows, d)``, the Lemma-1 kernel over prepared
 columns at the shapes of the leaf directories that sweeping queries
 evaluate, and the finish of a swept shard batch. An identify-disk
 singleton, which the leaf-hull census sweeps, runs beside a sequential
-scan of the same rows. The leaf directory's builds run at the two shapes
-where a write makes the next query rebuild it: identify-disk's tree and
-a reid-churn shard's 100-row root leaf.
+scan of the same rows, and its 16 queries also run as one census-swept
+batch. Data set 1's rank-only 1-MLIQs run as a 16-query batch beside
+the same 16 singletons. The leaf directory's builds run at the two
+shapes where a write makes the next query rebuild it: identify-disk's
+tree and a reid-churn shard's 100-row root leaf.
 
     python -m pytest benchmarks/bench_micro.py -q --benchmark-only
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from repro import MLIQ, connect
+from repro import MLIQ, connect, session_for
 from repro.core.joint import (
     PreparedColumns,
     log_joint_density_batch,
@@ -30,6 +33,7 @@ from repro.core.pfv import PFV
 from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.data.synthetic import uniform_pfv_dataset
 from repro.data.workload import identification_workload
+from repro.eval.figures import dataset1
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import (
     log_hull_upper,
@@ -165,6 +169,41 @@ def test_seqscan_singleton(benchmark, identify_disk):
     benchmark(lambda: scan.execute(next(cycle)))
 
 
+def test_census_swept_batch(benchmark, identify_disk):
+    """identify-disk's 16 queries as one batch: the census sweeps every
+    one after the root's expansion, and one finish answers all 16."""
+    tree, _, specs = identify_disk
+    stats = tree.execute_many(specs).stats
+    assert (stats.swept, stats.nodes_expanded) == (16, 16)
+    benchmark(lambda: tree.execute_many(specs))
+
+
+@pytest.fixture(scope="module")
+def ds1_rank_only():
+    """Data set 1 (10,987 x 27-d) in memory, a rank-only session
+    (``mliq_tolerance=math.inf``) and 16 identification 1-MLIQs: the
+    paper's Figure-7 query, where the traversal prunes. One of the 16
+    sweeps at a checkpoint, as in most 16-query batches of this traffic
+    (15 of 160 queries sweep)."""
+    db = dataset1()
+    tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+    session = session_for(tree, mliq_tolerance=math.inf)
+    specs = [MLIQ(w.q, 1) for w in identification_workload(db, 16, seed=1)]
+    assert session.execute_many(specs).stats.swept == 1
+    return session, specs
+
+
+@pytest.mark.parametrize("form", ["batch", "singletons"])
+def test_ds1_rank_only(benchmark, ds1_rank_only, form):
+    """The 16 queries as one ``execute_many`` or as 16 ``execute`` calls
+    (the batch should cost no more than its queries alone)."""
+    session, specs = ds1_rank_only
+    if form == "batch":
+        benchmark(lambda: session.execute_many(specs))
+    else:
+        benchmark(lambda: [session.execute(spec) for spec in specs])
+
+
 def _rebuilt_directory(tree, parts):
     """Drop the tree's leaf directory, as a write does, and build it and
     the named parts again."""
@@ -196,7 +235,7 @@ def test_leaf_directory_root_leaf(benchmark, tmp_path):
     bulk_load(shard.vectors, sigma_rule=shard.sigma_rule).save(path)
     tree = GaussTree.open(path)
     assert tree.root.is_leaf
-    parts = ["columns", "bounds", "spans", "page_ids", "subtrees", "index"]
+    parts = ["columns", "bounds", "spans", "page_ids", "subtrees"]
     benchmark(lambda: _rebuilt_directory(tree, parts))
     tree.close()
 

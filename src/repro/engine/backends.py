@@ -324,8 +324,8 @@ class GaussTreeBackend(BackendAdapter):
         ask it, without touching the page accounting. A sweep reads every
         node page and refines every row; a traversal is priced as a
         best-first descent."""
-        from repro.gausstree.batch import BatchRefiner, sweeps_every_mliq
-        from repro.gausstree.mliq import census_sweeps
+        from repro.gausstree.batch import BatchRefiner
+        from repro.gausstree.mliq import census_sweeps, sweeps_every_mliq
 
         tree = self.tree
         n = len(tree)

@@ -21,14 +21,16 @@ many concurrent queries. This module applies that idea to the Gauss-tree:
   so one kernel call fills the cache entries of a whole group of pages
   (see :class:`BatchRefiner` for the group rule);
 * a k-MLIQ whose hulls stop pruning sweeps the tree's leaf directory
-  (:mod:`repro.gausstree.mliq`): the refiner evaluates its rows once
-  for the whole batch, and the pages later queries pop are slices of
-  that evaluation. On a tree of three or more levels a finite-tolerance
-  query decides after the root's expansion, from a census of its leaf
-  rectangles that the refiner bounds once for the whole batch; the leaf
-  parents' child bounds of later traversals are slices of it. On a root
-  leaf or a two-level tree, a root over leaves, every k-MLIQ sweeps
-  without a traversal (:func:`gausstree_mliq_many`);
+  (:mod:`repro.gausstree.mliq`). On a tree of three or more levels a
+  finite-tolerance query decides after the root's expansion, from a
+  census of its leaf rectangles that the refiner bounds once for the
+  whole batch; the leaf parents' child bounds of later traversals are
+  slices of it. On a root leaf or a two-level tree, a root over leaves,
+  every k-MLIQ sweeps without a traversal. A swept query only reads its
+  pages; after the last query one finish answers every swept query of
+  the batch, one kernel call over the directory's rows for those
+  queries alone (:func:`~repro.gausstree.mliq.finish_sweeps`), so the
+  refiner holds nothing of a sweep;
 * for every leaf (all leaves are columnar) the refiner additionally
   precomputes, per page, every query's row maximum and scaled
   denominator mass — so a leaf expansion costs a dictionary lookup and
@@ -62,17 +64,12 @@ import numpy as np
 from repro.core.queries import MLIQuery, QueryStats, RowMatch, ThresholdQuery
 from repro.core.joint import log_joint_density_multi
 from repro.gausstree.hull import node_log_bounds_multi
-from repro.gausstree.mliq import search_mliq, sweep_matches
+from repro.gausstree.mliq import finish_sweeps, search_mliq, sweeps_every_mliq
 from repro.gausstree.node import InnerNode, LeafNode, Node
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState, query_stats
 from repro.gausstree.tiq import search_tiq
 
-__all__ = [
-    "BatchRefiner",
-    "gausstree_mliq_many",
-    "gausstree_tiq_many",
-    "sweeps_every_mliq",
-]
+__all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
 
 # The most float64 elements, m * rows * d, that one sibling-group kernel
 # may broadcast (m queries, rows leaf rows or child rectangles, d
@@ -174,9 +171,6 @@ class BatchRefiner:
             int,
             tuple[list[np.ndarray], list[float], list[float], list[float]],
         ] = {}
-        # Every query's densities over the leaf directory's rows once a
-        # query of the batch sweeps (see stack_log_densities).
-        self._stack_rows: np.ndarray | None = None
         # Every query's bounds over the directory's leaf rectangles once
         # a query of the batch takes the census (see leaf_hull_bounds).
         self._census: tuple[np.ndarray, np.ndarray] | None = None
@@ -237,31 +231,20 @@ class BatchRefiner:
         """
         extras = self._leaf_extras.get(leaf.page_id)
         if extras is None:
-            span = (
-                None
-                if self._stack_rows is None
-                else self.tree.leaf_directory().row_span(leaf)
+            group = (
+                self._sibling_group(leaf, self._leaf_extras)
+                if siblings
+                else [leaf]
             )
-            if span is not None:
-                # A sweep has evaluated every row for the batch: the
-                # leaf's densities are a slice of that.
-                group = [leaf]
-                matrix = self._stack_rows[:, span[0] : span[1]]  # type: ignore[index]
+            if len(group) == 1:
+                mu, sigma = leaf.arrays()
             else:
-                group = (
-                    self._sibling_group(leaf, self._leaf_extras)
-                    if siblings
-                    else [leaf]
-                )
-                if len(group) == 1:
-                    mu, sigma = leaf.arrays()
-                else:
-                    columns = [member.arrays() for member in group]  # type: ignore[attr-defined]
-                    mu = np.concatenate([c[0] for c in columns])
-                    sigma = np.concatenate([c[1] for c in columns])
-                matrix = log_joint_density_multi(
-                    mu, sigma, self.q_mu, self.q_sigma, self.rule
-                )
+                columns = [member.arrays() for member in group]  # type: ignore[attr-defined]
+                mu = np.concatenate([c[0] for c in columns])
+                sigma = np.concatenate([c[1] for c in columns])
+            matrix = log_joint_density_multi(
+                mu, sigma, self.q_mu, self.q_sigma, self.rule
+            )
             scaled = matrix - np.asarray(self._shifts)[:, None]
             np.clip(scaled, _UNDERFLOW, _CAP, out=scaled)
             np.exp(scaled, out=scaled)
@@ -292,29 +275,6 @@ class BatchRefiner:
                     )
             extras = self._leaf_extras[leaf.page_id]
         return extras
-
-    def stack_log_densities(self) -> np.ndarray:
-        """``(m, n)`` Lemma-1 log densities of the batch's queries over
-        every row of the tree's leaf directory
-        (:attr:`~repro.gausstree.tree.LeafDirectory.columns`), in its
-        order: what a k-MLIQ sweep ranks, one row per query.
-
-        The first call evaluates the rows for every query of the batch
-        in one kernel call over the prepared columns
-        (:meth:`~repro.core.joint.PreparedColumns.log_densities`, the
-        bits ``log_joint_density_multi`` gives); later calls return that
-        result, and :meth:`leaf_extras` slices it, through the
-        directory's row spans, for pages no query has evaluated yet. The
-        kernel is rowwise independent, so each row holds the bits a
-        one-query call gives and no answer depends on its batch.
-        """
-        if self._stack_rows is None:
-            self._stack_rows = (
-                self.tree.leaf_directory().columns.log_densities(
-                    self.q_mu, self.q_sigma
-                )
-            )
-        return self._stack_rows
 
     def leaf_hull_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` Lemma 2-3 bounds of every leaf's rectangle
@@ -409,88 +369,6 @@ def _run_many(
     return results, total
 
 
-# A root leaf that holds rows, or a two-level tree, sweeps every k-MLIQ.
-# Root leaves, on a 2-vCPU host (Python 3.11.7, numpy 2.4.6), swept
-# against traversed wall p50 in us per call, the two rules interleaved
-# round by round in one process, 8 rounds of 48 MLIQ(q, 3) at 1e-9:
-#   reid-churn shard shape (a 100-row 4-d root leaf on disk): singletons
-#     110 vs 228; 16-query batches 756 vs 1,602; opened writable, one
-#     insert and one delete before every call, so every call rebuilds
-#     the swept rows: singletons 194 vs 357.
-# Two-level trees, swept against traversed wall p50 in ms per call,
-# configurations interleaved round by round in one process, 4 rounds
-# of 48 identification queries, as singletons and as 16-query batches
-# (per batch), for a rank-only 1-MLIQ / MLIQ(q, 5) at 1e-9:
-#   identify-sharded shard shape (2,090 x 6-d disk tree, a root over 32
-#     leaves): singletons 0.29 vs 0.88 / 0.36 vs 1.08; batches 3.83 vs
-#     6.75 / 4.70 vs 9.75.
-#   700 x 10-d uniform disk tree (a root over 16 leaves): singletons
-#     0.21 vs 0.63 / 0.27 vs 0.78; batches 2.35 vs 4.88 / 3.61 vs 6.86.
-#   the same tree opened writable, one insert (and, past 8 live rows,
-#     one delete) before every call, so every call rebuilds the swept
-#     rows: singletons 0.39 vs 0.84 / 0.46 vs 0.96; batches 2.64 vs
-#     5.29 / 3.57 vs 7.24.
-# No configuration was slower swept, so the rule is the tree's shape
-# alone and no query builds a SearchState. The per-query alternative,
-# mliq._pruning_failed right after the root's expansion with the k-th
-# best guaranteed lower bound standing in for the k-th candidate,
-# flagged every query of all twelve two-level configurations, and it
-# would pay for the root bound, the expansion and the heap that the
-# sweep saves. Deeper trees take that alternative's successor, the
-# leaf-hull census (mliq.census_share), after the root's expansion.
-def sweeps_every_mliq(tree) -> bool:
-    """Whether :func:`gausstree_mliq_many` sweeps every query: the tree
-    is a root leaf that holds rows, or two levels deep, a root over
-    leaves, so it could prune only among its leaves, and a traversal
-    pays a root bound, a heap and a pop per leaf for that chance. An
-    empty tree keeps its traversal, which answers nothing. Reads only
-    the root's child list, so on a deeper disk tree it decodes no
-    stub."""
-    root = tree.root
-    if root.is_leaf:
-        return root.count > 0
-    return root.children[0].is_leaf  # type: ignore[attr-defined]
-
-
-def _sweep_many(
-    tree, queries: Sequence[MLIQuery]
-) -> tuple[list[list[RowMatch]], QueryStats]:
-    """Answer every k-MLIQ of the batch from one ``(m, n)`` kernel call
-    over the leaf directory's prepared columns and one finish over its
-    result (:func:`~repro.gausstree.mliq.sweep_matches`).
-
-    Each query reads every node page through the store (one
-    ``read_many``: the root, then its leaves in child order; a root leaf
-    is the one page), counts the root as its one expanded node and every
-    row as refined, so its answer and counters do not depend on the
-    batch. The first query's time covers the batch's kernel and finish.
-    """
-    page_ids = tree.leaf_directory().page_ids
-    pages = [page_ids[0], *page_ids[:0:-1]]  # leaves back in child order
-    store = tree.store
-    rows = len(tree)
-    results: list[list[RowMatch]] = []
-    total = QueryStats()
-    for query in queries:
-        store.begin_query()
-        started = time.perf_counter()
-        store.read_many(pages)
-        if not results:
-            densities = tree.leaf_directory().columns.log_densities(
-                np.array([each.q.mu for each in queries]),
-                np.array([each.q.sigma for each in queries]),
-            )
-            results = sweep_matches(
-                tree, densities, [each.k for each in queries]
-            )
-        stats = query_stats(
-            tree, started, objects_refined=rows, nodes_expanded=1
-        )
-        stats.swept = 1
-        total.merge(stats)
-    return results, total
-
-
 def gausstree_mliq_many(
     tree, queries: Sequence[MLIQuery], tolerance: float = 1e-9
 ) -> tuple[list[list[RowMatch]], QueryStats]:
@@ -502,16 +380,35 @@ def gausstree_mliq_many(
     query's matches are those of a one-query batch (``gausstree_mliq``);
     only the wall time changes (shared page cache, shared vectorized
     refinement). On a root leaf or a two-level tree every query sweeps
-    the leaf directory's rows instead of traversing (see :func:`sweeps_every_mliq`); its
-    posteriors are then exact whatever the ``tolerance``.
+    instead of traversing (:func:`~repro.gausstree.mliq.sweeps_every_mliq`):
+    each reads every node page, the root then its leaves in child order,
+    and counts the root as its one expanded node. Every swept query of
+    the batch, whatever sent it to the sweep, is answered after the last
+    query by one :func:`~repro.gausstree.mliq.finish_sweeps`, with
+    posteriors exact whatever the ``tolerance``.
     """
     if queries and sweeps_every_mliq(tree):
-        return _sweep_many(tree, queries)
-    return _run_many(
-        tree,
-        queries,
-        lambda state, query: search_mliq(state, query, tolerance),
-    )
+        page_ids = tree.leaf_directory().page_ids
+        pages = [page_ids[0], *page_ids[:0:-1]]  # leaves back in child order
+        store = tree.store
+        rows = len(tree)
+        results: list[list[RowMatch] | None] = [None] * len(queries)
+        total = QueryStats()
+        for _ in queries:
+            store.begin_query()
+            started = time.perf_counter()
+            store.read_many(pages)
+            stats = query_stats(tree, started, rows, nodes_expanded=1)
+            stats.swept = 1
+            total.merge(stats)
+    else:
+        results, total = _run_many(
+            tree,
+            queries,
+            lambda state, query: search_mliq(state, query, tolerance),
+        )
+    finish_sweeps(tree, queries, results, total)
+    return results, total
 
 
 def gausstree_tiq_many(

@@ -27,10 +27,15 @@ directory (:meth:`~repro.gausstree.tree.GaussTree.leaf_directory`), the
 top k from it and one exact denominator. The answer is exact; every page
 still under the queue counts as accessed (one read of slices of the
 directory's pre-order page ids) and every row as refined, and
-``QueryStats.swept`` counts the query. Two decisions lead there,
-both asking whether nodes must still be expanded: a node must be while
-its upper bound beats the current k-th density, or while its upper mass
-is above the tolerance times the denominator's lower bound.
+``QueryStats.swept`` counts the query. A swept query stops at its
+decision with its pages read and no answer; the batch then finishes
+every swept query at once, whatever sent it there
+(:func:`finish_sweeps`): one kernel call over the directory's rows for
+the sweeping queries only, and one array pass (:func:`sweep_matches`).
+Three decisions lead there. The census and the checkpoints both ask
+whether nodes must still be expanded: a node must be while its upper
+bound beats the current k-th density, or while its upper mass is above
+the tolerance times the denominator's lower bound.
 
 * **The census**, before the traversal pops. A query with a finite
   tolerance on a tree of three or more levels expands the root, then
@@ -48,9 +53,9 @@ is above the tolerance times the denominator's lower bound.
   rows sit under nodes it must still expand. They catch a traversal the
   census kept that stops pruning, and they are the only decision of a
   rank-only query (infinite tolerance), which never takes the census.
-
-A tree of one or two levels sweeps every k-MLIQ by its shape and never
-builds a traversal (:func:`~repro.gausstree.batch.sweeps_every_mliq`).
+* **The shape**, before any traversal exists: a tree of one or two
+  levels sweeps every k-MLIQ and never builds a traversal
+  (:func:`sweeps_every_mliq`).
 """
 
 from __future__ import annotations
@@ -66,7 +71,14 @@ import numpy as np
 from repro.core.queries import Match, MLIQuery, QueryStats, RowMatch, built
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
 
-__all__ = ["census_share", "census_sweeps", "gausstree_mliq", "search_mliq"]
+__all__ = [
+    "census_share",
+    "census_sweeps",
+    "finish_sweeps",
+    "gausstree_mliq",
+    "search_mliq",
+    "sweeps_every_mliq",
+]
 
 # The traversal asks whether it still prunes after this many pops, then
 # after each doubling (32, 64, 128, ...), while at least _QUEUED_SHARE
@@ -130,6 +142,48 @@ _SWEEP_SHARE = 0.95
 _CENSUS_SHARE = 0.5
 
 
+# A root leaf that holds rows, or a two-level tree, sweeps every k-MLIQ.
+# Root leaves, on a 2-vCPU host (Python 3.11.7, numpy 2.4.6), swept
+# against traversed wall p50 in us per call, the two rules interleaved
+# round by round in one process, 8 rounds of 48 MLIQ(q, 3) at 1e-9:
+#   reid-churn shard shape (a 100-row 4-d root leaf on disk): singletons
+#     110 vs 228; 16-query batches 756 vs 1,602; opened writable, one
+#     insert and one delete before every call, so every call rebuilds
+#     the swept rows: singletons 194 vs 357.
+# Two-level trees, swept against traversed wall p50 in ms per call,
+# configurations interleaved round by round in one process, 4 rounds
+# of 48 identification queries, as singletons and as 16-query batches
+# (per batch), for a rank-only 1-MLIQ / MLIQ(q, 5) at 1e-9:
+#   identify-sharded shard shape (2,090 x 6-d disk tree, a root over 32
+#     leaves): singletons 0.29 vs 0.88 / 0.36 vs 1.08; batches 3.83 vs
+#     6.75 / 4.70 vs 9.75.
+#   700 x 10-d uniform disk tree (a root over 16 leaves): singletons
+#     0.21 vs 0.63 / 0.27 vs 0.78; batches 2.35 vs 4.88 / 3.61 vs 6.86.
+#   the same tree opened writable, one insert (and, past 8 live rows,
+#     one delete) before every call, so every call rebuilds the swept
+#     rows: singletons 0.39 vs 0.84 / 0.46 vs 0.96; batches 2.64 vs
+#     5.29 / 3.57 vs 7.24.
+# No configuration was slower swept, so the rule is the tree's shape
+# alone and no query builds a SearchState. The per-query alternative,
+# _pruning_failed right after the root's expansion with the k-th best
+# guaranteed lower bound standing in for the k-th candidate, flagged
+# every query of all twelve two-level configurations, and it would pay
+# for the root bound, the expansion and the heap that the sweep saves.
+# Deeper trees take that alternative's successor, the census.
+def sweeps_every_mliq(tree) -> bool:
+    """Whether every k-MLIQ on the tree sweeps by its shape, without a
+    traversal: the tree is a root leaf that holds rows, or two levels
+    deep, a root over leaves, so it could prune only among its leaves,
+    and a traversal pays a root bound, a heap and a pop per leaf for
+    that chance. An empty tree keeps its traversal, which answers
+    nothing. Reads only the root's child list, so on a deeper disk tree
+    it decodes no stub."""
+    root = tree.root
+    if root.is_leaf:
+        return root.count > 0
+    return root.children[0].is_leaf  # type: ignore[attr-defined]
+
+
 def gausstree_mliq(
     tree, query: MLIQuery, tolerance: float = 1e-9
 ) -> tuple[list[Match], QueryStats]:
@@ -163,8 +217,13 @@ def gausstree_mliq(
 
 def search_mliq(
     state: SearchState, query: MLIQuery, tolerance: float
-) -> tuple[list[RowMatch], QueryStats]:
-    """Run one k-MLIQ's best-first traversal over its prepared state."""
+) -> tuple[list[RowMatch] | None, QueryStats]:
+    """Run one k-MLIQ's best-first traversal over its prepared state.
+
+    A query the census or a checkpoint sends to the sweep reads the
+    pages under its queue (:func:`_sweep_pages`) and returns ``None``
+    for its matches, ``stats.swept == 1``: :func:`finish_sweeps`
+    answers it with the batch's other swept queries."""
     state.tree.store.begin_query()
     started = time.perf_counter()
 
@@ -253,7 +312,8 @@ def search_mliq(
         heap_rev += 1  # the scanned page may have moved the candidate set
 
     if swept:
-        matches = _sweep(state, k)
+        _sweep_pages(state)
+        matches = None
     else:
         matches = _assemble(state, candidates)
     stats = state.query_stats(started)
@@ -353,9 +413,8 @@ def _pruning_failed(
     return must >= _SWEEP_SHARE * queued
 
 
-def _sweep(state: SearchState, k: int) -> list[RowMatch]:
-    """Answer the query as the scan does, from one density row over the
-    leaf directory's rows (:func:`sweep_matches`).
+def _sweep_pages(state: SearchState) -> None:
+    """Read the pages a swept query counts, and count every row refined.
 
     Every page still under the queue is read through the store in one
     ``read_many``, in the order the pops it replaces would have read
@@ -363,7 +422,7 @@ def _sweep(state: SearchState, k: int) -> list[RowMatch]:
     with its subtree in :meth:`~repro.gausstree.tree.GaussTree.nodes`
     pre-order, one slice of the directory's page ids
     (:class:`~repro.gausstree.tree.LeafDirectory`). So the query's page
-    accesses are the tree's node pages, and every row counts as refined.
+    accesses are the tree's node pages.
     """
     directory = state.tree.leaf_directory()
     page_ids, subtrees = directory.page_ids, directory.subtrees
@@ -373,9 +432,37 @@ def _sweep(state: SearchState, k: int) -> list[RowMatch]:
         pages += page_ids[start:stop]
     state.tree.store.read_many(pages)
     state.objects_refined = len(state.tree)
-    index = state.query_index
-    rows = state.refiner.stack_log_densities()[index : index + 1]
-    return sweep_matches(state.tree, rows, [k])[0]
+
+
+def finish_sweeps(
+    tree,
+    queries: Sequence[MLIQuery],
+    results: list[list[RowMatch] | None],
+    total: QueryStats,
+) -> None:
+    """Answer every swept k-MLIQ of a batch, the ``None`` entries of
+    ``results``, as the scan does, and add the time to ``total``.
+
+    One kernel call evaluates the leaf directory's prepared columns
+    (:meth:`~repro.core.joint.PreparedColumns.log_densities`) for the
+    sweeping queries only, and one :func:`sweep_matches` finishes them.
+    The kernel is rowwise independent, so each query's row holds the
+    bits a one-query call gives and no answer depends on its batch. The
+    swept queries have counted their pages and rows already; this reads
+    no page through the store.
+    """
+    swept = [i for i, matches in enumerate(results) if matches is None]
+    if not swept:
+        return
+    started = time.perf_counter()
+    rows = tree.leaf_directory().columns.log_densities(
+        np.array([queries[i].q.mu for i in swept]),
+        np.array([queries[i].q.sigma for i in swept]),
+    )
+    answers = sweep_matches(tree, rows, [queries[i].k for i in swept])
+    for i, matches in zip(swept, answers):
+        results[i] = matches
+    total.cpu_seconds += time.perf_counter() - started
 
 
 def sweep_matches(
@@ -385,10 +472,8 @@ def sweep_matches(
     leaf directory, one row per query with its k in ``ks``: each the top k
     of its row and one exact denominator, found in one array pass for
     the rows that share a k (a batch of mixed k takes one pass per k).
-    The finish of both sweeps: a two-level tree's batch
-    (:func:`~repro.gausstree.batch.gausstree_mliq_many`) and, as its
-    one-row case, a traversal's (:func:`_sweep`). Every step works row
-    by row, so an answer has the bits its one-row call gives.
+    The finish of every swept query (:func:`finish_sweeps`). Every step
+    works row by row, so an answer has the bits its one-row call gives.
 
     The top k are :func:`~repro.core.scan.top_k_order`'s: a row-wise
     partition finds each row's k-th largest density, and one ``lexsort``

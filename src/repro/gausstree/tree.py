@@ -65,7 +65,7 @@ class LeafDirectory:
     ``(leaves, d)``, which a k-MLIQ's census bounds; ``page_ids``, every
     node page in pre-order, the order a swept query reads them, and
     ``subtrees``, each node's page id mapped to its subtree's ``(start,
-    stop)`` there; ``index``, each leaf's page id mapped to its position.
+    stop)`` there.
     """
 
     def __init__(self, tree: "GaussTree") -> None:
@@ -147,18 +147,6 @@ class LeafDirectory:
             )
             subtrees[node.page_id] = (start, stop)
         return subtrees
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {leaf.page_id: i for i, leaf in enumerate(self.leaves)}
-
-    def row_span(self, leaf: LeafNode) -> tuple[int, int] | None:
-        """The leaf's ``(start, stop)`` rows in ``columns``, if any."""
-        i = self.index.get(leaf.page_id)
-        if i is None:
-            return None
-        start = int(self.starts[i])
-        return start, start + int(self.counts[i])
 
     def locate(self, rows: np.ndarray) -> list[tuple[LeafNode, int]]:
         """The ``(leaf, row)`` each given row of ``columns`` is stored at."""

@@ -518,7 +518,7 @@ class AsyncQueryServer:
              lambda: s.queries),
             ("repro_serve_swept_total",
              "Gauss-tree k-MLIQs (per shard) answered by a sweep of the "
-             "leaf stack instead of a traversal.",
+             "leaf directory instead of a traversal.",
              lambda: s.swept),
             ("repro_serve_inserts_total", "Vectors inserted.",
              lambda: s.inserts),

@@ -28,7 +28,6 @@ from repro.gausstree import (
     gausstree_tiq,
     gausstree_tiq_many,
 )
-from repro.gausstree.batch import _sweep_many
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import node_log_bounds_batch, node_log_bounds_multi
 from repro.gausstree.node import InnerNode, LeafNode
@@ -203,8 +202,9 @@ class TestGaussTreeBatch:
 
 
 class TestSweepFinish:
-    """A two-level tree's swept batch (``_sweep_many``) finishes every
-    query in one array pass over its ``(m, n)`` density matrix."""
+    """A two-level tree's batch, which sweeps every query by the tree's
+    shape, finishes every query in one array pass over its ``(m, n)``
+    density matrix (``mliq.finish_sweeps``)."""
 
     def test_batch_finish_equals_one_query_batches(self):
         db = make_random_db(n=300, d=4, seed=21)
@@ -229,7 +229,7 @@ class TestSweepFinish:
         ]
 
         def answer(queries):
-            results, stats = _sweep_many(tree, queries)
+            results, stats = gausstree_mliq_many(tree, queries)
             counters = dataclasses.asdict(stats)
             del counters["cpu_seconds"]
             return [
@@ -261,6 +261,70 @@ class TestSweepFinish:
                 ((-math.inf).hex(), (1.0 / n).hex())
             }
         assert [m[:2] for m in got[5][:3]] == [m[:2] for m in got[2]]
+
+    def test_one_kernel_call_over_the_sweeping_queries(self, monkeypatch):
+        # Data set 1's 1-MLIQs on a three-level tree: the census sweeps
+        # some and keeps the others on their traversal, and with the
+        # first checkpoint at pop 4 some of those sweep there.
+        db = dataset1(scale=0.1)
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        assert tree.height == 3
+        monkeypatch.setattr(mliq, "_FIRST_CHECK", 4)
+        queries = [
+            MLIQuery(w.q, 1) for w in identification_workload(db, 24, seed=1)
+        ]
+        kernel_rows = []
+        log_densities = joint.PreparedColumns.log_densities
+
+        def recording_kernel(columns, q_mu, q_sigma):
+            kernel_rows.append(q_mu.copy())
+            return log_densities(columns, q_mu, q_sigma)
+
+        per_query = []
+        search_mliq = batch.search_mliq
+
+        def recording_search(state, query, tolerance):
+            matches, stats = search_mliq(state, query, tolerance)
+            per_query.append(stats)
+            return matches, stats
+
+        monkeypatch.setattr(
+            joint.PreparedColumns, "log_densities", recording_kernel
+        )
+        monkeypatch.setattr(batch, "search_mliq", recording_search)
+
+        def fingerprint(matches, stats):
+            counters = dataclasses.asdict(stats)
+            del counters["cpu_seconds"]
+            return [
+                (m.leaf.page_id, m.row, m.log_density.hex(),
+                 m.probability.hex())
+                for m in matches
+            ], counters
+
+        # Both runs start cold and read in the same order, so each query
+        # faults the same pages in the batch as alone.
+        tree.store.cold_start()
+        answers, total = gausstree_mliq_many(tree, queries)
+        got = [
+            fingerprint(matches, stats)
+            for matches, stats in zip(answers, per_query)
+        ]
+        kinds = {
+            (stats.swept, stats.nodes_expanded > 1) for stats in per_query
+        }
+        # Census sweeps, checkpoint sweeps and traversals all take part.
+        assert kinds == {(1, False), (1, True), (0, True)}
+        swept = [i for i, stats in enumerate(per_query) if stats.swept]
+        assert len(kernel_rows) == 1
+        assert np.array_equal(
+            kernel_rows[0], np.vstack([queries[i].q.mu for i in swept])
+        )
+        assert total.swept == len(swept)
+        tree.store.cold_start()
+        for query, want in zip(queries, got):
+            (matches,), stats = gausstree_mliq_many(tree, [query])
+            assert fingerprint(matches, stats) == want
 
 
 # -- sibling groups -------------------------------------------------------------
@@ -477,9 +541,8 @@ class TestSiblingGroups:
 
             return wrapper
 
-        # Sweeps and the census off: once a query sweeps, the batch's
-        # later leaves are slices of its one leaf-stack evaluation, and
-        # once a query takes the census, every leaf parent's child
+        # Sweeps and the census off: a swept query pops no more leaves,
+        # and once a query takes the census, every leaf parent's child
         # bounds are slices of the census's; no group forms for them.
         monkeypatch.setattr(mliq, "_FIRST_CHECK", math.inf)
         monkeypatch.setattr(mliq, "_CENSUS_SHARE", math.inf)

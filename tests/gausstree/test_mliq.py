@@ -295,12 +295,12 @@ class TestSweep:
         assert result_to_json(rs)["stats"]["swept"] == 3
 
 
-def _walk_sweep(state, k):
-    """The sweep as it read its pages before the tree kept them in
-    pre-order: a depth-first walk from the last heap entry to the first,
-    one ``read_many`` per inner node (the leaves before it, then the
-    node), listing each inner node's children as it goes. Kept as the
-    reference whose reads the pre-order slices must repeat."""
+def _walk_pages(state):
+    """The sweep's page reads as they were before the tree kept its
+    pages in pre-order: a depth-first walk from the last heap entry to
+    the first, one ``read_many`` per inner node (the leaves before it,
+    then the node), listing each inner node's children as it goes. Kept
+    as the reference whose reads the pre-order slices must repeat."""
     read_many = state.tree.store.read_many
     pending = [item[3] for item in state._heap]
     run = []
@@ -313,10 +313,6 @@ def _walk_sweep(state, k):
             pending.extend(node.children)
     read_many(run)
     state.objects_refined = len(state.tree)
-    rows = state.refiner.stack_log_densities()[
-        state.query_index : state.query_index + 1
-    ]
-    return mliq.sweep_matches(state.tree, rows, [k])[0]
 
 
 def _recorded_reads(tree):
@@ -399,11 +395,13 @@ class TestSweepPages:
         ]
         tolerance = 1e-9 if census else math.inf
         runs = []
-        for sweep in (mliq._sweep, _walk_sweep):
-            tree = make("walk" if sweep is _walk_sweep else "slices")
+        for sweep_pages in (mliq._sweep_pages, _walk_pages):
+            tree = make("walk" if sweep_pages is _walk_pages else "slices")
             pages = _recorded_reads(tree)
             calls = []
-            with mock.patch.object(mliq, "_sweep", sweep), mock.patch.object(
+            with mock.patch.object(
+                mliq, "_sweep_pages", sweep_pages
+            ), mock.patch.object(
                 mliq, "_CENSUS_SHARE", 0.0 if census else math.inf
             ), mock.patch.object(
                 mliq, "_FIRST_CHECK", first_check

@@ -745,7 +745,9 @@ class TestSaveFlushesWal:
             assert directory is not before
             assert set(directory.spans) == parents
             assert directory.page_ids == [node.page_id for node in tree.nodes()]
-            assert set(directory.index) == {leaf.page_id for leaf in tree.leaves()}
+            assert {leaf.page_id for leaf in directory.leaves} == {
+                leaf.page_id for leaf in tree.leaves()
+            }
             reference = GaussTree(dims=2, degree=3)
             reference.extend(base + extra)
             assert_same_answers(reference, tree, 2, seed=14)
