@@ -9,8 +9,9 @@ columns at the shapes of the leaf directories that sweeping queries
 evaluate, and the finish of a swept shard batch. An identify-disk
 singleton, which the leaf-hull census sweeps, runs beside a sequential
 scan of the same rows, and its 16 queries also run as one census-swept
-batch. Data set 1's rank-only 1-MLIQs run as a 16-query batch beside
-the same 16 singletons. The leaf directory's builds run at the two
+batch. Data set 1's rank-only 1-MLIQs run as 16- and 100-query
+batches beside the same queries as singletons, and its TIQ(q, 0.8) as
+a 16-query batch beside its singletons. The leaf directory's builds run at the two
 shapes where a write makes the next query rebuild it: identify-disk's
 tree and a reid-churn shard's 100-row root leaf.
 
@@ -23,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import MLIQ, connect, session_for
+from repro import MLIQ, TIQ, connect, session_for
 from repro.core.joint import (
     PreparedColumns,
     log_joint_density_batch,
@@ -179,29 +180,55 @@ def test_census_swept_batch(benchmark, identify_disk):
 
 
 @pytest.fixture(scope="module")
-def ds1_rank_only():
-    """Data set 1 (10,987 x 27-d) in memory, a rank-only session
-    (``mliq_tolerance=math.inf``) and 16 identification 1-MLIQs: the
-    paper's Figure-7 query, where the traversal prunes. One of the 16
-    sweeps at a checkpoint, as in most 16-query batches of this traffic
-    (15 of 160 queries sweep)."""
+def ds1():
+    """Data set 1 (10,987 x 27-d) in memory: the paper's Figure-7
+    setting, where the traversal prunes."""
     db = dataset1()
-    tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+    return db, bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+
+
+@pytest.fixture(scope="module")
+def ds1_rank_only(ds1):
+    """A rank-only session (``mliq_tolerance=math.inf``) over data set 1
+    and identification 1-MLIQs, 16 and 100 of them: the paper's
+    Figure-7 query. One of the 16 sweeps at a checkpoint, as in most
+    16-query batches of this traffic (15 of 160 queries sweep)."""
+    db, tree = ds1
     session = session_for(tree, mliq_tolerance=math.inf)
-    specs = [MLIQ(w.q, 1) for w in identification_workload(db, 16, seed=1)]
-    assert session.execute_many(specs).stats.swept == 1
+    specs = {
+        count: [
+            MLIQ(w.q, 1) for w in identification_workload(db, count, seed=1)
+        ]
+        for count in (16, 100)
+    }
+    assert session.execute_many(specs[16]).stats.swept == 1
     return session, specs
 
 
-@pytest.mark.parametrize("form", ["batch", "singletons"])
-def test_ds1_rank_only(benchmark, ds1_rank_only, form):
-    """The 16 queries as one ``execute_many`` or as 16 ``execute`` calls
-    (the batch should cost no more than its queries alone)."""
-    session, specs = ds1_rank_only
+def _batch_or_singletons(benchmark, session, specs, form):
+    """The queries as one ``execute_many`` or as one ``execute`` call
+    each (the batch should cost no more than its queries alone)."""
     if form == "batch":
         benchmark(lambda: session.execute_many(specs))
     else:
         benchmark(lambda: [session.execute(spec) for spec in specs])
+
+
+@pytest.mark.parametrize("count", [16, 100])
+@pytest.mark.parametrize("form", ["batch", "singletons"])
+def test_ds1_rank_only(benchmark, ds1_rank_only, form, count):
+    session, specs = ds1_rank_only
+    _batch_or_singletons(benchmark, session, specs[count], form)
+
+
+@pytest.mark.parametrize("form", ["batch", "singletons"])
+def test_ds1_tiq(benchmark, ds1, form):
+    """16 identification TIQ(q, 0.8) over data set 1 in memory; every one
+    traverses."""
+    db, tree = ds1
+    session = session_for(tree)
+    specs = [TIQ(w.q, 0.8) for w in identification_workload(db, 16, seed=1)]
+    _batch_or_singletons(benchmark, session, specs, form)
 
 
 def _rebuilt_directory(tree, parts):

@@ -343,12 +343,13 @@ class GaussTreeBackend(BackendAdapter):
                 swept = len(specs)
             elif math.isfinite(self.mliq_tolerance):
                 path = "leaf-hull census"
-                refiner = BatchRefiner(tree, [spec.q for spec in specs])
                 swept = sum(
                     census_sweeps(
-                        refiner, i, max(1, spec.k), self.mliq_tolerance
+                        BatchRefiner(tree, spec.q),
+                        max(1, spec.k),
+                        self.mliq_tolerance,
                     )
-                    for i, spec in enumerate(specs)
+                    for spec in specs
                 )
         traversed = len(specs) - swept
         pages = objects = 0

@@ -12,7 +12,7 @@ Submodules
 ``search``    — shared best-first traversal + denominator bounds.
 ``mliq``      — k-most-likely identification queries (Sections 5.2.1-2).
 ``tiq``       — threshold identification queries (Section 5.2.3).
-``batch``     — batch query APIs amortizing traversal across queries.
+``batch``     — batch query APIs: one warm pass, a traversal per query.
 ``persist``   — save/open of a tree as a single paged index file;
                 writable opens with WAL durability and crash recovery.
 """

@@ -40,7 +40,7 @@ the tolerance times the denominator's lower bound.
 * **The census**, before the traversal pops. A query with a finite
   tolerance on a tree of three or more levels expands the root, then
   asks the leaf hulls (:func:`census_share`): Lemmas 2-3 bound every
-  rectangle of the directory (once per batch), and the exact densities
+  rectangle of the directory for the query, and the exact densities
   of the leaf with the highest upper bound, refined alone, give a k-th
   density and, with every other leaf's lower mass, the denominator's
   lower bound. When the rows under leaves that must be popped reach
@@ -252,9 +252,7 @@ def search_mliq(
         # leaf hulls decide on a tree of three or more levels.
         state.pop_and_expand()
         if not root.children[0].is_leaf:  # type: ignore[attr-defined]
-            swept = census_sweeps(
-                state.refiner, state.query_index, k, tolerance
-            )
+            swept = census_sweeps(state.refiner, k, tolerance)
     while heap and not swept:
         if len(candidates) >= k:
             kth_log_density = candidates[0][0]
@@ -321,21 +319,19 @@ def search_mliq(
     return matches, stats
 
 
-def census_sweeps(
-    refiner, query_index: int, k: int, tolerance: float
-) -> bool:
+def census_sweeps(refiner, k: int, tolerance: float) -> bool:
     """Whether the census sends one k-MLIQ on a tree of three or more
     levels to the sweep: its :func:`census_share` reaches
     ``_CENSUS_SHARE``. What a query runs and what ``explain()`` prices
     (``GaussTreeBackend.estimate``) both ask this."""
-    return census_share(refiner, query_index, k, tolerance) >= _CENSUS_SHARE
+    return census_share(refiner, k, tolerance) >= _CENSUS_SHARE
 
 
-def census_share(refiner, query_index: int, k: int, tolerance: float) -> float:
-    """The share of the tree's rows under leaves that one k-MLIQ's
-    traversal would have to pop, as far as the leaf hulls tell.
+def census_share(refiner, k: int, tolerance: float) -> float:
+    """The share of the tree's rows under leaves that the k-MLIQ of
+    ``refiner``'s query would have to pop, as far as the leaf hulls tell.
 
-    Reads the batch's bounds over every leaf's rectangle
+    Reads the query's bounds over every leaf's rectangle
     (:meth:`~repro.gausstree.batch.BatchRefiner.leaf_hull_bounds`) and
     refines the leaf with the highest upper bound, the first leaf a
     traversal pops, through ``leaf_extras`` as a group of one: a sweep
@@ -349,17 +345,12 @@ def census_share(refiner, query_index: int, k: int, tolerance: float) -> float:
     its upper bound beats the k-th density, or its upper mass
     ``count * N^`` is above ``tolerance`` times that lower bound. Sums
     are taken in log space, so the share does not depend on a state's
-    scale shift, and everything read is the query's own row, so it does
-    not depend on the batch either.
+    scale shift.
     """
     directory = refiner.tree.leaf_directory()
     lower, upper = refiner.leaf_hull_bounds()
-    lower = lower[query_index]
-    upper = upper[query_index]
     best = int(np.argmax(upper))
-    row = refiner.leaf_extras(directory.leaves[best], siblings=False)[0][
-        query_index
-    ]
+    row = refiner.leaf_extras(directory.leaves[best], siblings=False)[0]
     kth = float(np.partition(row, -k)[-k]) if len(row) >= k else -math.inf
     log_counts = directory.log_counts
     terms = log_counts + lower

@@ -141,26 +141,26 @@ class _BoundSum:
 class SearchState:
     """Priority queue plus denominator bounds for one query.
 
-    The numbers of node expansion come from ``refiner`` (a
-    :class:`repro.gausstree.batch.BatchRefiner` over the query batch this
-    state belongs to; a singleton query is a batch of one): leaf
-    densities and child bounds are read from its cross-query cache,
-    computed vectorised over every query in the batch the first time
-    any of them expands the node, and ``query_index`` selects this
-    state's row. Traversal order, accounting and results do not depend
-    on the batch — the refiner only changes who computes the numbers.
+    The numbers of node expansion come from the state's own
+    :class:`repro.gausstree.batch.BatchRefiner`: leaf densities and child
+    bounds for this query, computed for a popped node together with its
+    materialized siblings and cached by page id, so a later pop of a
+    sibling reads the cache. Traversal order, accounting and results do
+    not depend on the grouping — it only changes who computes the
+    numbers.
     """
 
-    def __init__(self, tree, q: PFV, refiner, query_index: int) -> None:
-        if q.dims != tree.dims:
-            raise ValueError(f"query is {q.dims}-d, tree is {tree.dims}-d")
+    def __init__(self, tree, q: PFV) -> None:
+        # Imported here: batch imports this module.
+        from repro.gausstree.batch import BatchRefiner
+
+        # The refiner checks that the query fits the tree.
+        self.refiner = BatchRefiner(tree, q)
         self.tree = tree
-        self.refiner = refiner
-        self.query_index = query_index
         # The refiner's per-page extras cache (a dict mutated in place,
         # never rebound), kept as an attribute for call-free lookups in
         # the leaf fast path.
-        self._refiner_extras = refiner._leaf_extras
+        self._refiner_extras = self.refiner._leaf_extras
         self._counter = itertools.count()
         self._heap: list[tuple[float, int, float, Node, int]] = []
         # Bound once: the store is fixed for the state's lifetime and
@@ -179,8 +179,8 @@ class SearchState:
             self.shift = 0.0
             return
         log_lower, log_upper = node_log_bounds(root.rect, q, tree.sigma_rule)
-        self.shift = log_upper
-        refiner.register_shift(query_index, log_upper)
+        # The refiner takes its leaf masses on the state's initial scale.
+        self.shift = self.refiner.shift = log_upper
         self._push(root, log_lower, log_upper)
 
     # -- scaling -------------------------------------------------------------
@@ -321,8 +321,6 @@ class SearchState:
         self.nodes_expanded += 1
         if not node.is_leaf:
             lows, highs = self.refiner.child_log_bounds(node)
-            lows = lows[self.query_index]
-            highs = highs[self.query_index]
             # Inline _push with everything pre-bound: a query pushes one
             # entry per tree node, so per-child lookups add up.
             heap = self._heap
@@ -336,17 +334,13 @@ class SearchState:
                 max_add(hi, cn, shift)
             return None
         leaf: LeafNode = node  # type: ignore[assignment]
-        # Densities, row max and scaled mass were precomputed for the
-        # whole batch on first touch; indexing the extras lists here
+        # Densities, row max and scaled mass were precomputed with the
+        # leaf's sibling group on first touch; reading the cache here
         # keeps a leaf expansion free of per-call numpy dispatch.
         extras = self._refiner_extras.get(leaf.page_id)
         if extras is None:
             extras = self.refiner.leaf_extras(leaf)
-        qi = self.query_index
-        log_dens = extras[0][qi]
-        best = extras[1][qi]
-        mass = extras[2][qi]
-        used_shift = extras[3][qi]
+        log_dens, best, mass = extras
         self.objects_refined += n
         max_ld = self.max_log_density
         if best > max_ld:
@@ -361,7 +355,7 @@ class SearchState:
             self._maybe_rescale()
             shift = self.shift
         self._leaf_log_densities.append(log_dens)
-        if used_shift != shift:
+        if shift != self.refiner.shift:
             mass = float(
                 np.sum(np.exp(np.clip(log_dens - shift, _UNDERFLOW, _CAP)))
             )

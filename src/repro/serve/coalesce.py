@@ -1,16 +1,17 @@
 """Coalescing knobs for the serving tier.
 
-Why a window at all: the engine's batch entry points amortize traversal
-work across queries (``execute_many`` groups same-kind reads; one
+Why a window at all: the engine's batch entry points share work across
+requests (``execute_many`` runs same-kind reads over one warm buffer,
+one leaf directory and one sweep finish for the queries that sweep; one
 ``insert_many`` shares one group-commit fsync), but HTTP/JSONL clients
 mostly send singletons. The dispatcher therefore fuses concurrent
 requests server-side — and these knobs bound how aggressively. The
 trade is explicit: a larger ``max_batch``/``max_delay_seconds`` buys
-amortization (throughput) at the cost of up to ``max_delay_seconds``
+that sharing (throughput) at the cost of up to ``max_delay_seconds``
 added latency for the *first* request of a batch when the server is
 idle. Under load the delay is irrelevant — batches fill from the queue
 the moment a pool session frees up — which is exactly when
-amortization pays most. ``max_batch=1`` is the one way to turn fusing
+sharing pays most. ``max_batch=1`` is the one way to turn fusing
 off, for reads and writes alike.
 """
 

@@ -24,8 +24,9 @@ The dispatcher implements **request coalescing**: it first waits for a
 free pool session, then collects a round-robin batch of queued read
 requests (plus a ``max_delay`` window for stragglers) and fuses them
 into one ``execute_many`` call — concurrent singleton clients reach the
-engine's batch entry points (~2x traversal amortization) without
-batching client-side. Results demultiplex back per request. Concurrent
+engine's batch entry points without batching client-side: a batch's
+queries share the warm buffer and decoded pages, the leaf directory and
+one sweep finish, while each traversal stays the query's own. Results demultiplex back per request. Concurrent
 ``insert`` requests coalesce the same way into one ``insert_many`` —
 a single group-commit WAL transaction whose one fsync is shared by
 every client acked from it. ``delete`` requests (the serving half of
@@ -35,7 +36,7 @@ from the index answers cleanly with a lower ``deleted`` count — never
 an error. Waiting for the session *before* forming
 the batch is what makes batch size track load: while every session is
 busy the queues grow, so the next batch is bigger exactly when
-amortization pays most.
+fusing pays most.
 """
 
 from __future__ import annotations

@@ -327,6 +327,98 @@ class TestSweepFinish:
             assert fingerprint(matches, stats) == want
 
 
+class TestOneQueryPerTraversal:
+    """A batch's queries share the buffer, the leaf directory and the
+    sweep finish, and no numeric work: each query's traversal and census
+    evaluate what that query pops, for that query alone."""
+
+    @pytest.fixture(scope="class")
+    def ds1_memory(self):
+        # Data set 1 in memory, rank-only 1-MLIQ: every query traverses.
+        db = dataset1()
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        queries = [
+            MLIQuery(w.q, 1) for w in identification_workload(db, 16, seed=5)
+        ]
+        return tree, queries, math.inf
+
+    @pytest.fixture(scope="class")
+    def identify_disk(self, tmp_path_factory):
+        # identify-disk's shape: a 20,000 x 10-d disk tree, MLIQ(q, 5) at
+        # 1e-9; every query sweeps from the census.
+        db = uniform_pfv_dataset(n=20_000, d=10, seed=4242)
+        path = tmp_path_factory.mktemp("identify") / "disk.gauss"
+        bulk_load(db.vectors, sigma_rule=db.sigma_rule).save(path)
+        tree = GaussTree.open(path)
+        queries = [
+            MLIQuery(w.q, 5) for w in identification_workload(db, 16, seed=6)
+        ]
+        yield tree, queries, 1e-9
+        tree.close()
+
+    @pytest.mark.parametrize("shape", ["ds1_memory", "identify_disk"])
+    def test_a_batch_evaluates_only_what_its_own_queries_pop(
+        self, shape, request, monkeypatch
+    ):
+        tree, queries, tolerance = request.getfixturevalue(shape)
+        calls = []
+
+        def recording(name, kernel):
+            def wrapper(first, *args):
+                q_mu = args[-3]
+                calls.append((name, q_mu.shape[0], q_mu.tobytes(),
+                              first.shape, hash(first.tobytes())))
+                return kernel(first, *args)
+
+            return wrapper
+
+        per_query = []
+        search_mliq = batch.search_mliq
+
+        def recording_search(state, query, tolerance):
+            matches, stats = search_mliq(state, query, tolerance)
+            counters = dataclasses.asdict(stats)
+            del counters["cpu_seconds"]
+            per_query.append(counters)
+            return matches, stats
+
+        monkeypatch.setattr(
+            batch, "log_joint_density_multi",
+            recording("leaf", log_joint_density_multi),
+        )
+        monkeypatch.setattr(
+            batch, "node_log_bounds_multi",
+            recording("inner", node_log_bounds_multi),
+        )
+        monkeypatch.setattr(batch, "search_mliq", recording_search)
+
+        def answer(chunk):
+            results, _ = gausstree_mliq_many(tree, chunk, tolerance)
+            return [
+                [(m.key, m.log_density.hex(), m.probability.hex())
+                 for m in matches]
+                for matches in results
+            ]
+
+        # Both runs start cold and read in the same order, so each query
+        # faults the same pages in the batch as alone.
+        tree.store.cold_start()
+        got = answer(queries)
+        in_batch, batch_stats = list(calls), list(per_query)
+        calls.clear()
+        per_query.clear()
+        tree.store.cold_start()
+        singles = [answer([query])[0] for query in queries]
+        assert in_batch
+        assert all(rows == 1 for _, rows, *_ in in_batch)
+        # The same (row, query) pairs, kernel call for kernel call.
+        assert sorted(in_batch) == sorted(calls)
+        assert got == singles
+        assert batch_stats == per_query
+        swept = [stats["swept"] for stats in per_query]
+        assert swept == [int(shape == "identify_disk")] * len(queries)
+
+
 # -- sibling groups -------------------------------------------------------------
 
 
@@ -420,6 +512,7 @@ class TestSiblingGroups:
         }
         # Anchor each query at its best density, so masses are O(1).
         shifts = np.max(np.hstack(list(per_leaf.values())), axis=1)
+        spans = tree.leaf_directory().spans
 
         calls = {"leaf": 0, "inner": 0}
 
@@ -430,6 +523,19 @@ class TestSiblingGroups:
 
             return wrapper
 
+        def group(node, evaluated):
+            """What the refiner evaluates for ``node``: the node, then its
+            materialized siblings not yet evaluated, in child order."""
+            if node.parent is None:
+                return [node.page_id]
+            return [node.page_id] + [
+                sibling.page_id
+                for sibling in node.parent.children
+                if sibling is not node
+                and sibling.page_id not in evaluated
+                and sibling.is_materialized
+            ]
+
         monkeypatch.setattr(
             batch, "log_joint_density_multi",
             counted("leaf", log_joint_density_multi),
@@ -438,44 +544,61 @@ class TestSiblingGroups:
             batch, "node_log_bounds_multi",
             counted("inner", node_log_bounds_multi),
         )
-        refiner = BatchRefiner(tree, qs)
-        for i, shift in enumerate(shifts.tolist()):
-            refiner.register_shift(i, shift)
-        if census:
-            # Every leaf parent's child bounds then come from the
-            # census's bounds over the leaf directory's rectangles.
-            refiner.leaf_hull_bounds()
-        # Request pages in a shuffled order, so groups start anywhere in
-        # their parent's child list.
-        order = np.random.default_rng(d * m).permutation(len(leaves))
-        for index in order.tolist():
-            leaf = leaves[index]
-            rows, maxima, masses, used = refiner.leaf_extras(leaf)
-            matrix = per_leaf[leaf.page_id]
-            scaled = np.exp(np.clip(matrix - shifts[:, None], _UNDERFLOW, _CAP))
-            assert len(rows) == m
-            assert all(
-                np.array_equal(row, expected) for row, expected in zip(rows, matrix)
-            )
-            assert maxima == matrix.max(axis=1).tolist()
-            assert masses == scaled.sum(axis=1).tolist()
-            assert used == shifts.tolist()
-            assert np.array_equal(refiner.leaf_log_densities(leaf), matrix)
-        for index in np.random.default_rng(d).permutation(len(inners)).tolist():
-            inner = inners[index]
-            lower, upper = refiner.child_log_bounds(inner)
-            exp_lower, exp_upper = node_log_bounds_multi(
-                *inner.stacked_child_bounds(), q_mu, q_sigma, rule
-            )
-            assert np.array_equal(lower, exp_lower)
-            assert np.array_equal(upper, exp_upper)
-        # The pages really were refined in groups.
-        assert calls["leaf"] < len(leaves)
-        if any(
-            sum(not child.is_leaf for child in inner.children) > 1
-            for inner in inners
-        ):
-            assert calls["inner"] < len(inners)
+        # One refiner per query, each requesting pages in its own
+        # shuffled order, so groups start anywhere in their parent's
+        # child list.
+        rng = np.random.default_rng(d * m)
+        for i, (q, shift) in enumerate(zip(qs, shifts.tolist())):
+            calls.update(leaf=0, inner=0)
+            refiner = BatchRefiner(tree, q)
+            refiner.shift = shift
+            if census:
+                # Every leaf parent's child bounds then come from the
+                # census's bounds over the leaf directory's rectangles.
+                refiner.leaf_hull_bounds()
+            cache = refiner._leaf_extras
+            for index in rng.permutation(len(leaves)).tolist():
+                leaf = leaves[index]
+                before = list(cache)
+                rows, maximum, mass = refiner.leaf_extras(leaf)
+                if leaf.page_id not in before:
+                    assert list(cache)[len(before):] == group(leaf, before)
+                matrix = per_leaf[leaf.page_id]
+                scaled = np.exp(
+                    np.clip(matrix - shifts[:, None], _UNDERFLOW, _CAP)
+                )
+                assert np.array_equal(rows, matrix[i])
+                assert maximum == matrix.max(axis=1).tolist()[i]
+                assert mass == scaled.sum(axis=1).tolist()[i]
+                # The mass a state recomputes at the refiner's shift.
+                assert mass == float(
+                    np.sum(np.exp(np.clip(rows - refiner.shift, _UNDERFLOW, _CAP)))
+                )
+                assert np.array_equal(refiner.leaf_log_densities(leaf), matrix[i])
+            cache = refiner._bounds_cache
+            for index in rng.permutation(len(inners)).tolist():
+                inner = inners[index]
+                before = list(cache)
+                lower, upper = refiner.child_log_bounds(inner)
+                if inner.page_id not in before:
+                    want = (
+                        [inner.page_id]
+                        if census and inner.page_id in spans
+                        else group(inner, before)
+                    )
+                    assert list(cache)[len(before):] == want
+                exp_lower, exp_upper = node_log_bounds_multi(
+                    *inner.stacked_child_bounds(), q_mu, q_sigma, rule
+                )
+                assert np.array_equal(lower, exp_lower[i])
+                assert np.array_equal(upper, exp_upper[i])
+            # The pages really were refined in groups.
+            assert calls["leaf"] < len(leaves)
+            if any(
+                sum(not child.is_leaf for child in inner.children) > 1
+                for inner in inners
+            ):
+                assert calls["inner"] < len(inners)
 
     def test_cold_query_materializes_only_the_pages_it_pops(self, tmp_path):
         # Data set 1 prunes well, so some leaves stay unpopped next to
@@ -514,57 +637,6 @@ class TestSiblingGroups:
             any(s.page_id in popped for s in leaf.parent.children)
             for leaf in stubs
         )
-
-    def test_group_calls_stay_within_the_budget(self, monkeypatch):
-        # Leaves of at most 24 rows under parents of up to 24 children:
-        # 64 queries x 4 dims leave room for 128 rows, a few leaves.
-        db = uniform_pfv_dataset(n=3000, d=4, seed=5)
-        tree = bulk_load(db.vectors, degree=12, sigma_rule=db.sigma_rule)
-        leaves, inners = [], []
-        _walk(tree.root, leaves, inners)
-        # Each kernel call follows the group it evaluates: record the
-        # group's size, then the elements the kernel broadcasts.
-        calls = {"leaf": [], "inner": []}
-        members = []
-        sibling_group = BatchRefiner._sibling_group
-
-        def recording_group(self, node, evaluated):
-            group = sibling_group(self, node, evaluated)
-            members.append(len(group))
-            return group
-
-        def recording(name, kernel):
-            def wrapper(first, *args):
-                m = len(args[-3])
-                calls[name].append((members[-1], m * first.size))
-                return kernel(first, *args)
-
-            return wrapper
-
-        # Sweeps and the census off: a swept query pops no more leaves,
-        # and once a query takes the census, every leaf parent's child
-        # bounds are slices of the census's; no group forms for them.
-        monkeypatch.setattr(mliq, "_FIRST_CHECK", math.inf)
-        monkeypatch.setattr(mliq, "_CENSUS_SHARE", math.inf)
-        monkeypatch.setattr(BatchRefiner, "_sibling_group", recording_group)
-        monkeypatch.setattr(
-            batch, "log_joint_density_multi",
-            recording("leaf", log_joint_density_multi),
-        )
-        monkeypatch.setattr(
-            batch, "node_log_bounds_multi",
-            recording("inner", node_log_bounds_multi),
-        )
-        mliqs = [MLIQuery(w.q, 3) for w in identification_workload(db, 64)]
-        gausstree_mliq_many(tree, mliqs)
-        budget = batch._GROUP_ELEMENTS
-        for kind_calls in calls.values():
-            groups = [elements for size, elements in kind_calls if size > 1]
-            assert groups, "no call covered more than one node"
-            assert max(groups) <= budget
-        # The limit binds: some parent's leaves needed more than one call.
-        parents = {leaf.parent.page_id for leaf in leaves}
-        assert len(calls["leaf"]) > len(parents)
 
 
 class TestDrainedQueue:

@@ -53,15 +53,15 @@ def _leaf_parents(tree):
     ]
 
 
-def _census_reference(tree, refiner, query_index, k, tolerance):
+def _census_reference(tree, q, k, tolerance):
     """``census_share`` over rectangles listed parent by parent in child
     order: the order the census read before the leaf directory."""
     parents = _leaf_parents(tree)
     leaves = [leaf for parent in parents for leaf in parent.children]
     stacks = [parent.stacked_child_bounds() for parent in parents]
     bounds = [np.concatenate(column) for column in zip(*stacks)]
-    q_mu = refiner.q_mu[query_index : query_index + 1]
-    q_sigma = refiner.q_sigma[query_index : query_index + 1]
+    q_mu = q.mu[np.newaxis, :]
+    q_sigma = q.sigma[np.newaxis, :]
     lower, upper = node_log_bounds_multi(*bounds, q_mu, q_sigma, tree.sigma_rule)
     lower, upper = lower[0], upper[0]
     best = int(np.argmax(upper))
@@ -132,22 +132,22 @@ def _check_directory(tree, queries):
     assert all(0 <= i < leaf.count for leaf, i in located)
     if not parents:
         return
-    refiner = BatchRefiner(tree, queries)
-    for index in range(len(queries)):
+    for q in queries:
+        refiner = BatchRefiner(tree, q)
         for k in (1, 5):
             for tolerance in (1e-9, 1e-3):
                 assert mliq.census_share(
-                    refiner, index, k, tolerance
-                ).hex() == _census_reference(
-                    tree, refiner, index, k, tolerance
-                ).hex()
-    q_mu, q_sigma = refiner.q_mu, refiner.q_sigma
-    for parent in parents:
-        got = refiner.child_log_bounds(parent)
-        want = node_log_bounds_multi(
-            *parent.stacked_child_bounds(), q_mu, q_sigma, tree.sigma_rule
-        )
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+                    refiner, k, tolerance
+                ).hex() == _census_reference(tree, q, k, tolerance).hex()
+        for parent in parents:
+            got = refiner.child_log_bounds(parent)
+            want = node_log_bounds_multi(
+                *parent.stacked_child_bounds(),
+                refiner.q_mu,
+                refiner.q_sigma,
+                tree.sigma_rule,
+            )
+            assert all(_same_bits(g, w[0]) for g, w in zip(got, want))
 
 
 def _vectors(n, d, seed, tag):

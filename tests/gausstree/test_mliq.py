@@ -459,8 +459,8 @@ class TestCensusRefinesOneLeaf:
         monkeypatch.setattr(batch, "log_joint_density_multi", recording)
         directory = tree.leaf_directory()
         for w in identification_workload(db, 4, seed=13):
-            _, upper = BatchRefiner(tree, [w.q]).leaf_hull_bounds()
-            best = directory.leaves[int(np.argmax(upper[0]))]
+            _, upper = BatchRefiner(tree, w.q).leaf_hull_bounds()
+            best = directory.leaves[int(np.argmax(upper))]
             assert len(best.parent.children) > 1
             shapes.clear()
             _, stats = gausstree_mliq(tree, MLIQuery(w.q, 5))
@@ -539,7 +539,7 @@ class TestCensus:
         ]
         got = []
         for query in queries:
-            share = mliq.census_share(BatchRefiner(tree, [query.q]), 0, 5, 1e-9)
+            share = mliq.census_share(BatchRefiner(tree, query.q), 5, 1e-9)
             assert share < mliq._CENSUS_SHARE
             matches, stats = gausstree_mliq(tree, query)
             got.append((_bits(matches), stats))
@@ -585,9 +585,9 @@ class TestCensus:
         shares = []
         census_share = mliq.census_share
 
-        def recording(refiner, query_index, k, tolerance):
-            share = census_share(refiner, query_index, k, tolerance)
-            shares.append((refiner.q_mu[query_index].tobytes(), k, share))
+        def recording(refiner, k, tolerance):
+            share = census_share(refiner, k, tolerance)
+            shares.append((refiner.q_mu.tobytes(), k, share))
             return share
 
         monkeypatch.setattr(mliq, "census_share", recording)

@@ -11,17 +11,11 @@ from repro.core.queries import MLIQuery
 from repro.data.workload import identification_workload
 from repro.eval.figures import dataset1
 from repro.gausstree import gausstree_mliq
-from repro.gausstree.batch import BatchRefiner
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.search import SearchState
 from repro.gausstree.tree import GaussTree
 
 from tests.conftest import make_random_db, make_random_query
-
-
-def state_for(tree, q):
-    """A singleton query's state: a refiner over the batch ``[q]``."""
-    return SearchState(tree, q, BatchRefiner(tree, [q]), 0)
 
 
 def drain(state):
@@ -38,7 +32,7 @@ class TestDenominatorBounds:
             math.exp(log_joint_density(v, q, tree.sigma_rule) - 0.0)
             for v in db
         )
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         while state.has_active_nodes:
             lo = state.denominator_low * math.exp(state.shift)
             hi = state.denominator_high
@@ -55,7 +49,7 @@ class TestDenominatorBounds:
         db = make_random_db(n=150, d=2, seed=3)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=4)
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         prev_lo, prev_hi = state.denominator_low, state.denominator_high
         prev_shift = state.shift
         while state.has_active_nodes:
@@ -74,7 +68,7 @@ class TestDenominatorBounds:
         db = make_random_db(n=80, d=2, seed=5)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=6)
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         drain(state)
         assert state.objects_refined == 80
         assert state.nodes_expanded == sum(1 for _ in tree.nodes())
@@ -83,7 +77,7 @@ class TestDenominatorBounds:
         db = make_random_db(n=120, d=2, seed=7)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=8)
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         prev = math.inf
         while state.has_active_nodes:
             top = state.top_log_upper
@@ -130,7 +124,7 @@ class TestBoundReadings:
     def test_settled_allowances_are_small_next_to_their_sums(self, ds1_tree):
         db, tree = ds1_tree
         for w in identification_workload(db, 10, seed=6):
-            state = state_for(tree, w.q)
+            state = SearchState(tree, w.q)
             while state.has_active_nodes:
                 state.settle_bounds()
                 for bound in (state._min_rem, state._max_rem):
@@ -146,7 +140,7 @@ class TestRescaling:
         db = make_random_db(n=100, d=3, seed=9, sigma_low=0.001, sigma_high=0.01)
         tree = bulk_load(db.vectors, degree=3)
         q = PFV([30.0, 30.0, 30.0], [0.001, 0.001, 0.001])
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         initial_shift = state.shift
         drain(state)
         assert state.shift != initial_shift  # rescale happened
@@ -155,20 +149,19 @@ class TestRescaling:
     def test_empty_tree_state(self):
         tree = GaussTree(dims=2, degree=3)
         q = make_random_query(d=2)
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         assert not state.has_active_nodes
         assert state.top_log_upper == -math.inf
 
     def test_dimension_mismatch(self):
         tree = GaussTree(dims=2, degree=3)
-        refiner = BatchRefiner(tree, [make_random_query(d=2)])
         with pytest.raises(ValueError):
-            SearchState(tree, PFV([0.0], [1.0]), refiner, 0)
+            SearchState(tree, PFV([0.0], [1.0]))
 
     def test_scaled_density_underflow_guard(self):
         db = make_random_db(n=20, d=2, seed=10)
         tree = bulk_load(db.vectors, degree=3)
         q = make_random_query(d=2, seed=11)
-        state = state_for(tree, q)
+        state = SearchState(tree, q)
         assert state.scaled_density(state.shift - 1e6) == 0.0
         assert state.scaled_density(state.shift) == pytest.approx(1.0)
